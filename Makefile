@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet staticcheck docs-check bench-smoke bench bench-sched bench-serve bench-canary bench-dist bench-kernels bench-tune benchdiff flake serve serve-smoke dist-smoke ci
+.PHONY: build test race vet staticcheck docs-check bench-smoke bench bench-sched bench-serve bench-canary bench-dist bench-kernels bench-tune benchdiff e2e e2e-compare flake serve serve-smoke dist-smoke ci
 
 build:
 	$(GO) build ./...
@@ -94,6 +94,21 @@ bench-tune:
 # failing on any tracked metric that regresses past 15%.
 benchdiff: bench-kernels bench-tune bench-dist
 	$(GO) run ./cmd/benchdiff -fresh /tmp/keystone-bench
+
+# The end-to-end ledger (bench/e2e, declared in BENCHMARK.json): the four
+# train → deploy → serve workloads, first untraced (the end-to-end
+# metrics) then traced (the per-layer ones), appended to one result file.
+# Informational, not part of `make ci`; ~4 min.
+#   make e2e [SEED=1] [OUT=.bench_build/e2e.json]
+#   make e2e-compare A=parent.json B=change.json
+SEED ?= 1
+OUT ?= .bench_build/e2e.json
+e2e:
+	bash bench/e2e/run.sh -workload all -seed $(SEED) -json $(OUT)
+	bash bench/e2e/run.sh -workload all -seed $(SEED) -trace 1 -json $(OUT)
+
+e2e-compare:
+	bash bench/e2e/run.sh -compare $(A) $(B)
 
 # Flake sweep: the timing- and socket-sensitive suites (dist chaos
 # tests, tune deadlines) repeated under the race detector at both

@@ -61,10 +61,10 @@ func TestOptimizationLevelsOrdering(t *testing.T) {
 	for _, spec := range specs(Quick) {
 		spec := spec
 		t.Run(spec.name, func(t *testing.T) {
-			optN, execN, _ := runPlan(spec, optimizer.LevelNone, 0)
-			optF, execF, _ := runPlan(spec, optimizer.LevelFull, 0)
-			none := optN + execN
-			full := optF + execF
+			planN, execN, _ := runPlan(spec, optimizer.LevelNone, 0)
+			planF, execF, _ := runPlan(spec, optimizer.LevelFull, 0)
+			none := planN.OptimizeTime + execN
+			full := planF.OptimizeTime + execF
 			if full.Seconds() > none.Seconds() {
 				t.Errorf("full optimization slower than none: %v vs %v", full, none)
 			}

@@ -62,27 +62,23 @@ func specs(scale Scale) []workloadSpec {
 	}
 }
 
-// runPlan fits a pipeline under a given optimizer level and returns stage
-// timings and the fitted pipeline.
-func runPlan(spec workloadSpec, level optimizer.Level, parallelism int) (optTime, execTime time.Duration, fitted *core.Fitted) {
+// runPlan fits a pipeline under a given optimizer level and returns the
+// plan (whose OptimizeTime is the Optimize stage), the train time and the
+// fitted pipeline.
+func runPlan(spec workloadSpec, level optimizer.Level, parallelism int) (plan *optimizer.Plan, execTime time.Duration, fitted *core.Fitted) {
 	g := spec.build()
-	n := spec.train.Data.Count()
 	cfg := optimizer.Config{
-		Level:      level,
-		Resources:  cluster.Local(8),
-		NumClasses: spec.numClasses,
-		// Proportional samples (the paper uses 512/1024 out of millions);
-		// profiling must stay cheap relative to full execution.
-		SampleSizes: [2]int{max(4, n/16), max(8, n/8)},
+		Level:       level,
+		Resources:   cluster.Local(8),
+		NumClasses:  spec.numClasses,
 		Parallelism: parallelism,
 	}
-	plan := optimizer.Optimize(g, spec.train.Data, spec.train.Labels, cfg)
-	optTime = plan.OptimizeTime
+	plan = optimizer.Optimize(g, spec.train.Data, spec.train.Labels, cfg)
 	start := time.Now()
 	models, _, _ := plan.Execute(spec.train.Data, spec.train.Labels, parallelism)
 	execTime = time.Since(start)
 	fitted = core.NewFitted(g, models, engine.NewContext(parallelism))
-	return optTime, execTime, fitted
+	return plan, execTime, fitted
 }
 
 // Figure9 compares optimization levels (None / Pipe Only / KeystoneML)
@@ -92,17 +88,21 @@ func runPlan(spec workloadSpec, level optimizer.Level, parallelism int) (optTime
 // more where the default solver is wrong (TIMIT, VOC).
 func Figure9(w io.Writer, scale Scale) {
 	header(w, "Figure 9: impact of optimization levels")
-	fmt.Fprintf(w, "%-8s %-12s %12s %12s %12s %10s\n", "workload", "level", "optimize", "train", "total", "speedup")
+	fmt.Fprintf(w, "%-8s %-12s %12s %10s %12s %12s %10s\n", "workload", "level", "optimize", "samples", "train", "total", "speedup")
 	for _, spec := range specs(scale) {
 		var baseline float64
 		for _, level := range []optimizer.Level{optimizer.LevelNone, optimizer.LevelPipeline, optimizer.LevelFull} {
-			optT, execT, _ := runPlan(spec, level, 0)
-			total := optT + execT
+			plan, execT, _ := runPlan(spec, level, 0)
+			total := plan.OptimizeTime + execT
+			samples := "-" // LevelNone does not profile
+			if plan.Profile != nil {
+				samples = fmt.Sprintf("%d/%d", plan.Profile.SampleSizes[0], plan.Profile.SampleSizes[1])
+			}
 			if level == optimizer.LevelNone {
 				baseline = total.Seconds()
 			}
-			fmt.Fprintf(w, "%-8s %-12s %12s %12s %12s %9.1fx\n",
-				spec.name, level, secs(optT), secs(execT), secs(total), baseline/total.Seconds())
+			fmt.Fprintf(w, "%-8s %-12s %12s %10s %12s %12s %9.1fx\n",
+				spec.name, level, secs(plan.OptimizeTime), samples, secs(execT), secs(total), baseline/total.Seconds())
 		}
 	}
 }

@@ -2,8 +2,11 @@ package fisher
 
 import (
 	"math"
+	"reflect"
+	"sync"
 	"testing"
 
+	"keystoneml/internal/core"
 	"keystoneml/internal/gmm"
 	"keystoneml/internal/linalg"
 )
@@ -96,4 +99,34 @@ func TestPowerNormSignPreserved(t *testing.T) {
 	if !anyNeg {
 		t.Skip("no negative components in this encoding; sign test vacuous")
 	}
+}
+
+// TestDecodedEncoderConcurrentApply serves one artifact-decoded encoder
+// from several goroutines at once, as a serve route does: the model's
+// logarithm table is built on first use, so run it under -race.
+func TestDecodedEncoderConcurrentApply(t *testing.T) {
+	kind, state, err := core.EncodeOp(NewEncoder(toyModel()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	op, err := core.DecodeOp(kind, state)
+	if err != nil {
+		t.Fatal(err)
+	}
+	descs := [][]float64{{0.5, 0.3}, {5.5, 4.7}, {1, 0}}
+	want := NewEncoder(toyModel()).Encode(descs)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				if got := op.Apply(descs).([]float64); !reflect.DeepEqual(got, want) {
+					t.Errorf("decoded encoder gave %v, want %v", got, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

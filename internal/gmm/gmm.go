@@ -7,6 +7,7 @@ package gmm
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"keystoneml/internal/core"
 	"keystoneml/internal/engine"
@@ -14,11 +15,32 @@ import (
 )
 
 // Model is a fitted diagonal-covariance Gaussian mixture with K
-// components over d-dimensional descriptors.
+// components over d-dimensional descriptors. Its parameters must not
+// change once Posteriors has been called: the first call tabulates their
+// logarithms.
 type Model struct {
 	Weights []float64      // K mixing weights, sum to 1
 	Means   *linalg.Matrix // K x d
 	Vars    *linalg.Matrix // K x d diagonal covariances
+
+	// The logarithms Posteriors needs depend on the model alone, so they
+	// are taken once per model, not once per descriptor; sync.Once keeps
+	// that safe for a decoded model serving concurrent requests.
+	logsOnce sync.Once
+	logW     []float64 // K: log(Weights[c] + 1e-300)
+	logNorm  []float64 // K x d row-major: log(2π·Vars[c][j])
+}
+
+func (m *Model) tabulateLogs() {
+	d := m.Dim()
+	m.logW = make([]float64, m.K())
+	m.logNorm = make([]float64, m.K()*d)
+	for c, w := range m.Weights {
+		m.logW[c] = math.Log(w + 1e-300)
+		for j, v := range m.Vars.Row(c) {
+			m.logNorm[c*d+j] = math.Log(2 * math.Pi * v)
+		}
+	}
 }
 
 // K returns the component count.
@@ -29,16 +51,19 @@ func (m *Model) Dim() int { return m.Means.Cols }
 
 // Posteriors computes the responsibilities gamma_k(x) for one descriptor.
 func (m *Model) Posteriors(x []float64) []float64 {
+	m.logsOnce.Do(m.tabulateLogs)
 	k := m.K()
+	dim := m.Dim()
 	logp := make([]float64, k)
 	maxLog := math.Inf(-1)
 	for c := 0; c < k; c++ {
-		lp := math.Log(m.Weights[c] + 1e-300)
+		lp := m.logW[c]
 		mu := m.Means.Row(c)
 		va := m.Vars.Row(c)
+		ln := m.logNorm[c*dim : (c+1)*dim]
 		for j, xj := range x {
 			d := xj - mu[j]
-			lp -= 0.5 * (d*d/va[j] + math.Log(2*math.Pi*va[j]))
+			lp -= 0.5 * (d*d/va[j] + ln[j])
 		}
 		logp[c] = lp
 		if lp > maxLog {

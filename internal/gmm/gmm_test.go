@@ -132,3 +132,54 @@ func TestGMMClampsKToN(t *testing.T) {
 		t.Errorf("K = %d, want clamped to 3", model.K())
 	}
 }
+
+// naivePosteriors is Posteriors as first written: every logarithm taken
+// per descriptor. The tabulated version must match it bit for bit.
+func naivePosteriors(m *Model, x []float64) []float64 {
+	logp := make([]float64, m.K())
+	maxLog := math.Inf(-1)
+	for c := range logp {
+		lp := math.Log(m.Weights[c] + 1e-300)
+		mu, va := m.Means.Row(c), m.Vars.Row(c)
+		for j, xj := range x {
+			d := xj - mu[j]
+			lp -= 0.5 * (d*d/va[j] + math.Log(2*math.Pi*va[j]))
+		}
+		logp[c] = lp
+		maxLog = math.Max(maxLog, lp)
+	}
+	var z float64
+	for c := range logp {
+		logp[c] = math.Exp(logp[c] - maxLog)
+		z += logp[c]
+	}
+	for c := range logp {
+		logp[c] /= z
+	}
+	return logp
+}
+
+func TestPosteriorsBitEqualToNaive(t *testing.T) {
+	rng := linalg.NewRNG(11)
+	for trial := 0; trial < 20; trial++ {
+		k, d := 1+rng.Intn(8), 1+rng.Intn(12)
+		m := &Model{Weights: make([]float64, k), Means: rng.GaussianMatrix(k, d), Vars: linalg.NewMatrix(k, d)}
+		for c := 0; c < k; c++ {
+			m.Weights[c] = rng.Float64()
+			for j := 0; j < d; j++ {
+				m.Vars.Set(c, j, 0.05+rng.Float64())
+			}
+		}
+		m.Weights[rng.Intn(k)] = 0       // a dead component
+		m.Vars.Set(rng.Intn(k), 0, 1e-6) // GMM.Fit's variance floor
+		for i := 0; i < 10; i++ {
+			x := rng.GaussianVector(d)
+			got, want := m.Posteriors(x), naivePosteriors(m, x)
+			for c := range want {
+				if math.Float64bits(got[c]) != math.Float64bits(want[c]) {
+					t.Fatalf("trial %d component %d: %v, naive formula gives %v", trial, c, got[c], want[c])
+				}
+			}
+		}
+	}
+}

@@ -48,8 +48,10 @@ type Config struct {
 	MemBudgetBytes int64
 	// NumClasses feeds k into the solver cost models.
 	NumClasses int
-	// SampleSizes are the two profiling sample sizes used for linear
-	// extrapolation; defaults to {256, 512} (the paper uses 512/1024).
+	// SampleSizes are the two nested profiling sample sizes |S1| < |S2|
+	// used for linear extrapolation. A zero size takes the
+	// data-proportional default (see samples); explicit sizes are used
+	// verbatim.
 	SampleSizes [2]int
 	// Parallelism bounds the execution context (partition workers) and
 	// the executor's DAG-level worker pool; 0 = NumCPU, 1 = the
@@ -62,13 +64,17 @@ type Config struct {
 	Dist *core.DistModel
 }
 
-func (c Config) samples() (int, int) {
+// samples resolves the profiling sample sizes for an n-record dataset.
+// The default is s2 = min(512, max(64, n/8)) and s1 = s2/2, both at most
+// n: profiling touches about an eighth of the data at any n, and at
+// n ≥ 4096 the sizes are the fixed 256/512 (the paper uses 512/1024).
+func (c Config) samples(n int) (int, int) {
 	s1, s2 := c.SampleSizes[0], c.SampleSizes[1]
-	if s1 <= 0 {
-		s1 = 256
-	}
 	if s2 <= 0 {
-		s2 = 512
+		s2 = min(n, 512, max(64, n/8))
+	}
+	if s1 <= 0 {
+		s1 = max(s2/2, min(s2, 1))
 	}
 	if s2 < s1 {
 		s1, s2 = s2, s1
@@ -149,37 +155,25 @@ func optimize(g *core.Graph, data, labels *engine.Collection, cfg Config, ctx *e
 	plan.CSEMerged = CSE(g)
 
 	fullN := data.Count()
-	s1, s2 := cfg.samples()
-	selectOps := cfg.Level >= LevelFull
+	s1, s2 := cfg.samples(fullN)
+	run := newSampleRun(g, ctx, nestedSample(data, s1, s2), nestedSample(labels, s1, s2), fullN, cfg)
+	run.run()
 
-	// First (smaller) sample: operator selection + first timing point.
-	run1 := newSampleRun(g, ctx, data.Sample(s1), sampleLabels(labels, data, s1), fullN, cfg, selectOps)
-	run1.run()
-	// Second sample with the chosen operators: second timing point.
-	run2 := newSampleRun(g, ctx, data.Sample(s2), sampleLabels(labels, data, s2), fullN, cfg, false)
-	run2.run()
-
-	prof := &Profile{Nodes: map[int]*NodeProfile{}, SampleN: s2, FullN: fullN}
-	n1 := run1.data.Count()
-	n2 := run2.data.Count()
+	n1 := run.data[0].Count()
+	n2 := n1 + run.data[1].Count()
+	prof := &Profile{Nodes: map[int]*NodeProfile{}, SampleSizes: [2]int{n1, n2}, FullN: fullN}
 	for _, n := range g.Topological() {
-		t1 := run1.localTime[n.ID].Seconds()
-		t2 := run2.localTime[n.ID].Seconds()
-		np := &NodeProfile{
-			Name:       n.OpName(),
-			Kind:       n.Kind,
-			Weight:     n.Weight(),
-			TimeSec:    extrapolate(n1, t1, n2, t2, fullN),
-			InputStats: run1.inStats[n.ID],
+		t := run.times[n.ID]
+		prof.Nodes[n.ID] = &NodeProfile{
+			Name:      n.OpName(),
+			Kind:      n.Kind,
+			Weight:    n.Weight(),
+			TimeSec:   extrapolate(n1, t[0].Seconds(), n2, t[1].Seconds(), fullN),
+			SizeBytes: run.stats[n.ID].Bytes,
 		}
-		if recs := run2.outRecords[n.ID]; len(recs) > 0 {
-			np.OutStats = statsOf(recs, fullN, cfg.NumClasses)
-			np.SizeBytes = np.OutStats.Bytes
-		}
-		prof.Nodes[n.ID] = np
 	}
 	plan.Profile = prof
-	plan.Chosen = run1.chosen
+	plan.Chosen = run.chosen
 	// The materialization set is chosen under the schedule the executor
 	// will actually run: the k-worker makespan model (sequential Σ t·c
 	// when k = 1), and the resulting schedule plan is carried on the
@@ -203,8 +197,7 @@ func optimize(g *core.Graph, data, labels *engine.Collection, cfg Config, ctx *e
 		plan.CacheSet = GreedyCacheSet(g, prof, cfg.MemBudgetBytes, workers)
 		plan.Schedule = ScheduleFor(g, prof, plan.CacheSet, workers)
 	}
-	prof.Elapsed = time.Since(start)
-	plan.OptimizeTime = prof.Elapsed
+	plan.OptimizeTime = time.Since(start)
 	return plan
 }
 
@@ -215,15 +208,6 @@ func (c Config) execWorkers() int {
 		return runtime.NumCPU()
 	}
 	return c.Parallelism
-}
-
-// sampleLabels samples labels with the same stride Sample uses on data so
-// records stay aligned with their labels.
-func sampleLabels(labels, data *engine.Collection, n int) *engine.Collection {
-	if labels == nil {
-		return nil
-	}
-	return labels.Sample(n)
 }
 
 // Execute runs the plan over the full training data: a pinned-set cache

@@ -1,6 +1,8 @@
 package optimizer
 
 import (
+	"reflect"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -337,5 +339,72 @@ func TestExtrapolate(t *testing.T) {
 func TestLevelString(t *testing.T) {
 	if LevelNone.String() != "none" || LevelPipeline.String() != "pipe-only" || LevelFull.String() != "keystoneml" {
 		t.Error("Level.String wrong")
+	}
+}
+
+func TestSampleSizeRule(t *testing.T) {
+	prev := 0
+	for _, n := range []int{0, 1, 7, 63, 64, 1000, 4096, 1000000} {
+		s1, s2 := Config{}.samples(n)
+		if s2 > min(n, 512) || s1 > s2 || s2 < prev {
+			t.Errorf("n=%d: sizes (%d,%d) out of range or not monotone (previous s2 %d)", n, s1, s2, prev)
+		}
+		if n >= 1 && s1 < 1 || n >= 2 && s1 >= s2 {
+			t.Errorf("n=%d: sizes (%d,%d), want 0 < s1 < s2 where n allows", n, s1, s2)
+		}
+		prev = s2
+	}
+	for n, want := range map[int][2]int{1000: {62, 125}, 4096: {256, 512}, 1000000: {256, 512}} {
+		if s1, s2 := (Config{}).samples(n); [2]int{s1, s2} != want {
+			t.Errorf("n=%d: sizes (%d,%d), want %v", n, s1, s2, want)
+		}
+	}
+	// Explicit sizes are used verbatim, whatever n is.
+	for _, n := range []int{10, 1000, 1000000} {
+		if s1, s2 := (Config{SampleSizes: [2]int{16, 32}}).samples(n); s1 != 16 || s2 != 32 {
+			t.Errorf("n=%d: explicit (16,32) became (%d,%d)", n, s1, s2)
+		}
+	}
+}
+
+// countingEst records how many records each Fit call saw; its model counts
+// its applies like the test's other operators.
+type countingEst struct {
+	fits    []int
+	applies *atomic.Int64
+}
+
+func (e *countingEst) Name() string { return "test.counting-est" }
+func (e *countingEst) Fit(ctx *engine.Context, data core.Fetch, labels core.Fetch) core.TransformOp {
+	e.fits = append(e.fits, data().Count())
+	return core.NewTransform("test.counting-model", func(in any) any { e.applies.Add(1); return in })
+}
+
+// TestProfileTouchesEachSampleRecordOnce: one Optimize applies every
+// record-wise node (transform, gather branch, apply-model) to each of the
+// s2 sample records exactly once, and fits each estimator exactly twice,
+// on the nested S1 and on S2.
+func TestProfileTouchesEachSampleRecordOnce(t *testing.T) {
+	var applies atomic.Int64
+	vec := core.FuncOp("vec", func(x float64) []float64 { applies.Add(1); return []float64{x} })
+	in := core.AndThen(core.Input[float64](), vec)
+	a := core.AndThen(in, core.FuncOp("a", func(x []float64) []float64 { applies.Add(1); return x }))
+	b := core.AndThen(in, core.FuncOp("b", func(x []float64) []float64 { applies.Add(1); return x }))
+	est := &countingEst{applies: &applies}
+	p := core.AndThenEstimator(core.Gather(a, b), core.NewEst[[]float64, []float64](est))
+
+	items := make([]any, 1000)
+	for i := range items {
+		items[i] = float64(i)
+	}
+	plan := Optimize(p.Graph(), engine.FromSlice(items, 4), nil, Config{Level: LevelFull, Resources: cluster.Local(4)})
+	if plan.Profile.SampleSizes != [2]int{62, 125} {
+		t.Fatalf("sample sizes %v, want [62 125]", plan.Profile.SampleSizes)
+	}
+	if got := applies.Load(); got != 4*125 {
+		t.Errorf("record-wise applies = %d, want 4 nodes x 125 records", got)
+	}
+	if !reflect.DeepEqual(est.fits, []int{62, 125}) {
+		t.Errorf("estimator fits saw %v records, want [62 125]", est.fits)
 	}
 }

@@ -11,8 +11,6 @@
 package optimizer
 
 import (
-	"time"
-
 	"keystoneml/internal/core"
 	"keystoneml/internal/cost"
 	"keystoneml/internal/image"
@@ -21,51 +19,52 @@ import (
 
 // NodeProfile is the per-node entry of the pipeline profile (Section
 // 4.1): estimated full-scale local compute time t(v), output size
-// size(v), iteration weight w(v), and the statistics of the node's input
-// used for operator selection.
+// size(v) and iteration weight w(v).
 type NodeProfile struct {
-	Name       string
-	Kind       core.NodeKind
-	TimeSec    float64 // t(v): local compute time at full scale
-	SizeBytes  int64   // size(v): output size at full scale
-	Weight     int     // w(v): passes the node makes over its input
-	InputStats cost.DataStats
-	OutStats   cost.DataStats
+	Name      string
+	Kind      core.NodeKind
+	TimeSec   float64 // t(v): local compute time at full scale
+	SizeBytes int64   // size(v): output size at full scale
+	Weight    int     // w(v): passes the node makes over its input
 }
 
 // Profile is the pipeline profile: extrapolated per-node measurements
 // keyed by node ID.
 type Profile struct {
 	Nodes map[int]*NodeProfile
-	// SampleN is the sample size the profile was measured on; FullN the
-	// dataset size it was extrapolated to.
-	SampleN, FullN int
-	// Elapsed is the profiling overhead (reported in Figure 9's Optimize
-	// stage).
-	Elapsed time.Duration
+	// SampleSizes are the record counts |S1| ≤ |S2| of the nested samples
+	// the profile was measured on; FullN the dataset size it was
+	// extrapolated to.
+	SampleSizes [2]int
+	FullN       int
 }
 
-// inspect derives record-level statistics from a slice of sample records:
-// scalar count per record, nonzero fraction, and bytes.
-func inspect(records []any) (dim int64, sparsity float64, bytesPer float64) {
-	if len(records) == 0 {
-		return 0, 1, 0
+// statsOf derives a node output's DataStats from its sample records —
+// scalar count per record, nonzero fraction, and bytes — extrapolated to
+// fullN records.
+func statsOf(out sample, fullN, numClasses int) cost.DataStats {
+	st := cost.DataStats{N: int64(fullN), K: int64(numClasses), Sparsity: 1}
+	var n, scalars, nnz, bytes int64
+	for _, c := range out {
+		for i := 0; i < c.NumPartitions(); i++ {
+			for _, r := range c.Partition(i) {
+				s, z := recordScalars(r)
+				scalars += s
+				nnz += z
+				bytes += core.SizeOf(r)
+				n++
+			}
+		}
 	}
-	var scalars, nnz, bytes int64
-	for _, r := range records {
-		s, z := recordScalars(r)
-		scalars += s
-		nnz += z
-		bytes += core.SizeOf(r)
+	if n == 0 {
+		return st
 	}
-	n := int64(len(records))
-	dim = scalars / n
+	st.Dim = scalars / n
 	if scalars > 0 {
-		sparsity = float64(nnz) / float64(scalars)
-	} else {
-		sparsity = 1
+		st.Sparsity = float64(nnz) / float64(scalars)
 	}
-	return dim, sparsity, float64(bytes) / float64(n)
+	st.Bytes = int64(float64(bytes) / float64(n) * float64(fullN))
+	return st
 }
 
 // recordScalars counts the logical scalar slots and nonzeros of a record.
@@ -109,28 +108,17 @@ func recordScalars(r any) (scalars, nnz int64) {
 	}
 }
 
-// statsOf builds DataStats for a sample, extrapolated to fullN records.
-func statsOf(records []any, fullN int, numClasses int) cost.DataStats {
-	dim, sp, bytesPer := inspect(records)
-	return cost.DataStats{
-		N:        int64(fullN),
-		Dim:      dim,
-		K:        int64(numClasses),
-		Sparsity: sp,
-		Bytes:    int64(bytesPer * float64(fullN)),
-	}
-}
-
 // extrapolate fits time(n) = a + b·n through two sample measurements and
-// evaluates at fullN, clamping at non-negative. With a single point it
-// scales linearly. This mirrors the paper's two-sample (512/1024) linear
-// regression, whose runtime estimates were within 15% of actuals.
+// evaluates at fullN, clamping at non-negative. With a single point (the
+// nested sample S1 is all of S2) it scales t2 linearly. This mirrors the
+// paper's two-sample (512/1024) linear regression, whose runtime
+// estimates were within 15% of actuals.
 func extrapolate(n1 int, t1 float64, n2 int, t2 float64, fullN int) float64 {
 	if n2 == n1 {
-		if n1 == 0 {
+		if n2 == 0 {
 			return 0
 		}
-		return t1 * float64(fullN) / float64(n1)
+		return t2 * float64(fullN) / float64(n2)
 	}
 	b := (t2 - t1) / float64(n2-n1)
 	a := t1 - b*float64(n1)

@@ -249,6 +249,7 @@ func colMeans(ctx *engine.Context, c *engine.Collection, d, n int) []float64 {
 // mulCentered computes (A - 1μᵀ)·M as a distributed row-wise map,
 // returning the stacked n x p result.
 func mulCentered(ctx *engine.Context, c *engine.Collection, m *linalg.Matrix, mean []float64) *linalg.Matrix {
+	be := linalg.Choose(linalg.OpAxpy, m.Cols, 1, 1) // once, not per row of m
 	rowsC := ctx.Map(c, func(item any) any {
 		x := item.([]float64)
 		out := make([]float64, m.Cols)
@@ -257,7 +258,7 @@ func mulCentered(ctx *engine.Context, c *engine.Collection, m *linalg.Matrix, me
 			if v == 0 {
 				continue
 			}
-			linalg.AxpyInPlace(v, m.Row(i), out)
+			be.Axpy(v, m.Row(i), out)
 		}
 		return out
 	})
@@ -273,6 +274,7 @@ func mulCentered(ctx *engine.Context, c *engine.Collection, m *linalg.Matrix, me
 func tMulCentered(ctx *engine.Context, c *engine.Collection, q *linalg.Matrix, mean []float64) *linalg.Matrix {
 	d := len(mean)
 	p := q.Cols
+	be := linalg.Choose(linalg.OpAxpy, p, 1, 1) // once, not per row of acc
 	// Each record contributes (x-μ) ⊗ q_row; rows of Q align with record
 	// order, so track a global row offset per partition.
 	offsets := make([]int, c.NumPartitions())
@@ -299,7 +301,7 @@ func tMulCentered(ctx *engine.Context, c *engine.Collection, q *linalg.Matrix, m
 					if v == 0 {
 						continue
 					}
-					linalg.AxpyInPlace(v, qRow, acc.Row(ii))
+					be.Axpy(v, qRow, acc.Row(ii))
 				}
 			}
 			partials[i] = acc

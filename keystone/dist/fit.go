@@ -34,8 +34,8 @@ type FitOptions struct {
 	CacheBudgetBytes int64
 	// Level selects the optimizer configuration (zero value = LevelFull).
 	Level keystone.Level
-	// SampleSizes overrides the two profiling sample sizes (zero =
-	// optimizer defaults).
+	// SampleSizes overrides the two profiling sample sizes (zero = the
+	// optimizer's data-proportional default, see keystone.WithSampleSizes).
 	SampleSizes [2]int
 	// Resources describes the cluster for the cost model; nil uses
 	// cluster.Loopback for the connected worker count.
@@ -240,6 +240,7 @@ func Fit[I, O any](ctx context.Context, cl *Cluster, p *keystone.Pipeline[I, O],
 		info.Chosen[fmt.Sprintf("#%d %s", id, logical[id])] = op
 	}
 	if plan.Profile != nil {
+		info.SampleSizes = plan.Profile.SampleSizes
 		for _, np := range plan.Profile.Nodes {
 			info.EstimatedStateBytes += np.SizeBytes
 		}

@@ -205,6 +205,10 @@ type FitInfo struct {
 	// planning); TrainTime the full-data execution.
 	OptimizeTime time.Duration
 	TrainTime    time.Duration
+	// SampleSizes are the record counts of the two nested profiling
+	// samples the optimizer actually ran on — what OptimizeTime was spent
+	// over. Zero when profiling did not run (LevelNone).
+	SampleSizes [2]int
 	// CSEMerged counts DAG nodes eliminated as common subexpressions.
 	CSEMerged int
 	// Cached lists the operators whose outputs the planner pinned in
@@ -256,6 +260,7 @@ func newFitInfo(plan *optimizer.Plan, report *core.ExecReport, logical map[int]s
 		info.Chosen[fmt.Sprintf("#%d %s", id, logical[id])] = op
 	}
 	if plan.Profile != nil {
+		info.SampleSizes = plan.Profile.SampleSizes
 		for _, np := range plan.Profile.Nodes {
 			info.EstimatedStateBytes += np.SizeBytes
 		}

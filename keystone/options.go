@@ -175,8 +175,12 @@ func WithNumClasses(k int) Option {
 	return func(c *fitConfig) { c.numClasses = k }
 }
 
-// WithSampleSizes sets the two profiling sample sizes the optimizer uses
-// for linear extrapolation (default 256 and 512).
+// WithSampleSizes sets the two nested profiling sample sizes s1 < s2 the
+// optimizer uses for linear extrapolation; they are used verbatim. The
+// default is data-proportional: for n training records
+// s2 = min(512, max(64, n/8)) and s1 = s2/2, both at most n, so profiling
+// costs about an eighth of a pass over small data and the fixed 256/512
+// from n = 4096 up. FitInfo.SampleSizes reports the sizes a fit used.
 func WithSampleSizes(s1, s2 int) Option {
 	return func(c *fitConfig) { c.sampleSizes = [2]int{s1, s2} }
 }
