@@ -110,13 +110,14 @@ e2e:
 e2e-compare:
 	bash bench/e2e/run.sh -compare $(A) $(B)
 
-# Flake sweep: the timing- and socket-sensitive suites (dist chaos
-# tests, tune deadlines) repeated under the race detector at both
-# scheduler widths. Any order/timing dependence shows up here long
-# before it flakes in CI.
+# Flake sweep: the timing- and socket-sensitive suites (the batcher and
+# the serving tier, dist chaos tests, tune deadlines) repeated under the
+# race detector at both scheduler widths. Any order/timing dependence
+# shows up here long before it flakes in CI.
+FLAKE_PKGS = ./keystone/ ./keystone/serve/ ./keystone/dist/ ./keystone/tune/
 flake:
-	GOMAXPROCS=1 $(GO) test -race -count=5 ./keystone/dist/ ./keystone/tune/
-	GOMAXPROCS=4 $(GO) test -race -count=5 ./keystone/dist/ ./keystone/tune/
+	GOMAXPROCS=1 $(GO) test -race -count=5 $(FLAKE_PKGS)
+	GOMAXPROCS=4 $(GO) test -race -count=5 $(FLAKE_PKGS)
 
 # The HTTP inference server (trains text + vision pipelines at startup).
 serve:

@@ -53,7 +53,7 @@ func main() {
 		routes    = flag.String("routes", "text", "comma-separated routes to serve (text, vision)")
 		workers   = flag.Int("workers", 0, "fit parallelism (0 = NumCPU)")
 		maxBatch  = flag.Int("max-batch", 32, "initial micro-batch size cap")
-		maxDelay  = flag.Duration("max-delay", 2*time.Millisecond, "initial micro-batch window")
+		maxDelay  = flag.Duration("max-delay", time.Millisecond, "micro-batch linger; 0 = dispatch as soon as the pipeline is free")
 		targetP95 = flag.Duration("target-p95", 0, "p95 latency SLO; enables the batch autotuner (0 = static limits)")
 		tputFloor = flag.Float64("throughput-floor", 0, "records/sec floor for the autotuner's multi-objective mode (0 = p95 only)")
 		timeout   = flag.Duration("timeout", 5*time.Second, "per-request budget")
@@ -175,7 +175,7 @@ func main() {
 	if *maxInFlight > 0 || *maxQueue > 0 {
 		admission = fmt.Sprintf("admission in-flight<=%d queue<=%d", *maxInFlight, *maxQueue)
 	}
-	log.Printf("serving routes %v on %s (max-batch=%d, window=%v, %s, %s)",
+	log.Printf("serving routes %v on %s (max-batch=%d, max-delay=%v, %s, %s)",
 		srv.RouteNames(), ln.Addr(), *maxBatch, *maxDelay, tuning, admission)
 	if err := httpSrv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Fatalf("serve: %v", err)

@@ -9,7 +9,10 @@ import (
 // SLO declares a latency objective for one route. When TargetP95 is
 // positive the route runs an autotuner that retargets its batcher's
 // (maxBatch, maxDelay) online from the observed latency window — the
-// static -max-batch/-max-delay flags become mere starting points.
+// static -max-batch/-max-delay flags become mere starting points, clamped
+// into [MinBatch, MaxBatch] and [MinDelay, MaxDelay]. A tuned route
+// therefore always lingers: a maxDelay of 0 starts it at MinDelay, and
+// left unset it starts at the batcher's own default.
 type SLO struct {
 	// TargetP95 is the 95th-percentile request latency to steer toward.
 	// <= 0 disables autotuning for the route.
@@ -18,8 +21,7 @@ type SLO struct {
 	Interval time.Duration
 	// MinBatch/MaxBatch bound the tuned batch size (defaults 1, 512).
 	MinBatch, MaxBatch int
-	// MinDelay/MaxDelay bound the tuned assembly window (defaults 50µs,
-	// 100ms).
+	// MinDelay/MaxDelay bound the tuned linger (defaults 50µs, 100ms).
 	MinDelay, MaxDelay time.Duration
 	// MinSamples is how many latency observations the window needs
 	// before a tuning step acts (default 16).

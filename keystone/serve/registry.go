@@ -36,9 +36,13 @@ type routeConfig struct {
 	artifactID string // initial version's known content address (RegisterArtifact)
 }
 
-// WithBatchLimits sets the route's initial micro-batching limits
-// (non-positive values select the batcher defaults: 32 records, 2ms).
-// Under an SLO these are just the autotuner's starting point.
+// WithBatchLimits sets the route's initial micro-batching limits.
+// maxBatch <= 0 selects the batcher default (32 records). maxDelay is the
+// linger: 0 dispatches a batch as soon as the pipeline has a free
+// execution slot, a positive value holds a non-full batch open that long
+// first, a negative one — like not giving the option — selects the
+// batcher default (1ms). Under an SLO these are just the autotuner's
+// starting point, clamped into the SLO's bounds.
 func WithBatchLimits(maxBatch int, maxDelay time.Duration) RouteOption {
 	return func(c *routeConfig) { c.maxBatch, c.maxDelay = maxBatch, maxDelay }
 }
@@ -121,7 +125,8 @@ func Register[I, O any](s *Server, name string, fitted *keystone.Fitted[I, O], c
 	if codec == nil {
 		return nil, fmt.Errorf("serve: route %q registered with nil codec", name)
 	}
-	cfg := routeConfig{timeout: defaultRouteTimeout}
+	// maxDelay -1: unset selects the batcher default; 0 means no linger.
+	cfg := routeConfig{timeout: defaultRouteTimeout, maxDelay: -1}
 	for _, opt := range opts {
 		opt(&cfg)
 	}
@@ -133,14 +138,10 @@ func Register[I, O any](s *Server, name string, fitted *keystone.Fitted[I, O], c
 		store:   cfg.store,
 	}
 	rt.adm.Store(newAdmitter(cfg.admission))
-	batch, delay := cfg.maxBatch, cfg.maxDelay
+	rt.tunedBatch.Store(int64(cfg.maxBatch))
+	rt.tunedDelay.Store(int64(cfg.maxDelay))
 	if cfg.slo.TargetP95 > 0 {
 		rt.tuner = NewTuner(cfg.slo)
-		batch, delay = rt.tuner.clampLimits(orDefault(batch, 32), orDefaultDur(delay, 2*time.Millisecond))
-	}
-	rt.tunedBatch.Store(int64(batch))
-	rt.tunedDelay.Store(int64(delay))
-	if rt.tuner != nil {
 		// Created before s.add publishes rt: a concurrent Server.Close
 		// may reach closeRoute as soon as the route is visible.
 		rt.tunerStop = make(chan struct{})
@@ -160,6 +161,14 @@ func Register[I, O any](s *Server, name string, fitted *keystone.Fitted[I, O], c
 	rt.mu.Lock()
 	rt.deployLocked(fitted, "initial", art)
 	rt.mu.Unlock()
+	if rt.tuner != nil {
+		// The batcher has resolved unset limits to its own defaults; fold
+		// the result into the SLO's bounds so the route and the tuner
+		// agree on where tuning starts.
+		b := rt.cur.Load().batcher
+		batch, delay := rt.tuner.clampLimits(b.Limits())
+		rt.setLimits(b, batch, delay)
+	}
 	if err := s.add(name, rt); err != nil {
 		rt.closeRoute()
 		return nil, err
@@ -170,20 +179,6 @@ func Register[I, O any](s *Server, name string, fitted *keystone.Fitted[I, O], c
 		go rt.tuneLoop()
 	}
 	return rt, nil
-}
-
-func orDefault(v, d int) int {
-	if v <= 0 {
-		return d
-	}
-	return v
-}
-
-func orDefaultDur(v, d time.Duration) time.Duration {
-	if v <= 0 {
-		return d
-	}
-	return v
 }
 
 // Name returns the route's registered name.
@@ -235,6 +230,14 @@ func (rt *Route[I, O]) PredictBatch(ctx context.Context, recs []I) ([]O, error) 
 // limits returns the batcher limits a new version should start with.
 func (rt *Route[I, O]) limits() (int, time.Duration) {
 	return int(rt.tunedBatch.Load()), time.Duration(rt.tunedDelay.Load())
+}
+
+// setLimits retargets b and records the limits for the versions that
+// follow it.
+func (rt *Route[I, O]) setLimits(b *keystone.Batcher[I, O], batch int, delay time.Duration) {
+	b.SetLimits(batch, delay)
+	rt.tunedBatch.Store(int64(batch))
+	rt.tunedDelay.Store(int64(delay))
 }
 
 // tuneLoop applies the autotuner to the live version's batcher every

@@ -332,3 +332,70 @@ func TestRouteTimeout(t *testing.T) {
 		t.Fatalf("slow predict = %d, want 504", resp.StatusCode)
 	}
 }
+
+// TestPredictPanicIs500: a record that makes an operator panic (here a
+// 1-element vector into an op that reads v[3]; VectorCodec.Dim is
+// optional, so any client can send one) is that request's 500 — not a
+// dropped connection, not a dead process — and the route serves the next
+// request.
+func TestPredictPanicIs500(t *testing.T) {
+	p := keystone.Input[[]float64]()
+	out := keystone.Then(p, keystone.NewOp("fourth", func(v []float64) []float64 {
+		return []float64{v[3], 0}
+	}))
+	f, err := out.Fit(context.Background(), [][]float64{{1, 2, 3, 4}}, nil, keystone.WithOptimizerLevel(keystone.LevelNone))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewServer()
+	defer s.Close()
+	rt, err := Register(s, "vec", f, VectorCodec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	code, body := postJSON(t, ts.URL+"/predict", `{"vector":[1]}`)
+	if msg, _ := body["error"].(string); code != http.StatusInternalServerError || !strings.Contains(msg, "panicked") {
+		t.Fatalf("malformed record = %d %v, want 500 carrying the recovered panic", code, body)
+	}
+	code, body = postJSON(t, ts.URL+"/predict", `{"vector":[1,2,3,9]}`)
+	if scores, _ := body["scores"].([]any); code != 200 || len(scores) != 2 || scores[0] != float64(9) {
+		t.Fatalf("good record after the panic = %d %v, want 200 with scores [9 0]", code, body)
+	}
+	if st := rt.cur.Load().batcher.Stats(); st.Failed != 1 || st.Records != 2 {
+		t.Errorf("batcher failed=%d records=%d, want 1 of 2", st.Failed, st.Records)
+	}
+}
+
+// TestRegisterLimitDefaults: unset limits are resolved in one place, the
+// batcher — 32 records, 1ms — and an SLO clamps what the batcher resolved:
+// a tuned route with unset limits starts there too, and one asked for no
+// linger starts at the tuner's MinDelay.
+func TestRegisterLimitDefaults(t *testing.T) {
+	s := NewServer()
+	defer s.Close()
+	f := fitFloatMarker(t, 1)
+	codec := JSONCodec[float64, []float64]{}
+	limits := func(name string, want time.Duration, opts ...RouteOption) *Route[float64, []float64] {
+		t.Helper()
+		rt, err := Register(s, name, f, codec, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b, d := rt.cur.Load().batcher.Limits(); b != 32 || d != want {
+			t.Errorf("%s: limits = (%d, %v), want (32, %v)", name, b, d, want)
+		}
+		return rt
+	}
+	slo := WithSLO(SLO{TargetP95: 10 * time.Millisecond})
+	limits("plain", time.Millisecond)
+	limits("nolinger", 0, WithBatchLimits(0, 0))
+	limits("tuned", time.Millisecond, slo)
+	tuned := limits("tuned-nolinger", 50*time.Microsecond, slo, WithBatchLimits(0, 0))
+	// The next version starts where this one stands.
+	if b, d := tuned.limits(); b != 32 || d != tuned.tuner.Config().MinDelay {
+		t.Errorf("SLO route carries (%d, %v) to its next version, want (32, %v)", b, d, tuned.tuner.Config().MinDelay)
+	}
+}

@@ -3,6 +3,7 @@ package keystone
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -14,7 +15,12 @@ var ErrBatcherClosed = errors.New("keystone: batcher closed")
 
 const (
 	defaultMaxBatch = 32
-	defaultMaxDelay = 2 * time.Millisecond
+	// defaultMaxDelay is the linger of a batcher whose caller set none: the
+	// shortest one the Go runtime delivers as asked (on an idle P it rounds
+	// a shorter timer up to a millisecond). It keeps an unconfigured
+	// route's closed-loop throughput paced by the clock rather than by the
+	// CPU; maxDelay 0 takes the clock out.
+	defaultMaxDelay = time.Millisecond
 	// batcherQueueDepth bounds requests queued ahead of batch assembly;
 	// beyond it Predict callers block (back-pressure) until the loop
 	// drains or their context fires.
@@ -31,18 +37,27 @@ const (
 )
 
 // Batcher coalesces concurrent single-record Predict calls into batched
-// TransformBatch invocations: a batch is flushed when it reaches maxBatch
-// records or maxDelay after its first record, whichever comes first. This
-// is the serving-side micro-batching pattern — callers keep a
-// one-record-at-a-time API while the pipeline sees amortized batches.
+// TransformBatch invocations while callers keep a one-record-at-a-time
+// API. It is work-conserving: a batch closes at the instant an execution
+// slot is acquired, never at a timer tick, so a busy pipeline keeps
+// absorbing arrivals (up to maxBatch) for as long as it waits for a slot.
 //
-// Flushes overlap: up to a small bound of batches execute in the pipeline
-// concurrently, so a slow batch does not head-of-line-block the next batch
-// from forming. Limits are dynamic — SetLimits retargets (maxBatch,
-// maxDelay) while the batcher runs, which is how the serve package's
-// SLO-driven autotuner steers latency — and Latency() exposes a sliding
-// window of observed request latencies and batch occupancy for exactly
-// that feedback loop.
+// Linger is a separate, removable term: with maxDelay > 0 (the default is
+// 1ms) a batch that is not yet full waits out maxDelay after its first
+// record before it becomes eligible for a slot, trading latency for batch
+// size. That only pays on a pipeline whose batch path is cheaper per
+// record than its single-record path. With maxDelay 0 batches are exactly
+// what queued while the pipeline was busy, and an idle pipeline dispatches
+// the first request with zero wait.
+//
+// Up to a small bound of batches execute in the pipeline concurrently, so
+// a slow batch does not head-of-line-block the next one. A batch of one
+// runs Transform under its caller's own context; a panic in a pipeline
+// operator fails the batch it was part of, not the process. Limits are
+// dynamic — SetLimits retargets (maxBatch, maxDelay) while the batcher
+// runs, which is how the serve package's SLO-driven autotuner steers
+// latency — and Latency() exposes a sliding window of observed request
+// latencies and batch occupancy for exactly that feedback loop.
 //
 // A Batcher is safe for any number of concurrent Predict callers.
 type Batcher[I, O any] struct {
@@ -82,7 +97,9 @@ type batchResp[O any] struct {
 }
 
 // NewBatcher wraps a fitted pipeline in a micro-batching front. maxBatch
-// <= 0 defaults to 32; maxDelay <= 0 defaults to 2ms.
+// <= 0 defaults to 32. maxDelay is the linger: 0 dispatches as soon as an
+// execution slot is free, a positive value holds a non-full batch open
+// that long first, a negative one selects the default (1ms).
 func NewBatcher[I, O any](f *Fitted[I, O], maxBatch int, maxDelay time.Duration) *Batcher[I, O] {
 	b := &Batcher[I, O]{
 		fitted:     f,
@@ -97,13 +114,14 @@ func NewBatcher[I, O any](f *Fitted[I, O], maxBatch int, maxDelay time.Duration)
 }
 
 // SetLimits retargets the batch assembly limits; the next batch to form
-// observes them. Non-positive values restore the defaults (32, 2ms).
-// Safe to call concurrently with serving traffic.
+// observes them. maxBatch <= 0 and maxDelay < 0 restore the defaults (32,
+// 1ms); maxDelay == 0 is "no linger". Safe to call concurrently with
+// serving traffic.
 func (b *Batcher[I, O]) SetLimits(maxBatch int, maxDelay time.Duration) {
 	if maxBatch <= 0 {
 		maxBatch = defaultMaxBatch
 	}
-	if maxDelay <= 0 {
+	if maxDelay < 0 {
 		maxDelay = defaultMaxDelay
 	}
 	b.maxBatch.Store(int64(maxBatch))
@@ -200,43 +218,50 @@ func (b *Batcher[I, O]) Latency() LatencySnapshot {
 	return b.window.snapshot()
 }
 
+// loop assembles and dispatches batches with one work-conserving select
+// per event: absorb another request (while the batch has room), let the
+// linger expire, or take a free execution slot — which is what
+// closes the batch. The slot case is armed only once the batch may leave:
+// it is full, or it never lingered, or its linger has expired.
 func (b *Batcher[I, O]) loop() {
 	defer b.wg.Done()
+	var (
+		batch    []batchReq[I, O] // the batch being assembled; nil between batches
+		maxBatch int              // limit the current batch formed under
+		timer    *time.Timer      // linger timer of the current batch, if it has one
+		linger   <-chan time.Time // timer.C until the linger expires, then nil
+	)
 	for {
+		more := b.reqs
+		var slot chan struct{}
+		if len(batch) > 0 {
+			if len(batch) >= maxBatch {
+				more = nil
+			}
+			if linger == nil || len(batch) >= maxBatch {
+				slot = b.flushSlots
+			}
+		}
 		select {
-		case first := <-b.reqs:
-			maxBatch, maxDelay := b.Limits()
-			batch := make([]batchReq[I, O], 1, maxBatch)
-			batch[0] = first
-			b.assembling.Add(1)
-			timer := time.NewTimer(maxDelay)
-		fill:
-			for len(batch) < maxBatch {
-				select {
-				case r := <-b.reqs:
-					batch = append(batch, r)
-					b.assembling.Add(1)
-				case <-timer.C:
-					break fill
-				case <-b.quit:
-					timer.Stop()
-					b.assembling.Add(-int64(len(batch)))
-					b.fail(batch)
-					return
+		case r := <-more:
+			if len(batch) == 0 {
+				var maxDelay time.Duration
+				maxBatch, maxDelay = b.Limits()
+				if maxDelay > 0 {
+					timer = time.NewTimer(maxDelay)
+					linger = timer.C
 				}
 			}
-			timer.Stop()
-			// Overlapping flush: take an execution slot (bounding
-			// pipeline concurrency) and run the batch in the
-			// background so assembly of the next batch starts
-			// immediately. The batch stays counted as assembling until
-			// handed off — a slot wait is still queued latency.
-			select {
-			case b.flushSlots <- struct{}{}:
-			case <-b.quit:
-				b.assembling.Add(-int64(len(batch)))
-				b.fail(batch)
-				return
+			batch = append(batch, r)
+			// Counted as assembling until handed off: a slot wait is
+			// still queued latency.
+			b.assembling.Add(1)
+		case <-linger:
+			linger = nil
+		case slot <- struct{}{}:
+			if timer != nil {
+				timer.Stop()
+				timer, linger = nil, nil
 			}
 			b.assembling.Add(-int64(len(batch)))
 			b.wg.Add(1)
@@ -245,7 +270,13 @@ func (b *Batcher[I, O]) loop() {
 				defer func() { <-b.flushSlots }()
 				b.flush(batch, capacity)
 			}(batch, maxBatch)
+			batch = nil
 		case <-b.quit:
+			if timer != nil {
+				timer.Stop()
+			}
+			b.assembling.Add(-int64(len(batch)))
+			b.fail(batch)
 			return
 		}
 	}
@@ -253,11 +284,8 @@ func (b *Batcher[I, O]) loop() {
 
 // flush executes one batch and fans results back to the waiters.
 // Requests whose callers abandoned ship while queued are dropped before
-// the pipeline runs, and the batch executes under a context that stays
-// live only as long as at least one caller does — if every remaining
-// caller disconnects mid-execution, the pipeline work is canceled
-// instead of burning to completion for nobody. capacity is the maxBatch
-// limit the batch was assembled under, for the occupancy observation.
+// the pipeline runs. capacity is the maxBatch limit the batch was
+// assembled under, for the occupancy observation.
 func (b *Batcher[I, O]) flush(batch []batchReq[I, O], capacity int) {
 	live := batch[:0]
 	for _, r := range batch {
@@ -268,39 +296,69 @@ func (b *Batcher[I, O]) flush(batch []batchReq[I, O], capacity int) {
 	if len(live) == 0 {
 		return
 	}
-	b.inflight.Add(int64(len(live)))
-	defer b.inflight.Add(-int64(len(live)))
-	recs := make([]I, len(live))
-	for i, r := range live {
-		recs[i] = r.rec
-	}
-	ctx, cancel := b.batchContext(live)
-	outs, err := b.fitted.TransformBatch(ctx, recs)
-	cancel()
+	n := int64(len(live))
+	b.inflight.Add(n)
+	defer b.inflight.Add(-n)
+	solo, outs, err := b.execute(live)
 	b.batches.Add(1)
-	b.records.Add(int64(len(live)))
-	for n := int64(len(live)); ; {
+	b.records.Add(n)
+	for {
 		cur := b.largest.Load()
 		if n <= cur || b.largest.CompareAndSwap(cur, n) {
 			break
 		}
 	}
-	b.window.observeOccupancy(float64(len(live)) / float64(capacity))
-	now := time.Now()
 	if err != nil {
-		b.failed.Add(int64(len(live)))
+		b.failed.Add(n)
 	}
+	// Latency is observed on success and failure alike: an erroring
+	// batch still took wall-clock time the SLO tuner must see, or a
+	// run of failures starves the window and tuning stops adapting.
+	now := time.Now()
+	b.window.mu.Lock()
+	for _, r := range live {
+		b.window.addLatency(now, now.Sub(r.enq))
+	}
+	b.window.addOccupancy(float64(n) / float64(capacity))
+	b.window.mu.Unlock()
 	for i, r := range live {
-		// Latency is observed on success and failure alike: an erroring
-		// batch still took wall-clock time the SLO tuner must see, or a
-		// run of failures starves the window and tuning stops adapting.
-		b.window.observeLatency(now.Sub(r.enq))
-		if err != nil {
-			r.resp <- batchResp[O]{err: err}
-			continue
+		resp := batchResp[O]{out: solo, err: err}
+		if outs != nil {
+			resp.out = outs[i]
 		}
-		r.resp <- batchResp[O]{out: outs[i]}
+		r.resp <- resp
 	}
+}
+
+// execute runs a batch's live requests through the pipeline. A single
+// request takes Transform under its caller's own context and returns its
+// output in solo — no batch slices, derived context or watcher goroutines
+// for the common idle-pipeline case. Two or more take TransformBatch under
+// a context that stays live only as long as at least one caller does: if
+// every caller disconnects mid-execution, the pipeline work is canceled
+// instead of burning to completion for nobody.
+//
+// This is the serving tier's panic boundary: flush runs on its own
+// goroutine, where an operator panic on a malformed record would take the
+// whole process down, so it is recovered into the batch's error instead.
+func (b *Batcher[I, O]) execute(live []batchReq[I, O]) (solo O, outs []O, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			outs, err = nil, fmt.Errorf("keystone: pipeline panicked: %v", p)
+		}
+	}()
+	if len(live) == 1 {
+		solo, err = b.fitted.Transform(live[0].ctx, live[0].rec)
+		return solo, nil, err
+	}
+	recs := make([]I, len(live))
+	for i, r := range live {
+		recs[i] = r.rec
+	}
+	ctx, cancel := b.batchContext(live)
+	defer cancel()
+	outs, err = b.fitted.TransformBatch(ctx, recs)
+	return solo, outs, err
 }
 
 // batchContext derives the context a batch executes under from the live
@@ -344,7 +402,9 @@ func (b *Batcher[I, O]) fail(batch []batchReq[I, O]) {
 }
 
 // latWindow is a mutex-guarded pair of fixed rings: per-request latencies
-// and per-batch occupancy fractions. Overwrites oldest first.
+// and per-batch occupancy fractions. Overwrites oldest first. flush takes
+// mu once per batch and stamps every record with the clock reading it
+// already has, so the add methods expect mu held.
 type latWindow struct {
 	mu    sync.Mutex
 	lats  [latWindowSize]time.Duration
@@ -354,20 +414,15 @@ type latWindow struct {
 	nOcc  int // total occupancy observations ever
 }
 
-func (w *latWindow) observeLatency(d time.Duration) {
-	now := time.Now()
-	w.mu.Lock()
+func (w *latWindow) addLatency(now time.Time, d time.Duration) {
 	w.lats[w.nLat%latWindowSize] = d
 	w.whens[w.nLat%latWindowSize] = now
 	w.nLat++
-	w.mu.Unlock()
 }
 
-func (w *latWindow) observeOccupancy(f float64) {
-	w.mu.Lock()
+func (w *latWindow) addOccupancy(f float64) {
 	w.occs[w.nOcc%latWindowSize] = f
 	w.nOcc++
-	w.mu.Unlock()
 }
 
 func (w *latWindow) snapshot() LatencySnapshot {

@@ -304,8 +304,12 @@ func TestBatcherSetLimitsLive(t *testing.T) {
 	if _, err := b.Predict(context.Background(), 2); err != nil {
 		t.Fatal(err)
 	}
-	b.SetLimits(0, 0) // non-positive restores defaults
-	if mb, md := b.Limits(); mb != 32 || md != 2*time.Millisecond {
+	b.SetLimits(0, 0) // maxBatch <= 0 restores its default; 0 delay is "no linger"
+	if mb, md := b.Limits(); mb != 32 || md != 0 {
+		t.Fatalf("Limits() = (%d, %v) after SetLimits(0, 0), want (32, 0)", mb, md)
+	}
+	b.SetLimits(0, -1) // a negative delay restores the default linger
+	if mb, md := b.Limits(); mb != 32 || md != defaultMaxDelay {
 		t.Fatalf("Limits() = (%d, %v) after reset, want defaults", mb, md)
 	}
 	if snap := b.Latency(); snap.Samples < 2 {
@@ -571,4 +575,298 @@ func TestBatcherQueueDepthCountsAssembly(t *testing.T) {
 	if d := b.QueueDepth(); d != 0 {
 		t.Fatalf("QueueDepth = %d after all requests served, want 0", d)
 	}
+}
+
+// eventually polls cond for up to 5s — the tests below synchronise on
+// gates and counters, never on a sleep being long enough.
+func eventually(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("never observed: %s", what)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// TestBatcherIdleDispatch: an idle pipeline dispatches a lone request the
+// moment it arrives. A batcher that waits out any assembly window spends
+// at least that window per sequential request (200ms here at the old 2ms
+// default); a work-conserving one spends only the transform.
+func TestBatcherIdleDispatch(t *testing.T) {
+	f := fitFn(t, "echoidle", func(x float64) []float64 { return []float64{x} })
+	b := NewBatcher(f, 0, 0)
+	defer b.Close()
+	const n = 100
+	start := time.Now()
+	for i := 0; i < n; i++ {
+		if out, err := b.Predict(context.Background(), float64(i)); err != nil || out[0] != float64(i) {
+			t.Fatalf("predict %d = %v, %v", i, out, err)
+		}
+	}
+	if elapsed := time.Since(start); elapsed >= 100*time.Millisecond {
+		t.Errorf("%d sequential predicts on an idle pipeline took %v, want < 100ms (no per-request wait)", n, elapsed)
+	}
+	if st := b.Stats(); st.Batches != n || st.Records != n {
+		t.Errorf("batches=%d records=%d, want %d lone dispatches", st.Batches, st.Records, n)
+	}
+}
+
+// TestBatcherNaturalBatching: with no linger at all, batches still form —
+// from back-pressure. 32 callers meet a pipeline that takes 1ms per
+// record and has two execution slots, so whatever queues while the slots
+// are busy leaves together.
+func TestBatcherNaturalBatching(t *testing.T) {
+	atProcs(t, func(t *testing.T) {
+		f := fitFn(t, "onems", func(x float64) []float64 {
+			time.Sleep(time.Millisecond) // service time, not synchronisation
+			return []float64{x}
+		})
+		b := NewBatcher(f, 0, 0)
+		defer b.Close()
+		if mb, md := b.Limits(); mb != 32 || md != 0 {
+			t.Fatalf("limits = (%d, %v), want (32, 0)", mb, md)
+		}
+		const callers = 32
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for c := 0; c < callers; c++ {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				<-start
+				if out, err := b.Predict(context.Background(), float64(c)); err != nil || out[0] != float64(c) {
+					t.Errorf("predict %d = %v, %v", c, out, err)
+				}
+			}(c)
+		}
+		close(start)
+		wg.Wait()
+		st := b.Stats()
+		if st.Records != callers || st.LargestBatch < 2 || st.Batches >= st.Records {
+			t.Fatalf("batches=%d records=%d largest=%d: a busy pipeline must batch what queued behind it",
+				st.Batches, st.Records, st.LargestBatch)
+		}
+	})
+}
+
+// stalledBatcher is a default-maxBatch batcher whose execution slots are
+// all held by requests parked inside the pipeline, so the test decides
+// when a slot frees up. Record -(i+1) parks until release(i); every other
+// record goes to fn.
+type stalledBatcher struct {
+	b      *Batcher[float64, []float64]
+	gates  [flushOverlap]chan struct{}
+	open   [flushOverlap]sync.Once
+	parked chan error // one result per parked request, as it resolves
+}
+
+func newStalledBatcher(t *testing.T, name string, maxDelay time.Duration, fn func(float64) []float64) *stalledBatcher {
+	t.Helper()
+	sb := &stalledBatcher{parked: make(chan error, flushOverlap)}
+	for i := range sb.gates {
+		sb.gates[i] = make(chan struct{})
+	}
+	entered := make(chan struct{})
+	f := fitFn(t, name, func(x float64) []float64 {
+		if x < 0 {
+			entered <- struct{}{}
+			<-sb.gates[int(-x)-1]
+			return []float64{x}
+		}
+		return fn(x)
+	})
+	sb.b = NewBatcher(f, 0, maxDelay)
+	// A failed test must still unpark the pipeline, or Close waits forever.
+	t.Cleanup(func() {
+		for i := range sb.gates {
+			sb.release(i)
+		}
+		sb.b.Close()
+	})
+	for i := range sb.gates {
+		go func(x float64) {
+			_, err := sb.b.Predict(context.Background(), x)
+			sb.parked <- err
+		}(float64(-(i + 1)))
+		<-entered
+	}
+	return sb
+}
+
+// release lets the request holding slot i finish.
+func (sb *stalledBatcher) release(i int) {
+	sb.open[i].Do(func() { close(sb.gates[i]) })
+}
+
+// drain releases every slot and checks the parked requests were served.
+func (sb *stalledBatcher) drain(t *testing.T) {
+	t.Helper()
+	for i := range sb.gates {
+		sb.release(i)
+		if err := <-sb.parked; err != nil {
+			t.Errorf("parked request failed: %v", err)
+		}
+	}
+}
+
+// TestBatcherGrowsWhileBlocked: a batch waiting for an execution slot
+// keeps absorbing arrivals, and closes only when the slot is acquired.
+// Ten requests queue behind two stalled slots; one slot frees; they leave
+// as one batch of ten. An expired linger changes nothing about that: the
+// 1ns case is a batch sealed at its timer tick in the old loop, which
+// then parked on the slot with the one record it had.
+func TestBatcherGrowsWhileBlocked(t *testing.T) {
+	for _, linger := range []time.Duration{0, time.Nanosecond} {
+		t.Run(fmt.Sprint("linger=", linger), func(t *testing.T) { testGrowsWhileBlocked(t, linger) })
+	}
+}
+
+func testGrowsWhileBlocked(t *testing.T, linger time.Duration) {
+	atProcs(t, func(t *testing.T) {
+		sb := newStalledBatcher(t, "grow", linger, func(x float64) []float64 { return []float64{x} })
+		const queued = 10
+		results := make(chan error, queued)
+		for i := 0; i < queued; i++ {
+			go func(i int) {
+				out, err := sb.b.Predict(context.Background(), float64(i))
+				if err == nil && out[0] != float64(i) {
+					err = fmt.Errorf("predict %d = %v", i, out)
+				}
+				results <- err
+			}(i)
+		}
+		eventually(t, "all queued requests absorbed into the forming batch", func() bool {
+			return sb.b.assembling.Load() == queued && len(sb.b.reqs) == 0
+		})
+		if d := sb.b.QueueDepth(); d != queued {
+			t.Errorf("QueueDepth = %d while %d requests wait for a slot", d, queued)
+		}
+		sb.release(0)
+		for i := 0; i < queued; i++ {
+			if err := <-results; err != nil {
+				t.Error(err)
+			}
+		}
+		sb.drain(t)
+		if st := sb.b.Stats(); st.LargestBatch != queued || st.Batches != flushOverlap+1 || st.Records != flushOverlap+queued {
+			t.Fatalf("batches=%d records=%d largest=%d, want the %d queued requests in one batch",
+				st.Batches, st.Records, st.LargestBatch, queued)
+		}
+	})
+}
+
+// TestBatcherSoloPath: a batch of one runs Transform under its caller's
+// own context. Same result, same accounting as any batch, the caller's
+// own cancellation error — and no helper goroutine per request.
+func TestBatcherSoloPath(t *testing.T) {
+	atProcs(t, func(t *testing.T) {
+		entered, gate := make(chan struct{}), make(chan struct{})
+		f := fitFn(t, "sologate", func(x float64) []float64 {
+			if x == 42 {
+				entered <- struct{}{}
+				<-gate
+			}
+			return []float64{x, 2 * x}
+		})
+		b := NewBatcher(f, 0, 0)
+		defer b.Close()
+
+		want, err := f.Transform(context.Background(), 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := b.Predict(context.Background(), 7)
+		if err != nil || len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
+			t.Fatalf("solo Predict = %v, %v; Transform = %v", got, err, want)
+		}
+		if st := b.Stats(); st.Batches != 1 || st.Records != 1 || st.LargestBatch != 1 || st.Failed != 0 {
+			t.Fatalf("stats after one solo request: %+v", st)
+		}
+		if snap := b.Latency(); snap.Samples != 1 || snap.Batches != 1 || snap.MeanOccupancy != 1.0/defaultMaxBatch {
+			t.Fatalf("latency window after one solo request: %+v", snap)
+		}
+		eventually(t, "first request left flight", func() bool { return b.Stats().InFlight == 0 })
+
+		// A cancelable caller (every HTTP request is one) parked inside
+		// the pipeline: the request has added its caller and its flush,
+		// and nothing else — no derived context, no watcher.
+		base := runtime.NumGoroutine()
+		ctx, cancel := context.WithCancel(context.Background())
+		res := make(chan error, 1)
+		go func() {
+			_, err := b.Predict(ctx, 42)
+			res <- err
+		}()
+		<-entered
+		if n := runtime.NumGoroutine(); n > base+2 {
+			t.Errorf("a solo request in flight runs %d goroutines over the %d idle ones, want <= 2 (caller + flush)", n-base, base)
+		}
+		if st := b.Stats(); st.InFlight != 1 || b.QueueDepth() != 0 {
+			t.Errorf("executing solo request: InFlight=%d QueueDepth=%d, want 1, 0", st.InFlight, b.QueueDepth())
+		}
+		cancel()
+		if err := <-res; !errors.Is(err, context.Canceled) {
+			t.Errorf("caller cancelled mid-transform got %v, want its own context.Canceled", err)
+		}
+		close(gate)
+		eventually(t, "abandoned solo request accounted for", func() bool {
+			st := b.Stats()
+			return st.Batches == 2 && st.Records == 2 && st.InFlight == 0
+		})
+		if snap := b.Latency(); snap.Samples != 2 {
+			t.Errorf("latency window holds %d samples after 2 solo requests", snap.Samples)
+		}
+	})
+}
+
+// TestBatcherContainsPipelinePanic: an operator that panics on a
+// malformed record fails the batch it was in — delivered as an error,
+// counted, observed — and nothing else. The flush goroutine is not a
+// place a panic may escape from: nothing above it recovers, so it would
+// end the process.
+func TestBatcherContainsPipelinePanic(t *testing.T) {
+	atProcs(t, func(t *testing.T) {
+		sb := newStalledBatcher(t, "poison", 0, func(x float64) []float64 {
+			v := []float64{x}
+			if x == 13 {
+				return []float64{v[3]} // index out of range
+			}
+			return v
+		})
+
+		// Batch path: the poison record and two neighbours queue behind
+		// the stalled slots and leave as one batch.
+		errs := make(chan error, 3)
+		for _, x := range []float64{13, 1, 2} {
+			go func(x float64) {
+				_, err := sb.b.Predict(context.Background(), x)
+				errs <- err
+			}(x)
+		}
+		eventually(t, "poisoned batch assembled", func() bool { return sb.b.assembling.Load() == 3 })
+		sb.release(0)
+		for i := 0; i < 3; i++ {
+			if err := <-errs; err == nil || errors.Is(err, ErrBatcherClosed) {
+				t.Errorf("caller in the panicking batch got %v, want the recovered panic as an error", err)
+			}
+		}
+		sb.drain(t)
+
+		// Solo path, then proof of life.
+		if _, err := sb.b.Predict(context.Background(), 13); err == nil {
+			t.Error("solo poison record returned no error")
+		}
+		if out, err := sb.b.Predict(context.Background(), 5); err != nil || out[0] != 5 {
+			t.Fatalf("good request after the panics = %v, %v", out, err)
+		}
+		const served = flushOverlap + 3 + 1 + 1
+		if st := sb.b.Stats(); st.Failed != 4 || st.Records != served {
+			t.Errorf("failed=%d records=%d, want 4 of %d", st.Failed, st.Records, served)
+		}
+		if snap := sb.b.Latency(); snap.Samples != served {
+			t.Errorf("latency window holds %d samples, want %d (failures are observed too)", snap.Samples, served)
+		}
+	})
 }
