@@ -222,8 +222,8 @@ func TestFittedApply(t *testing.T) {
 
 	fitted := NewFitted(p3.Graph(), models, ctx)
 	// Train mean of 2x data = 4; apply to 10 -> 20 - 4 = 16.
-	if got := fitted.ApplyOne(10.0).(float64); got != 16 {
-		t.Errorf("ApplyOne(10) = %g, want 16", got)
+	if got := fitted.TransformOne(10.0).(float64); got != 16 {
+		t.Errorf("TransformOne(10) = %g, want 16", got)
 	}
 }
 

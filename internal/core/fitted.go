@@ -203,19 +203,3 @@ func (f *Fitted) TransformBatch(ctx context.Context, records []any) (out []any, 
 	}
 	return out, nil
 }
-
-// ApplyOne runs a single record through the fitted pipeline.
-//
-// Deprecated: ApplyOne is the historical name; it now routes through the
-// single-record hot path. Use TransformOne.
-func (f *Fitted) ApplyOne(record any) any {
-	return f.TransformOne(record)
-}
-
-// applyOneViaCollection is the pre-redesign ApplyOne: wrap the record in
-// a one-element Collection and run the batch path. Kept unexported as the
-// baseline BenchmarkTransformOne measures the hot path against.
-func (f *Fitted) applyOneViaCollection(record any) any {
-	out := f.Apply(engine.FromSlice([]any{record}, 1))
-	return out.Collect()[0]
-}

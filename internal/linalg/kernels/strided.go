@@ -35,29 +35,38 @@ func Gemv(a []float64, lda, rows, cols int, x, y []float64) {
 		return
 	}
 	minChunk := 1 + gemvParallelFlops/(2*cols+1)
-	ParallelChunks(rows, minChunk, func(lo, hi int) {
-		i := lo
-		for ; i+4 <= hi; i += 4 {
-			r0 := a[i*lda : i*lda+cols]
-			r1 := a[(i+1)*lda : (i+1)*lda+cols]
-			r2 := a[(i+2)*lda : (i+2)*lda+cols]
-			r3 := a[(i+3)*lda : (i+3)*lda+cols]
-			var s0, s1, s2, s3 float64
-			for j, xj := range x[:cols] {
-				s0 += r0[j] * xj
-				s1 += r1[j] * xj
-				s2 += r2[j] * xj
-				s3 += r3[j] * xj
-			}
-			y[i] = s0
-			y[i+1] = s1
-			y[i+2] = s2
-			y[i+3] = s3
+	if rows < 2*minChunk {
+		// Too small to fan out: skip the closure (a heap allocation per
+		// call, which a per-record Gemv would pay on every record).
+		gemvRows(a, lda, cols, x, y, 0, rows)
+		return
+	}
+	ParallelChunks(rows, minChunk, func(lo, hi int) { gemvRows(a, lda, cols, x, y, lo, hi) })
+}
+
+// gemvRows computes rows [lo, hi) of Gemv.
+func gemvRows(a []float64, lda, cols int, x, y []float64, lo, hi int) {
+	i := lo
+	for ; i+4 <= hi; i += 4 {
+		r0 := a[i*lda : i*lda+cols]
+		r1 := a[(i+1)*lda : (i+1)*lda+cols]
+		r2 := a[(i+2)*lda : (i+2)*lda+cols]
+		r3 := a[(i+3)*lda : (i+3)*lda+cols]
+		var s0, s1, s2, s3 float64
+		for j, xj := range x[:cols] {
+			s0 += r0[j] * xj
+			s1 += r1[j] * xj
+			s2 += r2[j] * xj
+			s3 += r3[j] * xj
 		}
-		for ; i < hi; i++ {
-			y[i] = Dot(a[i*lda:i*lda+cols], x[:cols])
-		}
-	})
+		y[i] = s0
+		y[i+1] = s1
+		y[i+2] = s2
+		y[i+3] = s3
+	}
+	for ; i < hi; i++ {
+		y[i] = Dot(a[i*lda:i*lda+cols], x[:cols])
+	}
 }
 
 // gemvParallelFlops is the minimum per-chunk flop count before GEMV-like

@@ -63,7 +63,7 @@ func (s *BlockSolver) Fit(ctx *engine.Context, data core.Fetch, labels core.Fetc
 	for sweep := 0; sweep < s.sweeps(); sweep++ {
 		// One fetch per sweep: the upstream pipeline recomputes here when
 		// the solver input is not materialized.
-		pairs = pairPartitions(data(), lab)
+		pairs = pairPartitions(pairs, data(), lab)
 		if sweep == 0 {
 			_, d, k = dims(pairs)
 			b = s.blockSize()

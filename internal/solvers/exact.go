@@ -25,7 +25,7 @@ func (s *LocalQR) Name() string { return "solver.exact.local-qr" }
 
 // Fit implements core.EstimatorOp.
 func (s *LocalQR) Fit(ctx *engine.Context, data core.Fetch, labels core.Fetch) core.TransformOp {
-	pairs := pairPartitions(data(), labels())
+	pairs := pairPartitions(nil, data(), labels())
 	n, d, k := dims(pairs)
 	_ = k
 	// Densify and stack everything on the "driver".
@@ -79,7 +79,7 @@ func (s *DistributedQR) Name() string { return "solver.exact.dist-qr" }
 
 // Fit implements core.EstimatorOp.
 func (s *DistributedQR) Fit(ctx *engine.Context, data core.Fetch, labels core.Fetch) core.TransformOp {
-	pairs := pairPartitions(data(), labels())
+	pairs := pairPartitions(nil, data(), labels())
 	n, d, k := dims(pairs)
 	_ = n
 	tall := true

@@ -78,17 +78,18 @@ func (s *LBFGS) Fit(ctx *engine.Context, data core.Fetch, labels core.Fetch) cor
 	var d, k, dim int
 	var w []float64
 	var pairs []partPair
+	var sc passScratch // dropped with pairs when Fit returns
 	var sHist, yHist [][]float64
 	var prevW, prevG []float64
 
 	for it := 0; it < s.iters(); it++ {
-		pairs = pairPartitions(data(), lab) // one pass: refetch input
+		pairs = pairPartitions(pairs, data(), lab) // one pass: refetch input
 		if it == 0 {
 			_, d, k = dims(pairs)
 			dim = d * k
 			w = make([]float64, dim)
 		}
-		g, _ := s.gradient(ctx, pairs, w, d, k)
+		g := s.gradient(ctx, pairs, &sc, w, d, k)
 		gnorm := linalg.Norm2(g)
 		if gnorm < 1e-10 {
 			break
@@ -148,16 +149,30 @@ func twoLoop(g []float64, sHist, yHist [][]float64) []float64 {
 	return q
 }
 
-// gradient computes the full-batch gradient (flattened d x k) and loss in
-// parallel across partitions, then tree-combines — the treeAggregate
-// pattern whose network cost is the O(i·d·k) term in Table 1.
-func (s *LBFGS) gradient(ctx *engine.Context, pairs []partPair, w []float64, d, k int) ([]float64, float64) {
-	type partial struct {
-		g    []float64
-		loss float64
-		n    int
+// passScratch is the working memory the gradient passes of one Fit share,
+// sized on first use: Wᵀ and, per partition, the partition's gradient g
+// (d x k) plus, for dense partitions, the transposed scores-then-residuals
+// Pᵀ (k x rows) and transposed gradient Gᵀ (k x d).
+type passScratch struct {
+	wt    []float64
+	parts []partScratch
+}
+
+type partScratch struct{ g, pt, gt []float64 }
+
+// gradient computes the full-batch gradient (flattened d x k) in parallel
+// across partitions, then tree-combines — the treeAggregate pattern whose
+// network cost is the O(i·d·k) term in Table 1. A dense partition's pass
+// is three matrix ops through the kernel backends: Pᵀ = Wᵀ·Xᵀ, the
+// residual Rᵀ in place of Pᵀ, and Gᵀ = Rᵀ·X. Both products reduce in
+// ascending index order with one rounded add per product, exactly like a
+// record-at-a-time loop, so the result does not depend on the backend.
+func (s *LBFGS) gradient(ctx *engine.Context, pairs []partPair, sc *passScratch, w []float64, d, k int) []float64 {
+	if len(sc.parts) != len(pairs) {
+		sc.parts = make([]partScratch, len(pairs))
 	}
-	partials := make([]partial, len(pairs))
+	sc.wt = grow(sc.wt, d*k)
+	transposeInto(sc.wt, w, d, k)
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, ctx.Parallelism)
 	for pi := range pairs {
@@ -166,69 +181,81 @@ func (s *LBFGS) gradient(ctx *engine.Context, pairs []partPair, w []float64, d, 
 		go func(pi int) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			p := &pairs[pi]
-			g := make([]float64, d*k)
-			var loss float64
-			pred := make([]float64, k)
-			wm := linalg.Matrix{Rows: d, Cols: k, Data: w}
+			p, ps := &pairs[pi], &sc.parts[pi]
 			rows := p.rows()
-			for r := 0; r < rows; r++ {
-				scoreRow(p, r, &wm, pred)
-				y := p.labels.Row(r)
-				// residual in-place in pred
-				switch s.Objective {
-				case LogisticLoss:
-					loss += softmaxResidual(pred, y)
-				default:
-					for j := 0; j < k; j++ {
-						pred[j] -= y[j]
-						loss += 0.5 * pred[j] * pred[j]
+			ps.g = grow(ps.g, d*k)
+			pred := make([]float64, k)
+			if p.dense == nil {
+				clear(ps.g)
+				wm := linalg.Matrix{Rows: d, Cols: k, Data: w}
+				for r, sv := range p.sparse {
+					scoreRow(p, r, &wm, pred)
+					s.Objective.residual(pred, p.labels.Row(r))
+					// g += x ⊗ residual
+					for pos, i := range sv.Idx {
+						xi, gi := sv.Val[pos], ps.g[i*k:i*k+k]
+						for j, rj := range pred {
+							gi[j] += xi * rj
+						}
 					}
 				}
-				// g += x ⊗ residual, one backend axpy per nonzero feature
-				if p.dense != nil {
-					x := p.dense.Row(r)
-					for i, xi := range x {
-						if xi == 0 {
-							continue
-						}
-						base := i * k
-						linalg.AxpyInPlace(xi, pred, g[base:base+k])
-					}
-				} else {
-					sv := p.sparse[r]
-					for pos, i := range sv.Idx {
-						base := i * k
-						linalg.AxpyInPlace(sv.Val[pos], pred, g[base:base+k])
-					}
+				return
+			}
+			ps.pt, ps.gt = grow(ps.pt, k*rows), grow(ps.gt, k*d)
+			p.scoresT(ps.pt, sc.wt, k)
+			for r := 0; r < rows; r++ {
+				for j := range pred {
+					pred[j] = ps.pt[j*rows+r]
+				}
+				s.Objective.residual(pred, p.labels.Row(r))
+				for j, rj := range pred {
+					ps.pt[j*rows+r] = rj
 				}
 			}
-			partials[pi] = partial{g: g, loss: loss, n: rows}
+			clear(ps.gt)
+			linalg.Choose(linalg.OpGemm, k, rows, d).Mul(ps.gt, ps.pt, p.dense.Data, k, rows, d)
+			transposeInto(ps.g, ps.gt, k, d)
 		}(pi)
 	}
 	wg.Wait()
-	total := partial{g: make([]float64, d*k)}
-	for _, p := range partials {
-		if p.g != nil {
-			linalg.AxpyInPlace(1, p.g, total.g)
+	total := make([]float64, d*k)
+	n := 0
+	for pi := range pairs {
+		linalg.AxpyInPlace(1, sc.parts[pi].g, total)
+		n += pairs[pi].rows()
+	}
+	inv := 1.0 / float64(max(n, 1))
+	for i := range total {
+		total[i] = total[i]*inv + s.Lambda*w[i]
+	}
+	return total
+}
+
+// transposeInto writes the transpose of the rows x cols row-major src into
+// dst (cols x rows).
+func transposeInto(dst, src []float64, rows, cols int) {
+	for i := 0; i < rows; i++ {
+		for j, v := range src[i*cols : (i+1)*cols] {
+			dst[j*rows+i] = v
 		}
-		total.loss += p.loss
-		total.n += p.n
 	}
-	n := float64(total.n)
-	if n == 0 {
-		n = 1
+}
+
+// residual turns one record's raw scores into the loss residual in place:
+// scores − y for the square loss, softmax(scores) − y for the logistic.
+func (l Loss) residual(scores, y []float64) {
+	if l == LogisticLoss {
+		softmaxResidual(scores, y)
+		return
 	}
-	inv := 1.0 / n
-	for i := range total.g {
-		total.g[i] = total.g[i]*inv + s.Lambda*w[i]
+	for j := range scores {
+		scores[j] -= y[j]
 	}
-	return total.g, total.loss * inv
 }
 
 // softmaxResidual converts raw scores to softmax probabilities minus the
-// one-hot label in place, returning the cross-entropy loss contribution.
-func softmaxResidual(scores, y []float64) float64 {
+// one-hot label in place.
+func softmaxResidual(scores, y []float64) {
 	maxS := scores[0]
 	for _, v := range scores[1:] {
 		if v > maxS {
@@ -241,13 +268,7 @@ func softmaxResidual(scores, y []float64) float64 {
 		scores[j] = e
 		z += e
 	}
-	var loss float64
 	for j := range scores {
-		p := scores[j] / z
-		if y[j] > 0 && p > 1e-15 {
-			loss -= y[j] * math.Log(p)
-		}
-		scores[j] = p - y[j]
+		scores[j] = scores[j]/z - y[j]
 	}
-	return loss
 }

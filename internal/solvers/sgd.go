@@ -66,7 +66,7 @@ func (s *SGD) Fit(ctx *engine.Context, data core.Fetch, labels core.Fetch) core.
 	var pairs []partPair
 	t := 0
 	for epoch := 0; epoch < s.epochs(); epoch++ {
-		pairs = pairPartitions(data(), lab)
+		pairs = pairPartitions(pairs, data(), lab)
 		if epoch == 0 {
 			_, d, k = dims(pairs)
 			w = make([]float64, d*k)
@@ -92,14 +92,7 @@ func (s *SGD) Fit(ctx *engine.Context, data core.Fetch, labels core.Fetch) core.
 			rows := p.rows()
 			for r := 0; r < rows; r++ {
 				scoreRow(p, r, &wm, pred)
-				y := p.labels.Row(r)
-				if s.Objective == LogisticLoss {
-					softmaxResidual(pred, y)
-				} else {
-					for j := 0; j < k; j++ {
-						pred[j] -= y[j]
-					}
-				}
+				s.Objective.residual(pred, p.labels.Row(r))
 				if s.Normalized {
 					norm2 := rowNorm2(p, r)
 					scale := 1 / (1 + norm2)

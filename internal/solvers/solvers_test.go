@@ -283,7 +283,7 @@ func TestSolverCostSecondsMonotonicInNodes(t *testing.T) {
 
 func TestSquaredLossZeroForPerfectModel(t *testing.T) {
 	data, labels, xTrue := makeDense(8, 30, 4, 2, 2)
-	pairs := pairPartitions(data, labels)
+	pairs := pairPartitions(nil, data, labels)
 	if l := squaredLoss(pairs, xTrue); l > 1e-18 {
 		t.Errorf("perfect model loss = %g", l)
 	}
@@ -291,17 +291,6 @@ func TestSquaredLossZeroForPerfectModel(t *testing.T) {
 	if l := squaredLoss(pairs, zero); l <= 0 {
 		t.Errorf("zero model loss = %g, want > 0", l)
 	}
-}
-
-func TestPairPartitionsMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	a := engine.FromSlice([]any{[]float64{1}}, 1)
-	b := engine.FromSlice([]any{[]float64{1}, []float64{2}}, 2)
-	pairPartitions(a, b)
 }
 
 func TestLossString(t *testing.T) {

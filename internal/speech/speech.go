@@ -52,9 +52,11 @@ func (r *RandomFeatures) Apply(in any) any {
 	if len(x) != r.W.Cols {
 		panic(fmt.Sprintf("speech: input dim %d, map expects %d", len(x), r.W.Cols))
 	}
-	out := make([]float64, r.W.Rows)
-	for i := range out {
-		out[i] = r.scale * math.Cos(linalg.Dot(r.W.Row(i), x)+r.B[i])
+	// One Gemv over W: each projection is the same ascending accumulator
+	// chain as a per-row Dot, with one backend dispatch per record.
+	out := r.W.MulVec(x)
+	for i, v := range out {
+		out[i] = r.scale * math.Cos(v+r.B[i])
 	}
 	return out
 }

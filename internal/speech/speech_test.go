@@ -82,3 +82,29 @@ func TestRandomFeaturesDimMismatchPanics(t *testing.T) {
 	}()
 	NewRandomFeatures(4, 8, 1, 1).Apply(make([]float64, 5))
 }
+
+// TestRandomFeaturesMatchesPerRowDot pins the one-Gemv projection to the
+// per-row ascending dot it replaced, bit for bit under every kernel
+// dispatch mode (512 x 40 is the speech workload's shape; 7 x 5 leaves a
+// row remainder for the blocked Gemv's four-row unroll).
+func TestRandomFeaturesMatchesPerRowDot(t *testing.T) {
+	defer linalg.SetBackendMode(linalg.Mode())
+	for _, mode := range []linalg.BackendMode{linalg.ModeReference, linalg.ModeBlocked, linalg.ModeAuto} {
+		linalg.SetBackendMode(mode)
+		for _, shape := range [][2]int{{40, 512}, {5, 7}} {
+			rf := NewRandomFeatures(shape[0], shape[1], 0.5, 11)
+			x := linalg.NewRNG(12).GaussianVector(shape[0])
+			x[1] = 0
+			got := rf.Apply(x).([]float64)
+			for i := range got {
+				var dot float64
+				for j, w := range rf.W.Row(i) {
+					dot += w * x[j]
+				}
+				if want := rf.scale * math.Cos(dot+rf.B[i]); math.Float64bits(got[i]) != math.Float64bits(want) {
+					t.Fatalf("mode %d, %dx%d: feature %d = %v, want %v", mode, shape[1], shape[0], i, got[i], want)
+				}
+			}
+		}
+	}
+}
