@@ -7,7 +7,10 @@
 
 GO ?= go
 
-.PHONY: build test race vet staticcheck docs-check bench-smoke bench bench-sched bench-serve bench-canary bench-dist bench-kernels bench-tune benchdiff e2e e2e-compare flake serve serve-smoke dist-smoke ci
+# The packages whose API is the product (documentation gate, size ledger).
+PUBLIC_PKGS = keystone keystone/serve keystone/registry keystone/dist keystone/tune
+
+.PHONY: build test race vet staticcheck docs-check ledger bench-smoke bench bench-sched bench-serve bench-canary bench-dist bench-kernels bench-tune benchdiff e2e e2e-compare flake serve serve-smoke dist-smoke ci
 
 build:
 	$(GO) build ./...
@@ -38,7 +41,16 @@ staticcheck:
 docs-check: vet
 	@out=$$(gofmt -l .); \
 	if [ -n "$$out" ]; then echo "gofmt -l flags:"; echo "$$out"; exit 1; fi
-	$(GO) run ./cmd/doccheck keystone keystone/serve keystone/registry keystone/dist keystone/tune internal/linalg internal/linalg/kernels
+	$(GO) run ./cmd/doccheck $(PUBLIC_PKGS) internal/linalg internal/linalg/kernels
+
+# The size ledger: the three numbers a simplification is judged by, so a
+# CHANGES.md row quotes a figure anyone can reproduce — non-test Go
+# lines, With* options of the public API, and exported identifiers of
+# the public packages as `go doc -short` lists them.
+ledger:
+	@echo "non-test Go lines:    $$(find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*' | xargs cat | wc -l)"
+	@echo "With* options:        $$(grep -rh '^func With' --include='*.go' --exclude='*_test.go' keystone | wc -l)"
+	@echo "exported identifiers: $$(for p in $(PUBLIC_PKGS); do $(GO) doc -short ./$$p; done | wc -l)"
 
 # A short benchmark pass at Quick scale: compiles every benchmark and
 # runs each once, catching bit-rot without CI-hostile runtimes.
@@ -91,7 +103,11 @@ bench-tune:
 
 # The perf regression gate: compares the freshly generated kernel and
 # tune numbers against the committed baselines in bench/baseline,
-# failing on any tracked metric that regresses past 15%.
+# failing on any tracked metric that regresses past 15%. Not part of
+# `make ci`: on a 2-CPU host it fails on an unchanged tree (PR 16: 2 of 2
+# runs at the parent commit), and a gate that fails without a change
+# gates nothing. The GitHub workflow runs it with its own loose
+# threshold.
 benchdiff: bench-kernels bench-tune bench-dist
 	$(GO) run ./cmd/benchdiff -fresh /tmp/keystone-bench
 
@@ -138,4 +154,4 @@ serve-smoke:
 dist-smoke:
 	$(GO) run ./cmd/distsmoke
 
-ci: docs-check build race bench-smoke benchdiff serve-smoke dist-smoke
+ci: docs-check build race bench-smoke serve-smoke dist-smoke

@@ -28,8 +28,6 @@ type NodeStats struct {
 	// (always 0 when no shared cache is attached).
 	SharedHits int
 	Time       time.Duration // total local computation time across runs
-	OutCount   int           // records in the node output (last run)
-	OutBytes   int64         // estimated bytes of the node output (last run)
 }
 
 // TimePerCompute returns the average local computation time t(v).
@@ -70,6 +68,11 @@ type Executor struct {
 	data   *engine.Collection
 	labels *engine.Collection
 
+	// place is where node outputs live and operators run (placement.go);
+	// source is the bound training data as place holds it, set by Run.
+	place  Placement
+	source Dataset
+
 	// workers bounds DAG-level parallelism (how many node computations
 	// may run at once); <= 1 selects the sequential oracle.
 	workers int
@@ -81,14 +84,12 @@ type Executor struct {
 	sharedCache *engine.SharedCache
 	sharedKeys  map[int]string
 
-	// policy selects the parallel dispatcher's ready-set ordering;
 	// plan, when set, is the optimizer's shared schedule plan (profile
 	// priorities + refetch sets) and additionally enables speculative
 	// cross-pass retention. dispatch is the plan priorities actually
 	// drive dispatch with: the attached plan, or a lazily built
 	// structural fallback (unit times) when none was threaded through.
-	policy SchedulerPolicy
-	plan   *SchedulePlan
+	plan *SchedulePlan
 
 	mu          sync.Mutex // guards models, report, flight maps, dispatch, pendingRefetch
 	dispatch    *SchedulePlan
@@ -118,6 +119,7 @@ func NewExecutor(g *Graph, ctx *engine.Context, cache *engine.CacheManager, data
 		flight:      make(map[int]*flight),
 		modelFlight: make(map[int]*modelFlight),
 	}
+	e.place = localPlacement{e}
 	e.SetWorkers(ctx.Parallelism)
 	return e
 }
@@ -161,13 +163,14 @@ func (e *Executor) SetSchedulePlan(p *SchedulePlan) *Executor {
 	return e
 }
 
-// SetSchedulerPolicy selects the parallel dispatcher's ready-set
-// ordering (SchedulerPriority by default; SchedulerFIFO restores
-// pass-plan-order dispatch and disables speculative retention). Must not
-// be called once Run has started; returns the executor for chaining.
-func (e *Executor) SetSchedulerPolicy(p SchedulerPolicy) *Executor {
-	e.policy = p
-	return e
+// SetPlacement runs the DAG's operators through p instead of in this
+// process and pins the walk to the sequential oracle, the only walker
+// that tells a placement when a dataset is dead (see Placement). Call it
+// after SetWorkers; must not be called once Run has started; returns the
+// executor for chaining.
+func (e *Executor) SetPlacement(p Placement) *Executor {
+	e.place = p
+	return e.SetWorkers(1)
 }
 
 // SetSharedCache attaches a cross-fit shared prefix cache: nodes whose
@@ -202,11 +205,8 @@ func (e *Executor) sharedNow(n *Node) bool {
 
 // dispatchPlan returns the plan priorities the ready queue should use:
 // the attached schedule plan, or a structural fallback built on first
-// use. Returns nil under SchedulerFIFO.
+// use.
 func (e *Executor) dispatchPlan() *SchedulePlan {
-	if e.policy == SchedulerFIFO {
-		return nil
-	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.dispatch == nil {
@@ -216,11 +216,10 @@ func (e *Executor) dispatchPlan() *SchedulePlan {
 }
 
 // retainSpeculatively reports whether node id's output is still worth
-// keeping across passes: a schedule plan is attached, retention is not
-// disabled, and at least one estimator that refetches id has not
-// finished fitting.
+// keeping across passes: a schedule plan is attached and at least one
+// estimator that refetches id has not finished fitting.
 func (e *Executor) retainSpeculatively(id int) bool {
-	if e.plan == nil || e.policy == SchedulerFIFO {
+	if e.plan == nil {
 		return false
 	}
 	e.mu.Lock()
@@ -232,7 +231,7 @@ func (e *Executor) retainSpeculatively(id int) bool {
 // its refetch set; entries no other fitting estimator cares about are
 // released back to the cache budget immediately.
 func (e *Executor) releaseRetained(estID int) {
-	if e.plan == nil || e.cache == nil || e.policy == SchedulerFIFO {
+	if e.plan == nil || e.cache == nil {
 		return
 	}
 	for _, id := range e.plan.RefetchSet(estID) {
@@ -252,7 +251,7 @@ func (e *Executor) releaseRetained(estID int) {
 // outlive the executor (ExecuteContext accepts a caller-provided one),
 // so retained results must not be able to leak past the run.
 func (e *Executor) drainRetention() {
-	if e.plan == nil || e.cache == nil || e.policy == SchedulerFIFO {
+	if e.plan == nil || e.cache == nil {
 		return
 	}
 	for id := range e.plan.RefetchCounts() {
@@ -260,29 +259,38 @@ func (e *Executor) drainRetention() {
 	}
 }
 
-// Run executes the DAG to the sink and returns the fitted models (keyed by
-// estimator node ID), the sink output, and the execution report.
+// Run is RunContext without cancellation; it panics where RunContext
+// returns an error.
 func (e *Executor) Run() (map[int]TransformOp, *engine.Collection, *ExecReport) {
-	defer e.drainRetention()
-	start := time.Now()
-	out := e.demand(e.g.Sink)
-	e.report.Total = time.Since(start)
-	return e.models, out, e.report
+	models, out, report, err := e.RunContext(context.Background())
+	if err != nil {
+		panic(err)
+	}
+	return models, out, report
 }
 
-// RunContext is Run bound to a context: the executor (both schedulers),
-// the engine's partition dispatch, and every estimator fit's input
-// fetches poll ctx, so a long Fit unwinds cleanly mid-pass once ctx is
-// canceled or its deadline passes. On cancellation the partial report is
-// returned alongside an error wrapping the context error; the output
-// collection and models are nil/incomplete and must not be used.
+// RunContext executes the DAG to the sink and returns the fitted models
+// (keyed by estimator node ID), the sink output — nil when the placement
+// holds it elsewhere — and the execution report. The executor (both
+// schedulers), the engine's partition dispatch, and every estimator
+// fit's input fetches poll ctx, so a long Fit unwinds cleanly mid-pass
+// once ctx is canceled or its deadline passes. On cancellation, or when
+// the placement fails, the partial report is returned alongside the
+// error; the output collection and models are nil/incomplete and must
+// not be used. The placement is closed before RunContext returns,
+// however it returns.
 func (e *Executor) RunContext(ctx context.Context) (models map[int]TransformOp, out *engine.Collection, report *ExecReport, err error) {
 	if ctx != nil && ctx != context.Background() {
 		e.ctx = e.ctx.WithCancellation(ctx)
 	}
+	defer e.place.Close()
 	defer e.drainRetention()
 	defer func() {
-		if r := recover(); r != nil {
+		switch r := recover().(type) {
+		case nil:
+		case placementError:
+			models, out, report, err = nil, nil, e.report, r.err
+		default:
 			c, ok := engine.AsCanceled(r)
 			if !ok {
 				panic(r)
@@ -291,16 +299,44 @@ func (e *Executor) RunContext(ctx context.Context) (models map[int]TransformOp, 
 		}
 	}()
 	start := time.Now()
-	o := e.demand(e.g.Sink)
+	if e.data != nil {
+		e.source = must(e.place.Source(e.data))
+	}
+	sink, temp := e.demand(e.g.Sink)
+	out, _ = sink.(*engine.Collection)
+	e.release(sink, temp)
 	e.report.Total = time.Since(start)
-	return e.models, o, e.report, nil
+	return e.models, out, e.report, nil
 }
 
-// demand materializes the output of n under the configured scheduler.
-func (e *Executor) demand(n *Node) *engine.Collection {
+// placementError carries a Placement failure out of the walk (estimator
+// fetch callbacks cannot return errors) to RunContext, which returns it.
+type placementError struct{ err error }
+
+// must unwraps a Placement result inside the walk.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(placementError{err})
+	}
+	return v
+}
+
+// release hands a dataset the walk no longer references back to the
+// placement, if the walk owned it (see Placement).
+func (e *Executor) release(d Dataset, temp bool) {
+	if temp {
+		e.place.Release(d)
+	}
+}
+
+// demand materializes the output of n under the configured scheduler
+// and reports whether the caller owns it: a temp must be released after
+// its last use. A pass keeps its own results, so only the sequential
+// oracle hands out temps.
+func (e *Executor) demand(n *Node) (Dataset, bool) {
 	e.ctx.CheckCanceled()
 	if e.workers > 1 {
-		return e.runPass(n)
+		return e.runPass(n), false
 	}
 	return e.materialize(n)
 }
@@ -335,32 +371,18 @@ func (e *Executor) noteCoalesced(n *Node) {
 	e.mu.Unlock()
 }
 
-// noteCompute records one computation of n and returns the estimated
-// output size for the cache admission call.
-func (e *Executor) noteCompute(n *Node, out *engine.Collection) int64 {
-	bytes := SizeOfSlice(out.Collect())
-	e.noteComputeSized(n, out, bytes)
-	return bytes
-}
-
-// noteComputeSized is noteCompute with the output size already known.
-func (e *Executor) noteComputeSized(n *Node, out *engine.Collection, bytes int64) {
+// noteCompute records one computation of n.
+func (e *Executor) noteCompute(n *Node) {
 	e.mu.Lock()
-	st := e.statsLocked(n)
-	st.Computes++
-	st.OutCount = out.Count()
-	st.OutBytes = bytes
+	e.statsLocked(n).Computes++
 	e.mu.Unlock()
 }
 
 // noteSharedHit records an access of n served by the shared prefix
 // cache (another executor's — or an earlier pass's — computation).
-func (e *Executor) noteSharedHit(n *Node, out *engine.Collection, bytes int64) {
+func (e *Executor) noteSharedHit(n *Node) {
 	e.mu.Lock()
-	st := e.statsLocked(n)
-	st.SharedHits++
-	st.OutCount = out.Count()
-	st.OutBytes = bytes
+	e.statsLocked(n).SharedHits++
 	e.mu.Unlock()
 }
 
@@ -368,24 +390,30 @@ func (e *Executor) noteSharedHit(n *Node, out *engine.Collection, bytes int64) {
 // shared prefix cache when n carries a shared key (reusing another
 // fit's result or computing once under cross-executor single-flight),
 // plainly otherwise. ins follows the localCompute contract. It returns
-// the output and its estimated size for local cache admission.
-func (e *Executor) sharedFetch(n *Node, ins []*engine.Collection) (*engine.Collection, int64) {
+// the output, its estimated size for local cache admission (not measured
+// when there is no cache to admit it to), and whether the caller owns it
+// (the shared cache keeps what it serves).
+func (e *Executor) sharedFetch(n *Node, ins []Dataset) (Dataset, int64, bool) {
 	key, ok := e.sharedKey(n)
 	if !ok {
-		out := e.localCompute(n, ins)
-		return out, e.noteCompute(n, out)
+		out, temp := e.localCompute(n, ins)
+		e.noteCompute(n)
+		var bytes int64
+		if e.cache != nil {
+			bytes = e.place.Size(out)
+		}
+		return out, bytes, temp
 	}
-	v, bytes, hit := e.sharedCache.GetOrCompute(key, func() (any, int64) {
-		out := e.localCompute(n, ins)
-		return out, SizeOfSlice(out.Collect())
+	out, bytes, hit := e.sharedCache.GetOrCompute(key, func() (any, int64) {
+		out, _ := e.localCompute(n, ins)
+		return out, e.place.Size(out)
 	})
-	out := v.(*engine.Collection)
 	if hit {
-		e.noteSharedHit(n, out, bytes)
+		e.noteSharedHit(n)
 	} else {
-		e.noteComputeSized(n, out, bytes)
+		e.noteCompute(n)
 	}
-	return out, bytes
+	return out, bytes, false
 }
 
 func (e *Executor) addTime(n *Node, d time.Duration) {
@@ -409,77 +437,82 @@ func (e *Executor) releaseSlot() {
 	}
 }
 
-// materialize produces the output collection of n under the sequential
-// oracle, consulting the cache first and recomputing from dependencies on
-// a miss.
-func (e *Executor) materialize(n *Node) *engine.Collection {
+// materialize produces the output of n under the sequential oracle,
+// consulting the cache first and recomputing from dependencies on a
+// miss. What the cache keeps it owns; what it refuses is the caller's
+// temp.
+func (e *Executor) materialize(n *Node) (Dataset, bool) {
 	if e.cache != nil {
 		if v, ok := e.cache.Get(cacheKey(n.ID)); ok {
 			e.noteHit(n)
-			return v.(*engine.Collection)
+			return v, false
 		}
 	}
-	out, bytes := e.sharedFetch(n, nil)
-	if e.cache != nil {
-		e.cache.Put(cacheKey(n.ID), out, bytes)
+	out, bytes, temp := e.sharedFetch(n, nil)
+	if e.cache != nil && e.cache.Put(cacheKey(n.ID), out, bytes) {
+		temp = false
 	}
-	return out
+	return out, temp
 }
 
-// localCompute evaluates n's operator. ins, when non-nil, carries
-// already-materialized dependency outputs (positionally matching n.Deps)
-// from a scheduler pass; any missing input is demanded on the spot. Only
-// the node-local work is timed; dependency time is charged to the
-// dependencies themselves.
-func (e *Executor) localCompute(n *Node, ins []*engine.Collection) *engine.Collection {
-	input := func(i int) *engine.Collection {
+// localCompute evaluates n's operator through the placement. ins, when
+// non-nil, carries already-materialized dependency outputs (positionally
+// matching n.Deps) from a scheduler pass; any missing input is demanded
+// on the spot, and released once the operator has consumed it. Only the
+// node-local work is timed; dependency time is charged to the
+// dependencies themselves. The result is a fresh temp, except where it
+// is a bound input or, for a one-branch gather, that branch itself.
+func (e *Executor) localCompute(n *Node, ins []Dataset) (Dataset, bool) {
+	input := func(i int) (Dataset, bool) {
 		if ins != nil && ins[i] != nil {
-			return ins[i]
+			return ins[i], false
 		}
 		return e.demand(n.Deps[i])
+	}
+	// apply times one operator application over dependency i.
+	apply := func(op TransformOp, i int) (Dataset, bool) {
+		in, temp := input(i)
+		e.acquireSlot()
+		defer e.releaseSlot()
+		start := time.Now()
+		out := must(e.place.Apply(in, op))
+		e.addTime(n, time.Since(start))
+		e.release(in, temp)
+		return out, true
 	}
 	switch n.Kind {
 	case KindSource:
 		if e.data == nil {
 			panic("core: pipeline executed without bound training data")
 		}
-		return e.data
+		return e.source, false
 	case KindLabels:
 		if e.labels == nil {
 			panic("core: pipeline uses labels but none were bound at Fit time")
 		}
-		return e.labels
+		return e.labels, false
 	case KindTransform:
-		in := input(0)
-		e.acquireSlot()
-		defer e.releaseSlot()
-		start := time.Now()
-		out := e.ctx.Map(in, n.Transform.Apply)
-		e.addTime(n, time.Since(start))
-		return out
+		return apply(n.Transform, 0)
 	case KindGather:
-		gathered := make([]*engine.Collection, len(n.Deps))
+		gathered := make([]Dataset, len(n.Deps))
+		temps := make([]bool, len(n.Deps))
 		for i := range n.Deps {
-			gathered[i] = input(i)
+			gathered[i], temps[i] = input(i)
 		}
 		e.acquireSlot()
 		defer e.releaseSlot()
 		start := time.Now()
-		out := gathered[0]
+		out, temp := gathered[0], temps[0]
 		for i := 1; i < len(gathered); i++ {
-			out = e.ctx.Zip(out, gathered[i], ConcatFeatures)
+			joined := must(e.place.Zip(out, gathered[i]))
+			e.release(out, temp)
+			e.release(gathered[i], temps[i])
+			out, temp = joined, true
 		}
 		e.addTime(n, time.Since(start))
-		return out
+		return out, temp
 	case KindApplyModel:
-		model := e.fitModel(n.Deps[0])
-		in := input(1)
-		e.acquireSlot()
-		defer e.releaseSlot()
-		start := time.Now()
-		out := e.ctx.Map(in, model.Apply)
-		e.addTime(n, time.Since(start))
-		return out
+		return apply(e.fitModel(n.Deps[0]), 1)
 	case KindEstimator:
 		panic("core: estimator node materialized as data; estimators produce models, not collections")
 	default:
@@ -548,21 +581,23 @@ func (e *Executor) fitModel(n *Node) TransformOp {
 			held = true
 		}
 	}
-	dataDep := n.Deps[0]
 	fetch := func() *engine.Collection {
 		yieldSlot()
-		out := e.demand(dataDep)
+		d, temp := e.demand(n.Deps[0])
+		out := must(e.place.Fetch(d))
+		e.release(d, temp)
 		claimSlot()
 		return out
 	}
 	var labelFetch Fetch
 	if len(n.Deps) > 1 {
-		labelDep := n.Deps[1]
+		// Deps[1] is the label source: a bound input that never went
+		// through the placement, so it is a local collection already.
 		labelFetch = func() *engine.Collection {
 			yieldSlot()
-			out := e.demand(labelDep)
+			d, _ := e.demand(n.Deps[1])
 			claimSlot()
-			return out
+			return d.(*engine.Collection)
 		}
 	}
 	e.ctx.CheckCanceled()

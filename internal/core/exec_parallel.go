@@ -3,8 +3,6 @@ package core
 import (
 	"container/heap"
 	"fmt"
-
-	"keystoneml/internal/engine"
 )
 
 // This file implements the stage-aware parallel scheduler: each demand
@@ -31,7 +29,7 @@ import (
 // (sequential) demands still recompute on a cache miss.
 type flight struct {
 	done     chan struct{}
-	out      *engine.Collection
+	out      Dataset
 	panicked any
 }
 
@@ -105,49 +103,8 @@ func (e *Executor) planPass(root *Node) *passPlan {
 // passDone carries one member's completion back to the coordinator.
 type passDone struct {
 	n        *Node
-	out      *engine.Collection
+	out      Dataset
 	panicked any
-}
-
-// readyQueue orders a pass's ready members for dispatch: a planHeap
-// over the schedule plan's critical-path priorities (the same heap the
-// makespan simulator schedules with), or plain FIFO (pass-plan order)
-// when no plan drives dispatch (SchedulerFIFO).
-type readyQueue struct {
-	fifo  []*Node   // FIFO backing store, used when heap is nil
-	prioq *planHeap // priority backing store, nil in FIFO mode
-}
-
-func newReadyQueue(plan *SchedulePlan) *readyQueue {
-	q := &readyQueue{}
-	if plan != nil {
-		q.prioq = &planHeap{plan: plan}
-	}
-	return q
-}
-
-func (q *readyQueue) push(n *Node) {
-	if q.prioq == nil {
-		q.fifo = append(q.fifo, n)
-		return
-	}
-	heap.Push(q.prioq, n)
-}
-
-func (q *readyQueue) len() int {
-	if q.prioq == nil {
-		return len(q.fifo)
-	}
-	return q.prioq.Len()
-}
-
-func (q *readyQueue) pop() *Node {
-	if q.prioq == nil {
-		n := q.fifo[0]
-		q.fifo = q.fifo[1:]
-		return n
-	}
-	return heap.Pop(q.prioq).(*Node)
 }
 
 // runPass executes one dataflow pass for a demand of root and returns
@@ -156,14 +113,16 @@ func (q *readyQueue) pop() *Node {
 // outputs and wide unlocks), at most `workers` in flight per pass, and
 // releases dependents as their inputs arrive; node-local compute is
 // additionally bounded by the executor's worker pool.
-func (e *Executor) runPass(root *Node) *engine.Collection {
+func (e *Executor) runPass(root *Node) Dataset {
 	if root.Kind == KindEstimator {
 		panic("core: estimator node demanded as data; estimators produce models, not collections")
 	}
 	plan := e.planPass(root)
-	results := make(map[int]*engine.Collection, len(plan.order))
+	results := make(map[int]Dataset, len(plan.order))
 	done := make(chan passDone, len(plan.order))
-	ready := newReadyQueue(e.dispatchPlan())
+	// The ready set is a heap over the schedule plan's critical-path
+	// priorities — the same heap the makespan simulator schedules with.
+	ready := &planHeap{plan: e.dispatchPlan()}
 	inFlight := 0
 	var firstPanic any
 
@@ -194,7 +153,7 @@ func (e *Executor) runPass(root *Node) *engine.Collection {
 	// dispatch snapshots the member's inputs (written only by this
 	// coordinator before the goroutine starts) and produces it.
 	dispatch := func(n *Node) {
-		ins := make([]*engine.Collection, len(n.Deps))
+		ins := make([]Dataset, len(n.Deps))
 		for i, d := range n.Deps {
 			ins[i] = results[d.ID]
 		}
@@ -218,13 +177,13 @@ func (e *Executor) runPass(root *Node) *engine.Collection {
 	// is what makes the priority ordering effective: when more members
 	// are ready than workers, the longest critical path runs first.
 	fill := func() {
-		for inFlight < e.workers && ready.len() > 0 {
-			dispatch(ready.pop())
+		for inFlight < e.workers && ready.Len() > 0 {
+			dispatch(heap.Pop(ready).(*Node))
 		}
 	}
 	for _, n := range plan.order {
 		if plan.pending[n.ID] == 0 {
-			ready.push(n)
+			heap.Push(ready, n)
 		}
 	}
 	fill()
@@ -244,7 +203,7 @@ func (e *Executor) runPass(root *Node) *engine.Collection {
 		for _, sid := range plan.succ[d.n.ID] {
 			plan.pending[sid]--
 			if plan.pending[sid] == 0 {
-				ready.push(plan.nodes[sid])
+				heap.Push(ready, plan.nodes[sid])
 			}
 		}
 		fill()
@@ -263,7 +222,7 @@ func (e *Executor) runPass(root *Node) *engine.Collection {
 // concurrent passes demanding the same node share one computation, with
 // the waiters blocking on its result. Estimator members resolve to their
 // fitted model instead of a collection.
-func (e *Executor) produce(n *Node, ins []*engine.Collection) (out *engine.Collection) {
+func (e *Executor) produce(n *Node, ins []Dataset) (out Dataset) {
 	// Cooperative cancellation point: a canceled pass stops at the next
 	// node boundary; the coordinator drains in-flight members and
 	// re-raises the sentinel, which RunContext converts to an error.
@@ -302,7 +261,7 @@ func (e *Executor) produce(n *Node, ins []*engine.Collection) (out *engine.Colle
 	if e.cache != nil {
 		if v, ok := e.cache.Get(cacheKey(n.ID)); ok {
 			e.noteHit(n)
-			return v.(*engine.Collection)
+			return v
 		}
 	}
 	// A planned cache boundary can lose its entry between planning and
@@ -310,7 +269,7 @@ func (e *Executor) produce(n *Node, ins []*engine.Collection) (out *engine.Colle
 	// demands the missing inputs itself via nested passes. Nodes with a
 	// shared prefix key resolve through the cross-fit cache here —
 	// single-flight against every other executor attached to it.
-	out, bytes := e.sharedFetch(n, ins)
+	out, bytes, _ := e.sharedFetch(n, ins)
 	if e.cache != nil {
 		if !e.cache.Put(cacheKey(n.ID), out, bytes) && e.retainSpeculatively(n.ID) {
 			// Speculative cross-pass retention: the policy rejected the

@@ -29,21 +29,6 @@ import (
 //     retention keeps alive (subordinate to the cache budget) while the
 //     fit is still running.
 
-// SchedulerPolicy selects how the parallel executor orders ready work.
-type SchedulerPolicy int
-
-const (
-	// SchedulerPriority (the default) dispatches ready pass members in
-	// schedule-plan priority order: longest downstream critical path
-	// first, ties broken toward pinned outputs and wide unlocks.
-	SchedulerPriority SchedulerPolicy = iota
-	// SchedulerFIFO dispatches ready members in pass-plan (dependency
-	// discovery) order and disables speculative retention — the
-	// scheduler's behaviour before the shared schedule plan existed,
-	// kept for comparisons.
-	SchedulerFIFO
-)
-
 // SchedulePlan is a schedule model for one pipeline graph: per-node
 // times, the materialization boundaries, and a worker count, plus the
 // derived priorities and refetch sets. Build it with NewSchedulePlan;
@@ -67,10 +52,10 @@ type SchedulePlan struct {
 	// cached node's output is computed once and served from memory
 	// afterwards.
 	Cached map[int]bool
-	// Dist, when non-nil, switches Makespan to the distributed-time
-	// simulation (network transfer + stage launch latency under the
-	// keystone/dist coordinator); see schedule_dist.go. Attach it with
-	// WithDist. Nil models local execution exactly as before.
+	// Dist, when non-nil, prices execution behind a remote Placement:
+	// Makespan takes the sequential recursion (the walker such a
+	// placement runs on) with the model's parallelism, stage-launch and
+	// transfer terms. Nil is the local model.
 	Dist *DistModel
 
 	structural bool
@@ -82,6 +67,27 @@ type SchedulePlan struct {
 	// Makespan never touches it.
 	refetchOnce sync.Once
 	refetch     map[int][]int
+}
+
+// DistModel prices execution behind a remote Placement over W worker
+// processes: a record-wise dispatch runs data-parallel (local time ÷ W)
+// and pays one stage launch, and an estimator's fetch pays the network
+// transfer of its input and one more launch. The zero model — one
+// worker, no latency, free network — is local execution.
+type DistModel struct {
+	// Workers is the number of worker processes holding data partitions;
+	// values <= 1 model a single one.
+	Workers int
+	// StageLatencySec is charged once per remote dispatch (the paper's
+	// per-stage launch latency; an RPC round-trip for keystone/dist).
+	StageLatencySec float64
+	// NetSecPerByte converts bytes crossing the coordinator⇄worker
+	// boundary to seconds (cluster.Resources.CoordWeight).
+	NetSecPerByte float64
+	// OutBytes holds the profiled full-data output size of each node,
+	// charged when an estimator fetch pulls that node's partitions to
+	// the coordinator. Missing entries transfer for free.
+	OutBytes map[int]int64
 }
 
 // NewSchedulePlan derives priorities and refetch sets for g under the
@@ -250,10 +256,7 @@ func (p *SchedulePlan) refetchSet(est *Node) []int {
 // width, and within-pass coalescing follows the pass plan rather than
 // live single-flight timing.
 func (p *SchedulePlan) Makespan() float64 {
-	if p.Dist != nil {
-		return p.distTime()
-	}
-	if p.Workers <= 1 {
+	if p.Workers <= 1 || p.Dist != nil {
 		return p.sequentialTime()
 	}
 	return p.parallelTime()
@@ -261,11 +264,24 @@ func (p *SchedulePlan) Makespan() float64 {
 
 // sequentialTime mirrors the sequential oracle's demand recursion: each
 // access to an unmaterialized node recomputes it (and its inputs), the
-// first computation of a node in the cache set pins it, fits run once
-// and fetch their data dependency Weight() times.
+// first computation of a node in the cache set pins it, fits run once in
+// the calling process and fetch their data dependency Weight() times. A
+// fetched copy stays with its handle, so a dataset that outlives the
+// fetch — a pinned one, or the source — crosses the wire once. With no DistModel every placement term is zero and the
+// result is the paper's Σ t(v)·computes(v).
 func (p *SchedulePlan) sequentialTime() float64 {
+	w, latency, net := 1.0, 0.0, 0.0
+	var outBytes map[int]int64
+	if d := p.Dist; d != nil {
+		w, latency, net, outBytes = float64(max(d.Workers, 1)), d.StageLatencySec, d.NetSecPerByte, d.OutBytes
+	}
+	// dispatch prices n's own work as that many placement operations.
+	dispatch := func(n *Node, ops int) float64 {
+		return p.timeOf(n)/w + float64(ops)*latency
+	}
 	mat := make(map[int]bool)
 	fitted := make(map[int]bool)
+	held := make(map[int]bool) // datasets that outlive a fetch, already fetched
 	var demand func(n *Node) float64
 	var fit func(n *Node) float64
 	demand = func(n *Node) float64 {
@@ -277,14 +293,14 @@ func (p *SchedulePlan) sequentialTime() float64 {
 		case KindSource, KindLabels:
 			return p.timeOf(n) // bound inputs; never materialized
 		case KindTransform:
-			d = demand(n.Deps[0]) + p.timeOf(n)
+			d = demand(n.Deps[0]) + dispatch(n, 1)
 		case KindGather:
 			for _, dep := range n.Deps {
 				d += demand(dep)
 			}
-			d += p.timeOf(n)
+			d += dispatch(n, len(n.Deps)-1) // one Zip per branch joined
 		case KindApplyModel:
-			d = fit(n.Deps[0]) + demand(n.Deps[1]) + p.timeOf(n)
+			d = fit(n.Deps[0]) + demand(n.Deps[1]) + dispatch(n, 1)
 		default:
 			panic(fmt.Sprintf("core: schedule simulation demanded %v node #%d as data", n.Kind, n.ID))
 		}
@@ -293,14 +309,21 @@ func (p *SchedulePlan) sequentialTime() float64 {
 		}
 		return d
 	}
+	fetch := func(dep *Node) float64 {
+		if held[dep.ID] {
+			return 0
+		}
+		held[dep.ID] = p.Cached[dep.ID] || dep.Kind == KindSource
+		return demand(dep) + float64(outBytes[dep.ID])*net + latency
+	}
 	fit = func(n *Node) float64 {
 		if fitted[n.ID] {
 			return 0
 		}
 		fitted[n.ID] = true
-		d := p.timeOf(n) + steadyFetches(n.Weight(), func() float64 { return demand(n.Deps[0]) })
+		d := p.timeOf(n) + steadyFetches(n.Weight(), func() float64 { return fetch(n.Deps[0]) })
 		if len(n.Deps) > 1 {
-			d += demand(n.Deps[1])
+			d += demand(n.Deps[1]) // labels never leave the calling process
 		}
 		return d
 	}

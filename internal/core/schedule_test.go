@@ -310,22 +310,3 @@ func (panicAfterFetchEst) Fit(ctx *engine.Context, data Fetch, labels Fetch) Tra
 	data()
 	panic("fit exploded")
 }
-
-// TestSchedulerFIFOKeepsOracleCounts: the FIFO opt-out must disable
-// retention (and still produce correct results).
-func TestSchedulerFIFOKeepsOracleCounts(t *testing.T) {
-	g := NewGraph()
-	t1 := g.AddTransform(IdentityOp(), g.Source)
-	est := g.AddEstimator(&schedTestEst{w: 3}, t1, false)
-	g.AddApplyModel(est, t1)
-
-	ctx := engine.NewContext(4)
-	cache := engine.NewCacheManager(0, engine.NewPinnedSetPolicy(nil))
-	plan := NewSchedulePlan(g, nil, nil, 4)
-	ex := NewExecutor(g, ctx, cache, engine.FromSlice([]any{[]float64{1, 2}}, 1), nil).
-		SetWorkers(4).SetSchedulePlan(plan).SetSchedulerPolicy(SchedulerFIFO)
-	_, _, report := ex.Run()
-	if got := report.Nodes[t1.ID].Computes; got != 4 {
-		t.Errorf("FIFO computes = %d, want the oracle's 4", got)
-	}
-}

@@ -86,35 +86,42 @@ func profTimes(prof *Profile) map[int]float64 {
 	return out
 }
 
+// schedule builds the schedule plan of g under the profile: its node
+// times and placement model, cached as the materialization boundaries.
+func (prof *Profile) schedule(g *core.Graph, cached map[int]bool, workers int) *core.SchedulePlan {
+	p := core.NewSchedulePlan(g, profTimes(prof), cached, workers)
+	p.Dist = prof.Dist
+	return p
+}
+
 // EstCost estimates pipeline execution wall-clock (seconds) under a
 // cache set with k DAG workers: the sequential Σ t(v)·computes(v) model
-// for workers <= 1, the shared schedule plan's list-scheduling makespan
-// simulation otherwise. This is the objective the materialization
-// planner minimizes, so pins are ranked by their effect on parallel
-// wall-clock rather than on total work.
+// for local execution with workers <= 1, the shared schedule plan's
+// makespan simulation otherwise — list scheduling over k workers, or,
+// when the profile carries a remote placement's model (prof.Dist), the
+// sequential recursion with its stage-launch and transfer terms. This is
+// the objective the materialization planner minimizes, so pins are
+// ranked by their effect on wall-clock rather than on total work.
 func EstCost(g *core.Graph, prof *Profile, cached map[int]bool, workers int) float64 {
-	if workers <= 1 {
-		return EstRuntime(g, prof, cached)
-	}
-	return core.NewSchedulePlan(g, profTimes(prof), cached, workers).Makespan()
+	return costOf(g, prof, cached, workers).wall
 }
 
 // ScheduleFor builds the shared schedule plan both layers consume: the
-// profile's node times, the chosen materialization set as cache
-// boundaries, and the execution worker count. The executor orders
-// dispatch by its priorities and drives speculative retention from its
-// refetch sets; the planner used the same model (via EstCost) to choose
-// the pins, so optimizer and executor finally reason about one schedule.
+// profile's node times and placement model, the chosen materialization
+// set as cache boundaries, and the execution worker count. The executor
+// orders dispatch by its priorities and drives speculative retention
+// from its refetch sets; the planner used the same model (via EstCost)
+// to choose the pins, so optimizer and executor reason about one
+// schedule. A nil profile gives the structural (unit-time) plan.
 func ScheduleFor(g *core.Graph, prof *Profile, cacheSet []int, workers int) *core.SchedulePlan {
 	cached := make(map[int]bool, len(cacheSet))
 	for _, id := range cacheSet {
 		cached[id] = true
 	}
-	var times map[int]float64
-	if prof != nil {
-		times = profTimes(prof)
+	if prof == nil {
+		return core.NewSchedulePlan(g, nil, cached, workers)
 	}
-	return core.NewSchedulePlan(g, times, cached, workers)
+	return prof.schedule(g, cached, workers)
 }
 
 // cacheable reports whether a node's output may be materialized: sources
@@ -141,15 +148,12 @@ type setCost struct {
 	work float64 // EstRuntime: sequential total work
 }
 
-func costOf(g *core.Graph, prof *Profile, cached map[int]bool, workers int, dist *core.DistModel) setCost {
+func costOf(g *core.Graph, prof *Profile, cached map[int]bool, workers int) setCost {
 	work := EstRuntime(g, prof, cached)
-	if dist != nil {
-		return setCost{wall: EstCostDist(g, prof, cached, dist), work: work}
-	}
-	if workers <= 1 {
+	if workers <= 1 && prof.Dist == nil {
 		return setCost{wall: work, work: work}
 	}
-	return setCost{wall: EstCost(g, prof, cached, workers), work: work}
+	return setCost{wall: prof.schedule(g, cached, workers).Makespan(), work: work}
 }
 
 // improves reports whether c is a strict lexicographic improvement on
@@ -164,28 +168,17 @@ func (c setCost) improves(best setCost) bool {
 
 // GreedyCacheSet is Algorithm 1 generalized to the executor's actual
 // schedule: starting from an empty cache set, it repeatedly adds the
-// node whose materialization most reduces the estimated wall-clock under
-// `workers` DAG workers (EstCost — the paper's sequential Σ t(v)·computes
-// for workers <= 1, the list-scheduling makespan otherwise) while
+// node whose materialization most reduces the estimated wall-clock
+// (EstCost: under `workers` DAG workers, and with the transfer and
+// stage-launch terms of the placement model the profile carries, so
+// behind a remote placement the datasets whose round-trips cost the most
+// are pinned, not just the ones costing the most recompute) while
 // fitting in the remaining memory, until no node improves the estimate
 // or memory is exhausted. memBudget <= 0 means unlimited.
 func GreedyCacheSet(g *core.Graph, prof *Profile, memBudget int64, workers int) []int {
-	return greedyCacheSet(g, prof, memBudget, workers, nil)
-}
-
-// GreedyCacheSetDist is GreedyCacheSet under a distributed cost model:
-// candidates are ranked by the dist-time makespan (network transfer and
-// stage launches included), so the planner pins the datasets whose
-// round-trips across the coordinator⇄worker boundary cost the most, not
-// just the ones costing the most recompute.
-func GreedyCacheSetDist(g *core.Graph, prof *Profile, memBudget int64, dist *core.DistModel) []int {
-	return greedyCacheSet(g, prof, memBudget, 1, dist)
-}
-
-func greedyCacheSet(g *core.Graph, prof *Profile, memBudget int64, workers int, dist *core.DistModel) []int {
 	cached := make(map[int]bool)
 	memLeft := memBudget
-	current := costOf(g, prof, cached, workers, dist)
+	current := costOf(g, prof, cached, workers)
 	var result []int
 	candidates := cacheCandidates(g, prof)
 	for {
@@ -200,7 +193,7 @@ func greedyCacheSet(g *core.Graph, prof *Profile, memBudget int64, workers int, 
 				continue
 			}
 			cached[id] = true
-			c := costOf(g, prof, cached, workers, dist)
+			c := costOf(g, prof, cached, workers)
 			delete(cached, id)
 			if c.improves(bestCost) {
 				best = id

@@ -57,10 +57,10 @@ type Config struct {
 	// the executor's DAG-level worker pool; 0 = NumCPU, 1 = the
 	// sequential depth-first oracle.
 	Parallelism int
-	// Dist, when non-nil, makes the materialization planner cost cache
-	// sets with the distributed-time makespan (network + stage-launch
-	// terms) instead of the local model, and attaches the model to the
-	// resulting schedule plan. Set by keystone/dist fits.
+	// Dist holds the cluster terms of the remote placement the plan will
+	// execute behind (Plan.Placement); nil means this process. The
+	// profile supplies its transfer sizes (Profile.Dist), and the DAG walk
+	// it prices is the sequential one whatever Parallelism says.
 	Dist *core.DistModel
 }
 
@@ -99,10 +99,10 @@ type Plan struct {
 	// and speculative retention then work from the same model the
 	// planner costed; nil when profiling did not run (LevelNone).
 	Schedule *core.SchedulePlan
-	// DispatchFIFO disables priority dispatch and speculative retention
-	// at execution time (pass-plan-order dispatch, the scheduler's
-	// pre-plan behaviour), for comparisons and opt-outs.
-	DispatchFIFO bool
+	// Placement, when non-nil, is where Execute runs the plan's
+	// record-wise operators instead of this process; the executor then
+	// walks sequentially (core.Executor.SetPlacement).
+	Placement core.Placement
 	// Shared, when non-nil, attaches a cross-fit shared prefix cache at
 	// execution time: nodes of this plan's graph that carry a content
 	// signature (core.PrefixSignatures under SharedScope) consult and
@@ -174,36 +174,26 @@ func optimize(g *core.Graph, data, labels *engine.Collection, cfg Config, ctx *e
 	}
 	plan.Profile = prof
 	plan.Chosen = run.chosen
+	prof.place(cfg.Dist)
 	// The materialization set is chosen under the schedule the executor
 	// will actually run: the k-worker makespan model (sequential Σ t·c
-	// when k = 1), and the resulting schedule plan is carried on the
-	// Plan so Execute hands the very same model to the dispatcher.
+	// when k = 1) with the placement's terms, and the resulting schedule
+	// plan is carried on the Plan so Execute hands the very same model to
+	// the dispatcher.
 	workers := cfg.execWorkers()
-	if cfg.Dist != nil {
-		// Callers set the dist model's cluster terms before profiling
-		// exists; the per-node transfer sizes come from the profile just
-		// built.
-		if cfg.Dist.OutBytes == nil {
-			cfg.Dist.OutBytes = make(map[int]int64, len(prof.Nodes))
-			for id, np := range prof.Nodes {
-				if np.SizeBytes > 0 {
-					cfg.Dist.OutBytes[id] = np.SizeBytes
-				}
-			}
-		}
-		plan.CacheSet = GreedyCacheSetDist(g, prof, cfg.MemBudgetBytes, cfg.Dist)
-		plan.Schedule = ScheduleForDist(g, prof, plan.CacheSet, cfg.Dist)
-	} else {
-		plan.CacheSet = GreedyCacheSet(g, prof, cfg.MemBudgetBytes, workers)
-		plan.Schedule = ScheduleFor(g, prof, plan.CacheSet, workers)
-	}
+	plan.CacheSet = GreedyCacheSet(g, prof, cfg.MemBudgetBytes, workers)
+	plan.Schedule = ScheduleFor(g, prof, plan.CacheSet, workers)
 	plan.OptimizeTime = time.Since(start)
 	return plan
 }
 
-// execWorkers resolves Parallelism the same way the engine context does:
-// non-positive means one DAG worker per CPU.
+// execWorkers resolves the DAG-level worker count: Parallelism the way
+// the engine context resolves it (non-positive means one per CPU), and
+// one behind a remote placement, which walks sequentially.
 func (c Config) execWorkers() int {
+	if c.Dist != nil {
+		return 1
+	}
 	if c.Parallelism <= 0 {
 		return runtime.NumCPU()
 	}
@@ -215,35 +205,14 @@ func (c Config) execWorkers() int {
 // recomputes everything else on demand. parallelism sizes both the
 // partition workers and the executor's stage-aware DAG scheduler
 // (0 = NumCPU); parallelism 1 selects the sequential depth-first oracle,
-// which the equivalence tests use as the reference semantics.
+// which the equivalence tests use as the reference semantics. It panics
+// where ExecuteContext returns an error.
 func (p *Plan) Execute(data, labels *engine.Collection, parallelism int) (map[int]core.TransformOp, *engine.Collection, *core.ExecReport) {
-	ctx := engine.NewContext(parallelism)
-	ex := core.NewExecutor(p.Graph, ctx, p.DefaultCache(0), data, labels)
-	p.configureScheduler(ex)
-	p.configureSharing(ex)
-	return ex.Run()
-}
-
-// configureScheduler threads the shared schedule plan (or the FIFO
-// opt-out) into an executor about to run this plan.
-func (p *Plan) configureScheduler(ex *core.Executor) {
-	if p.DispatchFIFO {
-		ex.SetSchedulerPolicy(core.SchedulerFIFO)
-		return
+	models, out, report, err := p.ExecuteContext(context.Background(), data, labels, parallelism, p.DefaultCache(0))
+	if err != nil {
+		panic(err)
 	}
-	if p.Schedule != nil {
-		ex.SetSchedulePlan(p.Schedule)
-	}
-}
-
-// configureSharing attaches the plan's shared prefix cache (if any) to an
-// executor about to run it, keying this graph's nodes by content
-// signature. Split from configureScheduler because DispatchFIFO returns
-// early there while sharing applies regardless of dispatch order.
-func (p *Plan) configureSharing(ex *core.Executor) {
-	if p.Shared != nil {
-		ex.SetSharedCache(p.Shared, core.PrefixSignatures(p.Graph, p.SharedScope))
-	}
+	return models, out, report
 }
 
 // DefaultCache builds the plan's canonical cache manager: a pinned set
@@ -259,12 +228,19 @@ func (p *Plan) DefaultCache(budget int64) *engine.CacheManager {
 
 // ExecuteContext is Execute bound to a context and an explicit cache
 // manager (nil disables materialization; use DefaultCache for the plan's
-// pinned set). Cancellation mid-fit returns the context error along with
-// the partial execution report.
+// pinned set). The executor gets the plan's schedule, shared prefix cache
+// and placement, whichever are set. Cancellation mid-fit, or a failing
+// placement, returns the error along with the partial execution report.
 func (p *Plan) ExecuteContext(ctx context.Context, data, labels *engine.Collection, parallelism int, cache *engine.CacheManager) (map[int]core.TransformOp, *engine.Collection, *core.ExecReport, error) {
-	ectx := engine.NewContext(parallelism)
-	ex := core.NewExecutor(p.Graph, ectx, cache, data, labels)
-	p.configureScheduler(ex)
-	p.configureSharing(ex)
+	ex := core.NewExecutor(p.Graph, engine.NewContext(parallelism), cache, data, labels)
+	if p.Schedule != nil {
+		ex.SetSchedulePlan(p.Schedule)
+	}
+	if p.Shared != nil {
+		ex.SetSharedCache(p.Shared, core.PrefixSignatures(p.Graph, p.SharedScope))
+	}
+	if p.Placement != nil {
+		ex.SetPlacement(p.Placement)
+	}
 	return ex.RunContext(ctx)
 }

@@ -37,6 +37,25 @@ type Profile struct {
 	// extrapolated to.
 	SampleSizes [2]int
 	FullN       int
+	// Dist prices execution behind a remote placement (see
+	// core.DistModel) for every cost estimate made from this profile;
+	// nil is local execution.
+	Dist *core.DistModel
+}
+
+// place sets the profile's placement model: d's cluster terms with the
+// profiled output sizes as what an estimator's fetch transfers. A nil d
+// (local execution) leaves it nil.
+func (prof *Profile) place(d *core.DistModel) {
+	if d == nil {
+		return
+	}
+	m := *d
+	m.OutBytes = make(map[int]int64, len(prof.Nodes))
+	for id, np := range prof.Nodes {
+		m.OutBytes[id] = np.SizeBytes
+	}
+	prof.Dist = &m
 }
 
 // statsOf derives a node output's DataStats from its sample records —

@@ -116,7 +116,7 @@ func (s *sampleRun) eval(n *core.Node) sample {
 		return s.timeParts(n, func(i int) *engine.Collection {
 			out := s.memo[n.Deps[0].ID][i]
 			for _, d := range n.Deps[1:] {
-				out = s.ctx.Zip(out, s.memo[d.ID][i], concatFeatures)
+				out = s.ctx.Zip(out, s.memo[d.ID][i], core.ConcatFeatures)
 			}
 			return out
 		})
@@ -179,12 +179,4 @@ func (s *sampleRun) choose(n *core.Node, op any) any {
 		return nil
 	}
 	return options[cost.Choose(options, s.stats[n.Deps[0].ID], s.cfg.Resources)].Operator
-}
-
-func concatFeatures(a, b any) any {
-	x := a.([]float64)
-	y := b.([]float64)
-	out := make([]float64, 0, len(x)+len(y))
-	out = append(out, x...)
-	return append(out, y...)
 }

@@ -75,7 +75,9 @@ func randomCacheSet(r *rand.Rand, g *core.Graph, prof *Profile) map[int]bool {
 // property: on randomized DAGs and randomized cache sets, the schedule
 // plan's makespan at workers=1 must equal the paper's sequential
 // Σ t(v)·computes(v) estimate — the new model strictly generalizes the
-// old one, it does not replace it.
+// old one, it does not replace it. So must the placement model with every
+// term zero (one worker, no latency, free network): a nil DistModel is
+// that model, not a different recursion.
 func TestMakespanSequentialMatchesEstRuntime(t *testing.T) {
 	r := rand.New(rand.NewSource(20260726))
 	const dags = 250
@@ -84,10 +86,13 @@ func TestMakespanSequentialMatchesEstRuntime(t *testing.T) {
 		for trial := 0; trial < 3; trial++ {
 			cached := randomCacheSet(r, g, prof)
 			want := EstRuntime(g, prof, cached)
-			got := core.NewSchedulePlan(g, profTimes(prof), cached, 1).Makespan()
-			if math.Abs(got-want) > 1e-9*math.Max(1, want) {
-				t.Fatalf("DAG %d trial %d: workers=1 makespan %.12g != EstRuntime %.12g\n%s",
-					i, trial, got, want, g)
+			for _, dist := range []*core.DistModel{nil, {OutBytes: map[int]int64{g.Sink.ID: 1 << 20}}} {
+				plan := core.NewSchedulePlan(g, profTimes(prof), cached, 1)
+				plan.Dist = dist
+				if got := plan.Makespan(); math.Abs(got-want) > 1e-9*math.Max(1, want) {
+					t.Fatalf("DAG %d trial %d dist=%v: workers=1 makespan %.12g != EstRuntime %.12g\n%s",
+						i, trial, dist != nil, got, want, g)
+				}
 			}
 		}
 	}

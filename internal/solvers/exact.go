@@ -99,38 +99,41 @@ func (s *DistributedQR) Fit(ctx *engine.Context, data core.Fetch, labels core.Fe
 }
 
 // tsqr runs local QR per partition in parallel, then tree-combines the
-// (R, QᵀB) pairs until one remains.
+// (R, QᵀB) pairs until one remains. The tree pairs factors in partition
+// order, so the fitted W does not depend on which QR finished first.
 func (s *DistributedQR) tsqr(ctx *engine.Context, pairs []partPair, d, k int) *linalg.Matrix {
 	type factor struct {
 		r *linalg.Matrix // d x d
 		c *linalg.Matrix // d x k (Qᵀ B)
 	}
-	var mu sync.Mutex
-	var factors []factor
+	byPart := make([]factor, len(pairs))
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, ctx.Parallelism)
 	for i := range pairs {
-		p := &pairs[i]
-		if p.rows() == 0 {
+		if pairs[i].rows() == 0 {
 			continue
 		}
 		wg.Add(1)
 		sem <- struct{}{}
-		go func(p *partPair) {
+		go func(i int) {
 			defer wg.Done()
 			defer func() { <-sem }()
+			p := &pairs[i]
 			a := p.dense
 			if a == nil {
 				a = linalg.NewSparseMatrixFromRows(p.sparse).Dense()
 			}
 			f := linalg.QR(a)
-			c := f.Q.TMul(p.labels)
-			mu.Lock()
-			factors = append(factors, factor{r: f.R, c: c})
-			mu.Unlock()
-		}(p)
+			byPart[i] = factor{r: f.R, c: f.Q.TMul(p.labels)}
+		}(i)
 	}
 	wg.Wait()
+	factors := byPart[:0]
+	for _, f := range byPart {
+		if f.r != nil { // empty partitions contribute nothing
+			factors = append(factors, f)
+		}
+	}
 	// Tree reduction: QR of stacked [R1; R2].
 	for len(factors) > 1 {
 		next := make([]factor, 0, (len(factors)+1)/2)

@@ -326,9 +326,8 @@ func TestFitFetchesOncePerPassAndPacksOnce(t *testing.T) {
 }
 
 // TestFitIndependentOfKernelBackend: the fitted model is the same value
-// under every dispatch mode, for every solver that shares the pass. One
-// worker, because DistributedQR combines its partition factors in
-// completion order.
+// under every dispatch mode and worker count, for every solver that
+// shares the pass.
 func TestFitIndependentOfKernelBackend(t *testing.T) {
 	dense, dlab := passCases[4].build(3)
 	sparse, slab := passCases[5].build(4)
@@ -344,11 +343,13 @@ func TestFitIndependentOfKernelBackend(t *testing.T) {
 				data, labels *engine.Collection
 			}{{"dense", dense, dlab}, {"sparse", sparse, slab}} {
 				key := fmt.Sprintf("%d/%s/%s", i, est.Name(), in.kind)
-				got := est.Fit(engine.NewContext(1), fetchOf(in.data), fetchOf(in.labels))
-				if w, ok := want[key]; !ok {
-					want[key] = got
-				} else if !reflect.DeepEqual(got, w) {
-					t.Errorf("%s: model differs from the reference backend's", key)
+				for _, workers := range []int{1, 4} {
+					got := est.Fit(engine.NewContext(workers), fetchOf(in.data), fetchOf(in.labels))
+					if w, ok := want[key]; !ok {
+						want[key] = got
+					} else if !reflect.DeepEqual(got, w) {
+						t.Errorf("%s: model at %d workers differs from the reference backend's at 1", key, workers)
+					}
 				}
 			}
 		}

@@ -201,8 +201,9 @@ func (c *Cluster) declareDead(i int) {
 // redial-and-resend attempts with doubling backoff (every wire op is
 // idempotent, so a re-send after a lost response is safe); when the
 // budget is spent the worker is declared dead and a *WorkerFailure
-// returned. Application-level errors from a live worker (resp.Err) come
-// back as plain errors and never count against the worker.
+// returned. Application-level errors from a live worker (resp.Err), and
+// a request that cannot be encoded (ErrFrameEncode), come back as plain
+// errors and never count against the worker.
 func (c *Cluster) call(i int, req *request) (*response, error) {
 	wc := c.conns[i]
 	if wc.down.Load() {
@@ -228,6 +229,9 @@ func (c *Cluster) call(i int, req *request) (*response, error) {
 				return nil, fmt.Errorf("dist: worker %s: %s", wc.addr, resp.Err)
 			}
 			return resp, nil
+		}
+		if errors.Is(err, ErrFrameEncode) {
+			return nil, err
 		}
 		lastErr = err
 	}

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -304,4 +305,99 @@ func TestServeRouteAndRouter(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
+}
+
+// equalFits fits p once in this process and once over cl with no option
+// set but the partition count — the one input the two placements derive
+// differently — and checks the results agree: bit-identical predictions,
+// the same cache set and operator choices, and a training report.
+func equalFits[I any](t *testing.T, cl *Cluster, p *keystone.Pipeline[I, []float64], train, test keystone.Dataset[I]) {
+	t.Helper()
+	const partitions = 4
+	local, err := p.Fit(context.Background(), train.Records, train.Labels, keystone.WithPartitions(partitions))
+	if err != nil {
+		t.Fatalf("local fit: %v", err)
+	}
+	placed, rep, err := Fit(context.Background(), cl, p, train.Records, train.Labels, FitOptions{Partitions: partitions})
+	if err != nil {
+		t.Fatalf("dist fit: %v", err)
+	}
+	if rep.Partitions != partitions || rep.Recoveries != 0 {
+		t.Fatalf("report = %+v, want %d partitions and no recoveries", rep, partitions)
+	}
+	want, err := local.TransformBatch(context.Background(), test.Records)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := placed.TransformBatch(context.Background(), test.Records)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("dist predictions differ from the local fit's")
+	}
+	li, pi := local.Info(), placed.Info()
+	if !reflect.DeepEqual(pi.Chosen, li.Chosen) {
+		t.Errorf("dist chose operators %v, local %v", pi.Chosen, li.Chosen)
+	}
+	if !reflect.DeepEqual(pi.Cached, li.Cached) {
+		t.Errorf("dist cached %v, local %v", pi.Cached, li.Cached)
+	}
+	if len(placed.TrainReport()) == 0 {
+		t.Error("dist fit has no training report")
+	}
+	stats, err := cl.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for wi, per := range stats {
+		if len(per) != 0 {
+			t.Errorf("worker %d still holds %v after fit", wi, per)
+		}
+	}
+}
+
+// TestFitEqualsLocalFit: placement is a parameter of one Fit, not a
+// second implementation — on the linear text chain, the gathered speech
+// blocks and the branchy image DAG.
+func TestFitEqualsLocalFit(t *testing.T) {
+	cl, _ := startCluster(t, 2, WorkerOptions{})
+	t.Run("text", func(t *testing.T) {
+		p := keystone.TextPipeline(keystone.TextConfig{NumFeatures: 400, Iterations: 5})
+		equalFits(t, cl, p, keystone.SyntheticReviews(160, 1), keystone.SyntheticReviews(30, 2))
+	})
+	t.Run("speech", func(t *testing.T) {
+		p := keystone.SpeechPipeline(keystone.SpeechConfig{InputDim: 12, NumFeatures: 64, Seed: 7, Iterations: 5})
+		equalFits(t, cl, p, keystone.SyntheticDenseVectors(160, 12, 4, 1), keystone.SyntheticDenseVectors(30, 12, 4, 2))
+	})
+	t.Run("vision", func(t *testing.T) {
+		p := keystone.VisionPipeline(keystone.VisionConfig{
+			PCADims: 8, GMMComponents: 4, SampleDescs: 20, Seed: 9, Iterations: 5, WithLCS: true})
+		equalFits(t, cl, p, keystone.SyntheticImages(48, 32, 3, 4, 1), keystone.SyntheticImages(8, 32, 3, 4, 2))
+	})
+}
+
+// unshippable is a record type nobody registered for the wire.
+type unshippable struct{ V float64 }
+
+// TestFitUnencodableRecordLeavesClusterUsable: a record type gob cannot
+// encode is the caller's mistake, not a worker's failure — the fit fails
+// with ErrFrameEncode, no worker is declared dead, nothing stays
+// resident, and the same cluster then fits normally.
+func TestFitUnencodableRecordLeavesClusterUsable(t *testing.T) {
+	cl, _ := startCluster(t, 2, WorkerOptions{})
+	p := keystone.Then(keystone.Input[unshippable](),
+		keystone.NewOp("disttest.unwrap", func(u unshippable) []float64 { return []float64{u.V} }))
+	_, _, err := Fit(context.Background(), cl, p, []unshippable{{1}, {2}, {3}, {4}}, nil, FitOptions{Level: keystone.LevelNone})
+	if !errors.Is(err, ErrFrameEncode) {
+		t.Fatalf("fit over an unregistered record type: err = %v, want ErrFrameEncode", err)
+	}
+	if got := cl.LiveWorkers(); got != 2 {
+		t.Fatalf("%d live workers after an encode error, want 2", got)
+	}
+
+	train := keystone.SyntheticReviews(120, 1)
+	test := keystone.SyntheticReviews(30, 2)
+	text := keystone.TextPipeline(keystone.TextConfig{NumFeatures: 400, Iterations: 5})
+	equalFits(t, cl, text, train, test)
 }

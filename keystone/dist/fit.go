@@ -10,7 +10,6 @@ import (
 	"keystoneml/internal/cluster"
 	"keystoneml/internal/core"
 	"keystoneml/internal/engine"
-	"keystoneml/internal/optimizer"
 	"keystoneml/keystone"
 )
 
@@ -22,9 +21,10 @@ type FitOptions struct {
 	// split into (0 = 2x the worker count, so every worker holds work
 	// even after round-robin placement).
 	Partitions int
-	// Parallelism bounds the coordinator's local engine context, used
-	// for profiling and estimator fits (0 = 1: the coordinator is
-	// sequential; parallelism lives on the workers).
+	// Parallelism bounds the coordinator's engine context, used for
+	// profiling, estimator fits and the fitted pipeline's batch
+	// transforms (0 = NumCPU, as keystone.WithWorkers). The DAG walk over
+	// the workers is sequential whatever it says.
 	Parallelism int
 	// NumClasses feeds k into the solver cost models (0 = derived from
 	// the label width).
@@ -37,7 +37,8 @@ type FitOptions struct {
 	// SampleSizes overrides the two profiling sample sizes (zero = the
 	// optimizer's data-proportional default, see keystone.WithSampleSizes).
 	SampleSizes [2]int
-	// Resources describes the cluster for the cost model; nil uses
+	// Resources describes the cluster for the planner's placement terms
+	// (stage-launch latency, coordinator network weight); nil uses
 	// cluster.Loopback for the connected worker count.
 	Resources *cluster.Resources
 }
@@ -94,219 +95,56 @@ type Report struct {
 // partition-local, the recovered fit is bit-identical to the no-failure
 // run; the fit only aborts when no live workers remain. Report.Recoveries
 // says how many deaths a fit absorbed.
-func Fit[I, O any](ctx context.Context, cl *Cluster, p *keystone.Pipeline[I, O], records []I, labels [][]float64, opts FitOptions) (fitted *keystone.Fitted[I, O], rep *Report, err error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+func Fit[I, O any](ctx context.Context, cl *Cluster, p *keystone.Pipeline[I, O], records []I, labels [][]float64, opts FitOptions) (*keystone.Fitted[I, O], *Report, error) {
 	if cl == nil || cl.Workers() == 0 {
 		return nil, nil, fmt.Errorf("dist: Fit needs a connected cluster")
 	}
-	if len(records) == 0 {
-		return nil, nil, fmt.Errorf("dist: Fit requires at least one training record")
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	if labels != nil && len(labels) != len(records) {
-		return nil, nil, fmt.Errorf("dist: %d records but %d labels", len(records), len(labels))
+	res := cluster.Loopback(cl.Workers())
+	if opts.Resources != nil {
+		res = *opts.Resources
 	}
-	graph, out := p.EngineGraph()
-	if labels == nil && usesLabels(graph, out) {
-		return nil, nil, fmt.Errorf("dist: pipeline contains a supervised estimator but Fit was called with nil labels")
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			if a, ok := r.(distAbort); ok {
-				fitted, rep, err = nil, nil, a.err
-				return
-			}
-			fitted, rep, err = nil, nil, fmt.Errorf("dist: fit panicked: %v", r)
-		}
-	}()
-
-	workers := cl.Workers()
-	parts := opts.Partitions
-	if parts <= 0 {
-		parts = 2 * workers
-	}
-	if parts > len(records) {
-		parts = len(records)
-	}
-	par := opts.Parallelism
-	if par <= 0 {
-		par = 1
-	}
-	classes := opts.NumClasses
-	if classes == 0 && len(labels) > 0 {
-		classes = len(labels[0])
-	}
-	res := opts.Resources
-	if res == nil {
-		r := cluster.Loopback(workers)
-		res = &r
-	}
-
-	boxed := make([]any, len(records))
-	for i, r := range records {
-		boxed[i] = r
-	}
-	data := engine.FromSlice(boxed, parts)
-	var lab *engine.Collection
-	if labels != nil {
-		boxedLab := make([]any, len(labels))
-		for i, l := range labels {
-			boxedLab[i] = l
-		}
-		lab = engine.FromSlice(boxedLab, parts)
-	}
-
-	// Optimize a private clone with the distributed cost model attached;
-	// p's DAG stays pristine, like the local Fit.
-	g := graph.Clone()
-	g.Sink = g.Nodes[out.ID]
-	logical := make(map[int]string, len(g.Nodes))
-	for _, n := range g.Nodes {
-		logical[n.ID] = n.OpName()
-	}
-	plan, err := optimizer.OptimizeContext(ctx, g, data, lab, optimizer.Config{
-		Level:          level(opts.Level),
-		Resources:      *res,
-		MemBudgetBytes: opts.CacheBudgetBytes,
-		NumClasses:     classes,
-		SampleSizes:    opts.SampleSizes,
-		Parallelism:    par,
-		Dist: &core.DistModel{
-			Workers:         workers,
-			StageLatencySec: res.StageLatencySec,
-			NetSecPerByte:   res.CoordWeight(),
-		},
-	})
-	if err != nil {
-		return nil, nil, fmt.Errorf("dist: optimize: %w", err)
-	}
-
-	trainStart := time.Now()
-	run := &fitRun{
-		ctx:     ctx,
-		cl:      cl,
-		g:       plan.Graph,
-		cached:  make(map[int]bool, len(plan.CacheSet)),
-		labels:  lab,
-		ectx:    engine.NewContext(par),
-		models:  make(map[int]core.TransformOp),
-		names:   make(map[int]string),
-		fetched: make(map[int]*engine.Collection),
-		lin:     core.NewLineage(),
-		data:    data,
-		dirty:   make(map[int]bool),
-	}
-	for _, id := range plan.CacheSet {
-		run.cached[id] = true
-	}
-	defer run.freeAll()
-
-	if err := run.loadSource(); err != nil {
-		return nil, nil, fmt.Errorf("dist: load training data: %w", err)
-	}
-	// Demand the sink: transforms and gathers execute remotely, estimator
-	// fits pull their (globally ordered) inputs back to the coordinator.
-	name, temp, err := run.demand(plan.Graph.Sink)
+	run := &fitRun{ctx: ctx, cl: cl, lin: core.NewLineage(), dirty: make(map[int]bool), live: make(map[string]bool)}
+	model := core.DistModel{Workers: cl.Workers(), StageLatencySec: res.StageLatencySec, NetSecPerByte: res.CoordWeight()}
+	fitted, err := keystone.FitPlaced(ctx, p, records, labels, keystone.Site{Placement: run, Model: model},
+		keystone.WithOptimizerLevel(opts.Level),
+		keystone.WithWorkers(opts.Parallelism),
+		keystone.WithPartitions(opts.Partitions),
+		keystone.WithNumClasses(opts.NumClasses),
+		keystone.WithCacheBudget(opts.CacheBudgetBytes),
+		keystone.WithSampleSizes(opts.SampleSizes[0], opts.SampleSizes[1]))
 	if err != nil {
 		return nil, nil, err
 	}
-	run.release(name, temp)
-
-	inner := core.NewFitted(plan.Graph, run.models, engine.NewContext(par))
-	info := keystone.FitInfo{
-		OptimizeTime: plan.OptimizeTime,
-		TrainTime:    time.Since(trainStart),
-		CSEMerged:    plan.CSEMerged,
-		Chosen:       make(map[string]string, len(plan.Chosen)),
-	}
-	rep = &Report{
-		Workers:            workers,
-		Partitions:         parts,
-		OptimizeTime:       plan.OptimizeTime,
+	info := fitted.Info()
+	return fitted, &Report{
+		Workers:            cl.Workers(),
+		Partitions:         info.Partitions,
+		OptimizeTime:       info.OptimizeTime,
 		TrainTime:          info.TrainTime,
+		ModeledMakespan:    info.ModeledTrainTime.Seconds(),
+		CacheSet:           info.Cached,
 		Recoveries:         run.recoveries,
 		ReplayedPartitions: run.replayedParts,
-	}
-	if plan.Schedule != nil {
-		rep.ModeledMakespan = plan.Schedule.Makespan()
-	}
-	for _, id := range plan.CacheSet {
-		info.Cached = append(info.Cached, plan.Graph.Nodes[id].OpName())
-	}
-	sort.Strings(info.Cached)
-	rep.CacheSet = info.Cached
-	for id, op := range plan.Chosen {
-		info.Chosen[fmt.Sprintf("#%d %s", id, logical[id])] = op
-	}
-	if plan.Profile != nil {
-		info.SampleSizes = plan.Profile.SampleSizes
-		for _, np := range plan.Profile.Nodes {
-			info.EstimatedStateBytes += np.SizeBytes
-		}
-	}
-	return keystone.NewEngineFitted[I, O](inner, info), rep, nil
+	}, nil
 }
 
-// level maps the public optimizer level to the internal one (the
-// keystone package keeps its mapping unexported).
-func level(l keystone.Level) optimizer.Level {
-	switch l {
-	case keystone.LevelNone:
-		return optimizer.LevelNone
-	case keystone.LevelPipeline:
-		return optimizer.LevelPipeline
-	default:
-		return optimizer.LevelFull
-	}
-}
-
-// usesLabels reports whether any node reachable from out reads the label
-// source (mirrors the keystone-internal check).
-func usesLabels(g *core.Graph, out *core.Node) bool {
-	seen := make(map[int]bool)
-	var walk func(n *core.Node) bool
-	walk = func(n *core.Node) bool {
-		if seen[n.ID] {
-			return false
-		}
-		seen[n.ID] = true
-		if n == g.Labels {
-			return true
-		}
-		for _, d := range n.Deps {
-			if walk(d) {
-				return true
-			}
-		}
-		return false
-	}
-	return walk(out)
-}
-
-// distAbort carries a distributed-execution error out of estimator Fit
-// callbacks (which cannot return errors) to the top-level recover.
-type distAbort struct{ err error }
-
-// fitRun is the coordinator-side state of one distributed execution: a
-// demand-driven recursion over the optimized DAG where retained
-// (cache-set) datasets are computed once and kept resident under stable
-// names, and everything else is recomputed per demand under temp names
-// and freed immediately — the same recompute-on-miss semantics the cost
-// model priced.
+// fitRun is the core.Placement of one distributed fit: every dataset the
+// executor's walk produces lives on the workers under a name this run
+// issued, and a handle is that name plus, once an estimator has fetched
+// it, the coordinator's copy. Which datasets stay resident between
+// passes is the walk's decision (what its pinned-set cache admits);
+// everything else is released right after its last use and recomputed on
+// the next demand — the recompute-on-miss semantics the cost model
+// priced. It is single-caller, like the Cluster's recovery state.
 type fitRun struct {
-	ctx    context.Context
-	cl     *Cluster
-	g      *core.Graph
-	cached map[int]bool
-	labels *engine.Collection
-	ectx   *engine.Context
-	models map[int]core.TransformOp
+	ctx context.Context
+	cl  *Cluster
 
-	names   map[int]string             // node ID -> resident dataset (cache set + source)
-	fetched map[int]*engine.Collection // coordinator-side fetch memo for cached nodes
-	tmpSeq  int
-	temps   map[string]bool // live temp names, for cleanup on abort
+	seq  int
+	live map[string]bool // datasets resident on the workers, freed at Close
 
 	// Fault-tolerance state: the recorded derivation of every dataset
 	// this run created, the coordinator's copy of the root partitions
@@ -319,186 +157,113 @@ type fitRun struct {
 	replayedParts int
 }
 
-func (r *fitRun) sourceName() string { return fmt.Sprintf("n%d", r.g.Source.ID) }
-
-func (r *fitRun) tempName() string {
-	r.tmpSeq++
-	name := fmt.Sprintf("t%d", r.tmpSeq)
-	if r.temps == nil {
-		r.temps = make(map[string]bool)
-	}
-	r.temps[name] = true
-	return name
+// dataset is fitRun's handle: a dataset name on the workers. fetched
+// memoises the coordinator's copy, so an iterative estimator refetches a
+// dataset that stays resident for free, exactly as the cost model
+// assumes; a temp's handle dies with its release.
+type dataset struct {
+	name    string
+	fetched *engine.Collection
 }
 
-// release frees a temp dataset after its one use; retained datasets stay
-// resident for later demands. The lineage node is only marked dropped,
-// not deleted: live descendants still replay through it.
-func (r *fitRun) release(name string, temp bool) {
-	if !temp {
-		return
+// create runs op to build a new dataset under a fresh name.
+func (r *fitRun) create(op func(name string) error) (core.Dataset, error) {
+	r.seq++
+	name := fmt.Sprintf("d%d", r.seq)
+	r.live[name] = true
+	if err := op(name); err != nil {
+		return nil, err
 	}
-	delete(r.temps, name)
-	r.lin.Drop(name)
-	r.cl.Free(name) //nolint:errcheck // best-effort: a failed free only leaks worker memory
+	return &dataset{name: name}, nil
 }
 
-// freeAll drops every dataset this run created on the workers (resident
-// and leftover temps). Called on both success and abort.
-func (r *fitRun) freeAll() {
-	names := []string{r.sourceName()}
-	for _, n := range r.names {
-		names = append(names, n)
+// handle resolves a dataset the executor passes back. The bound labels
+// are the one dataset that is not this run's: they stay on the
+// coordinator.
+func handle(d core.Dataset) (*dataset, error) {
+	ds, ok := d.(*dataset)
+	if !ok {
+		return nil, fmt.Errorf("dist: %T demanded as a remote dataset (labels stay on the coordinator)", d)
 	}
-	for n := range r.temps {
+	return ds, nil
+}
+
+// Source ships the training data and records it as the lineage root the
+// whole fit replays from.
+func (r *fitRun) Source(data *engine.Collection) (core.Dataset, error) {
+	r.data = data
+	d, err := r.create(func(name string) error {
+		r.lin.Root(name)
+		return r.retrying(name, func() error { return r.cl.Load(name, data) })
+	})
+	if err != nil {
+		return nil, fmt.Errorf("dist: load training data: %w", err)
+	}
+	return d, nil
+}
+
+// Apply implements core.Placement.
+func (r *fitRun) Apply(in core.Dataset, op core.TransformOp) (core.Dataset, error) {
+	src, err := handle(in)
+	if err != nil {
+		return nil, err
+	}
+	return r.create(func(dst string) error { return r.applyOp(dst, src.name, op) })
+}
+
+// Zip implements core.Placement: the join is core.ConcatFeatures on the
+// workers, so feature layouts match the local executor bit for bit.
+func (r *fitRun) Zip(a, b core.Dataset) (core.Dataset, error) {
+	left, err := handle(a)
+	if err != nil {
+		return nil, err
+	}
+	right, err := handle(b)
+	if err != nil {
+		return nil, err
+	}
+	return r.create(func(dst string) error { return r.zipOp(dst, left.name, right.name) })
+}
+
+// Fetch pulls d back in global partition order, once per handle.
+func (r *fitRun) Fetch(d core.Dataset) (*engine.Collection, error) {
+	ds, err := handle(d)
+	if err != nil {
+		return nil, err
+	}
+	if ds.fetched == nil {
+		coll, err := r.fetchOp(ds.name)
+		if err != nil {
+			return nil, err
+		}
+		ds.fetched = coll
+	}
+	return ds.fetched, nil
+}
+
+// Size implements core.Placement. Remote sizes are not measured: the
+// planner already fitted the pinned set to the cache budget from
+// profiled sizes, and at run time the budget never binds.
+func (r *fitRun) Size(core.Dataset) int64 { return 0 }
+
+// Release frees a temp dataset after its last use. The lineage node is
+// only marked dropped, not deleted: live descendants still replay
+// through it.
+func (r *fitRun) Release(d core.Dataset) {
+	n := d.(*dataset).name
+	delete(r.live, n)
+	r.lin.Drop(n)
+	r.cl.Free(n) //nolint:errcheck // best-effort: a failed free only leaks worker memory
+}
+
+// Close drops every dataset this run still holds on the workers: the
+// source, what stayed resident, and whatever an aborted walk left.
+func (r *fitRun) Close() {
+	names := make([]string, 0, len(r.live))
+	for n := range r.live {
 		names = append(names, n)
 	}
 	r.cl.Free(names...) //nolint:errcheck // best-effort cleanup
-}
-
-// demand materializes node n's output on the workers and returns the
-// dataset name holding it plus whether the caller owns (must release) it.
-func (r *fitRun) demand(n *core.Node) (string, bool, error) {
-	if err := checkCtx(r.ctx); err != nil {
-		return "", false, err
-	}
-	switch n.Kind {
-	case core.KindSource:
-		return r.sourceName(), false, nil
-	case core.KindLabels:
-		return "", false, fmt.Errorf("dist: labels demanded as a remote dataset (labels stay on the coordinator)")
-	case core.KindEstimator:
-		return "", false, fmt.Errorf("dist: estimator node %d demanded as a dataset", n.ID)
-	}
-	if name, ok := r.names[n.ID]; ok {
-		return name, false, nil
-	}
-	retain := r.cached[n.ID]
-	var out string
-	if retain {
-		out = fmt.Sprintf("n%d", n.ID)
-	} else {
-		out = r.tempName()
-	}
-	if err := r.compute(n, out); err != nil {
-		return "", false, err
-	}
-	if retain {
-		r.names[n.ID] = out
-		return out, false, nil
-	}
-	return out, true, nil
-}
-
-// compute executes one node remotely, storing its output under out.
-func (r *fitRun) compute(n *core.Node, out string) error {
-	switch n.Kind {
-	case core.KindTransform:
-		in, temp, err := r.demand(n.Deps[0])
-		if err != nil {
-			return err
-		}
-		err = r.applyOp(out, in, n.Transform)
-		r.release(in, temp)
-		return err
-	case core.KindGather:
-		return r.gather(n, out)
-	case core.KindApplyModel:
-		model, err := r.fit(n.Deps[0])
-		if err != nil {
-			return err
-		}
-		in, temp, err := r.demand(n.Deps[1])
-		if err != nil {
-			return err
-		}
-		err = r.applyOp(out, in, model)
-		r.release(in, temp)
-		return err
-	default:
-		return fmt.Errorf("dist: cannot compute %s node %d remotely", n.Kind, n.ID)
-	}
-}
-
-// gather concatenates the branches' features pairwise left to right —
-// the same association order as the local executor, so feature layouts
-// match bit for bit.
-func (r *fitRun) gather(n *core.Node, out string) error {
-	acc, accTemp, err := r.demand(n.Deps[0])
-	if err != nil {
-		return err
-	}
-	if len(n.Deps) == 1 {
-		err = r.aliasOp(out, acc)
-		r.release(acc, accTemp)
-		return err
-	}
-	for i := 1; i < len(n.Deps); i++ {
-		b, bTemp, err := r.demand(n.Deps[i])
-		if err != nil {
-			r.release(acc, accTemp)
-			return err
-		}
-		dst := out
-		intermediate := i < len(n.Deps)-1
-		if intermediate {
-			dst = r.tempName()
-		}
-		err = r.zipOp(dst, acc, b)
-		r.release(acc, accTemp)
-		r.release(b, bTemp)
-		if err != nil {
-			return err
-		}
-		acc, accTemp = dst, intermediate
-	}
-	return nil
-}
-
-// fit runs one estimator on the coordinator. Its data fetches demand the
-// input remotely and pull it back in global partition order; cached
-// inputs are memoized locally so iterative estimators refetch for free,
-// exactly as the cost model assumes.
-func (r *fitRun) fit(n *core.Node) (core.TransformOp, error) {
-	if n.Kind != core.KindEstimator {
-		return nil, fmt.Errorf("dist: node %d is %s, want estimator", n.ID, n.Kind)
-	}
-	if m, ok := r.models[n.ID]; ok {
-		return m, nil
-	}
-	dep := n.Deps[0]
-	dataFetch := func() *engine.Collection {
-		if c := r.fetched[dep.ID]; c != nil {
-			return c
-		}
-		name, temp, err := r.demand(dep)
-		if err != nil {
-			panic(distAbort{err})
-		}
-		coll, err := r.fetchOp(name)
-		r.release(name, temp)
-		if err != nil {
-			panic(distAbort{err})
-		}
-		if r.cached[dep.ID] {
-			r.fetched[dep.ID] = coll
-		}
-		return coll
-	}
-	var labelsFetch core.Fetch
-	if len(n.Deps) > 1 {
-		// Deps[1] is the label source; labels never leave the
-		// coordinator, so the fetch is a local lookup.
-		labelsFetch = func() *engine.Collection {
-			if r.labels == nil {
-				panic(distAbort{fmt.Errorf("dist: pipeline uses labels but none were bound at Fit time")})
-			}
-			return r.labels
-		}
-	}
-	model := n.Estimator.Fit(r.ectx, dataFetch, labelsFetch)
-	r.models[n.ID] = model
-	return model, nil
 }
 
 // --- fault tolerance ---------------------------------------------------
@@ -510,14 +275,6 @@ func (r *fitRun) fit(n *core.Node) (core.TransformOp, error) {
 // idempotent (they replace their output wholesale per worker), so the
 // retried op never needs partial-progress bookkeeping — only the other
 // live datasets do, and those are exactly what the replay rebuilds.
-
-// loadSource ships the training data under the source node's name and
-// records it as the lineage root the whole fit replays from.
-func (r *fitRun) loadSource() error {
-	name := r.sourceName()
-	r.lin.Root(name)
-	return r.retrying(name, func() error { return r.cl.Load(name, r.data) })
-}
 
 // applyOp records and dispatches one operator application. The operator
 // is encoded once; the same bytes serve the wire and the lineage record,
@@ -535,12 +292,6 @@ func (r *fitRun) applyOp(dst, src string, op core.TransformOp) error {
 func (r *fitRun) zipOp(dst, a, b string) error {
 	r.lin.Zip(dst, a, b)
 	return r.retrying(dst, func() error { return r.cl.Zip(dst, a, b) })
-}
-
-// aliasOp records and dispatches one single-branch gather.
-func (r *fitRun) aliasOp(dst, src string) error {
-	r.lin.Alias(dst, src)
-	return r.retrying(dst, func() error { return r.cl.Alias(dst, src) })
 }
 
 // fetchOp pulls a dataset back to the coordinator under the same

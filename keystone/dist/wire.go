@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"io"
 
+	"keystoneml/internal/image"
 	"keystoneml/internal/linalg"
 )
 
@@ -53,6 +54,11 @@ var (
 	// ErrFrameCorrupt: the payload arrived whole but is not a valid gob
 	// message for the expected type.
 	ErrFrameCorrupt = errors.New("dist: corrupt frame payload")
+	// ErrFrameEncode: the message could not be gob-encoded — in practice
+	// a record type missing from RegisterRecordType. Nothing was written:
+	// it is the sender's fault, not the connection's or the peer's, and
+	// sending again cannot help.
+	ErrFrameEncode = errors.New("dist: frame not encodable")
 )
 
 // Wire operation names (request.Op).
@@ -110,16 +116,14 @@ type response struct {
 }
 
 // writeFrame gob-encodes v with a fresh encoder and writes it as one
-// length-prefixed frame.
+// length-prefixed frame. A value that does not encode fails with
+// ErrFrameEncode before anything reaches w.
 func writeFrame(w io.Writer, v any) error {
-	var buf []byte
-	{
-		bw := &sliceWriter{}
-		if err := gob.NewEncoder(bw).Encode(v); err != nil {
-			return fmt.Errorf("dist: encode frame: %w", err)
-		}
-		buf = bw.b
+	bw := &sliceWriter{}
+	if err := gob.NewEncoder(bw).Encode(v); err != nil {
+		return fmt.Errorf("%w: %v", ErrFrameEncode, err)
 	}
+	buf := bw.b
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], uint32(len(buf)))
 	if _, err := w.Write(hdr[:]); err != nil {
@@ -178,16 +182,20 @@ func (r *sliceReader) Read(p []byte) (int, error) {
 // transport (records travel as []any inside partitions, so gob needs
 // the concrete types on both ends). The evaluation pipelines' record
 // types are pre-registered; pipelines with custom record types call
-// this in both the coordinator and worker binaries.
+// this in both the coordinator and worker binaries. A fit that ships an
+// unregistered type fails with ErrFrameEncode and leaves the cluster
+// usable.
 func RegisterRecordType(v any) { gob.Register(v) }
 
 func init() {
 	// The record types of the built-in evaluation pipelines: documents,
 	// token/n-gram lists, term-frequency maps, sparse featurizations,
-	// dense feature/label vectors.
+	// dense feature/label vectors, images and their descriptor sets.
 	gob.Register("")
 	gob.Register([]string(nil))
 	gob.Register(map[string]float64{})
 	gob.Register([]float64(nil))
 	gob.Register(&linalg.SparseVector{})
+	gob.Register(&image.Image{})
+	gob.Register([][]float64(nil))
 }

@@ -3,6 +3,7 @@ package dist
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -148,7 +149,12 @@ func (w *Worker) serveConn(conn net.Conn) {
 			return // EOF or torn frame: the coordinator is gone
 		}
 		resp := w.handle(&req)
-		if err := writeFrame(conn, resp); err != nil {
+		err := writeFrame(conn, resp)
+		if errors.Is(err, ErrFrameEncode) {
+			// The connection is intact; the request fails, not the worker.
+			err = writeFrame(conn, &response{Err: err.Error()})
+		}
+		if err != nil {
 			return
 		}
 	}

@@ -22,7 +22,18 @@ import (
 // (mid-pass, between partition dispatches), and the DAG schedulers all
 // poll it, and errors.Is(err, context.Canceled) (or DeadlineExceeded)
 // reports why a canceled Fit stopped.
-func (p *Pipeline[I, O]) Fit(ctx context.Context, records []I, labels [][]float64, opts ...Option) (fitted *Fitted[I, O], err error) {
+func (p *Pipeline[I, O]) Fit(ctx context.Context, records []I, labels [][]float64, opts ...Option) (*Fitted[I, O], error) {
+	return FitPlaced(ctx, p, records, labels, Site{}, opts...)
+}
+
+// FitPlaced is Fit with the training partitions living at site: the one
+// front-end behind Pipeline.Fit (the zero Site, this process) and
+// keystone/dist's Fit (worker processes). Validation, boxing,
+// optimization, the executor's walk and the returned Fitted — its
+// serving context included — are the same code for both; the site
+// supplies the placement the walk dispatches through, the cost terms the
+// planner prices it with, and the default partition count.
+func FitPlaced[I, O any](ctx context.Context, p *Pipeline[I, O], records []I, labels [][]float64, site Site, opts ...Option) (fitted *Fitted[I, O], err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -32,7 +43,10 @@ func (p *Pipeline[I, O]) Fit(ctx context.Context, records []I, labels [][]float6
 	if labels != nil && len(labels) != len(records) {
 		return nil, fmt.Errorf("keystone: %d records but %d labels", len(records), len(labels))
 	}
-	if labels == nil && p.usesLabels() {
+	// Optimize and train a private clone; p's DAG stays pristine.
+	g := p.g.Clone()
+	g.Sink = g.Nodes[p.out.ID]
+	if labels == nil && g.Reachable()[g.Labels.ID] {
 		return nil, fmt.Errorf("keystone: pipeline contains a supervised estimator but Fit was called with nil labels")
 	}
 	// The public boundary converts internal panics (operator type
@@ -59,7 +73,7 @@ func (p *Pipeline[I, O]) Fit(ctx context.Context, records []I, labels [][]float6
 		classes = len(labels[0])
 	}
 
-	parts := cfg.partitionsOr(len(records))
+	parts := cfg.partitionsAt(site)
 	boxed := make([]any, len(records))
 	for i, r := range records {
 		boxed[i] = r
@@ -74,10 +88,6 @@ func (p *Pipeline[I, O]) Fit(ctx context.Context, records []I, labels [][]float6
 		lab = engine.FromSlice(boxedLab, parts)
 	}
 
-	// Optimize and train a private clone; p's DAG stays pristine.
-	g := p.g.Clone()
-	g.Sink = g.Nodes[p.out.ID]
-
 	// Logical operator names, captured before operator substitution
 	// rewrites the nodes in place, so FitInfo can report
 	// logical -> physical.
@@ -86,11 +96,11 @@ func (p *Pipeline[I, O]) Fit(ctx context.Context, records []I, labels [][]float6
 		logical[n.ID] = n.OpName()
 	}
 
-	plan, err := optimizer.OptimizeContext(ctx, g, data, lab, cfg.optimizerConfig(classes))
+	plan, err := optimizer.OptimizeContext(ctx, g, data, lab, cfg.optimizerConfig(classes, site))
 	if err != nil {
 		return nil, fmt.Errorf("keystone: optimize: %w", err)
 	}
-	plan.DispatchFIFO = cfg.scheduler == SchedulerFIFO
+	plan.Placement = site.Placement
 	if cfg.prefix != nil {
 		// Scope the shared keys by the training data shape: equal-data
 		// fits (the PrefixCache contract) key identically, while a cache
@@ -105,34 +115,13 @@ func (p *Pipeline[I, O]) Fit(ctx context.Context, records []I, labels [][]float6
 	}
 
 	inner := core.NewFitted(plan.Graph, models, engine.NewContext(cfg.workers))
+	info := newFitInfo(plan, report, logical)
+	info.Partitions = data.NumPartitions()
 	return &Fitted[I, O]{
 		inner:  inner,
-		info:   newFitInfo(plan, report, logical),
+		info:   info,
 		report: nodeReports(plan.Graph, report),
 	}, nil
-}
-
-// usesLabels reports whether any estimator reachable from the output
-// reads the label source.
-func (p *Pipeline[I, O]) usesLabels() bool {
-	seen := make(map[int]bool)
-	var walk func(n *core.Node) bool
-	walk = func(n *core.Node) bool {
-		if seen[n.ID] {
-			return false
-		}
-		seen[n.ID] = true
-		if n == p.g.Labels {
-			return true
-		}
-		for _, d := range n.Deps {
-			if walk(d) {
-				return true
-			}
-		}
-		return false
-	}
-	return walk(p.out)
 }
 
 // Fitted is a trained pipeline from I records to O records. It is
@@ -202,9 +191,15 @@ func (f *Fitted[I, O]) TrainReport() []NodeReport {
 // FitInfo summarizes one Fit call: optimizer decisions and wall times.
 type FitInfo struct {
 	// OptimizeTime is the optimization overhead (sampling + profiling +
-	// planning); TrainTime the full-data execution.
-	OptimizeTime time.Duration
-	TrainTime    time.Duration
+	// planning); TrainTime the full-data execution, and ModeledTrainTime
+	// what the planner's cost model said the chosen plan's execution
+	// would take (zero when profiling did not run).
+	OptimizeTime     time.Duration
+	TrainTime        time.Duration
+	ModeledTrainTime time.Duration
+	// Partitions is the number of partitions the training data was split
+	// into (WithPartitions, or the placement's default).
+	Partitions int
 	// SampleSizes are the record counts of the two nested profiling
 	// samples the optimizer actually ran on — what OptimizeTime was spent
 	// over. Zero when profiling did not run (LevelNone).
@@ -258,6 +253,9 @@ func newFitInfo(plan *optimizer.Plan, report *core.ExecReport, logical map[int]s
 		// itself now carries the physical operator, and two branches can
 		// share a logical name.
 		info.Chosen[fmt.Sprintf("#%d %s", id, logical[id])] = op
+	}
+	if plan.Schedule != nil {
+		info.ModeledTrainTime = time.Duration(plan.Schedule.Makespan() * float64(time.Second))
 	}
 	if plan.Profile != nil {
 		info.SampleSizes = plan.Profile.SampleSizes

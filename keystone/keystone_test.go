@@ -321,41 +321,6 @@ func TestFitPreCanceled(t *testing.T) {
 	}
 }
 
-// TestSchedulerPolicyEquivalence: the scheduler policy changes dispatch
-// order and retention, never results — both policies must produce
-// identical predictions from the same data.
-func TestSchedulerPolicyEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	train := SyntheticReviews(120, 1)
-	test := SyntheticReviews(16, 2)
-	fitWith := func(policy SchedulerPolicy) []string {
-		p := TextPipeline(TextConfig{NumFeatures: 400, Iterations: 6})
-		opts := append(quickOpts(), WithWorkers(4), WithSchedulerPolicy(policy))
-		fitted, err := p.Fit(context.Background(), train.Records, train.Labels, opts...)
-		if err != nil {
-			t.Fatalf("fit with policy %d: %v", policy, err)
-		}
-		out := make([]string, len(test.Records))
-		for i, r := range test.Records {
-			scores, err := fitted.Transform(context.Background(), r)
-			if err != nil {
-				t.Fatalf("transform: %v", err)
-			}
-			out[i] = fmt.Sprintf("%v", scores)
-		}
-		return out
-	}
-	auto := fitWith(SchedulerAuto)
-	fifo := fitWith(SchedulerFIFO)
-	for i := range auto {
-		if auto[i] != fifo[i] {
-			t.Fatalf("record %d: SchedulerAuto %s != SchedulerFIFO %s", i, auto[i], fifo[i])
-		}
-	}
-}
-
 // TestPipelineReusableAfterFit: Fit must not mutate the pipeline —
 // fitting the same Pipeline value twice with the same data must produce
 // identical predictions (the DAG is cloned per Fit, so CSE rewrites and

@@ -52,25 +52,6 @@ const (
 	CacheNone
 )
 
-// SchedulerPolicy selects how the parallel DAG scheduler orders ready
-// work during Fit.
-type SchedulerPolicy int
-
-const (
-	// SchedulerAuto (the default) dispatches ready nodes by the shared
-	// schedule plan's priorities — longest downstream critical path
-	// first, ties broken toward outputs the materialization plan pins
-	// and toward nodes that unlock the widest stages — and enables
-	// speculative cross-pass retention: an intermediate the pinned set
-	// rejected is kept in the cache budget's free headroom while an
-	// estimator that will refetch it is still fitting.
-	SchedulerAuto SchedulerPolicy = iota
-	// SchedulerFIFO dispatches ready nodes in pass-plan order with no
-	// speculative retention (the scheduler's behaviour before the
-	// shared schedule plan existed), kept for comparisons.
-	SchedulerFIFO
-)
-
 // KernelBackend selects the linalg kernel dispatch mode underneath
 // every operator (GEMM, QR/SVD panel updates, dot/axpy).
 type KernelBackend int
@@ -109,7 +90,6 @@ type fitConfig struct {
 	numClasses  int
 	sampleSizes [2]int
 	nodes       int
-	scheduler   SchedulerPolicy
 	kernels     KernelBackend
 	prefix      *PrefixCache
 }
@@ -123,15 +103,21 @@ func defaultFitConfig() fitConfig {
 	}
 }
 
-func (c fitConfig) partitionsOr(n int) int {
-	if c.partitions > 0 {
+// partitionsAt resolves the partition count of the training data — the
+// one input a fit derives from where it runs: one partition per CPU in
+// this process, two per worker behind a remote placement, so that every
+// worker holds work after round-robin placement. engine.FromSlice caps it
+// at the record count. A model is bit-identical across placements only
+// under equal partitioning; WithPartitions pins it.
+func (c fitConfig) partitionsAt(site Site) int {
+	switch {
+	case c.partitions > 0:
 		return c.partitions
+	case site.Placement != nil:
+		return 2 * site.Model.Workers
+	default:
+		return runtime.NumCPU()
 	}
-	p := runtime.NumCPU()
-	if p > n && n > 0 {
-		p = n
-	}
-	return p
 }
 
 // Option configures a Fit call; see the With* constructors.
@@ -185,14 +171,6 @@ func WithSampleSizes(s1, s2 int) Option {
 	return func(c *fitConfig) { c.sampleSizes = [2]int{s1, s2} }
 }
 
-// WithSchedulerPolicy selects the parallel DAG scheduler's dispatch
-// strategy (default SchedulerAuto: schedule-plan priority dispatch plus
-// speculative cross-pass retention; SchedulerFIFO restores plain
-// ready-order dispatch with retention off).
-func WithSchedulerPolicy(p SchedulerPolicy) Option {
-	return func(c *fitConfig) { c.scheduler = p }
-}
-
 // WithKernelBackend selects the linalg kernel dispatch mode (default
 // KernelAuto). The setting is process-global — the kernel registry is
 // shared by every pipeline in the process — and is applied at Fit
@@ -221,9 +199,10 @@ func WithClusterNodes(n int) Option {
 	}
 }
 
-// optimizerConfig lowers the resolved options onto the internal optimizer.
-func (c fitConfig) optimizerConfig(classes int) optimizer.Config {
-	return optimizer.Config{
+// optimizerConfig lowers the resolved options, and the cost model of a
+// placed fit's site, onto the internal optimizer.
+func (c fitConfig) optimizerConfig(classes int, site Site) optimizer.Config {
+	cfg := optimizer.Config{
 		Level:          c.level.internal(),
 		Resources:      cluster.Local(c.nodes),
 		MemBudgetBytes: c.budgetForPlanner(),
@@ -231,6 +210,10 @@ func (c fitConfig) optimizerConfig(classes int) optimizer.Config {
 		SampleSizes:    c.sampleSizes,
 		Parallelism:    c.workers,
 	}
+	if site.Placement != nil {
+		cfg.Dist = &site.Model
+	}
+	return cfg
 }
 
 // budgetForPlanner feeds the cache budget to the greedy materialization
