@@ -10,7 +10,7 @@ GO ?= go
 # The packages whose API is the product (documentation gate, size ledger).
 PUBLIC_PKGS = keystone keystone/serve keystone/registry keystone/dist keystone/tune
 
-.PHONY: build test race vet staticcheck docs-check ledger bench-smoke bench bench-sched bench-serve bench-canary bench-dist bench-kernels bench-tune benchdiff e2e e2e-compare flake serve serve-smoke dist-smoke ci
+.PHONY: build test race vet staticcheck docs-check ledger bench-smoke bench bench-sched bench-serve bench-canary bench-dist bench-kernels bench-tune benchdiff e2e e2e-compare flake fuzz-serve serve serve-smoke dist-smoke ci
 
 build:
 	$(GO) build ./...
@@ -134,6 +134,14 @@ FLAKE_PKGS = ./keystone/ ./keystone/serve/ ./keystone/dist/ ./keystone/tune/
 flake:
 	GOMAXPROCS=1 $(GO) test -race -count=5 $(FLAKE_PKGS)
 	GOMAXPROCS=4 $(GO) test -race -count=5 $(FLAKE_PKGS)
+
+# Fuzz the numeric serve codecs against their encoding/json oracle (the
+# seed corpus alone already runs under `go test`); one target per run is
+# go test's rule.
+FUZZTIME ?= 30s
+fuzz-serve:
+	$(GO) test -run '^$$' -fuzz FuzzImageDecode -fuzztime $(FUZZTIME) ./keystone/serve
+	$(GO) test -run '^$$' -fuzz FuzzVectorDecode -fuzztime $(FUZZTIME) ./keystone/serve
 
 # The HTTP inference server (trains text + vision pipelines at startup).
 serve:

@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"keystoneml/internal/httpbody"
 	"keystoneml/keystone/serve"
 )
 
@@ -173,9 +174,10 @@ func (rt *Router) pick(key []byte) (*replica, int) {
 // live one, so a killed replica costs its clients one internal retry,
 // not an error.
 func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(r.Body)
+	body, status, err := httpbody.Read(w, r)
 	if err != nil {
-		http.Error(w, `{"error":"router: read body"}`, http.StatusBadRequest)
+		msg, _ := json.Marshal(map[string]string{"error": "router: " + err.Error()})
+		http.Error(w, string(msg), status)
 		return
 	}
 	key := []byte(r.Header.Get("X-Affinity-Key"))

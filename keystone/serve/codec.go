@@ -3,6 +3,8 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"math"
+	"strconv"
 
 	"keystoneml/keystone"
 )
@@ -43,7 +45,7 @@ func ClassPrediction(scores []float64, labels []string) Prediction {
 			best = i
 		}
 	}
-	label := fmt.Sprintf("class%d", best)
+	label := "class" + strconv.Itoa(best)
 	if best < len(labels) && labels[best] != "" {
 		label = labels[best]
 	}
@@ -99,32 +101,54 @@ type VectorCodec struct {
 
 // DecodeRequest implements Codec.
 func (c VectorCodec) DecodeRequest(body []byte) ([]float64, error) {
-	var req struct {
-		Vector []float64 `json:"vector"`
+	s := scanner{buf: body}
+	var v []float64
+	for ok := s.open('{', '}'); ok; ok = s.next('}') {
+		if string(s.key()) == "vector" {
+			v = s.floats()
+		} else {
+			s.skip()
+		}
 	}
-	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, fmt.Errorf("bad JSON: %w", err)
+	if err := s.end(); err != nil {
+		return nil, err
 	}
-	return c.check(req.Vector)
+	return c.check(v)
 }
 
-// DecodeBatch implements Codec.
+// DecodeBatch implements Codec. The rows of a batch are slices of one
+// array.
 func (c VectorCodec) DecodeBatch(body []byte) ([][]float64, error) {
-	var req struct {
-		Vectors [][]float64 `json:"vectors"`
+	s := scanner{buf: body}
+	var rows [][]float64
+	for ok := s.open('{', '}'); ok; ok = s.next('}') {
+		if string(s.key()) != "vectors" {
+			s.skip()
+			continue
+		}
+		rows = rows[:0]
+		for ok := s.open('[', ']'); ok; ok = s.next(']') {
+			row := s.floats()
+			if rows == nil && c.Dim > 0 {
+				// The first row sized s.flat for the whole batch, and this
+				// many rows of Dim fit it.
+				rows = make([][]float64, 0, cap(s.flat)/c.Dim)
+			}
+			rows = append(rows, row)
+		}
 	}
-	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, fmt.Errorf("bad JSON: %w", err)
+	if err := s.end(); err != nil {
+		return nil, err
 	}
-	if len(req.Vectors) == 0 {
+	if len(rows) == 0 {
 		return nil, fmt.Errorf(`missing or empty "vectors" field`)
 	}
-	for i, v := range req.Vectors {
+	for i, v := range rows {
 		if _, err := c.check(v); err != nil {
 			return nil, fmt.Errorf("vector %d: %w", i, err)
 		}
 	}
-	return req.Vectors, nil
+	return rows, nil
 }
 
 func (c VectorCodec) check(v []float64) ([]float64, error) {
@@ -140,30 +164,6 @@ func (c VectorCodec) check(v []float64) ([]float64, error) {
 // Response implements Codec.
 func (c VectorCodec) Response(out []float64) any { return ClassPrediction(out, c.Labels) }
 
-// imageJSON is the wire form of one image: planar pixels with explicit
-// dimensions.
-type imageJSON struct {
-	Width    int       `json:"width"`
-	Height   int       `json:"height"`
-	Channels int       `json:"channels"`
-	Pixels   []float64 `json:"pixels"`
-}
-
-func (in imageJSON) toImage() (*keystone.Image, error) {
-	ch := in.Channels
-	if ch == 0 {
-		ch = 1
-	}
-	if in.Width <= 0 || in.Height <= 0 || ch < 0 {
-		return nil, fmt.Errorf("invalid image dimensions %dx%dx%d", in.Width, in.Height, ch)
-	}
-	if len(in.Pixels) != in.Width*in.Height*ch {
-		return nil, fmt.Errorf("image %dx%dx%d needs %d pixels, got %d",
-			in.Width, in.Height, ch, in.Width*in.Height*ch, len(in.Pixels))
-	}
-	return &keystone.Image{Width: in.Width, Height: in.Height, Channels: ch, Pix: in.Pixels}, nil
-}
-
 // ImageCodec serves image pipelines with the wire format
 // {"width": W, "height": H, "channels": C, "pixels": [...]} (planar,
 // channels defaulting to 1) and {"images": [{...}, ...]} for batches.
@@ -173,33 +173,89 @@ type ImageCodec struct {
 
 // DecodeRequest implements Codec.
 func (c ImageCodec) DecodeRequest(body []byte) (*keystone.Image, error) {
-	var in imageJSON
-	if err := json.Unmarshal(body, &in); err != nil {
-		return nil, fmt.Errorf("bad JSON: %w", err)
+	s := scanner{buf: body}
+	im := s.image()
+	err := s.end()
+	if err == nil {
+		err = checkImage(im)
 	}
-	return in.toImage()
+	if err != nil {
+		return nil, err
+	}
+	return im, nil
 }
 
-// DecodeBatch implements Codec.
+// DecodeBatch implements Codec. The pixels of a batch's images are
+// slices of one array.
 func (c ImageCodec) DecodeBatch(body []byte) ([]*keystone.Image, error) {
-	var req struct {
-		Images []imageJSON `json:"images"`
+	s := scanner{buf: body}
+	var ims []*keystone.Image
+	for ok := s.open('{', '}'); ok; ok = s.next('}') {
+		if string(s.key()) != "images" {
+			s.skip()
+			continue
+		}
+		ims = ims[:0]
+		for ok := s.open('[', ']'); ok; ok = s.next(']') {
+			ims = append(ims, s.image())
+		}
 	}
-	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, fmt.Errorf("bad JSON: %w", err)
+	if err := s.end(); err != nil {
+		return nil, err
 	}
-	if len(req.Images) == 0 {
+	if len(ims) == 0 {
 		return nil, fmt.Errorf(`missing or empty "images" field`)
 	}
-	out := make([]*keystone.Image, len(req.Images))
-	for i, in := range req.Images {
-		im, err := in.toImage()
-		if err != nil {
+	for i, im := range ims {
+		if err := checkImage(im); err != nil {
 			return nil, fmt.Errorf("image %d: %w", i, err)
 		}
-		out[i] = im
 	}
-	return out, nil
+	return ims, nil
+}
+
+// image consumes one image object, its members in any order. The result
+// is unchecked: a member given twice counts as last given, so the shape
+// is only known once the body has been read.
+func (s *scanner) image() *keystone.Image {
+	im := new(keystone.Image)
+	for ok := s.open('{', '}'); ok; ok = s.next('}') {
+		switch string(s.key()) {
+		case "width":
+			s.integer(&im.Width)
+		case "height":
+			s.integer(&im.Height)
+		case "channels":
+			s.integer(&im.Channels)
+		case "pixels":
+			im.Pix = s.floats()
+		default:
+			s.skip()
+		}
+	}
+	return im
+}
+
+// checkImage defaults im's channels to 1 and checks its pixel count
+// against its dimensions. The pixels were sized by what the body held,
+// never by the dimensions it declared, so dimensions that overflow or
+// promise more than was sent have cost nothing by the time they are
+// refused here.
+func checkImage(im *keystone.Image) error {
+	if im.Channels == 0 {
+		im.Channels = 1
+	}
+	w, h, ch := im.Width, im.Height, im.Channels
+	if w <= 0 || h <= 0 || ch < 0 {
+		return fmt.Errorf("invalid image dimensions %dx%dx%d", w, h, ch)
+	}
+	if h > math.MaxInt/w || ch > math.MaxInt/(w*h) {
+		return fmt.Errorf("image dimensions %dx%dx%d overflow", w, h, ch)
+	}
+	if len(im.Pix) != w*h*ch {
+		return fmt.Errorf("image %dx%dx%d needs %d pixels, got %d", w, h, ch, w*h*ch, len(im.Pix))
+	}
+	return nil
 }
 
 // Response implements Codec.

@@ -5,21 +5,18 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"regexp"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"keystoneml/internal/httpbody"
 	"keystoneml/keystone"
 )
 
-const (
-	defaultRouteTimeout = 5 * time.Second
-	// maxRequestBody bounds one request body read (predict or batch).
-	maxRequestBody = 32 << 20
-)
+const defaultRouteTimeout = 5 * time.Second
 
 var routeNameRE = regexp.MustCompile(`^[a-z0-9][a-z0-9_-]*$`)
 
@@ -293,7 +290,7 @@ func (rt *Route[I, O]) handlePredict(w http.ResponseWriter, r *http.Request) {
 		rt.predictError(w, err)
 		return
 	}
-	w.Header().Set("X-Keystone-Version", fmt.Sprint(ver))
+	w.Header().Set("X-Keystone-Version", strconv.Itoa(ver))
 	writeJSON(w, rt.codec.Response(out))
 }
 
@@ -318,8 +315,10 @@ func (rt *Route[I, O]) handleBatch(w http.ResponseWriter, r *http.Request) {
 	for i, out := range outs {
 		results[i] = rt.codec.Response(out)
 	}
-	w.Header().Set("X-Keystone-Version", fmt.Sprint(ver))
-	writeJSON(w, map[string]any{"results": results})
+	w.Header().Set("X-Keystone-Version", strconv.Itoa(ver))
+	writeJSON(w, struct {
+		Results []any `json:"results"`
+	}{results})
 }
 
 // predictError renders a failed prediction, attaching the Retry-After
@@ -333,9 +332,8 @@ func (rt *Route[I, O]) predictError(w http.ResponseWriter, err error) {
 }
 
 func (rt *Route[I, O]) handleDeploy(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxRequestBody))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "read body: "+err.Error())
+	body, ok := readBody(w, r)
+	if !ok {
 		return
 	}
 	// {"artifact": ref} selects the registry-backed deploy path: resolve
@@ -483,14 +481,15 @@ func (rt *Route[I, O]) Shed() int64 { return rt.adm.Load().Shed() }
 
 func durMS(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
+// readBody reads a POST body whole, answering 405, 413 or 400 itself
+// when there is none to return.
 func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST only")
+	if !requirePost(w, r) {
 		return nil, false
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxRequestBody))
+	body, status, err := httpbody.Read(w, r)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "read body: "+err.Error())
+		httpError(w, status, err.Error())
 		return nil, false
 	}
 	return body, true

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"time"
@@ -112,9 +111,8 @@ func (rt *Route[I, O]) handleRollout(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "use GET for state or POST to apply")
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxRequestBody))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "read body: "+err.Error())
+	body, ok := readBody(w, r)
+	if !ok {
 		return
 	}
 	var s RolloutState

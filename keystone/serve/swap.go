@@ -292,20 +292,33 @@ func (rt *Route[I, O]) predictBatch(ctx context.Context, recs []I) ([]O, int, er
 		if !v.gate.enter() {
 			continue
 		}
-		outs, err := v.fitted.TransformBatch(ctx, recs)
-		if err == nil {
-			rt.served.Add(int64(len(recs)))
-			v.served.Add(int64(len(recs)))
-		} else {
-			// Counters are in records on both sides: a failed batch failed
-			// every record in it, or error rates would understate batch
-			// failures by the batch size.
-			v.errs.Add(int64(len(recs)))
-		}
-		id := v.id
-		v.gate.leave()
-		return outs, id, err
+		outs, err := rt.serveBatchPinned(ctx, v, recs)
+		return outs, v.id, err
 	}
+}
+
+// serveBatchPinned is servePinned for a whole batch. It is the batch
+// path's panic boundary: TransformBatch runs on the caller's goroutine —
+// over HTTP the handler's, where net/http answers an operator panic by
+// dropping the connection — so a panic becomes the error Batcher.execute
+// makes of one, with the gate left and the records counted failed.
+func (rt *Route[I, O]) serveBatchPinned(ctx context.Context, v *version[I, O], recs []I) (outs []O, err error) {
+	defer v.gate.leave()
+	defer func() {
+		if p := recover(); p != nil {
+			outs, err = nil, fmt.Errorf("keystone: pipeline panicked: %v", p)
+		}
+		// Counters are in records on both sides: a failed batch failed
+		// every record in it, or error rates would understate batch
+		// failures by the batch size.
+		if n := int64(len(recs)); err == nil {
+			rt.served.Add(n)
+			v.served.Add(n)
+		} else {
+			v.errs.Add(n)
+		}
+	}()
+	return v.fitted.TransformBatch(ctx, recs)
 }
 
 // closeRoute retires the live version and stops the tuner. Requests in
