@@ -1,16 +1,17 @@
 # Development and CI entry points. `make ci` runs the workflow's test
-# job steps (vet/build/race/bench-smoke); the GitHub Actions workflow
-# additionally runs them under a GOMAXPROCS {1,4} matrix plus the
-# `bench-sched` experiment and a `staticcheck` job — run those targets
-# too before pushing anything non-trivial (staticcheck downloads the
-# tool on first use, so it needs the network once).
+# job steps (vet/build/race/bench-smoke/smokes); the GitHub Actions
+# workflow additionally runs them under a GOMAXPROCS {1,4} matrix plus a
+# `staticcheck` job — run that target too before pushing anything
+# non-trivial (staticcheck downloads the tool on first use, so it needs
+# the network once). Measurements live in one place, bench/e2e
+# (`make e2e`); `keybench` prints the paper's tables and figures.
 
 GO ?= go
 
 # The packages whose API is the product (documentation gate, size ledger).
 PUBLIC_PKGS = keystone keystone/serve keystone/registry keystone/dist keystone/tune
 
-.PHONY: build test race vet staticcheck docs-check ledger bench-smoke bench bench-sched bench-serve bench-canary bench-dist bench-kernels bench-tune benchdiff e2e e2e-compare flake fuzz-serve serve serve-smoke dist-smoke ci
+.PHONY: build test race vet staticcheck docs-check ledger bench-smoke bench bench-kernels e2e e2e-compare flake fuzz-serve serve serve-smoke dist-smoke ci
 
 build:
 	$(GO) build ./...
@@ -60,56 +61,11 @@ bench-smoke:
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
 
-# Smoke the schedule-plan benchmark: the branchy-DAG experiment where
-# the makespan-aware pin set must beat the sequential-model pin set,
-# on a single-proc and a multi-proc schedule.
-bench-sched:
-	GOMAXPROCS=1 $(GO) run ./cmd/keybench -exp sched
-	GOMAXPROCS=4 $(GO) run ./cmd/keybench -exp sched
-
-# The serving autotuner experiment: static batcher limits versus the
-# SLO-driven tuner against a p95 target, on a live in-process server
-# under closed-loop load.
-bench-serve:
-	$(GO) run ./cmd/keybench -exp serve
-
-# The rollout-safety experiment: a degraded candidate caught at a 10%
-# canary fraction and aborted with zero failed requests, then admission
-# control holding p95 near the SLO under 4x overload while the
-# unprotected server collapses.
-bench-canary:
-	$(GO) run ./cmd/keybench -exp canary
-
-# The distributed-fit experiment: measured data-parallel speedup at 1
-# vs 2 workers on a latency-bound pipeline, checked against the
-# extended makespan simulator's ranking; BENCH_dist.json lands in /tmp.
-bench-dist:
-	$(GO) run ./cmd/keybench -exp dist -benchout /tmp/keystone-bench
-
 # The kernel-backend experiment: reference vs blocked GEMM/TMul/QR/SVD
 # microbenchmarks at GOMAXPROCS 1 and 4, measured-dispatch checks, and
-# end-to-end VOC/CIFAR fit deltas; BENCH_kernels.json lands in
-# /tmp/keystone-bench for benchdiff.
+# end-to-end VOC/CIFAR fit deltas. Informational: it prints a table.
 bench-kernels:
-	$(GO) run ./cmd/keybench -exp kernels -benchout /tmp/keystone-bench
-
-# The hyperparameter-search experiment: shared vs isolated prefix-cache
-# search wall time over a solver grid (the tracked shared_speedup
-# metric), winner bit-identity against a standalone fit, and a halving
-# search whose winner auto-deploys to a live route; BENCH_tune.json
-# lands in /tmp/keystone-bench for benchdiff.
-bench-tune:
-	$(GO) run ./cmd/keybench -exp tune -benchout /tmp/keystone-bench
-
-# The perf regression gate: compares the freshly generated kernel and
-# tune numbers against the committed baselines in bench/baseline,
-# failing on any tracked metric that regresses past 15%. Not part of
-# `make ci`: on a 2-CPU host it fails on an unchanged tree (PR 16: 2 of 2
-# runs at the parent commit), and a gate that fails without a change
-# gates nothing. The GitHub workflow runs it with its own loose
-# threshold.
-benchdiff: bench-kernels bench-tune bench-dist
-	$(GO) run ./cmd/benchdiff -fresh /tmp/keystone-bench
+	$(GO) run ./cmd/keybench -exp kernels
 
 # The end-to-end ledger (bench/e2e, declared in BENCHMARK.json): the four
 # train → deploy → serve workloads, first untraced (the end-to-end

@@ -292,29 +292,6 @@ func BenchmarkParallelDAG(b *testing.B) {
 	}
 }
 
-// BenchmarkSchedPlanPinSets runs the branchy-DAG schedule-plan
-// experiment (sequential-model vs makespan-model pin sets at equal
-// budget, executed on the real parallel scheduler). `make bench-sched`
-// drives the same experiment through keybench at GOMAXPROCS 1 and 4;
-// the branch latencies are sleeps, so the makespan-aware set's win
-// survives single-core hosts.
-func BenchmarkSchedPlanPinSets(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.SchedulePlanExp(io.Discard, experiments.Quick)
-	}
-}
-
-// BenchmarkTuneSearch runs the hyperparameter-search experiment: shared
-// vs isolated prefix-cache search over a solver grid, then a successive-
-// halving search whose winner auto-deploys through the registry-backed
-// canary path. `make bench-tune` drives the same experiment through
-// keybench and emits BENCH_tune.json for the regression gate.
-func BenchmarkTuneSearch(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.TuneSearch(io.Discard, experiments.Quick)
-	}
-}
-
 // BenchmarkParallelVOC runs the two-branch (SIFT+LCS) vision pipeline —
 // the real multi-branch evaluation DAG — under both schedulers. On a
 // single-core host the CPU-bound branches cannot overlap and this

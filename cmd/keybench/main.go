@@ -7,11 +7,9 @@
 //	keybench -scale full     # larger sizes, sharper ratios
 //
 // Experiments: table1 fig6 table2 fig7 costmodel table3 table5 fig8
-// table6 fig9 fig10 fig11 fig12 parallel sched serve canary dist
-// kernels tune.
-//
-// With -benchout DIR each experiment additionally writes its headline
-// numbers as DIR/BENCH_<name>.json for machine consumption.
+// table6 fig9 fig10 fig11 fig12 kernels (the reference-vs-blocked
+// kernel crossover). The output is informational; the end-to-end
+// measurements live in bench/e2e.
 package main
 
 import (
@@ -24,8 +22,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run (all, table1, fig6, table2, fig7, costmodel, table3, table5, fig8, table6, fig9, fig10, fig11, fig12, parallel, sched, serve, canary, dist, kernels, tune)")
-	benchOut := flag.String("benchout", "", "directory for machine-readable BENCH_*.json results (empty = off)")
+	exp := flag.String("exp", "all", "experiment to run (all, table1, fig6, table2, fig7, costmodel, table3, table5, fig8, table6, fig9, fig10, fig11, fig12, kernels)")
 	scaleFlag := flag.String("scale", "quick", "experiment scale: quick or full")
 	flag.Parse()
 
@@ -33,7 +30,6 @@ func main() {
 	if strings.EqualFold(*scaleFlag, "full") {
 		scale = experiments.Full
 	}
-	experiments.SetBenchDir(*benchOut)
 	w := os.Stdout
 
 	runners := []struct {
@@ -53,13 +49,7 @@ func main() {
 		{"fig10", func() { experiments.Figure10(w, scale) }},
 		{"fig11", func() { experiments.Figure11(w, scale) }},
 		{"fig12", func() { experiments.Figure12(w) }},
-		{"parallel", func() { experiments.ParallelExec(w, scale) }},
-		{"sched", func() { experiments.SchedulePlanExp(w, scale) }},
-		{"serve", func() { experiments.ServeAutotune(w, scale) }},
-		{"canary", func() { experiments.ServeCanary(w, scale) }},
-		{"dist", func() { experiments.DistFit(w, scale) }},
 		{"kernels", func() { experiments.Kernels(w, scale) }},
-		{"tune", func() { experiments.TuneSearch(w, scale) }},
 	}
 
 	ran := false

@@ -9,15 +9,13 @@ import (
 // LineageKind classifies how a named distributed dataset came to exist.
 type LineageKind int
 
-// The four derivation forms the distributed executor produces: a root
+// The three derivation forms the distributed executor produces: a root
 // load from the coordinator's partitions, an operator application over
-// one parent, a gather-join of two parents, and an alias (single-branch
-// gather, the output is the input).
+// one parent, and a gather-join of two parents.
 const (
 	LineageRoot LineageKind = iota
 	LineageApply
 	LineageZip
-	LineageAlias
 )
 
 // String names the derivation form for error messages and logs.
@@ -29,8 +27,6 @@ func (k LineageKind) String() string {
 		return "apply"
 	case LineageZip:
 		return "zip"
-	case LineageAlias:
-		return "alias"
 	default:
 		return fmt.Sprintf("lineage(%d)", int(k))
 	}
@@ -98,11 +94,6 @@ func (l *Lineage) Apply(dst, src, opKind string, opState []byte) {
 // Zip records dst as the partition-aligned gather-join of a and b.
 func (l *Lineage) Zip(dst, a, b string) {
 	l.put(&LineageNode{Name: dst, Kind: LineageZip, Parents: []string{a, b}})
-}
-
-// Alias records dst as an alias of src's partitions.
-func (l *Lineage) Alias(dst, src string) {
-	l.put(&LineageNode{Name: dst, Kind: LineageAlias, Parents: []string{src}})
 }
 
 // Drop marks name as no longer resident. The node itself is retained:

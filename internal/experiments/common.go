@@ -3,16 +3,16 @@
 // a scaled-down version of the experiment on synthetic workloads and
 // prints rows shaped like the paper's, so the qualitative claims (who
 // wins, by roughly what factor, where the crossovers fall) can be checked
-// directly. cmd/keybench dispatches to these, and bench_test.go wraps
-// them as Go benchmarks.
+// directly. Kernels adds the reference-vs-blocked kernel crossover the
+// measured dispatch rests on. cmd/keybench dispatches to these, and
+// bench_test.go wraps them as Go benchmarks. The experiments only print;
+// what they show is asserted in this package's tests and the packages'
+// own suites, and the end-to-end measurements live in bench/e2e.
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"time"
 
 	"keystoneml/internal/core"
@@ -30,37 +30,6 @@ const (
 	// Full is the report-quality scale.
 	Full
 )
-
-// benchDir, when set, makes experiments additionally write their
-// headline numbers as BENCH_<name>.json files there (keybench -benchout),
-// so CI and regression tooling can consume measurements without parsing
-// the human-readable tables.
-var benchDir string
-
-// SetBenchDir selects where BENCH_*.json files are written ("" disables
-// emission, the default).
-func SetBenchDir(dir string) { benchDir = dir }
-
-// emitBench writes one experiment's machine-readable result. Emission is
-// best-effort: a failure warns on stderr but never fails the experiment.
-func emitBench(name string, payload any) {
-	if benchDir == "" {
-		return
-	}
-	if err := os.MkdirAll(benchDir, 0o755); err != nil {
-		fmt.Fprintf(os.Stderr, "bench emit %s: %v\n", name, err)
-		return
-	}
-	b, err := json.MarshalIndent(payload, "", "  ")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "bench emit %s: %v\n", name, err)
-		return
-	}
-	path := filepath.Join(benchDir, "BENCH_"+name+".json")
-	if err := os.WriteFile(path, append(b, '\n'), 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "bench emit %s: %v\n", name, err)
-	}
-}
 
 // timeIt measures fn's wall time.
 func timeIt(fn func()) time.Duration {

@@ -460,22 +460,6 @@ func (c *Cluster) ZipParts(worker int, dst, a, b string, only []int) error {
 	return err
 }
 
-// Alias binds dst to src's partitions on every live worker (a
-// single-branch gather: the output is the input).
-func (c *Cluster) Alias(dst, src string) error {
-	_, err := c.broadcast(func(int) *request {
-		return &request{Op: opAlias, Dataset: dst, Source: src}
-	})
-	return err
-}
-
-// AliasParts replays the alias for exactly the given global partitions
-// on one worker, merging into dst.
-func (c *Cluster) AliasParts(worker int, dst, src string, only []int) error {
-	_, err := c.call(worker, &request{Op: opAlias, Dataset: dst, Source: src, Only: only})
-	return err
-}
-
 // Fetch pulls a dataset's partitions back from every live worker and
 // reassembles them in global partition order — the collection an
 // estimator fit sees is bit-identical (same partition structure, same

@@ -17,7 +17,7 @@ import (
 // oracle at every injection point.
 
 // chaosConfig is the small text pipeline every chaos test fits: big
-// enough to exercise load, apply, zip/alias gathers, and estimator
+// enough to exercise load, apply, zip gathers, and estimator
 // fetches; small enough to re-fit once per injection point.
 func chaosPipeline() *keystone.Pipeline[string, []float64] {
 	return keystone.TextPipeline(keystone.TextConfig{NumFeatures: 100, Iterations: 3})
@@ -178,7 +178,7 @@ func TestChaosKillAtEveryPassBoundary(t *testing.T) {
 	}
 	assertOracleMatch(t, fitted)
 
-	kinds := []string{opLoad, opApply, opZip, opAlias, opFetch}
+	kinds := []string{opLoad, opApply, opZip, opFetch}
 	total := 0
 	for _, kind := range kinds {
 		n := counter.FrameCount(kind, 0)

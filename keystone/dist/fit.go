@@ -436,8 +436,6 @@ func (r *fitRun) replay(skip string) error {
 				err = r.cl.ApplyParts(w, node.Name, node.Parents[0], node.OpKind, node.OpState, parts)
 			case core.LineageZip:
 				err = r.cl.ZipParts(w, node.Name, node.Parents[0], node.Parents[1], parts)
-			case core.LineageAlias:
-				err = r.cl.AliasParts(w, node.Name, node.Parents[0], parts)
 			default:
 				err = fmt.Errorf("dist: cannot replay %s lineage node %q", node.Kind, node.Name)
 			}

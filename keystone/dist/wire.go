@@ -67,7 +67,6 @@ const (
 	opLoad  = "load"  // store the request's partitions under Dataset
 	opApply = "apply" // map a decoded operator over Source into Dataset
 	opZip   = "zip"   // gather join: concat Source and Source2 features into Dataset
-	opAlias = "alias" // bind Dataset to Source's partitions (single-branch gather)
 	opFetch = "fetch" // return Dataset's partitions
 	opFree  = "free"  // drop Dataset
 	opServe = "serve" // register Route on the worker's HTTP replica from Artifact
@@ -87,7 +86,7 @@ type partition struct {
 // are meaningful.
 type request struct {
 	Op      string
-	Dataset string      // result (load/apply/zip/alias) or target (fetch/free)
+	Dataset string      // result (load/apply/zip) or target (fetch/free)
 	Source  string      // input dataset
 	Source2 string      // right input (zip)
 	Parts   []partition // payload (load)
@@ -96,7 +95,7 @@ type request struct {
 	Route   string      // serve: route name
 	Kind    string      // serve: registered codec kind
 	Ref     string      // serve: registry artifact id/tag/prefix
-	// Only restricts apply/zip/alias to these global partition indices
+	// Only restricts apply/zip to these global partition indices
 	// of the source dataset(s), and switches the result from
 	// replace-dataset to merge-partitions semantics — the lineage-replay
 	// mode: recovery rebuilds exactly the lost partitions on their new

@@ -229,34 +229,6 @@ func (w *Worker) dispatch(req *request, resp *response) error {
 		out := w.ctx.Zip(collA, collB, core.ConcatFeatures)
 		w.putParts(req.Dataset, idxA, out, len(req.Only) > 0)
 		return nil
-	case opAlias:
-		w.mu.Lock()
-		defer w.mu.Unlock()
-		src, ok := w.data[req.Source]
-		if !ok {
-			return fmt.Errorf("dist: no dataset %q", req.Source)
-		}
-		if len(req.Only) > 0 {
-			dst := w.data[req.Dataset]
-			if dst == nil {
-				dst = make(map[int][]any, len(req.Only))
-				w.data[req.Dataset] = dst
-			}
-			for _, gi := range req.Only {
-				recs, ok := src[gi]
-				if !ok {
-					return fmt.Errorf("dist: alias %q: partition %d not resident", req.Source, gi)
-				}
-				dst[gi] = recs
-			}
-			return nil
-		}
-		dst := make(map[int][]any, len(src))
-		for i, recs := range src {
-			dst[i] = recs
-		}
-		w.data[req.Dataset] = dst
-		return nil
 	case opFetch:
 		idx, coll, err := w.collection(req.Dataset)
 		if err != nil {

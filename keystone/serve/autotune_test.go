@@ -165,7 +165,7 @@ func TestTunerHoldsWithoutEvidence(t *testing.T) {
 // with a hostile 80ms assembly window against a 15ms p95 SLO, under
 // concurrent load. The tuner must pull the window down by at least 4x
 // within a second of traffic — the online half of the acceptance
-// criterion (the keybench serve experiment quantifies the rest).
+// criterion (the Tuner* tests above pin the offline half).
 func TestAutotunerLiveConvergence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")

@@ -1,4 +1,4 @@
-package tuning
+package tune
 
 import (
 	"context"
@@ -7,15 +7,18 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"keystoneml/internal/workload"
 )
 
-// TestHalveBoundsConcurrentFits pins the Parallelism contract: at most
-// cfg.Parallelism candidates fit at once, and the worker budget is
-// divided among the concurrent fits so nested parallelism cannot
-// oversubscribe (4 candidates under budget 2 -> 2 at a time, 1 worker
-// each; 2 candidates under budget 8 -> both at once, 4 workers each).
+// halveConfig is a search config carrying only what halve reads.
+func halveConfig(eta, minSample, parallelism int) config[int, int] {
+	return config[int, int]{eta: eta, minSample: minSample, parallelism: parallelism}
+}
+
+// TestHalveBoundsConcurrentFits pins the parallelism contract: at most
+// parallelism candidates fit at once, and the worker budget is divided
+// among the concurrent fits so nested parallelism cannot oversubscribe
+// (4 candidates under budget 2 -> 2 at a time, 1 worker each; 2
+// candidates under budget 8 -> both at once, 4 workers each).
 func TestHalveBoundsConcurrentFits(t *testing.T) {
 	cases := []struct {
 		cands, parallelism, wantWorkers int
@@ -26,8 +29,8 @@ func TestHalveBoundsConcurrentFits(t *testing.T) {
 	}
 	for _, tc := range cases {
 		var cur, peak int64
-		fit := func(ctx context.Context, r Round, cand, workers int) (float64, error) {
-			if workers != tc.wantWorkers && r.Index == 0 {
+		fit := func(ctx context.Context, r round, cand, workers int) (float64, error) {
+			if workers != tc.wantWorkers && r.index == 0 {
 				t.Errorf("cands=%d P=%d: fit got %d workers, want %d",
 					tc.cands, tc.parallelism, workers, tc.wantWorkers)
 			}
@@ -42,8 +45,8 @@ func TestHalveBoundsConcurrentFits(t *testing.T) {
 			atomic.AddInt64(&cur, -1)
 			return float64(cand), nil
 		}
-		cfg := Config{Parallelism: tc.parallelism, MinSample: 64}
-		if _, err := Halve(context.Background(), tc.cands, 64, cfg, nil, fit); err != nil {
+		cfg := halveConfig(2, 64, tc.parallelism)
+		if _, err := cfg.halve(context.Background(), tc.cands, 64, nil, fit); err != nil {
 			t.Fatalf("cands=%d P=%d: %v", tc.cands, tc.parallelism, err)
 		}
 		if got := atomic.LoadInt64(&peak); got > int64(tc.parallelism) {
@@ -59,20 +62,20 @@ func TestHalveCancelBetweenRounds(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var fits int64
-	fit := func(ctx context.Context, r Round, cand, workers int) (float64, error) {
-		if r.Index > 0 {
-			t.Errorf("candidate %d fitted in round %d after cancellation", cand, r.Index)
+	fit := func(ctx context.Context, r round, cand, workers int) (float64, error) {
+		if r.index > 0 {
+			t.Errorf("candidate %d fitted in round %d after cancellation", cand, r.index)
 		}
 		atomic.AddInt64(&fits, 1)
 		return float64(cand), nil
 	}
-	roundStart := func(r Round) {
-		if r.Index == 1 {
+	roundStart := func(r round) {
+		if r.index == 1 {
 			cancel()
 		}
 	}
-	// 4 candidates over 256 records from MinSample 64 would run 3 rounds.
-	_, err := Halve(ctx, 4, 256, Config{Parallelism: 2, MinSample: 64}, roundStart, fit)
+	// 4 candidates over 256 records from minSample 64 would run 3 rounds.
+	_, err := halveConfig(2, 64, 2).halve(ctx, 4, 256, roundStart, fit)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -82,14 +85,14 @@ func TestHalveCancelBetweenRounds(t *testing.T) {
 }
 
 // TestHalveCancelMidFit cancels while fits are in flight: in-flight fits
-// observe ctx and unwind, no further candidates dispatch, and Halve
+// observe ctx and unwind, no further candidates dispatch, and halve
 // returns only after every dispatched fit has finished (no leaks).
 func TestHalveCancelMidFit(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	started := make(chan struct{}, 8)
 	var running, dispatched int64
-	fit := func(ctx context.Context, r Round, cand, workers int) (float64, error) {
+	fit := func(ctx context.Context, r round, cand, workers int) (float64, error) {
 		atomic.AddInt64(&dispatched, 1)
 		atomic.AddInt64(&running, 1)
 		defer atomic.AddInt64(&running, -1)
@@ -99,11 +102,11 @@ func TestHalveCancelMidFit(t *testing.T) {
 	}
 	var wg sync.WaitGroup
 	wg.Add(1)
-	var outcomes []Outcome
+	var outcomes []outcome
 	var err error
 	go func() {
 		defer wg.Done()
-		outcomes, err = Halve(ctx, 6, 256, Config{Parallelism: 2, MinSample: 64}, nil, fit)
+		outcomes, err = halveConfig(2, 64, 2).halve(ctx, 6, 256, nil, fit)
 	}()
 	<-started
 	<-started // both worker slots occupied mid-fit
@@ -116,7 +119,7 @@ func TestHalveCancelMidFit(t *testing.T) {
 		t.Error("canceled search returned partial outcomes")
 	}
 	if got := atomic.LoadInt64(&running); got != 0 {
-		t.Errorf("%d fits still running after Halve returned", got)
+		t.Errorf("%d fits still running after halve returned", got)
 	}
 	if got := atomic.LoadInt64(&dispatched); got > 3 {
 		// 2 in flight when canceled; at most one more could slip through
@@ -134,44 +137,27 @@ func TestHalveRetainsBestCandidate(t *testing.T) {
 		for _, eta := range []int{2, 3} {
 			for phase := 0; phase < 3; phase++ {
 				best := (numCands*7 + phase) % numCands
-				fit := func(ctx context.Context, r Round, cand, workers int) (float64, error) {
+				fit := func(ctx context.Context, r round, cand, workers int) (float64, error) {
 					// Quality is spaced 0.05 apart with best on top;
 					// deterministic per-round "noise" wiggles scores by
 					// < 0.02, below the gap.
 					quality := 0.9 - 0.05*float64((cand-best+numCands)%numCands)
-					noise := 0.02 * float64((cand*31+r.Index*17+phase*7)%100) / 100
+					noise := 0.02 * float64((cand*31+r.index*17+phase*7)%100) / 100
 					return quality + noise, nil
 				}
-				cfg := Config{Eta: eta, MinSample: 16, Parallelism: 4}
-				outcomes, err := Halve(context.Background(), numCands, 256, cfg, nil, fit)
+				outcomes, err := halveConfig(eta, 16, 4).halve(context.Background(), numCands, 256, nil, fit)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if outcomes[0].Index != best {
+				if outcomes[0].index != best {
 					t.Errorf("cands=%d eta=%d phase=%d: winner %d, want %d",
-						numCands, eta, phase, outcomes[0].Index, best)
+						numCands, eta, phase, outcomes[0].index, best)
 				}
-				if outcomes[0].Rounds != len(outcomes[0].Scores) {
+				if outcomes[0].rounds != len(outcomes[0].scores) {
 					t.Errorf("rounds %d != trajectory length %d",
-						outcomes[0].Rounds, len(outcomes[0].Scores))
+						outcomes[0].rounds, len(outcomes[0].scores))
 				}
 			}
 		}
-	}
-}
-
-// TestSearchContextPreCanceled: a canceled context fails fast without
-// fitting anything.
-func TestSearchContextPreCanceled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	train := workload.DenseVectors(100, 20, 6, 3, 2)
-	val := workload.DenseVectors(40, 20, 6, 4, 2)
-	results, err := SearchContext(ctx, speechCandidates()[:2], train, val, searchConfig())
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if results != nil {
-		t.Error("pre-canceled search returned results")
 	}
 }

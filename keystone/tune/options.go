@@ -76,8 +76,8 @@ func WithHoldout[I, O any](frac float64) Option[I, O] {
 }
 
 // WithSharing toggles cross-candidate cache sharing (default on).
-// Disabling it gives every fit a private cache — the isolated baseline
-// the tune benchmark compares against.
+// Disabling it gives every fit a private cache: the isolated baseline
+// sharing is measured against, with the same winner.
 func WithSharing[I, O any](enabled bool) Option[I, O] {
 	return func(c *config[I, O]) { c.share = enabled }
 }

@@ -25,7 +25,6 @@ import (
 	"strings"
 	"time"
 
-	"keystoneml/internal/tuning"
 	"keystoneml/keystone"
 )
 
@@ -193,22 +192,22 @@ func Search[I, O any](ctx context.Context, build Builder[I, O], grid []Params, r
 	// dispatch, so every fit of the round sees the same cache.
 	var caches []*keystone.PrefixCache
 	var cur *keystone.PrefixCache
-	roundStart := func(r tuning.Round) {
+	roundStart := func(round) {
 		if cfg.share {
 			cur = keystone.NewPrefixCache(cfg.cacheBudget)
 			caches = append(caches, cur)
 		}
 	}
 
-	fit := func(ctx context.Context, r tuning.Round, cand, workers int) (float64, error) {
-		recs, labs := subsample(trainRecs, trainLabs, r.N)
+	fit := func(ctx context.Context, r round, cand, workers int) (float64, error) {
+		recs, labs := subsample(trainRecs, trainLabs, r.n)
 		fitOpts := append(append([]keystone.Option(nil), cfg.fitOpts...), keystone.WithWorkers(workers))
 		if cfg.share {
 			fitOpts = append(fitOpts, keystone.WithPrefixCache(cur))
 		}
 		fitted, err := build(grid[cand]).Fit(ctx, recs, labs, fitOpts...)
 		if err != nil {
-			return 0, fmt.Errorf("tune: fit %q (round %d): %w", grid[cand].Name(), r.Index, err)
+			return 0, fmt.Errorf("tune: fit %q (round %d): %w", grid[cand].Name(), r.index, err)
 		}
 		fitteds[cand] = fitted
 		for _, nr := range fitted.TrainReport() {
@@ -216,34 +215,30 @@ func Search[I, O any](ctx context.Context, build Builder[I, O], grid []Params, r
 		}
 		score, err := cfg.scorer(ctx, fitted, valRecs, valLabs)
 		if err != nil {
-			return 0, fmt.Errorf("tune: score %q (round %d): %w", grid[cand].Name(), r.Index, err)
+			return 0, fmt.Errorf("tune: score %q (round %d): %w", grid[cand].Name(), r.index, err)
 		}
 		return score, nil
 	}
 
-	outcomes, err := tuning.Halve(ctx, len(grid), fullN, tuning.Config{
-		Eta:         cfg.eta,
-		MinSample:   cfg.minSample,
-		Parallelism: cfg.parallelism,
-	}, roundStart, fit)
+	outcomes, err := cfg.halve(ctx, len(grid), fullN, roundStart, fit)
 	if err != nil {
 		return nil, nil, err
 	}
 
 	report := &Report{
 		Candidates: make([]CandidateReport, len(outcomes)),
-		Rounds:     outcomes[0].Rounds,
+		Rounds:     outcomes[0].rounds,
 		WallTime:   time.Since(start),
 	}
 	for i, o := range outcomes {
 		report.Candidates[i] = CandidateReport{
-			Name:       grid[o.Index].Name(),
-			Params:     grid[o.Index].clone(),
-			Accuracy:   o.Score(),
-			Trajectory: o.Scores,
-			Rounds:     o.Rounds,
-			TrainTime:  o.TrainTime,
-			SharedHits: sharedHits[o.Index],
+			Name:       grid[o.index].Name(),
+			Params:     grid[o.index].clone(),
+			Accuracy:   o.score(),
+			Trajectory: o.scores,
+			Rounds:     o.rounds,
+			TrainTime:  o.trainTime,
+			SharedHits: sharedHits[o.index],
 		}
 	}
 	for _, c := range caches {
@@ -252,7 +247,7 @@ func Search[I, O any](ctx context.Context, build Builder[I, O], grid []Params, r
 		report.SharedCoalesced += st.Coalesced
 		report.SharedComputes += st.Computes
 	}
-	winner := fitteds[outcomes[0].Index]
+	winner := fitteds[outcomes[0].index]
 	if winner == nil {
 		return nil, nil, fmt.Errorf("tune: winner %q has no fitted pipeline", report.Candidates[0].Name)
 	}
@@ -292,9 +287,9 @@ func holdoutSplit[I any](records []I, labels [][]float64, frac float64) (trainR 
 }
 
 // subsample picks n evenly strided records (the same stride the engine's
-// Collection.Sample uses, so graph-level and record-level search rounds
-// see the same subsets); n >= len returns the slices unchanged, which is
-// what makes the final round's winner fit identical to a standalone fit.
+// Collection.Sample uses); n >= len returns the slices unchanged, which
+// is what makes the final round's winner fit identical to a standalone
+// fit.
 func subsample[I any](records []I, labels [][]float64, n int) ([]I, [][]float64) {
 	total := len(records)
 	if n >= total {

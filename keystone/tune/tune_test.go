@@ -182,6 +182,39 @@ func TestSearchWinnerBitIdentical(t *testing.T) {
 	}
 }
 
+// TestSearchWithoutSharingIsolatesFits: WithSharing(false) gives every
+// fit a private cache — no shared counter moves — and picks a winner
+// that predicts exactly like the shared search's.
+func TestSearchWithoutSharingIsolatesFits(t *testing.T) {
+	recs, labs := makeData(48, 6, 3)
+	grid := tune.Grid(map[string][]float64{"iters": {2, 3}})
+	ctx := context.Background()
+	shared, _, err := tune.Search(ctx, sharedBuilder(6, 16), grid, recs, labs, deterministicOpts()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	isolated, report, err := tune.Search(ctx, sharedBuilder(6, 16), grid, recs, labs,
+		append(deterministicOpts(), tune.WithSharing[[]float64, []float64](false))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.SharedHits+report.SharedCoalesced+report.SharedComputes != 0 {
+		t.Errorf("isolated search moved shared counters: hits %d, coalesced %d, computes %d",
+			report.SharedHits, report.SharedCoalesced, report.SharedComputes)
+	}
+	got, err := isolated.TransformBatch(ctx, recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := shared.TransformBatch(ctx, recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("isolated and shared searches returned winners that predict differently")
+	}
+}
+
 // TestSearchHalvesAndReportsTrajectories runs a real multi-round search:
 // the winner survives every round with a score per round, losers are
 // eliminated early, and the report is ordered best-first.
