@@ -86,7 +86,7 @@ e2e-compare:
 # the serving tier, dist chaos tests, tune deadlines) repeated under the
 # race detector at both scheduler widths. Any order/timing dependence
 # shows up here long before it flakes in CI.
-FLAKE_PKGS = ./keystone/ ./keystone/serve/ ./keystone/dist/ ./keystone/tune/
+FLAKE_PKGS = ./internal/core/ ./keystone/ ./keystone/serve/ ./keystone/dist/ ./keystone/tune/
 flake:
 	GOMAXPROCS=1 $(GO) test -race -count=5 $(FLAKE_PKGS)
 	GOMAXPROCS=4 $(GO) test -race -count=5 $(FLAKE_PKGS)

@@ -27,6 +27,10 @@ type Fitted struct {
 	// Collection/partition machinery.
 	steps  []fittedStep
 	outIdx int
+
+	// blocks marks a plan TransformBatch can run a block at a time:
+	// every step is the source, a gather or a BlockOp (see block.go).
+	blocks bool
 }
 
 // fittedStep is one node of the precompiled plan. deps index earlier
@@ -37,6 +41,8 @@ type fittedStep struct {
 	apply func(in any) any // set for transform and apply-model steps
 	op    TransformOp      // the operator behind apply, for persistence
 	name  string
+	block BlockOp   // op's block form, nil when it has none
+	home  blockHome // where the block path puts this step's rows
 }
 
 // NewFitted assembles a fitted pipeline from a graph and its trained
@@ -89,6 +95,7 @@ func NewFitted(g *Graph, models map[int]TransformOp, ctx *engine.Context) *Fitte
 		return idx
 	}
 	f.outIdx = walk(g.Sink)
+	f.compileBlocks()
 	return f
 }
 
@@ -166,18 +173,27 @@ func (f *Fitted) TransformOne(record any) any {
 // caller's goroutine; below it goroutine dispatch costs more than it buys.
 const batchParallelMin = 64
 
-// TransformBatch runs a batch of records through the fitted pipeline,
-// record-by-record on the hot path. Small batches stay on the calling
-// goroutine (polling ctx between records); large batches fan out across
-// the engine context's workers with the same per-record semantics, so
-// outputs are bit-identical either way. It returns ctx's error if the
-// batch is abandoned mid-way.
+// TransformBatch runs a batch of records through the fitted pipeline.
+//
+// A dense pipeline — every operator a BlockOp, every record a []float64
+// of one length — runs a block at a time: one kernel call per operator
+// over up to blockRecords records, large batches split across the
+// engine context's workers. Any other pipeline or batch (a record of
+// the wrong type or length included) runs record by record on the hot
+// path, fanned out across the workers above batchParallelMin records,
+// so bad input fails exactly as TransformOne does. Outputs are
+// bit-identical to TransformOne on every path. TransformBatch polls ctx
+// between blocks or records and returns its error, with no partial
+// output, if the batch is abandoned mid-way.
 func (f *Fitted) TransformBatch(ctx context.Context, records []any) (out []any, err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
+	}
+	if l, ok := f.layoutFor(records); ok {
+		return f.transformBlocks(ctx, l, records)
 	}
 	if len(records) >= batchParallelMin && f.ctx.Parallelism > 1 {
 		defer func() {

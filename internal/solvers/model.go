@@ -62,6 +62,31 @@ func (m *LinearMapper) scoreDense(x []float64) []float64 {
 	return out
 }
 
+// BlockRows implements core.BlockOp.
+func (m *LinearMapper) BlockRows(in int) (int, error) {
+	if in != m.W.Rows {
+		return 0, fmt.Errorf("solvers: record has %d features, model expects %d", in, m.W.Rows)
+	}
+	return m.W.Cols, nil
+}
+
+// ApplyBlock implements core.BlockOp for dense records: the block's
+// scores as one Wᵀ·X, oriented like the solver pass's scoresT so the
+// kernel's inner loop runs over the block's records, not the k classes.
+// Each score reduces over ascending feature index from +0 with one
+// rounded add per product, as scoreDense does; skipping a zero product
+// (scoreDense skips zero features, the reference TMul zero weights)
+// cannot change a bit, so each column is Apply's output bit for bit.
+func (m *LinearMapper) ApplyBlock(dst, x *linalg.Matrix) error {
+	k, err := m.BlockRows(x.Rows)
+	if err != nil {
+		return err
+	}
+	clear(dst.Data)
+	linalg.Choose(linalg.OpTMul, x.Rows, k, x.Cols).TMul(dst.Data, m.W.Data, x.Data, x.Rows, k, x.Cols)
+	return nil
+}
+
 func (m *LinearMapper) scoreSparse(x *linalg.SparseVector) []float64 {
 	d, k := m.W.Rows, m.W.Cols
 	if x.Dim != d {

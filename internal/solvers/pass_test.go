@@ -423,3 +423,60 @@ func BenchmarkLBFGSPass(b *testing.B) {
 		})
 	}
 }
+
+// TestLinearMapperBlockBits pins the block scores (one TMul over a
+// feature-major block) to Apply's row loop bit for bit under both
+// backends, on features and weights that are +0, −0 or cancel to zero:
+// skipping a zero product (Apply skips zero features, the reference
+// TMul zero weights, the blocked one nothing) cannot change a bit.
+func TestLinearMapperBlockBits(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	const d, k, n = 6, 3, 70
+	rng := linalg.NewRNG(21)
+	w := rng.GaussianMatrix(d, k)
+	w.Set(1, 0, 0)
+	w.Set(2, 1, negZero)
+	w.Set(4, 2, -w.At(3, 2)) // a score whose features 3 and 4 cancel
+	m := &LinearMapper{W: w, SolverName: "test"}
+	x := linalg.NewMatrix(d, n)
+	for r := 0; r < n; r++ {
+		for i := 0; i < d; i++ {
+			switch (r + i) % 4 {
+			case 0:
+				x.Set(i, r, 0)
+			case 1:
+				x.Set(i, r, negZero)
+			default:
+				x.Set(i, r, rng.Float64()-0.5)
+			}
+		}
+		if r%5 == 0 {
+			for i := 0; i < d; i++ {
+				x.Set(i, r, negZero)
+			}
+		}
+		if r%7 == 0 {
+			x.Set(3, r, 1)
+			x.Set(4, r, 1)
+		}
+	}
+	defer linalg.SetBackendMode(linalg.Mode())
+	for _, mode := range []linalg.BackendMode{linalg.ModeReference, linalg.ModeBlocked} {
+		linalg.SetBackendMode(mode)
+		dst := linalg.NewMatrix(k, n)
+		if err := m.ApplyBlock(dst, x); err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < n; r++ {
+			want := m.Apply(x.Col(r)).([]float64)
+			for j := range want {
+				if got := dst.At(j, r); math.Float64bits(got) != math.Float64bits(want[j]) {
+					t.Fatalf("mode %d record %d class %d: block %v, Apply %v", mode, r, j, got, want[j])
+				}
+			}
+		}
+	}
+	if err := m.ApplyBlock(linalg.NewMatrix(k, n), linalg.NewMatrix(d+1, n)); err == nil {
+		t.Error("a block of the wrong width scored without an error")
+	}
+}

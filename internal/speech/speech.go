@@ -61,6 +61,35 @@ func (r *RandomFeatures) Apply(in any) any {
 	return out
 }
 
+// BlockRows implements core.BlockOp.
+func (r *RandomFeatures) BlockRows(in int) (int, error) {
+	if in != r.W.Cols {
+		return 0, fmt.Errorf("speech: input dim %d, map expects %d", in, r.W.Cols)
+	}
+	return r.W.Rows, nil
+}
+
+// ApplyBlock implements core.BlockOp: one GEMM W·X over the block's
+// columns, then Apply's cosine element by element. Every projection
+// reduces over ascending input index with one rounded add per product,
+// as Apply's Gemv does, so each column is Apply's output bit for bit.
+func (r *RandomFeatures) ApplyBlock(dst, x *linalg.Matrix) error {
+	rows, err := r.BlockRows(x.Rows)
+	if err != nil {
+		return err
+	}
+	n := x.Cols
+	clear(dst.Data)
+	linalg.Choose(linalg.OpGemm, rows, x.Rows, n).Mul(dst.Data, r.W.Data, x.Data, rows, x.Rows, n)
+	for i, b := range r.B {
+		row := dst.Data[i*n : (i+1)*n]
+		for j, v := range row {
+			row[j] = r.scale * math.Cos(v+b)
+		}
+	}
+	return nil
+}
+
 // NewRandomFeaturesOp wraps the map as a typed pipeline operator.
 func NewRandomFeaturesOp(inputDim, numFeatures int, gamma float64, seed uint64) core.Op[[]float64, []float64] {
 	return core.NewOp[[]float64, []float64](NewRandomFeatures(inputDim, numFeatures, gamma, seed))

@@ -152,11 +152,14 @@ func (f *Fitted[I, O]) Transform(ctx context.Context, record I) (O, error) {
 	return o, nil
 }
 
-// TransformBatch runs a batch through the fitted pipeline: small batches
-// record-by-record on the calling goroutine, large ones fanned out across
-// the engine workers, with bit-identical outputs either way. ctx is
-// polled between records; on cancellation the partial batch is discarded
-// and the context error returned.
+// TransformBatch runs a batch through the fitted pipeline. A dense
+// pipeline (every operator has a block form, as SpeechPipeline's do)
+// runs a block of records at a time, one GEMM per operator per block;
+// any other pipeline or batch runs record by record. Large batches fan
+// out across the engine workers. Outputs are bit-identical to Transform
+// on every path. ctx is polled between blocks or records; on
+// cancellation the partial batch is discarded and the context error
+// returned.
 func (f *Fitted[I, O]) TransformBatch(ctx context.Context, records []I) ([]O, error) {
 	boxed := make([]any, len(records))
 	for i, r := range records {

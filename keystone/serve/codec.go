@@ -140,15 +140,28 @@ func (c VectorCodec) DecodeBatch(body []byte) ([][]float64, error) {
 	if err := s.end(); err != nil {
 		return nil, err
 	}
+	if err := c.checkBatch(rows); err != nil {
+		return nil, err
+	}
+	return rows, nil
+}
+
+// checkBatch is check for every row of a batch, which must also share
+// one length: a route that declares no Dim still serves a pipeline of
+// one input width, and a ragged batch would reach it as a 500.
+func (c VectorCodec) checkBatch(rows [][]float64) error {
 	if len(rows) == 0 {
-		return nil, fmt.Errorf(`missing or empty "vectors" field`)
+		return fmt.Errorf(`missing or empty "vectors" field`)
 	}
 	for i, v := range rows {
 		if _, err := c.check(v); err != nil {
-			return nil, fmt.Errorf("vector %d: %w", i, err)
+			return fmt.Errorf("vector %d: %w", i, err)
+		}
+		if len(v) != len(rows[0]) {
+			return fmt.Errorf("vector %d has %d dims, vector 0 has %d", i, len(v), len(rows[0]))
 		}
 	}
-	return rows, nil
+	return nil
 }
 
 func (c VectorCodec) check(v []float64) ([]float64, error) {

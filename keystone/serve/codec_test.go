@@ -98,15 +98,7 @@ func wireFormats(dim int) []wireFormat {
 			if err := json.Unmarshal(b, &req); err != nil {
 				return nil, err
 			}
-			if len(req.Vectors) == 0 {
-				return nil, fmt.Errorf("empty")
-			}
-			for _, v := range req.Vectors {
-				if _, err := vc.check(v); err != nil {
-					return nil, err
-				}
-			}
-			return vecRecs(req.Vectors, nil)
+			return vecRecs(req.Vectors, vc.checkBatch(req.Vectors))
 		},
 	}, {
 		name: "image", body: `{"width":1,"height":1,"pixels":[%s]}`,
@@ -238,7 +230,8 @@ var wireTable = []struct {
 	{"vector", `{"vector":[3],"vector":null}`, false, false},
 	{"vector", ` { "vector" : [ 1 , 2 ] } `, true, false},
 	{"vectors", `{"vectors":[[1,2],[3,4]]}`, true, false},
-	{"vectors", `{"vectors":[[1,2],[3]]}`, true, false}, // ragged passes when the route declares no Dim
+	{"vectors", `{"vectors":[[1,2],[3]]}`, false, false}, // ragged: 400 even when the route declares no Dim
+	{"vectors", `{"vectors":[[1],[2],[3,4]]}`, false, false},
 	{"vectors", `{"x":[[1]],"vectors":[[1,2]],"vectors":[[5],[6]],"y":null}`, true, false},
 	{"vectors", "{\"vectors\" : [ [ 1 ,2 ] ,\n[ 3 , 4 ] ] }", true, false},
 	{"images", `{"images":[{"width":1,"height":1,"pixels":[5]},{"pixels":[1,2],"channels":2,"height":1,"width":1,"x":[0]}]}`, true, false},
@@ -545,6 +538,7 @@ func seedFuzz(f *testing.F, formats ...string) {
 func FuzzVectorDecode(f *testing.F) {
 	seedFuzz(f, "vector", "vectors")
 	f.Add(smallSpeech(f))
+	f.Add([]byte(`{"vectors":[[1,2],[3,4],[5,6,7]]}`))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		for _, dim := range []int{0, 2} {
 			agree(t, formatByName(t, dim, "vector"), body)

@@ -69,42 +69,58 @@ func TestOversizedBodyIs413(t *testing.T) {
 // runs the pipeline on the handler's goroutine: an operator panic is that
 // request's 500 with a JSON error — not a connection net/http drops —
 // the version's gate is left (a deploy still drains) and the route
-// serves the next batch.
+// serves the next batch. It holds for a per-record pipeline and for one
+// TransformBatch runs a block at a time (the speech pipeline), whose
+// batch of the wrong width falls back to the per-record path and panics
+// there. A ragged batch never reaches either: it is a 400 at decode.
 func TestBatchPanicIs500(t *testing.T) {
 	p := keystone.Input[[]float64]()
-	out := keystone.Then(p, keystone.NewOp("fourth", func(v []float64) []float64 {
+	fourth, err := keystone.Then(p, keystone.NewOp("fourth", func(v []float64) []float64 {
 		return []float64{v[3], 0}
-	}))
-	f, err := out.Fit(context.Background(), [][]float64{{1, 2, 3, 4}}, nil, keystone.WithOptimizerLevel(keystone.LevelNone))
+	})).Fit(context.Background(), [][]float64{{1, 2, 3, 4}}, nil, keystone.WithOptimizerLevel(keystone.LevelNone))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewServer()
-	defer s.Close()
-	rt, err := Register(s, "vec", f, VectorCodec{}, WithAdmission(Admission{MaxInFlight: 2}))
+	train := keystone.SyntheticDenseVectors(30, 4, 2, 1)
+	speech, err := keystone.SpeechPipeline(keystone.SpeechConfig{InputDim: 4, NumFeatures: 8, Seed: 3, Iterations: 2}).
+		Fit(context.Background(), train.Records, train.Labels, keystone.WithOptimizerLevel(keystone.LevelNone))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(s)
-	defer ts.Close()
+	for name, f := range map[string]*keystone.Fitted[[]float64, []float64]{"per-record": fourth, "block": speech} {
+		t.Run(name, func(t *testing.T) {
+			s := NewServer()
+			defer s.Close()
+			rt, err := Register(s, "vec", f, VectorCodec{}, WithAdmission(Admission{MaxInFlight: 2}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(s)
+			defer ts.Close()
 
-	code, body := postJSON(t, ts.URL+"/predict/batch", `{"vectors":[[1,2,3,4],[1]]}`)
-	if msg, _ := body["error"].(string); code != http.StatusInternalServerError || !strings.Contains(msg, "pipeline panicked") {
-		t.Fatalf("batch with a malformed record = %d %v, want 500 carrying the recovered panic", code, body)
-	}
-	if v := rt.cur.Load(); v.errs.Load() != 2 || v.served.Load() != 0 {
-		t.Errorf("after the panic: errs=%d served=%d, want the batch's 2 records failed", v.errs.Load(), v.served.Load())
-	}
-	// Admission holds 2 records: were the panicked batch's still held,
-	// this one would be shed.
-	code, body = postJSON(t, ts.URL+"/predict/batch", `{"vectors":[[1,2,3,9],[1,2,3,8]]}`)
-	if results, _ := body["results"].([]any); code != http.StatusOK || len(results) != 2 {
-		t.Fatalf("good batch after the panic = %d %v, want 200 with 2 results", code, body)
-	}
-	// Deploy retires the old version, which waits for its gate: a gate
-	// the panic never left would hang here.
-	if _, err := rt.Deploy(context.Background(), f); err != nil {
-		t.Fatal(err)
+			code, body := postJSON(t, ts.URL+"/predict/batch", `{"vectors":[[1,2,3],[1,2,3]]}`)
+			if msg, _ := body["error"].(string); code != http.StatusInternalServerError || !strings.Contains(msg, "pipeline panicked") {
+				t.Fatalf("batch of records too short = %d %v, want 500 carrying the recovered panic", code, body)
+			}
+			if v := rt.cur.Load(); v.errs.Load() != 2 || v.served.Load() != 0 {
+				t.Errorf("after the panic: errs=%d served=%d, want the batch's 2 records failed", v.errs.Load(), v.served.Load())
+			}
+			code, body = postJSON(t, ts.URL+"/predict/batch", `{"vectors":[[1,2,3,4],[1]]}`)
+			if msg, _ := body["error"].(string); code != http.StatusBadRequest || !strings.Contains(msg, "vector 1 has 1 dims, vector 0 has 4") {
+				t.Fatalf("ragged batch = %d %v, want 400 naming the short vector", code, body)
+			}
+			// Admission holds 2 records: were the panicked batch's still held,
+			// this one would be shed.
+			code, body = postJSON(t, ts.URL+"/predict/batch", `{"vectors":[[1,2,3,9],[1,2,3,8]]}`)
+			if results, _ := body["results"].([]any); code != http.StatusOK || len(results) != 2 {
+				t.Fatalf("good batch after the panic = %d %v, want 200 with 2 results", code, body)
+			}
+			// Deploy retires the old version, which waits for its gate: a gate
+			// the panic never left would hang here.
+			if _, err := rt.Deploy(context.Background(), f); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
