@@ -83,10 +83,11 @@ e2e-compare:
 	bash bench/e2e/run.sh -compare $(A) $(B)
 
 # Flake sweep: the timing- and socket-sensitive suites (the batcher and
-# the serving tier, dist chaos tests, tune deadlines) repeated under the
-# race detector at both scheduler widths. Any order/timing dependence
-# shows up here long before it flakes in CI.
-FLAKE_PKGS = ./internal/core/ ./keystone/ ./keystone/serve/ ./keystone/dist/ ./keystone/tune/
+# the serving tier, dist chaos tests, tune deadlines) and the packages
+# whose operators share pooled scratch across goroutines (image, pca),
+# repeated under the race detector at both scheduler widths. Any
+# order/timing dependence shows up here long before it flakes in CI.
+FLAKE_PKGS = ./internal/core/ ./internal/image/ ./internal/pca/ ./keystone/ ./keystone/serve/ ./keystone/dist/ ./keystone/tune/
 flake:
 	GOMAXPROCS=1 $(GO) test -race -count=5 $(FLAKE_PKGS)
 	GOMAXPROCS=4 $(GO) test -race -count=5 $(FLAKE_PKGS)

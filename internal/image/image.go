@@ -83,39 +83,6 @@ func Grayscale(im *Image) *Image {
 	return out
 }
 
-// Gradients computes horizontal and vertical central-difference gradients
-// of a single-channel image (borders clamped).
-func Gradients(im *Image) (gx, gy []float64) {
-	if im.Channels != 1 {
-		panic("image: Gradients requires a single-channel image")
-	}
-	w, h := im.Width, im.Height
-	gx = make([]float64, w*h)
-	gy = make([]float64, w*h)
-	at := func(x, y int) float64 {
-		if x < 0 {
-			x = 0
-		}
-		if x >= w {
-			x = w - 1
-		}
-		if y < 0 {
-			y = 0
-		}
-		if y >= h {
-			y = h - 1
-		}
-		return im.Pix[y*w+x]
-	}
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			gx[y*w+x] = (at(x+1, y) - at(x-1, y)) / 2
-			gy[y*w+x] = (at(x, y+1) - at(x, y-1)) / 2
-		}
-	}
-	return gx, gy
-}
-
 // Normalize01 linearly rescales pixel values into [0, 1] in place and
 // returns the image. Constant images become all zeros.
 func Normalize01(im *Image) *Image {

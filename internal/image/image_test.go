@@ -63,34 +63,6 @@ func TestGrayscaleAverageFor4Channels(t *testing.T) {
 	}
 }
 
-func TestGradients(t *testing.T) {
-	// Linear ramp in x: gx == 1 in the interior, gy == 0.
-	im := New(5, 4, 1)
-	for y := 0; y < 4; y++ {
-		for x := 0; x < 5; x++ {
-			im.Set(x, y, 0, float64(x))
-		}
-	}
-	gx, gy := Gradients(im)
-	if math.Abs(gx[1*5+2]-1) > 1e-12 {
-		t.Errorf("interior gx = %g, want 1", gx[1*5+2])
-	}
-	for _, v := range gy {
-		if math.Abs(v) > 1e-12 {
-			t.Errorf("gy = %g, want 0", v)
-		}
-	}
-}
-
-func TestGradientsRequireSingleChannel(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	Gradients(New(3, 3, 2))
-}
-
 func TestNormalize01(t *testing.T) {
 	im := New(2, 1, 1)
 	im.Pix[0], im.Pix[1] = -2, 6

@@ -3,6 +3,7 @@ package image
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"keystoneml/internal/core"
 	"keystoneml/internal/cost"
@@ -45,6 +46,13 @@ func (p SIFTParams) withDefaults() SIFTParams {
 // normalized. It is a faithful-shape substitute for Lowe's SIFT (the
 // paper links against an optimized native implementation); the descriptor
 // dimensionality (128) and locality structure match.
+//
+// Like a native dense SIFT, Apply does each piece of arithmetic once,
+// however much the descriptors overlap: one border-clamped
+// central-difference gradient, magnitude and orientation bin per pixel,
+// one histogram per distinct cell, and each descriptor a copy of its 16
+// cell histograms. A pixel whose orientation is NaN (a non-finite
+// neighbourhood) adds nothing.
 type SIFT struct {
 	Params SIFTParams
 }
@@ -52,7 +60,27 @@ type SIFT struct {
 // Name implements core.TransformOp.
 func (s *SIFT) Name() string { return "image.sift" }
 
-// Apply maps *Image -> [][]float64 (one descriptor per grid position).
+// siftScratch is one Apply call's working memory: per-pixel magnitudes
+// and orientation bins (-1 for a pixel that adds nothing), per-cell
+// histograms, and the cell-origin number of each x and y coordinate.
+type siftScratch struct {
+	mag    []float64
+	bin    []int32
+	hist   []float64
+	xo, yo []int32
+}
+
+// siftPool recycles siftScratch across calls: every record of a vision
+// pipeline needs the same few tens of KiB.
+var siftPool = sync.Pool{New: func() any { return new(siftScratch) }}
+
+// Apply maps *Image -> [][]float64 (one descriptor per grid position),
+// the descriptors capped rows of one backing array.
+//
+// A histogram entry receives only its own cell's pixels, in the
+// row-major order a loop over each descriptor's patch would add them,
+// starting from +0; so every descriptor is, bit for bit, the one that
+// loop computes.
 func (s *SIFT) Apply(in any) any {
 	im, ok := in.(*Image)
 	if !ok {
@@ -62,35 +90,110 @@ func (s *SIFT) Apply(in any) any {
 		im = Grayscale(im)
 	}
 	p := s.Params.withDefaults()
-	gx, gy := Gradients(im)
 	w, h := im.Width, im.Height
-	patch := 4 * p.CellSize
-	var descs [][]float64
-	for py := 0; py+patch <= h; py += p.Stride {
-		for px := 0; px+patch <= w; px += p.Stride {
-			desc := make([]float64, 4*4*p.Bins)
-			for dy := 0; dy < patch; dy++ {
-				for dx := 0; dx < patch; dx++ {
-					x, y := px+dx, py+dy
-					g, o := gx[y*w+x], gy[y*w+x]
-					mag := math.Hypot(g, o)
-					if mag == 0 {
-						continue
+	cs, bins := p.CellSize, p.Bins
+	patch := 4 * cs
+	if w < patch || h < patch {
+		return [][]float64(nil)
+	}
+	nx, ny := (w-patch)/p.Stride+1, (h-patch)/p.Stride+1
+	// The grid covers [0, cw) x [0, ch); scratch rows are cw wide.
+	cw, ch := (nx-1)*p.Stride+patch, (ny-1)*p.Stride+patch
+
+	sc := siftPool.Get().(*siftScratch)
+	defer siftPool.Put(sc)
+	mag, bin := grow(&sc.mag, cw*ch), grow(&sc.bin, cw*ch)
+	pix := im.Pix
+	for y := 0; y < ch; y++ {
+		row, up, down := y*w, max(y-1, 0)*w, min(y+1, h-1)*w
+		for x := 0; x < cw; x++ {
+			gx := (pix[row+min(x+1, w-1)] - pix[row+max(x-1, 0)]) / 2
+			gy := (pix[down+x] - pix[up+x]) / 2
+			m := math.Hypot(gx, gy)
+			b := int32(-1)
+			if m != 0 {
+				if ang := math.Atan2(gy, gx) + math.Pi; !math.IsNaN(ang) { // [0, 2π]
+					bi := int(ang / (2 * math.Pi) * float64(bins))
+					if bi >= bins {
+						bi = bins - 1
 					}
-					ang := math.Atan2(o, g) + math.Pi // [0, 2π]
-					bin := int(ang / (2 * math.Pi) * float64(p.Bins))
-					if bin >= p.Bins {
-						bin = p.Bins - 1
-					}
-					cell := (dy/p.CellSize)*4 + dx/p.CellSize
-					desc[cell*p.Bins+bin] += mag
+					b = int32(bi)
 				}
 			}
-			linalg.Normalize(desc)
-			descs = append(descs, desc)
+			mag[y*cw+x], bin[y*cw+x] = m, b
 		}
 	}
+
+	xo, yo := grow(&sc.xo, cw), grow(&sc.yo, ch)
+	ncx, ncy := cellOrigins(xo, nx, p.Stride, cs), cellOrigins(yo, ny, p.Stride, cs)
+	hist := grow(&sc.hist, ncx*ncy*bins)
+	clear(hist)
+	for y0, yi := range yo {
+		if yi < 0 {
+			continue
+		}
+		for x0, xi := range xo {
+			if xi < 0 {
+				continue
+			}
+			hc := hist[(int(yi)*ncx+int(xi))*bins:][:bins]
+			for y := y0; y < y0+cs; y++ {
+				for i := y*cw + x0; i < y*cw+x0+cs; i++ {
+					if b := bin[i]; b >= 0 {
+						hc[b] += mag[i]
+					}
+				}
+			}
+		}
+	}
+
+	dim := 16 * bins
+	descs := make([][]float64, nx*ny)
+	backing := make([]float64, len(descs)*dim)
+	for i := range descs {
+		px, py := i%nx*p.Stride, i/nx*p.Stride
+		desc := backing[i*dim : (i+1)*dim : (i+1)*dim]
+		for c := 0; c < 16; c++ {
+			cell := int(yo[py+c/4*cs])*ncx + int(xo[px+c%4*cs])
+			copy(desc[c*bins:(c+1)*bins], hist[cell*bins:])
+		}
+		linalg.Normalize(desc)
+		descs[i] = desc
+	}
 	return descs
+}
+
+// cellOrigins numbers, in ascending order, the coordinates along one
+// axis where a cell starts — g*stride + c*cellSize for each of n grid
+// positions g and each of a descriptor's 4 cells c — writing each
+// coordinate's number into idx (-1 where no cell starts), and returns
+// how many there are.
+func cellOrigins(idx []int32, n, stride, cellSize int) int {
+	for i := range idx {
+		idx[i] = -1
+	}
+	for g := 0; g < n; g++ {
+		for c := 0; c < 4; c++ {
+			idx[g*stride+c*cellSize] = 0
+		}
+	}
+	k := 0
+	for i, v := range idx {
+		if v == 0 {
+			idx[i] = int32(k)
+			k++
+		}
+	}
+	return k
+}
+
+// grow returns (*buf)[:n], reallocating *buf when it is too short. The
+// contents are whatever the last user left.
+func grow[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	return (*buf)[:n]
 }
 
 // NewSIFTOp wraps SIFT with pipeline types.
@@ -200,7 +303,10 @@ func Flatten() core.Op[[][]float64, []float64] {
 
 // DescriptorPCA applies a fitted projection to every descriptor in a set
 // (the ReduceDimensions stage of Figure 5 operates on descriptor sets,
-// not flat vectors).
+// not flat vectors). When the projection has a block form
+// (core.BlockOp; pca.Projection does) the whole set runs as one block:
+// the descriptors packed feature-major and projected by one GEMM, which
+// the block contract makes bit-identical to projecting each alone.
 type DescriptorPCA struct {
 	Inner core.TransformOp // a pca.Projection
 }
@@ -208,14 +314,64 @@ type DescriptorPCA struct {
 // Name implements core.TransformOp.
 func (d *DescriptorPCA) Name() string { return "image.descpca[" + d.Inner.Name() + "]" }
 
+// blockPool recycles DescriptorPCA's packed input and output blocks.
+var blockPool = sync.Pool{New: func() any { return new([]float64) }}
+
 // Apply maps [][]float64 -> [][]float64.
 func (d *DescriptorPCA) Apply(in any) any {
 	descs := in.([][]float64)
+	if out, ok := d.applyBlock(descs); ok {
+		return out
+	}
 	out := make([][]float64, len(descs))
 	for i, x := range descs {
 		out[i] = d.Inner.Apply(x).([]float64)
 	}
 	return out
+}
+
+// applyBlock projects descs as one block, the outputs capped rows of one
+// backing array. It reports false — leaving the per-descriptor loop to
+// run, or to report the bad input — when the inner op has no block form,
+// the set is empty or ragged, or the op refuses its width.
+func (d *DescriptorPCA) applyBlock(descs [][]float64) ([][]float64, bool) {
+	op, ok := d.Inner.(core.BlockOp)
+	if !ok || len(descs) == 0 {
+		return nil, false
+	}
+	n, in := len(descs), len(descs[0])
+	for _, x := range descs[1:] {
+		if len(x) != in {
+			return nil, false
+		}
+	}
+	rows, err := op.BlockRows(in)
+	if err != nil {
+		return nil, false
+	}
+	buf := blockPool.Get().(*[]float64)
+	defer blockPool.Put(buf)
+	scratch := grow(buf, (in+rows)*n)
+	x := linalg.Matrix{Rows: in, Cols: n, Data: scratch[:in*n]}
+	for j, desc := range descs {
+		for i, v := range desc {
+			x.Data[i*n+j] = v
+		}
+	}
+	dst := linalg.Matrix{Rows: rows, Cols: n, Data: scratch[in*n:]}
+	if err := op.ApplyBlock(&dst, &x); err != nil {
+		panic(fmt.Sprintf("image: %s refused a block it sized: %v", op.Name(), err))
+	}
+	out := make([][]float64, n)
+	backing := make([]float64, n*rows)
+	for j := range out {
+		row := backing[j*rows : (j+1)*rows : (j+1)*rows]
+		for i := range row {
+			row[i] = dst.Data[i*n+j]
+		}
+		out[j] = row
+	}
+	return out, true
 }
 
 // DescriptorPCAEst fits PCA over all descriptors pooled across records and

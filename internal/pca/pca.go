@@ -48,6 +48,47 @@ func (p *Projection) Apply(in any) any {
 	return out
 }
 
+// BlockRows implements core.BlockOp.
+func (p *Projection) BlockRows(in int) (int, error) {
+	if in != p.P.Rows {
+		return 0, fmt.Errorf("pca: record has %d dims, projection expects %d", in, p.P.Rows)
+	}
+	return p.P.Cols, nil
+}
+
+// centred recycles ApplyBlock's centred copy of its input block.
+var centred = sync.Pool{New: func() any { return new([]float64) }}
+
+// ApplyBlock implements core.BlockOp: the block's columns centred into
+// pooled scratch, then one Pᵀ·Xc TMul. Each output reduces over
+// ascending input index from +0 with one rounded add per product, as
+// Apply's axpy loop does; Apply skips a zero centred value and the
+// reference TMul a zero weight, and skipping a zero product cannot
+// change a bit (ARCHITECTURE.md Contract 5), so every column is Apply's
+// output bit for bit.
+func (p *Projection) ApplyBlock(dst, x *linalg.Matrix) error {
+	k, err := p.BlockRows(x.Rows)
+	if err != nil {
+		return err
+	}
+	d, n := x.Rows, x.Cols
+	buf := centred.Get().(*[]float64)
+	defer centred.Put(buf)
+	if cap(*buf) < d*n {
+		*buf = make([]float64, d*n)
+	}
+	xc := (*buf)[:d*n]
+	for i, mu := range p.Mean {
+		row := xc[i*n : (i+1)*n]
+		for j, v := range x.Data[i*n : (i+1)*n] {
+			row[j] = v - mu
+		}
+	}
+	clear(dst.Data)
+	linalg.Choose(linalg.OpTMul, d, k, n).TMul(dst.Data, p.P.Data, xc, d, k, n)
+	return nil
+}
+
 // collect gathers a dense collection into one matrix.
 func collect(c *engine.Collection) *linalg.Matrix {
 	items := c.Collect()

@@ -1,6 +1,7 @@
 package pca
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -174,6 +175,95 @@ func TestPCACostLargeKExactFavored(t *testing.T) {
 	idx := cost.Choose(opts, stats, res)
 	if name := opts[idx].Model.Name(); name != "pca.svd.dist" {
 		t.Errorf("large-k choice = %s, want pca.svd.dist", name)
+	}
+}
+
+// TestProjectionBlockBits pins ApplyBlock to Apply column by column, bit
+// for bit (signed zeros included), under both kernel backends, with ±0
+// weights in P, a column equal to the training mean and a column sharing
+// some of its features.
+func TestProjectionBlockBits(t *testing.T) {
+	rng := linalg.NewRNG(5)
+	const d, k, n = 9, 4, 37
+	proj := &Projection{P: rng.GaussianMatrix(d, k), Mean: rng.GaussianVector(d)}
+	proj.P.Set(0, 1, 0)
+	proj.P.Set(2, 0, math.Copysign(0, -1))
+	proj.P.Set(5, 3, math.Copysign(0, -1))
+	x := rng.GaussianMatrix(d, n)
+	for i := 0; i < d; i++ {
+		x.Set(i, 3, proj.Mean[i])
+		if i%2 == 0 {
+			x.Set(i, 8, proj.Mean[i])
+		}
+	}
+	if _, err := proj.BlockRows(d + 1); err == nil {
+		t.Error("BlockRows accepted the wrong width")
+	}
+	if err := proj.ApplyBlock(linalg.NewMatrix(k, n), linalg.NewMatrix(d-1, n)); err == nil {
+		t.Error("ApplyBlock accepted the wrong width")
+	}
+	defer linalg.SetBackendMode(linalg.Mode())
+	for _, mode := range []linalg.BackendMode{linalg.ModeReference, linalg.ModeBlocked} {
+		linalg.SetBackendMode(mode)
+		dst := linalg.NewMatrix(k, n)
+		for i := range dst.Data {
+			dst.Data[i] = math.NaN() // ApplyBlock must overwrite all of it
+		}
+		if err := proj.ApplyBlock(dst, x); err != nil {
+			t.Fatal(err)
+		}
+		col := make([]float64, d)
+		for j := 0; j < n; j++ {
+			for i := range col {
+				col[i] = x.At(i, j)
+			}
+			want := proj.Apply(col).([]float64)
+			for i, w := range want {
+				if got := dst.At(i, j); math.Float64bits(got) != math.Float64bits(w) {
+					t.Fatalf("mode %d column %d output %d: block %v, Apply %v", mode, j, i, got, w)
+				}
+			}
+		}
+	}
+}
+
+// TestProjectionBlockConcurrent runs ApplyBlock from several goroutines
+// at once on blocks of different widths, so the pooled centring scratch
+// changes shape between uses; every result must equal the serial one.
+func TestProjectionBlockConcurrent(t *testing.T) {
+	rng := linalg.NewRNG(6)
+	proj := &Projection{P: rng.GaussianMatrix(16, 3), Mean: rng.GaussianVector(16)}
+	blocks := []*linalg.Matrix{
+		rng.GaussianMatrix(16, 1), rng.GaussianMatrix(16, 25),
+		rng.GaussianMatrix(16, 7), rng.GaussianMatrix(16, 130),
+	}
+	apply := func(x *linalg.Matrix) *linalg.Matrix {
+		dst := linalg.NewMatrix(3, x.Cols)
+		if err := proj.ApplyBlock(dst, x); err != nil {
+			panic(err)
+		}
+		return dst
+	}
+	want := make([]*linalg.Matrix, len(blocks))
+	for i, x := range blocks {
+		want[i] = apply(x)
+	}
+	errs := make(chan error, len(blocks))
+	for i, x := range blocks {
+		go func() {
+			for round := 0; round < 50; round++ {
+				if !linalg.Equal(apply(x), want[i], 0) {
+					errs <- fmt.Errorf("block %d round %d differs from the serial result", i, round)
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for range blocks {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
 	}
 }
 

@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"keystoneml/internal/cluster"
+	"keystoneml/internal/core"
 	"keystoneml/internal/linalg"
+	"keystoneml/internal/pca"
 )
 
 // fitBlockSpeech fits the speech pipeline at the e2e speech-batch shape
@@ -24,15 +26,59 @@ func fitBlockSpeech(tb testing.TB) (*Fitted[[]float64, []float64], [][]float64) 
 	return f, hold.Records
 }
 
+// fitBlockPCA fits a bare Input → PCA → linear-solver pipeline, whose
+// every operator has a block form, and returns it with 300 holdout
+// records.
+func fitBlockPCA(tb testing.TB) (*Fitted[[]float64, []float64], [][]float64) {
+	tb.Helper()
+	train := SyntheticDenseVectors(400, 40, 8, 3)
+	hold := SyntheticDenseVectors(300, 40, 8, 4)
+	p := Input[[]float64]()
+	reduced := ThenEstimator(p, wrapEst[[]float64, []float64](&pca.PCA{K: 12, Seed: 5}, false))
+	full := ThenEstimator(reduced, LinearSolver(5))
+	f, err := full.Fit(context.Background(), train.Records, train.Labels, quickOpts()...)
+	if err != nil {
+		tb.Fatalf("fit: %v", err)
+	}
+	return f, hold.Records
+}
+
 // TestBlockBitIdentity pins TransformBatch's block path to Transform,
 // record by record and bit by bit (signed zeros included), under every
 // kernel dispatch mode, across block boundaries (core's blockRecords is
-// 128) and for the artifact-decoded model a server actually runs.
+// 128) and for the artifact-decoded model a server actually runs — on
+// the speech pipeline and on a bare PCA pipeline.
 func TestBlockBitIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	fitted, hold := fitBlockSpeech(t)
+	for _, c := range []struct {
+		name string
+		fit  func(testing.TB) (*Fitted[[]float64, []float64], [][]float64)
+	}{{"speech", fitBlockSpeech}, {"pca", fitBlockPCA}} {
+		t.Run(c.name, func(t *testing.T) {
+			fitted, hold := c.fit(t)
+			checkBlockBits(t, fitted, hold, []int{1, 2, 63, 64, 65, 127, 128, 129, len(hold)})
+		})
+	}
+}
+
+func checkBlockBits(t *testing.T, fitted *Fitted[[]float64, []float64], hold [][]float64, sizes []int) {
+	t.Helper()
+	recs, err := fitted.inner.StepRecords()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		if r.Op == "" {
+			continue
+		}
+		if op, err := core.DecodeOp(r.Op, r.State); err != nil {
+			t.Fatal(err)
+		} else if _, ok := op.(core.BlockOp); !ok {
+			t.Fatalf("%s has no block form; TransformBatch would not take the block path", r.Name)
+		}
+	}
 	data, err := Encode(fitted)
 	if err != nil {
 		t.Fatal(err)
@@ -51,7 +97,7 @@ func TestBlockBitIdentity(t *testing.T) {
 			cluster.InstallKernelCrossover()
 		}
 		for name, f := range map[string]*Fitted[[]float64, []float64]{"fitted": fitted, "decoded": decoded} {
-			for _, n := range []int{1, 2, 63, 64, 65, 127, 128, 129, 1500} {
+			for _, n := range sizes {
 				got, err := f.TransformBatch(context.Background(), hold[:n])
 				if err != nil {
 					t.Fatalf("%s/%s n=%d: %v", mode.name, name, n, err)

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -366,6 +367,75 @@ func TestPredictPanicIs500(t *testing.T) {
 	}
 	if st := rt.cur.Load().batcher.Stats(); st.Failed != 1 || st.Records != 2 {
 		t.Errorf("batcher failed=%d records=%d, want 1 of 2", st.Failed, st.Records)
+	}
+}
+
+// TestNaNScoreIs500: a score JSON cannot carry is that request's 500
+// with an error body — not a 200 with an empty one — on the single and
+// the batch path, and the route serves the next request.
+func TestNaNScoreIs500(t *testing.T) {
+	p := keystone.Input[[]float64]()
+	out := keystone.Then(p, keystone.NewOp("nan-when-negative", func(v []float64) []float64 {
+		if v[0] < 0 {
+			return []float64{math.NaN(), 1}
+		}
+		return []float64{v[0], 1}
+	}))
+	f, err := out.Fit(context.Background(), [][]float64{{1}}, nil, keystone.WithOptimizerLevel(keystone.LevelNone))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewServer()
+	defer s.Close()
+	if _, err := Register(s, "vec", f, VectorCodec{}); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	for _, c := range []struct{ path, body string }{
+		{"/predict", `{"vector":[-1]}`},
+		{"/predict/batch", `{"vectors":[[2],[-1]]}`},
+	} {
+		code, body := postJSON(t, ts.URL+c.path, c.body)
+		if msg, _ := body["error"].(string); code != http.StatusInternalServerError || !strings.Contains(msg, "NaN") {
+			t.Errorf("%s with a NaN score = %d %v, want 500 naming the NaN", c.path, code, body)
+		}
+	}
+	code, body := postJSON(t, ts.URL+"/predict", `{"vector":[2]}`)
+	if scores, _ := body["scores"].([]any); code != 200 || len(scores) != 2 || scores[0] != float64(2) {
+		t.Fatalf("finite score after the NaN = %d %v, want 200 with scores [2 1]", code, body)
+	}
+}
+
+// TestErrorBodyIsJSON: an error message carrying bytes Go's %q escapes
+// in a way JSON does not (a NUL, invalid UTF-8) still makes a valid JSON
+// error body.
+func TestErrorBodyIsJSON(t *testing.T) {
+	p := keystone.Input[[]float64]()
+	out := keystone.Then(p, keystone.NewOp("raw-bytes", func(v []float64) []float64 {
+		if v[0] < 0 {
+			panic("bad \x00 and \xff bytes")
+		}
+		return v
+	}))
+	f, err := out.Fit(context.Background(), [][]float64{{1}}, nil, keystone.WithOptimizerLevel(keystone.LevelNone))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewServer()
+	defer s.Close()
+	if _, err := Register(s, "vec", f, VectorCodec{}); err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/predict", strings.NewReader(`{"vector":[-1]}`)))
+	if rec.Code != http.StatusInternalServerError || !json.Valid(rec.Body.Bytes()) {
+		t.Fatalf("panic carrying raw bytes = %d %q, want 500 with a valid JSON body", rec.Code, rec.Body.Bytes())
+	}
+	var body struct{ Error string }
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || !strings.Contains(body.Error, "bad \x00 and � bytes") {
+		t.Fatalf("error body %q (%v), want the message with NUL kept and the invalid byte replaced", rec.Body.Bytes(), err)
 	}
 }
 

@@ -43,6 +43,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -319,15 +320,32 @@ func statusOf(err error) int {
 	}
 }
 
+// jsonBufs recycles writeJSON's response buffers.
+var jsonBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// writeJSON answers 200 with v as JSON. v is encoded before anything is
+// written, so a value JSON cannot carry (a NaN score) is answered 500
+// with an error body, not 200 with an empty one.
 func writeJSON(w http.ResponseWriter, v any) {
+	buf := jsonBufs.Get().(*bytes.Buffer)
+	defer jsonBufs.Put(buf)
+	buf.Reset()
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		httpError(w, http.StatusInternalServerError, "encode response: "+err.Error())
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		log.Printf("serve: encode response: %v", err)
+	if _, err := w.Write(buf.Bytes()); err != nil {
+		log.Printf("serve: write response: %v", err)
 	}
 }
 
+// httpError answers code with {"error": msg}; msg may hold any bytes.
 func httpError(w http.ResponseWriter, code int, msg string) {
+	body, _ := json.Marshal(struct {
+		Error string `json:"error"`
+	}{msg}) // a struct of one string always marshals
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	fmt.Fprintf(w, "{\"error\":%q}\n", msg)
+	_, _ = w.Write(append(body, '\n')) // a failed write leaves no one to tell
 }

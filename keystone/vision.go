@@ -33,7 +33,10 @@ func Grayscale() Op[*Image, *Image] {
 
 // SIFT extracts dense SIFT-style descriptors on a grid: local
 // gradient-orientation histograms over 4x4 cells, L2 normalized — the
-// descriptor source of the paper's Figure 5 vision DAG.
+// descriptor source of the paper's Figure 5 vision DAG. Each pixel's
+// orientation and each cell's histogram is computed once and shared by
+// the descriptors that overlap it; a pixel whose orientation is NaN (a
+// non-finite neighbourhood) adds nothing.
 func SIFT(p SIFTParams) Op[*Image, [][]float64] {
 	return wrapOp[*Image, [][]float64](image.NewSIFTOp(image.SIFTParams{
 		CellSize: p.CellSize,

@@ -46,6 +46,68 @@ func TestCustomVisionDAGFromPrimitives(t *testing.T) {
 	}
 }
 
+// fitE2EVision fits the vision pipeline at the e2e vision-dag shape
+// (48x48 colour images, 4 classes, 12 PCA dimensions, 6 Gaussians, the
+// LCS branch) on 60 training images, and returns it with n holdout
+// images.
+func fitE2EVision(tb testing.TB, n int, opts ...Option) (*Fitted[*Image, []float64], []*Image) {
+	tb.Helper()
+	train := SyntheticImages(60, 48, 3, 4, 1)
+	hold := SyntheticImages(n, 48, 3, 4, 2)
+	p := VisionPipeline(VisionConfig{PCADims: 12, GMMComponents: 6, SampleDescs: 30, Seed: 9, Iterations: 20, WithLCS: true})
+	f, err := p.Fit(context.Background(), train.Records, train.Labels, append(quickOpts(), opts...)...)
+	if err != nil {
+		tb.Fatalf("fit: %v", err)
+	}
+	return f, hold.Records
+}
+
+// TestVisionTransformBatchParallel: with four workers TransformBatch
+// fans the images out across goroutines, each running SIFT and the
+// descriptor PCA on its own pooled scratch; every output must still be
+// the per-record Transform's, bit for bit.
+func TestVisionTransformBatchParallel(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	f, hold := fitE2EVision(t, 96, WithWorkers(4))
+	for round := 0; round < 3; round++ {
+		got, err := f.TransformBatch(context.Background(), hold)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, im := range hold {
+			want, err := f.Transform(context.Background(), im)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameBits(want, got[i]) {
+				t.Fatalf("round %d image %d: batch %v, one %v", round, i, got[i], want)
+			}
+		}
+	}
+}
+
+var visionSink any
+
+// BenchmarkTransformBatchVision is the before/after row for the shared
+// dense SIFT and the one-GEMM descriptor PCA: 250 e2e-shaped holdout
+// images through TransformBatch (run with -benchmem).
+func BenchmarkTransformBatchVision(b *testing.B) {
+	f, hold := fitE2EVision(b, 250)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out, err := f.TransformBatch(ctx, hold)
+		if err != nil {
+			b.Fatal(err)
+		}
+		visionSink = out
+	}
+	b.ReportMetric(float64(b.N*len(hold))/b.Elapsed().Seconds(), "rec/s")
+}
+
 // TestSIFTDescriptorDAGFromPrimitives exercises the descriptor-set
 // wrappers (SIFT, sampling, flattening) in a second custom DAG shape.
 func TestSIFTDescriptorDAGFromPrimitives(t *testing.T) {
