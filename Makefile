@@ -47,11 +47,13 @@ docs-check: vet
 # The size ledger: the three numbers a simplification is judged by, so a
 # CHANGES.md row quotes a figure anyone can reproduce — non-test Go
 # lines, With* options of the public API, and exported identifiers of
-# the public packages as `go doc -short` lists them.
+# the public packages as `go doc -short` lists them, in total and per
+# package (so a row can say which package lost what).
 ledger:
 	@echo "non-test Go lines:    $$(find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*' | xargs cat | wc -l)"
 	@echo "With* options:        $$(grep -rh '^func With' --include='*.go' --exclude='*_test.go' keystone | wc -l)"
 	@echo "exported identifiers: $$(for p in $(PUBLIC_PKGS); do $(GO) doc -short ./$$p; done | wc -l)"
+	@for p in $(PUBLIC_PKGS); do printf '  %-20s %s\n' "$$p" "$$($(GO) doc -short ./$$p | wc -l)"; done
 
 # A short benchmark pass at Quick scale: compiles every benchmark and
 # runs each once, catching bit-rot without CI-hostile runtimes.

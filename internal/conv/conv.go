@@ -319,11 +319,6 @@ func (FFT) Convolve(im *image.Image, fb *FilterBank) *image.Image {
 type Convolver struct {
 	Bank     *FilterBank
 	Strategy Strategy // nil = BLAS
-	// Float32 opts the optimizer into the single-precision BLAS32
-	// strategy. Off by default: it is the only strategy that trades
-	// accuracy (float32 rounding, ~1e-6 relative) for speed, so the
-	// caller must accept the tolerance explicitly.
-	Float32 bool
 }
 
 // Name implements core.TransformOp.
@@ -354,12 +349,6 @@ func (c *Convolver) Options() []cost.Option {
 		opts = append(opts, cost.Option{
 			Model:    separableCost{bank: c.Bank},
 			Operator: &boundStrategy{bank: c.Bank, s: Separable{}},
-		})
-	}
-	if c.Float32 {
-		opts = append(opts, cost.Option{
-			Model:    blas32Cost{bank: c.Bank},
-			Operator: &boundStrategy{bank: c.Bank, s: BLAS32{}},
 		})
 	}
 	return opts

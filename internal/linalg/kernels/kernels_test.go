@@ -78,40 +78,6 @@ func TestGemmTMatchesNaive(t *testing.T) {
 	}
 }
 
-func TestGemm32MatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for _, m := range []int{1, 3, 4, 7, 16, 33} {
-		for _, k := range []int{1, 5, 8, 33} {
-			for _, n := range []int{1, 3, 4, 9, 33} {
-				a := make([]float32, m*k)
-				b := make([]float32, k*n)
-				for i := range a {
-					a[i] = float32(rng.NormFloat64())
-				}
-				for i := range b {
-					b[i] = float32(rng.NormFloat64())
-				}
-				want := make([]float32, m*n)
-				for i := 0; i < m; i++ {
-					for kk := 0; kk < k; kk++ {
-						av := a[i*k+kk]
-						for j := 0; j < n; j++ {
-							want[i*n+j] += av * b[kk*n+j]
-						}
-					}
-				}
-				got := make([]float32, m*n)
-				Gemm32(got, a, b, m, k, n)
-				for i := range want {
-					if want[i] != got[i] {
-						t.Fatalf("Gemm32 %dx%dx%d: elem %d = %g, want %g", m, k, n, i, got[i], want[i])
-					}
-				}
-			}
-		}
-	}
-}
-
 func TestDotAxpyMatchNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for _, n := range edgeSizes {

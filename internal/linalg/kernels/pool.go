@@ -1,5 +1,5 @@
 // Package kernels holds the raw compute kernels behind the linalg
-// "blocked" backend: packed register-blocked GEMM (float64 and float32),
+// "blocked" backend: packed register-blocked GEMM,
 // strided GEMV/rank-1 panel kernels for the QR/SVD hot loops, unrolled
 // vector primitives, and a worker pool that fans tile work across cores
 // without oversubscribing the process.
@@ -9,11 +9,10 @@
 // reduction index, one accumulator per output element), so on finite
 // inputs the blocked backend produces bit-identical float64 results to
 // the reference backend regardless of blocking factors or how many
-// workers participate. The only documented divergences are signed zeros
+// workers participate. The only documented divergence is signed zeros
 // (the reference skips zero multiplicands where these kernels multiply
-// through, so a +0 may replace a -0; the two compare equal under ==) and
-// the float32 GEMM variant, whose reduced precision is an explicit
-// opt-in. See the package linalg tolerance table.
+// through, so a +0 may replace a -0; the two compare equal under ==).
+// See the package linalg tolerance table.
 package kernels
 
 import (

@@ -19,8 +19,7 @@ type Site struct {
 	// the partitions, what a stage launch costs and what a byte fetched
 	// to this process costs. Read only when Placement is set. Estimators
 	// fit in this process wherever the partitions live, so the operator
-	// cost models see the same modeled cluster (WithClusterNodes) at
-	// every site.
+	// cost models see the same modeled cluster at every site.
 	Model core.DistModel
 }
 

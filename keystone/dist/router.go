@@ -176,8 +176,7 @@ func (rt *Router) pick(key []byte) (*replica, int) {
 func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	body, status, err := httpbody.Read(w, r)
 	if err != nil {
-		msg, _ := json.Marshal(map[string]string{"error": "router: " + err.Error()})
-		http.Error(w, string(msg), status)
+		jsonError(w, status, "router: "+err.Error())
 		return
 	}
 	key := []byte(r.Header.Get("X-Affinity-Key"))
@@ -198,7 +197,18 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		relay(w, resp)
 		return
 	}
-	http.Error(w, `{"error":"router: no live replicas"}`, http.StatusServiceUnavailable)
+	jsonError(w, http.StatusServiceUnavailable, "router: no live replicas")
+}
+
+// jsonError answers code with {"error": msg} labelled application/json,
+// the shape of every serve.Server error the router relays.
+func jsonError(w http.ResponseWriter, code int, msg string) {
+	body, _ := json.Marshal(struct {
+		Error string `json:"error"`
+	}{msg}) // a struct of one string always marshals
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	_, _ = w.Write(append(body, '\n')) // a failed write leaves no one to tell
 }
 
 func (rt *Router) forward(r *http.Request, addr string, body []byte) (*http.Response, error) {

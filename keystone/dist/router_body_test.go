@@ -3,6 +3,7 @@ package dist
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -51,5 +52,40 @@ func TestRouterOversizedBodyIs413(t *testing.T) {
 	}
 	if got := predictViaRouter(t, rt, "doc"); len(got) != 2 || got[0] != 0.5 {
 		t.Errorf("prediction after the refusals = %v", got)
+	}
+}
+
+// TestRouterErrorsAreJSON: the errors the router answers itself — a body
+// over the bound (413) and no live replica to forward to (503) — carry
+// the JSON error shape and content type a replica's own errors do.
+func TestRouterErrorsAreJSON(t *testing.T) {
+	gone := httptest.NewServer(http.NotFoundHandler())
+	gone.Close() // every forward fails, so the only replica goes down
+	rt, err := NewRouter(RouterOptions{Replicas: []string{gone.URL}, HealthInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	for _, c := range []struct {
+		name   string
+		length int64
+		want   int
+	}{
+		{"oversized body", httpbody.Max + 1, http.StatusRequestEntityTooLarge},
+		{"no live replicas", 2, http.StatusServiceUnavailable},
+	} {
+		req := httptest.NewRequest(http.MethodPost, "/routes/text/predict", strings.NewReader("{}"))
+		req.ContentLength = c.length
+		rec := httptest.NewRecorder()
+		rt.ServeHTTP(rec, req)
+		var body struct {
+			Error *string `json:"error"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || body.Error == nil {
+			t.Errorf("%s: body %q is not a JSON error (%v)", c.name, rec.Body.Bytes(), err)
+		}
+		if ct := rec.Header().Get("Content-Type"); rec.Code != c.want || ct != "application/json" {
+			t.Errorf("%s = %d %q, want %d application/json", c.name, rec.Code, ct, c.want)
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"time"
 
+	"keystoneml/internal/cluster"
 	"keystoneml/internal/core"
 	"keystoneml/internal/engine"
 	"keystoneml/internal/linalg"
@@ -61,10 +62,10 @@ func FitPlaced[I, O any](ctx context.Context, p *Pipeline[I, O], records []I, la
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	// Kernel dispatch mode is process-global (the linalg registry is
-	// shared); Auto additionally installs the measured crossover, cached
-	// after the first Fit in the process.
-	cfg.applyKernelBackend()
+	// Kernel dispatch is process-global (the linalg registry is shared):
+	// install the measured crossover Auto dispatch consults, cached after
+	// the first Fit in the process.
+	cluster.InstallKernelCrossover()
 	// Kernel tile fan-out shares the engine's worker budget so nested
 	// parallelism degrades to serial instead of oversubscribing.
 	linalg.SetKernelParallelism(engine.NewContext(cfg.workers).Parallelism)

@@ -5,7 +5,6 @@ import (
 
 	"keystoneml/internal/cluster"
 	"keystoneml/internal/engine"
-	"keystoneml/internal/linalg"
 	"keystoneml/internal/optimizer"
 )
 
@@ -52,33 +51,9 @@ const (
 	CacheNone
 )
 
-// KernelBackend selects the linalg kernel dispatch mode underneath
-// every operator (GEMM, QR/SVD panel updates, dot/axpy).
-type KernelBackend int
-
-const (
-	// KernelAuto (the default) dispatches each kernel call by shape
-	// against crossover thresholds measured by the cluster
-	// microbenchmarks — the paper's cost-model discipline applied one
-	// level down. With no measurement installed it behaves like
-	// KernelReference.
-	KernelAuto KernelBackend = iota
-	// KernelReference pins the original straight-line kernels.
-	KernelReference
-	// KernelBlocked pins the cache-blocked vectorized parallel kernels.
-	KernelBlocked
-)
-
-func (k KernelBackend) internal() linalg.BackendMode {
-	switch k {
-	case KernelReference:
-		return linalg.ModeReference
-	case KernelBlocked:
-		return linalg.ModeBlocked
-	default:
-		return linalg.ModeAuto
-	}
-}
+// modeledNodes is the cluster size the operator cost models price every
+// fit against, wherever its partitions live.
+const modeledNodes = 8
 
 // fitConfig is the resolved option set for one Fit call.
 type fitConfig struct {
@@ -89,8 +64,6 @@ type fitConfig struct {
 	partitions  int
 	numClasses  int
 	sampleSizes [2]int
-	nodes       int
-	kernels     KernelBackend
 	prefix      *PrefixCache
 }
 
@@ -99,7 +72,6 @@ func defaultFitConfig() fitConfig {
 		level:       LevelFull,
 		cachePolicy: CacheAuto,
 		workers:     0, // NumCPU
-		nodes:       8,
 	}
 }
 
@@ -171,40 +143,12 @@ func WithSampleSizes(s1, s2 int) Option {
 	return func(c *fitConfig) { c.sampleSizes = [2]int{s1, s2} }
 }
 
-// WithKernelBackend selects the linalg kernel dispatch mode (default
-// KernelAuto). The setting is process-global — the kernel registry is
-// shared by every pipeline in the process — and is applied at Fit
-// entry; both backends produce bit-identical float64 results (see
-// ARCHITECTURE.md Contract 5), so the choice affects speed, not output.
-func WithKernelBackend(k KernelBackend) Option {
-	return func(c *fitConfig) { c.kernels = k }
-}
-
-// applyKernelBackend publishes the selected dispatch mode and, for Auto,
-// installs the measured crossover thresholds (cached after first run).
-func (c fitConfig) applyKernelBackend() {
-	linalg.SetBackendMode(c.kernels.internal())
-	if c.kernels == KernelAuto {
-		cluster.InstallKernelCrossover()
-	}
-}
-
-// WithClusterNodes sets the modeled cluster size fed into the operator
-// cost models (default 8 local nodes).
-func WithClusterNodes(n int) Option {
-	return func(c *fitConfig) {
-		if n > 0 {
-			c.nodes = n
-		}
-	}
-}
-
 // optimizerConfig lowers the resolved options, and the cost model of a
 // placed fit's site, onto the internal optimizer.
 func (c fitConfig) optimizerConfig(classes int, site Site) optimizer.Config {
 	cfg := optimizer.Config{
 		Level:          c.level.internal(),
-		Resources:      cluster.Local(c.nodes),
+		Resources:      cluster.Local(modeledNodes),
 		MemBudgetBytes: c.budgetForPlanner(),
 		NumClasses:     classes,
 		SampleSizes:    c.sampleSizes,

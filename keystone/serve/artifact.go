@@ -44,17 +44,9 @@ func RegisterArtifact[I, O any](s *Server, name string, store ArtifactStore, ref
 	if store == nil {
 		return nil, fmt.Errorf("serve: RegisterArtifact on route %q with nil store", name)
 	}
-	id, err := store.Resolve(ref)
+	fitted, id, err := loadArtifact[I, O](store, ref)
 	if err != nil {
-		return nil, fmt.Errorf("serve: route %q artifact %q: %w", name, ref, err)
-	}
-	data, err := store.Get(id)
-	if err != nil {
-		return nil, fmt.Errorf("serve: route %q artifact %q: %w", name, ref, err)
-	}
-	fitted, err := keystone.Decode[I, O](data)
-	if err != nil {
-		return nil, fmt.Errorf("serve: route %q artifact %s: %w", name, shortID(id), err)
+		return nil, fmt.Errorf("serve: route %q %w", name, err)
 	}
 	opts = append(opts, WithArtifactStore(store), withArtifactID(id))
 	return Register(s, name, fitted, codec, opts...)
@@ -75,32 +67,35 @@ func (rt *Route[I, O]) DeployArtifact(ctx context.Context, ref string) (int, err
 	if rt.store == nil {
 		return 0, fmt.Errorf("serve: route %q has no artifact store bound", rt.name)
 	}
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-	}
-	id, err := rt.store.Resolve(ref)
-	if err != nil {
+	if err := rt.begin(ctx, false); err != nil {
 		return 0, err
 	}
-	data, err := rt.store.Get(id)
+	defer rt.mu.Unlock()
+	fitted, id, err := loadArtifact[I, O](rt.store, ref)
 	if err != nil {
-		return 0, err
+		return 0, fmt.Errorf("serve: route %q %w", rt.name, err)
+	}
+	return rt.deployLocked(fitted, "deploy artifact "+shortID(id), id), nil
+}
+
+// loadArtifact resolves ref in store and decodes the artifact it names,
+// returning the pipeline and its full content address — the one read
+// path behind RegisterArtifact, DeployArtifact and a rollback across a
+// restart.
+func loadArtifact[I, O any](store ArtifactStore, ref string) (*keystone.Fitted[I, O], string, error) {
+	id, err := store.Resolve(ref)
+	if err != nil {
+		return nil, "", fmt.Errorf("artifact %q: %w", ref, err)
+	}
+	data, err := store.Get(id)
+	if err != nil {
+		return nil, "", fmt.Errorf("artifact %q: %w", ref, err)
 	}
 	fitted, err := keystone.Decode[I, O](data)
 	if err != nil {
-		return 0, fmt.Errorf("serve: route %q artifact %s: %w", rt.name, shortID(id), err)
+		return nil, "", fmt.Errorf("artifact %s: %w", shortID(id), err)
 	}
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if rt.closed {
-		return 0, ErrRouteClosed
-	}
-	if rt.canary.Load() != nil {
-		return 0, ErrCanaryActive
-	}
-	return rt.deployLocked(fitted, "deploy artifact "+shortID(id), id), nil
+	return fitted, id, nil
 }
 
 // storeFitted encodes fitted and puts it in the bound store, returning

@@ -1,10 +1,6 @@
 package serve
 
-import (
-	"time"
-
-	"keystoneml/keystone"
-)
+import "time"
 
 // SLO declares a latency objective for one route. When TargetP95 is
 // positive the route runs an autotuner that retargets its batcher's
@@ -12,7 +8,7 @@ import (
 // static -max-batch/-max-delay flags become mere starting points, clamped
 // into [MinBatch, MaxBatch] and [MinDelay, MaxDelay]. A tuned route
 // therefore always lingers: a maxDelay of 0 starts it at MinDelay, and
-// left unset it starts at the batcher's own default.
+// left unset it starts at the route default (1ms).
 type SLO struct {
 	// TargetP95 is the 95th-percentile request latency to steer toward.
 	// <= 0 disables autotuning for the route.
@@ -58,8 +54,9 @@ func (s SLO) withDefaults() SLO {
 	return s
 }
 
-// Tuner adjusts a batcher's (maxBatch, maxDelay) toward a p95 target
-// using AIMD-style feedback on the batcher's latency window:
+// step is the autotuner: it adjusts a batcher's (maxBatch, maxDelay)
+// toward the p95 target using AIMD-style feedback on the batcher's
+// latency window:
 //
 //   - Over the SLO with batches filling before the window expires
 //     (occupancy ≥ 0.9): the route is throughput-bound — double maxBatch
@@ -74,29 +71,17 @@ func (s SLO) withDefaults() SLO {
 // the slow increase converges the limits to the largest batching the SLO
 // admits, which is where per-request cost is lowest.
 //
-// With SLO.ThroughputFloor set the objective is two-dimensional: while
-// the observed rate sits below the floor the tuner refuses to shrink the
+// With ThroughputFloor set the objective is two-dimensional: while the
+// observed rate sits below the floor the tuner refuses to shrink the
 // window multiplicatively (a collapsed window destroys the batching that
 // throughput depends on) and grows the batch instead whenever occupancy
 // shows real demand. The p95 target still wins when throughput is
 // healthy.
-type Tuner struct {
-	cfg SLO
-}
-
-// NewTuner builds a tuner for the given objective (defaults applied).
-func NewTuner(cfg SLO) *Tuner { return &Tuner{cfg: cfg.withDefaults()} }
-
-// Config returns the objective with defaults resolved.
-func (t *Tuner) Config() SLO { return t.cfg }
-
-// Step is the pure decision function: given the latest latency window
-// and the current limits, return the next limits. It is deterministic,
+//
+// step is a pure decision function over an SLO with defaults resolved,
 // so convergence is unit-testable without a live server; the route's
-// tuning loop calls it every Interval and applies the result with
-// Batcher.SetLimits.
-func (t *Tuner) Step(snap keystone.LatencySnapshot, curBatch int, curDelay time.Duration) (int, time.Duration) {
-	c := t.cfg
+// tuning loop calls it every Interval.
+func (c SLO) step(snap latencySnapshot, curBatch int, curDelay time.Duration) (int, time.Duration) {
 	if snap.Samples < c.MinSamples {
 		return curBatch, curDelay
 	}
@@ -133,9 +118,8 @@ func (t *Tuner) Step(snap keystone.LatencySnapshot, curBatch int, curDelay time.
 	return batch, delay
 }
 
-// clampLimits folds arbitrary starting limits into the objective's
-// bounds so a route's initial configuration and the tuner agree.
-func (t *Tuner) clampLimits(batch int, delay time.Duration) (int, time.Duration) {
-	c := t.cfg
+// clamp folds starting limits into the objective's bounds so a route's
+// initial configuration and the tuner agree.
+func (c SLO) clamp(batch int, delay time.Duration) (int, time.Duration) {
 	return min(c.MaxBatch, max(c.MinBatch, batch)), min(c.MaxDelay, max(c.MinDelay, delay))
 }

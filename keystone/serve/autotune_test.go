@@ -11,8 +11,8 @@ import (
 )
 
 // snap builds a window snapshot for the model-based tuner tests.
-func snap(p95 time.Duration, occ float64, samples int) keystone.LatencySnapshot {
-	return keystone.LatencySnapshot{Samples: samples, Batches: samples, P50: p95 / 2, P95: p95, MeanOccupancy: occ}
+func snap(p95 time.Duration, occ float64, samples int) latencySnapshot {
+	return latencySnapshot{Samples: samples, Batches: samples, P50: p95 / 2, P95: p95, MeanOccupancy: occ}
 }
 
 // TestTunerConvergesDelayBound models the delay-bound regime: observed
@@ -20,12 +20,12 @@ func snap(p95 time.Duration, occ float64, samples int) keystone.LatencySnapshot 
 // window against a 10ms target the tuner must converge below target and
 // stay there, without undershooting the floor.
 func TestTunerConvergesDelayBound(t *testing.T) {
-	tuner := NewTuner(SLO{TargetP95: 10 * time.Millisecond})
+	slo := SLO{TargetP95: 10 * time.Millisecond}.withDefaults()
 	batch, delay := 32, 50*time.Millisecond
 	const exec = 2 * time.Millisecond
 	converged := -1
 	for i := 0; i < 40; i++ {
-		batch, delay = tuner.Step(snap(delay+exec, 0.3, 64), batch, delay)
+		batch, delay = slo.step(snap(delay+exec, 0.3, 64), batch, delay)
 		if delay+exec <= 10*time.Millisecond && converged < 0 {
 			converged = i
 		}
@@ -36,12 +36,12 @@ func TestTunerConvergesDelayBound(t *testing.T) {
 	if converged > 15 {
 		t.Errorf("took %d steps to converge, want multiplicative-decrease speed", converged)
 	}
-	if delay < tuner.Config().MinDelay {
-		t.Errorf("delay %v fell below the floor %v", delay, tuner.Config().MinDelay)
+	if delay < slo.MinDelay {
+		t.Errorf("delay %v fell below the floor %v", delay, slo.MinDelay)
 	}
 	// Steady state: the modeled p95 must stay under target forever after.
 	for i := 0; i < 20; i++ {
-		batch, delay = tuner.Step(snap(delay+exec, 0.3, 64), batch, delay)
+		batch, delay = slo.step(snap(delay+exec, 0.3, 64), batch, delay)
 		if delay+exec > 10*time.Millisecond {
 			t.Fatalf("oscillated back over target at step %d (delay %v)", i, delay)
 		}
@@ -52,16 +52,16 @@ func TestTunerConvergesDelayBound(t *testing.T) {
 // filling to the brim, the tuner must grow maxBatch (amortization) while
 // cutting the window, and respect the ceiling.
 func TestTunerGrowsBatchWhenThroughputBound(t *testing.T) {
-	tuner := NewTuner(SLO{TargetP95: 10 * time.Millisecond, MaxBatch: 128})
+	slo := SLO{TargetP95: 10 * time.Millisecond, MaxBatch: 128}.withDefaults()
 	batch, delay := 16, 5*time.Millisecond
 	for i := 0; i < 10; i++ {
-		batch, delay = tuner.Step(snap(40*time.Millisecond, 1.0, 64), batch, delay)
+		batch, delay = slo.step(snap(40*time.Millisecond, 1.0, 64), batch, delay)
 	}
 	if batch != 128 {
 		t.Errorf("throughput-bound batch = %d, want growth to the 128 cap", batch)
 	}
-	if delay != tuner.Config().MinDelay {
-		t.Errorf("throughput-bound delay = %v, want decay to the floor %v", delay, tuner.Config().MinDelay)
+	if delay != slo.MinDelay {
+		t.Errorf("throughput-bound delay = %v, want decay to the floor %v", delay, slo.MinDelay)
 	}
 }
 
@@ -69,22 +69,22 @@ func TestTunerGrowsBatchWhenThroughputBound(t *testing.T) {
 // (bounded) so batching amortizes harder; near-empty batches shrink the
 // batch limit toward MinBatch.
 func TestTunerSpendsHeadroom(t *testing.T) {
-	tuner := NewTuner(SLO{TargetP95: 50 * time.Millisecond, MaxDelay: 20 * time.Millisecond})
+	slo := SLO{TargetP95: 50 * time.Millisecond, MaxDelay: 20 * time.Millisecond}.withDefaults()
 	batch, delay := 32, time.Millisecond
 	for i := 0; i < 60; i++ {
-		batch, delay = tuner.Step(snap(2*time.Millisecond, 0.1, 64), batch, delay)
+		batch, delay = slo.step(snap(2*time.Millisecond, 0.1, 64), batch, delay)
 	}
 	if delay != 20*time.Millisecond {
 		t.Errorf("headroom delay = %v, want growth to the 20ms cap", delay)
 	}
-	if batch != tuner.Config().MinBatch {
-		t.Errorf("near-empty batches kept batch = %d, want decay to %d", batch, tuner.Config().MinBatch)
+	if batch != slo.MinBatch {
+		t.Errorf("near-empty batches kept batch = %d, want decay to %d", batch, slo.MinBatch)
 	}
 }
 
 // snapT is snap with an observed throughput, for the multi-objective
 // tests.
-func snapT(p95 time.Duration, occ float64, samples int, rps float64) keystone.LatencySnapshot {
+func snapT(p95 time.Duration, occ float64, samples int, rps float64) latencySnapshot {
 	s := snap(p95, occ, samples)
 	s.Throughput = rps
 	return s
@@ -95,12 +95,12 @@ func snapT(p95 time.Duration, occ float64, samples int, rps float64) keystone.La
 // way the single-objective policy does — it grows the batch to win the
 // throughput back and trims the window only gently.
 func TestTunerThroughputFloorBlocksWindowCollapse(t *testing.T) {
-	single := NewTuner(SLO{TargetP95: 10 * time.Millisecond})
-	multi := NewTuner(SLO{TargetP95: 10 * time.Millisecond, ThroughputFloor: 500})
+	single := SLO{TargetP95: 10 * time.Millisecond}.withDefaults()
+	multi := SLO{TargetP95: 10 * time.Millisecond, ThroughputFloor: 500}.withDefaults()
 
 	over := snapT(25*time.Millisecond, 0.6, 64, 200) // p95 2.5x target, rate under floor
-	sBatch, sDelay := single.Step(over, 16, 20*time.Millisecond)
-	mBatch, mDelay := multi.Step(over, 16, 20*time.Millisecond)
+	sBatch, sDelay := single.step(over, 16, 20*time.Millisecond)
+	mBatch, mDelay := multi.step(over, 16, 20*time.Millisecond)
 
 	if sDelay != 12*time.Millisecond { // 0.6x: the single-objective cut
 		t.Fatalf("single-objective delay = %v, want 12ms", sDelay)
@@ -115,7 +115,7 @@ func TestTunerThroughputFloorBlocksWindowCollapse(t *testing.T) {
 	// Starvation lowers the occupancy bar for the doubling; it must not
 	// stack a second doubling when occupancy alone already triggers one.
 	full := snapT(25*time.Millisecond, 0.95, 64, 200)
-	b, _ := multi.Step(full, 16, 20*time.Millisecond)
+	b, _ := multi.step(full, 16, 20*time.Millisecond)
 	if b != 32 {
 		t.Errorf("starved + occupancy-full batch = %d after one step from 16, want a single doubling to 32", b)
 	}
@@ -125,9 +125,9 @@ func TestTunerThroughputFloorBlocksWindowCollapse(t *testing.T) {
 // big headroom) with throughput under the floor and real demand, the
 // tuner grows the batch without touching the window.
 func TestTunerFloorGrowsBatchInBand(t *testing.T) {
-	tuner := NewTuner(SLO{TargetP95: 10 * time.Millisecond, ThroughputFloor: 500})
+	slo := SLO{TargetP95: 10 * time.Millisecond, ThroughputFloor: 500}.withDefaults()
 	inBand := snapT(9*time.Millisecond, 0.8, 64, 300)
-	batch, delay := tuner.Step(inBand, 16, 5*time.Millisecond)
+	batch, delay := slo.step(inBand, 16, 5*time.Millisecond)
 	if batch <= 16 {
 		t.Errorf("in-band starved batch = %d, want growth", batch)
 	}
@@ -135,7 +135,7 @@ func TestTunerFloorGrowsBatchInBand(t *testing.T) {
 		t.Errorf("in-band starved delay = %v, want unchanged 5ms", delay)
 	}
 	// Same snapshot with a healthy rate: no action inside the band.
-	batch, delay = tuner.Step(snapT(9*time.Millisecond, 0.8, 64, 900), 16, 5*time.Millisecond)
+	batch, delay = slo.step(snapT(9*time.Millisecond, 0.8, 64, 900), 16, 5*time.Millisecond)
 	if batch != 16 || delay != 5*time.Millisecond {
 		t.Errorf("in-band healthy step changed limits to (%d, %v)", batch, delay)
 	}
@@ -145,8 +145,8 @@ func TestTunerFloorGrowsBatchInBand(t *testing.T) {
 // shrinks a near-empty batch limit, but under the floor that would give
 // up capacity — the tuner must hold it.
 func TestTunerFloorKeepsNearEmptyBatches(t *testing.T) {
-	tuner := NewTuner(SLO{TargetP95: 50 * time.Millisecond, ThroughputFloor: 500})
-	batch, _ := tuner.Step(snapT(2*time.Millisecond, 0.1, 64, 100), 32, time.Millisecond)
+	slo := SLO{TargetP95: 50 * time.Millisecond, ThroughputFloor: 500}.withDefaults()
+	batch, _ := slo.step(snapT(2*time.Millisecond, 0.1, 64, 100), 32, time.Millisecond)
 	if batch != 32 {
 		t.Errorf("starved near-empty batch = %d, want held at 32", batch)
 	}
@@ -154,8 +154,8 @@ func TestTunerFloorKeepsNearEmptyBatches(t *testing.T) {
 
 // TestTunerHoldsWithoutEvidence: below MinSamples the tuner must not act.
 func TestTunerHoldsWithoutEvidence(t *testing.T) {
-	tuner := NewTuner(SLO{TargetP95: 10 * time.Millisecond})
-	batch, delay := tuner.Step(snap(time.Hour, 1.0, 3), 32, 2*time.Millisecond)
+	slo := SLO{TargetP95: 10 * time.Millisecond}.withDefaults()
+	batch, delay := slo.step(snap(time.Hour, 1.0, 3), 32, 2*time.Millisecond)
 	if batch != 32 || delay != 2*time.Millisecond {
 		t.Errorf("tuner acted on %d samples: (%d, %v)", 3, batch, delay)
 	}

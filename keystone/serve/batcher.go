@@ -1,28 +1,26 @@
-package keystone
+package serve
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
-)
 
-// ErrBatcherClosed is returned by Predict after Close.
-var ErrBatcherClosed = errors.New("keystone: batcher closed")
+	"keystoneml/keystone"
+)
 
 const (
 	defaultMaxBatch = 32
-	// defaultMaxDelay is the linger of a batcher whose caller set none: the
+	// defaultMaxDelay is the linger of a route whose caller set none: the
 	// shortest one the Go runtime delivers as asked (on an idle P it rounds
 	// a shorter timer up to a millisecond). It keeps an unconfigured
 	// route's closed-loop throughput paced by the clock rather than by the
 	// CPU; maxDelay 0 takes the clock out.
 	defaultMaxDelay = time.Millisecond
 	// batcherQueueDepth bounds requests queued ahead of batch assembly;
-	// beyond it Predict callers block (back-pressure) until the loop
+	// beyond it predict callers block (back-pressure) until the loop
 	// drains or their context fires.
 	batcherQueueDepth = 256
 	// flushOverlap bounds how many batches may execute in the pipeline
@@ -30,38 +28,37 @@ const (
 	// slow batch blocks the next from forming. With 2+ the assembly loop
 	// keeps collecting while earlier batches execute.
 	flushOverlap = 2
-	// latWindowSize is the ring capacity of the latency/occupancy window
-	// behind Latency(); sized so p95 has resolution without unbounded
-	// memory.
+	// latWindowSize is the ring capacity of the latency/occupancy window;
+	// sized so p95 has resolution without unbounded memory.
 	latWindowSize = 256
 )
 
-// Batcher coalesces concurrent single-record Predict calls into batched
-// TransformBatch invocations while callers keep a one-record-at-a-time
-// API. It is work-conserving: a batch closes at the instant an execution
-// slot is acquired, never at a timer tick, so a busy pipeline keeps
-// absorbing arrivals (up to maxBatch) for as long as it waits for a slot.
+// batcher is one version's micro-batcher: it coalesces concurrent
+// single-record predict calls into TransformBatch invocations while
+// callers keep a one-record-at-a-time API. ARCHITECTURE.md's serve
+// request lifecycle states the batching contract; in short:
 //
-// Linger is a separate, removable term: with maxDelay > 0 (the default is
-// 1ms) a batch that is not yet full waits out maxDelay after its first
-// record before it becomes eligible for a slot, trading latency for batch
-// size. That only pays on a pipeline whose batch path is cheaper per
-// record than its single-record path. With maxDelay 0 batches are exactly
-// what queued while the pipeline was busy, and an idle pipeline dispatches
-// the first request with zero wait.
+//   - It is work-conserving: a batch closes at the instant an execution
+//     slot is acquired, never at a timer tick, so a busy pipeline keeps
+//     absorbing arrivals (up to maxBatch) for as long as it waits for one.
+//   - Linger is a separate, removable term: with maxDelay > 0 a batch that
+//     is not yet full waits out maxDelay after its first record before it
+//     may take a slot. With maxDelay 0 batches are exactly what queued
+//     while the pipeline was busy, and an idle pipeline dispatches the
+//     first request with zero wait.
+//   - Up to flushOverlap batches execute at once, so a slow batch does not
+//     head-of-line-block the next one. A batch of one runs Transform under
+//     its caller's own context; a pipeline panic fails the batch it was
+//     part of, not the process.
 //
-// Up to a small bound of batches execute in the pipeline concurrently, so
-// a slow batch does not head-of-line-block the next one. A batch of one
-// runs Transform under its caller's own context; a panic in a pipeline
-// operator fails the batch it was part of, not the process. Limits are
-// dynamic — SetLimits retargets (maxBatch, maxDelay) while the batcher
-// runs, which is how the serve package's SLO-driven autotuner steers
-// latency — and Latency() exposes a sliding window of observed request
-// latencies and batch occupancy for exactly that feedback loop.
-//
-// A Batcher is safe for any number of concurrent Predict callers.
-type Batcher[I, O any] struct {
-	fitted *Fitted[I, O]
+// Limits arrive resolved (the route decodes WithBatchLimits and the SLO
+// clamp once, at Register) and setLimits retargets them live for the
+// autotuner. The counters and the latency window are read directly by the
+// route's stats, admission and tuner. A batcher is closed exactly once, by
+// Route.retire, after its version's gate has drained — so no caller ever
+// meets a closed one through the route.
+type batcher[I, O any] struct {
+	fitted *keystone.Fitted[I, O]
 
 	maxBatch atomic.Int64
 	maxDelay atomic.Int64 // nanoseconds
@@ -71,11 +68,11 @@ type Batcher[I, O any] struct {
 	flushSlots chan struct{}
 	wg         sync.WaitGroup
 
-	batches  atomic.Int64
-	records  atomic.Int64
-	failed   atomic.Int64
-	largest  atomic.Int64
-	inflight atomic.Int64
+	batches  atomic.Int64 // flushed batches
+	records  atomic.Int64 // records served through batches
+	failed   atomic.Int64 // records whose batch execution returned an error
+	largest  atomic.Int64 // largest batch observed
+	inflight atomic.Int64 // records currently executing
 	// assembling counts requests pulled off reqs into the batch the loop
 	// is currently forming — invisible to len(reqs) but still queued
 	// latency from the caller's perspective.
@@ -96,58 +93,46 @@ type batchResp[O any] struct {
 	err error
 }
 
-// NewBatcher wraps a fitted pipeline in a micro-batching front. maxBatch
-// <= 0 defaults to 32. maxDelay is the linger: 0 dispatches as soon as an
-// execution slot is free, a positive value holds a non-full batch open
-// that long first, a negative one selects the default (1ms).
-func NewBatcher[I, O any](f *Fitted[I, O], maxBatch int, maxDelay time.Duration) *Batcher[I, O] {
-	b := &Batcher[I, O]{
+// newBatcher starts a batcher over f with resolved limits: maxBatch >= 1,
+// maxDelay >= 0 (0 = no linger).
+func newBatcher[I, O any](f *keystone.Fitted[I, O], maxBatch int, maxDelay time.Duration) *batcher[I, O] {
+	b := &batcher[I, O]{
 		fitted:     f,
 		reqs:       make(chan batchReq[I, O], batcherQueueDepth),
 		quit:       make(chan struct{}),
 		flushSlots: make(chan struct{}, flushOverlap),
 	}
-	b.SetLimits(maxBatch, maxDelay)
+	b.setLimits(maxBatch, maxDelay)
 	b.wg.Add(1)
 	go b.loop()
 	return b
 }
 
-// SetLimits retargets the batch assembly limits; the next batch to form
-// observes them. maxBatch <= 0 and maxDelay < 0 restore the defaults (32,
-// 1ms); maxDelay == 0 is "no linger". Safe to call concurrently with
-// serving traffic.
-func (b *Batcher[I, O]) SetLimits(maxBatch int, maxDelay time.Duration) {
-	if maxBatch <= 0 {
-		maxBatch = defaultMaxBatch
-	}
-	if maxDelay < 0 {
-		maxDelay = defaultMaxDelay
-	}
+// setLimits retargets the batch assembly limits; the next batch to form
+// observes them. Safe to call concurrently with serving traffic.
+func (b *batcher[I, O]) setLimits(maxBatch int, maxDelay time.Duration) {
 	b.maxBatch.Store(int64(maxBatch))
 	b.maxDelay.Store(int64(maxDelay))
 }
 
-// Limits returns the current (maxBatch, maxDelay) targets.
-func (b *Batcher[I, O]) Limits() (int, time.Duration) {
+// limits returns the current (maxBatch, maxDelay) targets.
+func (b *batcher[I, O]) limits() (int, time.Duration) {
 	return int(b.maxBatch.Load()), time.Duration(b.maxDelay.Load())
 }
 
-// QueueDepth reports how many requests are queued ahead of batch
+// queueDepth reports how many requests are queued ahead of batch
 // assembly right now, including records already pulled into the batch
 // being assembled (they have left the channel but are still waiting).
-// It is the signal a high-watermark load shedder reads: a persistently
-// deep queue means arrivals outpace the pipeline, and every queued
-// request is latency some caller is already paying.
-func (b *Batcher[I, O]) QueueDepth() int {
+// It is the signal admission's high-watermark shedder reads.
+func (b *batcher[I, O]) queueDepth() int {
 	return len(b.reqs) + int(b.assembling.Load())
 }
 
-// Predict runs one record through the pipeline, transparently sharing a
+// predict runs one record through the pipeline, transparently sharing a
 // batch with concurrent callers. It honors ctx while queued; once its
 // batch starts executing the result is computed regardless (and discarded
 // if the caller has gone).
-func (b *Batcher[I, O]) Predict(ctx context.Context, rec I) (O, error) {
+func (b *batcher[I, O]) predict(ctx context.Context, rec I) (O, error) {
 	var zero O
 	if ctx == nil {
 		ctx = context.Background()
@@ -158,7 +143,7 @@ func (b *Batcher[I, O]) Predict(ctx context.Context, rec I) (O, error) {
 	case <-ctx.Done():
 		return zero, ctx.Err()
 	case <-b.quit:
-		return zero, ErrBatcherClosed
+		return zero, ErrRouteClosed
 	}
 	select {
 	case r := <-req.resp:
@@ -166,56 +151,34 @@ func (b *Batcher[I, O]) Predict(ctx context.Context, rec I) (O, error) {
 	case <-ctx.Done():
 		return zero, ctx.Err()
 	case <-b.quit:
-		return zero, ErrBatcherClosed
+		return zero, ErrRouteClosed
 	}
 }
 
-// Close stops the batch loop and waits for in-flight flushes to finish
-// delivering. Requests still queued fail with ErrBatcherClosed.
-func (b *Batcher[I, O]) Close() {
+// close stops the batch loop and waits for in-flight flushes to finish
+// delivering. Requests still queued fail with ErrRouteClosed.
+func (b *batcher[I, O]) close() {
 	close(b.quit)
 	b.wg.Wait()
 }
 
-// BatcherStats is a point-in-time snapshot of batching behaviour.
-type BatcherStats struct {
-	Batches      int64 // flushed batches
-	Records      int64 // records served through batches
-	Failed       int64 // records whose batch execution returned an error
-	LargestBatch int64 // largest batch observed
-	InFlight     int64 // requests currently queued or executing
-}
-
-// Stats snapshots the batcher counters.
-func (b *Batcher[I, O]) Stats() BatcherStats {
-	return BatcherStats{
-		Batches:      b.batches.Load(),
-		Records:      b.records.Load(),
-		Failed:       b.failed.Load(),
-		LargestBatch: b.largest.Load(),
-		InFlight:     b.inflight.Load(),
-	}
-}
-
-// LatencySnapshot summarizes the sliding window of recent serving
-// behaviour: request latencies (enqueue to response) and how full batches
-// were relative to the maxBatch limit when they flushed. The serve
-// package's autotuner feeds on this.
-type LatencySnapshot struct {
-	Samples       int           // latency observations in the window
-	P50           time.Duration // median request latency over the window
-	P95           time.Duration // 95th-percentile request latency
-	Batches       int           // occupancy observations in the window
-	MeanOccupancy float64       // mean batch fill fraction vs maxBatch
-	// Throughput is the observed serving rate in records/sec over the
-	// window's wall-clock span (0 until two observations exist). The
-	// multi-objective tuner reads it to enforce a throughput floor.
-	Throughput float64
-}
-
-// Latency computes quantiles over the sliding window. O(window log window).
-func (b *Batcher[I, O]) Latency() LatencySnapshot {
-	return b.window.snapshot()
+// statsInto writes the batcher's counters, limits and latency window
+// under the route's /stats keys.
+func (b *batcher[I, O]) statsInto(out map[string]any) {
+	out["batches"] = b.batches.Load()
+	out["records"] = b.records.Load()
+	out["largest_batch"] = b.largest.Load()
+	out["in_flight"] = b.inflight.Load()
+	maxBatch, maxDelay := b.limits()
+	out["max_batch"] = maxBatch
+	out["max_delay_ms"] = durMS(maxDelay)
+	snap := b.window.snapshot()
+	out["latency_p50_ms"] = durMS(snap.P50)
+	out["latency_p95_ms"] = durMS(snap.P95)
+	out["window_samples"] = snap.Samples
+	out["mean_occupancy"] = snap.MeanOccupancy
+	out["throughput_rps"] = snap.Throughput
+	out["queue_depth"] = b.queueDepth()
 }
 
 // loop assembles and dispatches batches with one work-conserving select
@@ -223,7 +186,7 @@ func (b *Batcher[I, O]) Latency() LatencySnapshot {
 // linger expire, or take a free execution slot — which is what
 // closes the batch. The slot case is armed only once the batch may leave:
 // it is full, or it never lingered, or its linger has expired.
-func (b *Batcher[I, O]) loop() {
+func (b *batcher[I, O]) loop() {
 	defer b.wg.Done()
 	var (
 		batch    []batchReq[I, O] // the batch being assembled; nil between batches
@@ -246,7 +209,7 @@ func (b *Batcher[I, O]) loop() {
 		case r := <-more:
 			if len(batch) == 0 {
 				var maxDelay time.Duration
-				maxBatch, maxDelay = b.Limits()
+				maxBatch, maxDelay = b.limits()
 				if maxDelay > 0 {
 					timer = time.NewTimer(maxDelay)
 					linger = timer.C
@@ -276,7 +239,9 @@ func (b *Batcher[I, O]) loop() {
 				timer.Stop()
 			}
 			b.assembling.Add(-int64(len(batch)))
-			b.fail(batch)
+			for _, r := range batch {
+				r.resp <- batchResp[O]{err: ErrRouteClosed}
+			}
 			return
 		}
 	}
@@ -286,7 +251,7 @@ func (b *Batcher[I, O]) loop() {
 // Requests whose callers abandoned ship while queued are dropped before
 // the pipeline runs. capacity is the maxBatch limit the batch was
 // assembled under, for the occupancy observation.
-func (b *Batcher[I, O]) flush(batch []batchReq[I, O], capacity int) {
+func (b *batcher[I, O]) flush(batch []batchReq[I, O], capacity int) {
 	live := batch[:0]
 	for _, r := range batch {
 		if r.ctx.Err() == nil {
@@ -338,15 +303,11 @@ func (b *Batcher[I, O]) flush(batch []batchReq[I, O], capacity int) {
 // every caller disconnects mid-execution, the pipeline work is canceled
 // instead of burning to completion for nobody.
 //
-// This is the serving tier's panic boundary: flush runs on its own
-// goroutine, where an operator panic on a malformed record would take the
-// whole process down, so it is recovered into the batch's error instead.
-func (b *Batcher[I, O]) execute(live []batchReq[I, O]) (solo O, outs []O, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			outs, err = nil, fmt.Errorf("keystone: pipeline panicked: %v", p)
-		}
-	}()
+// flush runs on its own goroutine, where an operator panic on a malformed
+// record would take the whole process down, so recoverPipeline turns it
+// into the batch's error.
+func (b *batcher[I, O]) execute(live []batchReq[I, O]) (solo O, outs []O, err error) {
+	defer recoverPipeline(&err)
 	if len(live) == 1 {
 		solo, err = b.fitted.Transform(live[0].ctx, live[0].rec)
 		return solo, nil, err
@@ -355,17 +316,27 @@ func (b *Batcher[I, O]) execute(live []batchReq[I, O]) (solo O, outs []O, err er
 	for i, r := range live {
 		recs[i] = r.rec
 	}
-	ctx, cancel := b.batchContext(live)
+	ctx, cancel := batchContext(live)
 	defer cancel()
 	outs, err = b.fitted.TransformBatch(ctx, recs)
 	return solo, outs, err
+}
+
+// recoverPipeline is the serving tier's one panic boundary, deferred by
+// every path that runs a pipeline on a request's behalf: a panic in an
+// operator becomes the error its callers see instead of a dead process
+// or a dropped connection.
+func recoverPipeline(err *error) {
+	if p := recover(); p != nil {
+		*err = fmt.Errorf("keystone: pipeline panicked: %v", p)
+	}
 }
 
 // batchContext derives the context a batch executes under from the live
 // requests' contexts: it cancels once every watched caller has gone. A
 // request with a non-cancelable context (Done() == nil) pins the batch
 // alive, so no watchers are spawned at all in that common case.
-func (b *Batcher[I, O]) batchContext(live []batchReq[I, O]) (context.Context, context.CancelFunc) {
+func batchContext[I, O any](live []batchReq[I, O]) (context.Context, context.CancelFunc) {
 	ctx, cancel := context.WithCancel(context.Background())
 	watched := 0
 	for _, r := range live {
@@ -393,12 +364,19 @@ func (b *Batcher[I, O]) batchContext(live []batchReq[I, O]) (context.Context, co
 	return ctx, cancel
 }
 
-// fail rejects a batch that could not be executed because the batcher is
-// shutting down.
-func (b *Batcher[I, O]) fail(batch []batchReq[I, O]) {
-	for _, r := range batch {
-		r.resp <- batchResp[O]{err: ErrBatcherClosed}
-	}
+// latencySnapshot summarizes the sliding window of recent serving
+// behaviour: request latencies (enqueue to response) and how full batches
+// were relative to the maxBatch limit when they flushed.
+type latencySnapshot struct {
+	Samples       int           // latency observations in the window
+	P50           time.Duration // median request latency over the window
+	P95           time.Duration // 95th-percentile request latency
+	Batches       int           // occupancy observations in the window
+	MeanOccupancy float64       // mean batch fill fraction vs maxBatch
+	// Throughput is the observed serving rate in records/sec over the
+	// window's wall-clock span (0 until two observations exist); the
+	// tuner's throughput floor reads it.
+	Throughput float64
 }
 
 // latWindow is a mutex-guarded pair of fixed rings: per-request latencies
@@ -425,7 +403,8 @@ func (w *latWindow) addOccupancy(f float64) {
 	w.nOcc++
 }
 
-func (w *latWindow) snapshot() LatencySnapshot {
+// snapshot computes quantiles over the window. O(window log window).
+func (w *latWindow) snapshot() latencySnapshot {
 	w.mu.Lock()
 	nl := min(w.nLat, latWindowSize)
 	lats := make([]time.Duration, nl)
@@ -448,7 +427,7 @@ func (w *latWindow) snapshot() LatencySnapshot {
 	}
 	w.mu.Unlock()
 
-	snap := LatencySnapshot{Samples: nl, Batches: no}
+	snap := latencySnapshot{Samples: nl, Batches: no}
 	if no > 0 {
 		snap.MeanOccupancy = occSum / float64(no)
 	}

@@ -1,4 +1,4 @@
-package keystone
+package serve
 
 import (
 	"context"
@@ -9,21 +9,24 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"keystoneml/keystone"
 )
 
-func fitTinyText(t *testing.T) (*Fitted[string, []float64], []string) {
+func fitTinyText(t *testing.T) (*keystone.Fitted[string, []float64], []string) {
 	t.Helper()
-	train := SyntheticReviews(100, 1)
-	test := SyntheticReviews(20, 2)
-	p := TextPipeline(TextConfig{NumFeatures: 400, Iterations: 5})
-	f, err := p.Fit(context.Background(), train.Records, train.Labels, quickOpts()...)
+	train := keystone.SyntheticReviews(100, 1)
+	test := keystone.SyntheticReviews(20, 2)
+	p := keystone.TextPipeline(keystone.TextConfig{NumFeatures: 400, Iterations: 5})
+	f, err := p.Fit(context.Background(), train.Records, train.Labels,
+		keystone.WithOptimizerLevel(keystone.LevelPipeline), keystone.WithSampleSizes(16, 32))
 	if err != nil {
 		t.Fatalf("fit: %v", err)
 	}
 	return f, test.Records
 }
 
-// TestBatcherCorrectness: every Predict through the micro-batcher must
+// TestBatcherCorrectness: every predict through the micro-batcher must
 // return exactly what a direct Transform returns, under heavy
 // concurrency (this is also a -race stress of the serving stack).
 func TestBatcherCorrectness(t *testing.T) {
@@ -40,8 +43,8 @@ func TestBatcherCorrectness(t *testing.T) {
 		want[i] = w
 	}
 
-	b := NewBatcher(f, 8, 5*time.Millisecond)
-	defer b.Close()
+	b := newBatcher(f, 8, 5*time.Millisecond)
+	defer b.close()
 
 	const callers = 16
 	const iters = 10
@@ -55,7 +58,7 @@ func TestBatcherCorrectness(t *testing.T) {
 			<-start
 			for it := 0; it < iters; it++ {
 				i := (c*iters + it) % len(recs)
-				got, err := b.Predict(context.Background(), recs[i])
+				got, err := b.predict(context.Background(), recs[i])
 				if err != nil {
 					errs <- err
 					return
@@ -76,7 +79,7 @@ func TestBatcherCorrectness(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st := b.Stats()
+	st := countsOf(b)
 	if st.Records != callers*iters {
 		t.Fatalf("served %d records, want %d", st.Records, callers*iters)
 	}
@@ -93,8 +96,8 @@ func TestBatcherCoalesces(t *testing.T) {
 		t.Skip("short mode")
 	}
 	f, recs := fitTinyText(t)
-	b := NewBatcher(f, 16, 100*time.Millisecond)
-	defer b.Close()
+	b := newBatcher(f, 16, 100*time.Millisecond)
+	defer b.close()
 
 	const burst = 12
 	var wg sync.WaitGroup
@@ -104,30 +107,37 @@ func TestBatcherCoalesces(t *testing.T) {
 		go func(c int) {
 			defer wg.Done()
 			<-start
-			if _, err := b.Predict(context.Background(), recs[c%len(recs)]); err != nil {
+			if _, err := b.predict(context.Background(), recs[c%len(recs)]); err != nil {
 				t.Errorf("predict: %v", err)
 			}
 		}(c)
 	}
 	close(start)
 	wg.Wait()
-	if st := b.Stats(); st.LargestBatch < 2 {
+	if st := countsOf(b); st.LargestBatch < 2 {
 		t.Fatalf("burst of %d never coalesced (largest batch %d)", burst, st.LargestBatch)
 	}
 }
 
-// TestBatcherClose: after Close, Predict fails with ErrBatcherClosed and
+// TestBatcherClose: after close, predict fails with ErrRouteClosed and
 // does not hang.
 func TestBatcherClose(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
 	f, recs := fitTinyText(t)
-	b := NewBatcher(f, 4, time.Millisecond)
-	b.Close()
-	if _, err := b.Predict(context.Background(), recs[0]); !errors.Is(err, ErrBatcherClosed) {
-		t.Fatalf("want ErrBatcherClosed, got %v", err)
+	b := newBatcher(f, 4, time.Millisecond)
+	b.close()
+	if _, err := b.predict(context.Background(), recs[0]); !errors.Is(err, ErrRouteClosed) {
+		t.Fatalf("want ErrRouteClosed, got %v", err)
 	}
+}
+
+// counts is a point-in-time read of a batcher's counters.
+type counts struct{ Batches, Records, Failed, LargestBatch, InFlight int64 }
+
+func countsOf[I, O any](b *batcher[I, O]) counts {
+	return counts{b.batches.Load(), b.records.Load(), b.failed.Load(), b.largest.Load(), b.inflight.Load()}
 }
 
 // atProcs runs fn as subtests pinned to single-proc and multi-proc
@@ -146,20 +156,20 @@ func atProcs(t *testing.T, fn func(t *testing.T)) {
 
 // fitFn fits a trivial single-op pipeline for batcher plumbing tests —
 // no estimator, no optimizer work, so the races dominate the runtime.
-func fitFn(t *testing.T, name string, fn func(float64) []float64) *Fitted[float64, []float64] {
+func fitFn(t *testing.T, name string, fn func(float64) []float64) *keystone.Fitted[float64, []float64] {
 	t.Helper()
-	p := Input[float64]()
-	out := Then(p, NewOp(name, fn))
-	f, err := out.Fit(context.Background(), []float64{1}, nil, WithOptimizerLevel(LevelNone))
+	p := keystone.Input[float64]()
+	out := keystone.Then(p, keystone.NewOp(name, fn))
+	f, err := out.Fit(context.Background(), []float64{1}, nil, keystone.WithOptimizerLevel(keystone.LevelNone))
 	if err != nil {
 		t.Fatalf("fit %s: %v", name, err)
 	}
 	return f
 }
 
-// TestBatcherCloseUnderLoad: Close racing a storm of concurrent Predict
+// TestBatcherCloseUnderLoad: close racing a storm of concurrent predict
 // callers must neither hang nor panic; every call resolves to a result
-// or ErrBatcherClosed, and Close returns only after in-flight flushes
+// or ErrRouteClosed, and close returns only after in-flight flushes
 // delivered.
 func TestBatcherCloseUnderLoad(t *testing.T) {
 	atProcs(t, func(t *testing.T) {
@@ -167,7 +177,7 @@ func TestBatcherCloseUnderLoad(t *testing.T) {
 			time.Sleep(200 * time.Microsecond)
 			return []float64{x}
 		})
-		b := NewBatcher(f, 4, 500*time.Microsecond)
+		b := newBatcher(f, 4, 500*time.Microsecond)
 		const callers = 8
 		var wg sync.WaitGroup
 		var served, closed atomic.Int64
@@ -176,7 +186,7 @@ func TestBatcherCloseUnderLoad(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for i := 0; ; i++ {
-					out, err := b.Predict(context.Background(), float64(i))
+					out, err := b.predict(context.Background(), float64(i))
 					switch {
 					case err == nil:
 						if len(out) != 1 || out[0] != float64(i) {
@@ -184,7 +194,7 @@ func TestBatcherCloseUnderLoad(t *testing.T) {
 							return
 						}
 						served.Add(1)
-					case errors.Is(err, ErrBatcherClosed):
+					case errors.Is(err, ErrRouteClosed):
 						closed.Add(1)
 						return
 					default:
@@ -195,16 +205,16 @@ func TestBatcherCloseUnderLoad(t *testing.T) {
 			}()
 		}
 		time.Sleep(20 * time.Millisecond)
-		b.Close()
+		b.close()
 		wg.Wait()
 		if closed.Load() != callers {
-			t.Fatalf("%d callers saw ErrBatcherClosed, want %d", closed.Load(), callers)
+			t.Fatalf("%d callers saw ErrRouteClosed, want %d", closed.Load(), callers)
 		}
 		if served.Load() == 0 {
 			t.Fatal("no requests served before Close")
 		}
-		// Close is idempotent for Predict: still ErrBatcherClosed.
-		if _, err := b.Predict(context.Background(), 1); !errors.Is(err, ErrBatcherClosed) {
+		// close is idempotent for predict: still ErrRouteClosed.
+		if _, err := b.predict(context.Background(), 1); !errors.Is(err, ErrRouteClosed) {
 			t.Fatalf("post-Close Predict = %v", err)
 		}
 	})
@@ -217,8 +227,8 @@ func TestBatcherAbandonMidQueue(t *testing.T) {
 	atProcs(t, func(t *testing.T) {
 		f := fitFn(t, "echo", func(x float64) []float64 { return []float64{x} })
 		// A wide-open window so requests sit queued until it expires.
-		b := NewBatcher(f, 16, 120*time.Millisecond)
-		defer b.Close()
+		b := newBatcher(f, 16, 120*time.Millisecond)
+		defer b.close()
 
 		ctx, cancel := context.WithCancel(context.Background())
 		var abandoned sync.WaitGroup
@@ -226,7 +236,7 @@ func TestBatcherAbandonMidQueue(t *testing.T) {
 			abandoned.Add(1)
 			go func(i int) {
 				defer abandoned.Done()
-				if _, err := b.Predict(ctx, float64(100+i)); !errors.Is(err, context.Canceled) {
+				if _, err := b.predict(ctx, float64(100+i)); !errors.Is(err, context.Canceled) {
 					t.Errorf("abandoned caller got %v, want Canceled", err)
 				}
 			}(i)
@@ -234,12 +244,12 @@ func TestBatcherAbandonMidQueue(t *testing.T) {
 		time.Sleep(10 * time.Millisecond) // let them enqueue into the open batch
 		cancel()
 
-		out, err := b.Predict(context.Background(), 7)
+		out, err := b.predict(context.Background(), 7)
 		if err != nil || out[0] != 7 {
 			t.Fatalf("surviving caller got %v, %v", out, err)
 		}
 		abandoned.Wait()
-		if st := b.Stats(); st.Records != 1 {
+		if st := countsOf(b); st.Records != 1 {
 			t.Fatalf("pipeline executed %d records, want 1 (abandoned requests must be dropped)", st.Records)
 		}
 	})
@@ -261,12 +271,12 @@ func TestBatcherOverlappingFlush(t *testing.T) {
 			}
 			return []float64{x}
 		})
-		b := NewBatcher(f, 1, 100*time.Microsecond)
-		defer b.Close()
+		b := newBatcher(f, 1, 100*time.Microsecond)
+		defer b.close()
 
 		stalled := make(chan error, 1)
 		go func() {
-			_, err := b.Predict(context.Background(), 42)
+			_, err := b.predict(context.Background(), 42)
 			stalled <- err
 		}()
 		<-entered // batch 1 now occupies a flush slot
@@ -274,7 +284,7 @@ func TestBatcherOverlappingFlush(t *testing.T) {
 		// Batch 2 must complete while batch 1 is still executing.
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		defer cancel()
-		out, err := b.Predict(ctx, 2)
+		out, err := b.predict(ctx, 2)
 		if err != nil {
 			t.Fatalf("second batch did not overlap the stalled first: %v", err)
 		}
@@ -289,35 +299,32 @@ func TestBatcherOverlappingFlush(t *testing.T) {
 }
 
 // TestBatcherSetLimitsLive: retargeting limits mid-traffic takes effect
-// on subsequent batches and never disrupts service.
+// on subsequent batches and never disrupts service. (Route-level
+// defaults are resolved by Register; TestRegisterLimitDefaults pins them.)
 func TestBatcherSetLimitsLive(t *testing.T) {
 	f := fitFn(t, "echo2", func(x float64) []float64 { return []float64{x} })
-	b := NewBatcher(f, 4, time.Millisecond)
-	defer b.Close()
-	if _, err := b.Predict(context.Background(), 1); err != nil {
+	b := newBatcher(f, 4, time.Millisecond)
+	defer b.close()
+	if _, err := b.predict(context.Background(), 1); err != nil {
 		t.Fatal(err)
 	}
-	b.SetLimits(64, 3*time.Millisecond)
-	if mb, md := b.Limits(); mb != 64 || md != 3*time.Millisecond {
-		t.Fatalf("Limits() = (%d, %v) after SetLimits", mb, md)
+	b.setLimits(64, 3*time.Millisecond)
+	if mb, md := b.limits(); mb != 64 || md != 3*time.Millisecond {
+		t.Fatalf("limits() = (%d, %v) after setLimits", mb, md)
 	}
-	if _, err := b.Predict(context.Background(), 2); err != nil {
+	if _, err := b.predict(context.Background(), 2); err != nil {
 		t.Fatal(err)
 	}
-	b.SetLimits(0, 0) // maxBatch <= 0 restores its default; 0 delay is "no linger"
-	if mb, md := b.Limits(); mb != 32 || md != 0 {
-		t.Fatalf("Limits() = (%d, %v) after SetLimits(0, 0), want (32, 0)", mb, md)
+	b.setLimits(defaultMaxBatch, 0) // 0 delay is "no linger"
+	if _, err := b.predict(context.Background(), 3); err != nil {
+		t.Fatal(err)
 	}
-	b.SetLimits(0, -1) // a negative delay restores the default linger
-	if mb, md := b.Limits(); mb != 32 || md != defaultMaxDelay {
-		t.Fatalf("Limits() = (%d, %v) after reset, want defaults", mb, md)
-	}
-	if snap := b.Latency(); snap.Samples < 2 {
-		t.Fatalf("latency window recorded %d samples, want >= 2", snap.Samples)
+	if snap := b.window.snapshot(); snap.Samples < 3 {
+		t.Fatalf("latency window recorded %d samples, want >= 3", snap.Samples)
 	}
 }
 
-// TestBatcherCallerCancel: a Predict whose context dies while queued
+// TestBatcherCallerCancel: a predict whose context dies while queued
 // returns the context error.
 func TestBatcherCallerCancel(t *testing.T) {
 	if testing.Short() {
@@ -326,35 +333,35 @@ func TestBatcherCallerCancel(t *testing.T) {
 	f, recs := fitTinyText(t)
 	// A huge delay window so the request sits queued until the context
 	// fires.
-	b := NewBatcher(f, 64, time.Minute)
-	defer b.Close()
+	b := newBatcher(f, 64, time.Minute)
+	defer b.close()
 	// Occupy the window with one live request so the loop is waiting.
-	go b.Predict(context.Background(), recs[0])
+	go b.predict(context.Background(), recs[0])
 	time.Sleep(10 * time.Millisecond)
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	if _, err := b.Predict(ctx, recs[1]); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := b.predict(ctx, recs[1]); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want DeadlineExceeded, got %v", err)
 	}
 }
 
-// TestBatcherQueueDepthAndThroughput: QueueDepth reflects requests
+// TestBatcherQueueDepthAndThroughput: queueDepth reflects requests
 // queued ahead of assembly, and the latency window reports a positive
 // serving rate once traffic flows — the two signals admission control
 // and the multi-objective tuner consume.
 func TestBatcherQueueDepthAndThroughput(t *testing.T) {
-	slow := Then(Input[int](), NewOp("sleepy", func(x int) []float64 {
+	slow := keystone.Then(keystone.Input[int](), keystone.NewOp("sleepy", func(x int) []float64 {
 		time.Sleep(2 * time.Millisecond)
 		return []float64{float64(x)}
 	}))
-	f, err := slow.Fit(context.Background(), []int{1}, nil, WithOptimizerLevel(LevelNone))
+	f, err := slow.Fit(context.Background(), []int{1}, nil, keystone.WithOptimizerLevel(keystone.LevelNone))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := NewBatcher(f, 1, 100*time.Microsecond)
-	defer b.Close()
+	b := newBatcher(f, 1, 100*time.Microsecond)
+	defer b.close()
 
-	if d := b.QueueDepth(); d != 0 {
+	if d := b.queueDepth(); d != 0 {
 		t.Fatalf("idle QueueDepth = %d, want 0", d)
 	}
 	var wg sync.WaitGroup
@@ -362,7 +369,7 @@ func TestBatcherQueueDepthAndThroughput(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if _, err := b.Predict(context.Background(), i); err != nil {
+			if _, err := b.predict(context.Background(), i); err != nil {
 				t.Errorf("predict %d: %v", i, err)
 			}
 		}(i)
@@ -371,7 +378,7 @@ func TestBatcherQueueDepthAndThroughput(t *testing.T) {
 	// queue must be observably non-empty at some point.
 	deepSeen := false
 	for i := 0; i < 200 && !deepSeen; i++ {
-		if b.QueueDepth() > 0 {
+		if b.queueDepth() > 0 {
 			deepSeen = true
 		}
 		time.Sleep(500 * time.Microsecond)
@@ -380,7 +387,7 @@ func TestBatcherQueueDepthAndThroughput(t *testing.T) {
 	if !deepSeen {
 		t.Error("QueueDepth never observed a queued request under a 32-caller flood")
 	}
-	if snap := b.Latency(); snap.Throughput <= 0 {
+	if snap := b.window.snapshot(); snap.Throughput <= 0 {
 		t.Errorf("window Throughput = %v after 32 served requests, want > 0", snap.Throughput)
 	}
 }
@@ -394,25 +401,25 @@ func TestBatcherErrorPathObservations(t *testing.T) {
 	// A Fitted whose O lies about the pipeline's output type: every
 	// TransformBatch fails the r.(O) assertion, which is exactly the
 	// all-batches-error regime the window must survive.
-	bad := &Fitted[float64, string]{inner: f.inner}
-	b := NewBatcher(bad, 4, time.Millisecond)
-	defer b.Close()
+	bad := keystone.NewEngineFitted[float64, string](f.Engine(), keystone.FitInfo{})
+	b := newBatcher(bad, 4, time.Millisecond)
+	defer b.close()
 
 	const n = 6
 	for i := 0; i < n; i++ {
-		if _, err := b.Predict(context.Background(), float64(i)); err == nil {
+		if _, err := b.predict(context.Background(), float64(i)); err == nil {
 			t.Fatal("predict through the type-lying pipeline must error")
 		}
 	}
-	if snap := b.Latency(); snap.Samples != n {
+	if snap := b.window.snapshot(); snap.Samples != n {
 		t.Fatalf("latency window holds %d samples after %d failed predicts, want %d (error-path starvation)", snap.Samples, n, n)
 	}
-	st := b.Stats()
+	st := countsOf(b)
 	if st.Failed != n {
-		t.Fatalf("Stats().Failed = %d after %d failed records, want %d", st.Failed, n, n)
+		t.Fatalf("failed = %d after %d failed records, want %d", st.Failed, n, n)
 	}
 	if st.Records != n {
-		t.Fatalf("Stats().Records = %d, want %d", st.Records, n)
+		t.Fatalf("records = %d, want %d", st.Records, n)
 	}
 }
 
@@ -421,8 +428,8 @@ func TestBatcherErrorPathObservations(t *testing.T) {
 // non-cancelable caller remains.
 func TestBatcherBatchContext(t *testing.T) {
 	f := fitFn(t, "echoctx", func(x float64) []float64 { return []float64{x} })
-	b := NewBatcher(f, 4, time.Millisecond)
-	defer b.Close()
+	b := newBatcher(f, 4, time.Millisecond)
+	defer b.close()
 
 	waitDone := func(ctx context.Context) bool {
 		select {
@@ -445,7 +452,7 @@ func TestBatcherBatchContext(t *testing.T) {
 		ctx1, cancel1 := context.WithCancel(context.Background())
 		ctx2, cancel2 := context.WithCancel(context.Background())
 		defer cancel2()
-		bctx, cancel := b.batchContext([]batchReq[float64, []float64]{{ctx: ctx1}, {ctx: ctx2}})
+		bctx, cancel := batchContext([]batchReq[float64, []float64]{{ctx: ctx1}, {ctx: ctx2}})
 		defer cancel()
 		cancel1()
 		if !stillLive(bctx) {
@@ -459,7 +466,7 @@ func TestBatcherBatchContext(t *testing.T) {
 
 	t.Run("pinned by a non-cancelable caller", func(t *testing.T) {
 		ctx1, cancel1 := context.WithCancel(context.Background())
-		bctx, cancel := b.batchContext([]batchReq[float64, []float64]{
+		bctx, cancel := batchContext([]batchReq[float64, []float64]{
 			{ctx: ctx1}, {ctx: context.Background()},
 		})
 		defer cancel()
@@ -472,7 +479,7 @@ func TestBatcherBatchContext(t *testing.T) {
 	t.Run("cancel releases watchers", func(t *testing.T) {
 		ctx1, cancel1 := context.WithCancel(context.Background())
 		defer cancel1()
-		bctx, cancel := b.batchContext([]batchReq[float64, []float64]{{ctx: ctx1}})
+		bctx, cancel := batchContext([]batchReq[float64, []float64]{{ctx: ctx1}})
 		cancel() // the TransformBatch-returned path
 		if !waitDone(bctx) {
 			t.Fatal("explicit cancel did not close the batch context")
@@ -497,8 +504,8 @@ func TestBatcherAbandonedBatchCancelsPipeline(t *testing.T) {
 	// checks the context between records; all callers share one context
 	// and abandon together mid-execution.
 	const n = 80
-	b := NewBatcher(f, n, 50*time.Millisecond)
-	defer b.Close()
+	b := newBatcher(f, n, 50*time.Millisecond)
+	defer b.close()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
@@ -507,7 +514,7 @@ func TestBatcherAbandonedBatchCancelsPipeline(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if _, err := b.Predict(ctx, float64(i)); errors.Is(err, context.Canceled) {
+			if _, err := b.predict(ctx, float64(i)); errors.Is(err, context.Canceled) {
 				canceled.Add(1)
 			}
 		}(i)
@@ -529,16 +536,16 @@ func TestBatcherAbandonedBatchCancelsPipeline(t *testing.T) {
 
 // TestBatcherQueueDepthCountsAssembly is the under-count regression:
 // requests pulled out of the channel into the forming batch must still
-// show in QueueDepth, or admission's queue watermark misses up to
+// show in queueDepth, or admission's queue watermark misses up to
 // maxBatch-1 waiting requests.
 func TestBatcherQueueDepthCountsAssembly(t *testing.T) {
 	f := fitFn(t, "echodepth", func(x float64) []float64 { return []float64{x} })
 	// Window far longer than the observation loop: the three requests sit
 	// in the forming batch (not the channel) the whole time.
-	b := NewBatcher(f, 8, 300*time.Millisecond)
-	defer b.Close()
+	b := newBatcher(f, 8, 300*time.Millisecond)
+	defer b.close()
 
-	if d := b.QueueDepth(); d != 0 {
+	if d := b.queueDepth(); d != 0 {
 		t.Fatalf("idle QueueDepth = %d, want 0", d)
 	}
 	var wg sync.WaitGroup
@@ -546,7 +553,7 @@ func TestBatcherQueueDepthCountsAssembly(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if _, err := b.Predict(context.Background(), float64(i)); err != nil {
+			if _, err := b.predict(context.Background(), float64(i)); err != nil {
 				t.Errorf("predict: %v", err)
 			}
 		}(i)
@@ -557,7 +564,7 @@ func TestBatcherQueueDepthCountsAssembly(t *testing.T) {
 	seen := false
 	deadline := time.Now().Add(250 * time.Millisecond)
 	for time.Now().Before(deadline) {
-		if len(b.reqs) == 0 && b.QueueDepth() == 3 {
+		if len(b.reqs) == 0 && b.queueDepth() == 3 {
 			seen = true
 			break
 		}
@@ -569,10 +576,10 @@ func TestBatcherQueueDepthCountsAssembly(t *testing.T) {
 	wg.Wait()
 	// Settled: assembly handed off and completed, depth returns to zero.
 	deadline = time.Now().Add(time.Second)
-	for time.Now().Before(deadline) && b.QueueDepth() != 0 {
+	for time.Now().Before(deadline) && b.queueDepth() != 0 {
 		time.Sleep(time.Millisecond)
 	}
-	if d := b.QueueDepth(); d != 0 {
+	if d := b.queueDepth(); d != 0 {
 		t.Fatalf("QueueDepth = %d after all requests served, want 0", d)
 	}
 }
@@ -596,19 +603,19 @@ func eventually(t *testing.T, what string, cond func() bool) {
 // default); a work-conserving one spends only the transform.
 func TestBatcherIdleDispatch(t *testing.T) {
 	f := fitFn(t, "echoidle", func(x float64) []float64 { return []float64{x} })
-	b := NewBatcher(f, 0, 0)
-	defer b.Close()
+	b := newBatcher(f, defaultMaxBatch, 0)
+	defer b.close()
 	const n = 100
 	start := time.Now()
 	for i := 0; i < n; i++ {
-		if out, err := b.Predict(context.Background(), float64(i)); err != nil || out[0] != float64(i) {
+		if out, err := b.predict(context.Background(), float64(i)); err != nil || out[0] != float64(i) {
 			t.Fatalf("predict %d = %v, %v", i, out, err)
 		}
 	}
 	if elapsed := time.Since(start); elapsed >= 100*time.Millisecond {
 		t.Errorf("%d sequential predicts on an idle pipeline took %v, want < 100ms (no per-request wait)", n, elapsed)
 	}
-	if st := b.Stats(); st.Batches != n || st.Records != n {
+	if st := countsOf(b); st.Batches != n || st.Records != n {
 		t.Errorf("batches=%d records=%d, want %d lone dispatches", st.Batches, st.Records, n)
 	}
 }
@@ -623,9 +630,9 @@ func TestBatcherNaturalBatching(t *testing.T) {
 			time.Sleep(time.Millisecond) // service time, not synchronisation
 			return []float64{x}
 		})
-		b := NewBatcher(f, 0, 0)
-		defer b.Close()
-		if mb, md := b.Limits(); mb != 32 || md != 0 {
+		b := newBatcher(f, defaultMaxBatch, 0)
+		defer b.close()
+		if mb, md := b.limits(); mb != 32 || md != 0 {
 			t.Fatalf("limits = (%d, %v), want (32, 0)", mb, md)
 		}
 		const callers = 32
@@ -636,14 +643,14 @@ func TestBatcherNaturalBatching(t *testing.T) {
 			go func(c int) {
 				defer wg.Done()
 				<-start
-				if out, err := b.Predict(context.Background(), float64(c)); err != nil || out[0] != float64(c) {
+				if out, err := b.predict(context.Background(), float64(c)); err != nil || out[0] != float64(c) {
 					t.Errorf("predict %d = %v, %v", c, out, err)
 				}
 			}(c)
 		}
 		close(start)
 		wg.Wait()
-		st := b.Stats()
+		st := countsOf(b)
 		if st.Records != callers || st.LargestBatch < 2 || st.Batches >= st.Records {
 			t.Fatalf("batches=%d records=%d largest=%d: a busy pipeline must batch what queued behind it",
 				st.Batches, st.Records, st.LargestBatch)
@@ -656,7 +663,7 @@ func TestBatcherNaturalBatching(t *testing.T) {
 // when a slot frees up. Record -(i+1) parks until release(i); every other
 // record goes to fn.
 type stalledBatcher struct {
-	b      *Batcher[float64, []float64]
+	b      *batcher[float64, []float64]
 	gates  [flushOverlap]chan struct{}
 	open   [flushOverlap]sync.Once
 	parked chan error // one result per parked request, as it resolves
@@ -677,17 +684,17 @@ func newStalledBatcher(t *testing.T, name string, maxDelay time.Duration, fn fun
 		}
 		return fn(x)
 	})
-	sb.b = NewBatcher(f, 0, maxDelay)
-	// A failed test must still unpark the pipeline, or Close waits forever.
+	sb.b = newBatcher(f, defaultMaxBatch, maxDelay)
+	// A failed test must still unpark the pipeline, or close waits forever.
 	t.Cleanup(func() {
 		for i := range sb.gates {
 			sb.release(i)
 		}
-		sb.b.Close()
+		sb.b.close()
 	})
 	for i := range sb.gates {
 		go func(x float64) {
-			_, err := sb.b.Predict(context.Background(), x)
+			_, err := sb.b.predict(context.Background(), x)
 			sb.parked <- err
 		}(float64(-(i + 1)))
 		<-entered
@@ -730,7 +737,7 @@ func testGrowsWhileBlocked(t *testing.T, linger time.Duration) {
 		results := make(chan error, queued)
 		for i := 0; i < queued; i++ {
 			go func(i int) {
-				out, err := sb.b.Predict(context.Background(), float64(i))
+				out, err := sb.b.predict(context.Background(), float64(i))
 				if err == nil && out[0] != float64(i) {
 					err = fmt.Errorf("predict %d = %v", i, out)
 				}
@@ -740,7 +747,7 @@ func testGrowsWhileBlocked(t *testing.T, linger time.Duration) {
 		eventually(t, "all queued requests absorbed into the forming batch", func() bool {
 			return sb.b.assembling.Load() == queued && len(sb.b.reqs) == 0
 		})
-		if d := sb.b.QueueDepth(); d != queued {
+		if d := sb.b.queueDepth(); d != queued {
 			t.Errorf("QueueDepth = %d while %d requests wait for a slot", d, queued)
 		}
 		sb.release(0)
@@ -750,7 +757,7 @@ func testGrowsWhileBlocked(t *testing.T, linger time.Duration) {
 			}
 		}
 		sb.drain(t)
-		if st := sb.b.Stats(); st.LargestBatch != queued || st.Batches != flushOverlap+1 || st.Records != flushOverlap+queued {
+		if st := countsOf(sb.b); st.LargestBatch != queued || st.Batches != flushOverlap+1 || st.Records != flushOverlap+queued {
 			t.Fatalf("batches=%d records=%d largest=%d, want the %d queued requests in one batch",
 				st.Batches, st.Records, st.LargestBatch, queued)
 		}
@@ -770,24 +777,24 @@ func TestBatcherSoloPath(t *testing.T) {
 			}
 			return []float64{x, 2 * x}
 		})
-		b := NewBatcher(f, 0, 0)
-		defer b.Close()
+		b := newBatcher(f, defaultMaxBatch, 0)
+		defer b.close()
 
 		want, err := f.Transform(context.Background(), 7)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := b.Predict(context.Background(), 7)
+		got, err := b.predict(context.Background(), 7)
 		if err != nil || len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
 			t.Fatalf("solo Predict = %v, %v; Transform = %v", got, err, want)
 		}
-		if st := b.Stats(); st.Batches != 1 || st.Records != 1 || st.LargestBatch != 1 || st.Failed != 0 {
+		if st := countsOf(b); st.Batches != 1 || st.Records != 1 || st.LargestBatch != 1 || st.Failed != 0 {
 			t.Fatalf("stats after one solo request: %+v", st)
 		}
-		if snap := b.Latency(); snap.Samples != 1 || snap.Batches != 1 || snap.MeanOccupancy != 1.0/defaultMaxBatch {
+		if snap := b.window.snapshot(); snap.Samples != 1 || snap.Batches != 1 || snap.MeanOccupancy != 1.0/defaultMaxBatch {
 			t.Fatalf("latency window after one solo request: %+v", snap)
 		}
-		eventually(t, "first request left flight", func() bool { return b.Stats().InFlight == 0 })
+		eventually(t, "first request left flight", func() bool { return countsOf(b).InFlight == 0 })
 
 		// A cancelable caller (every HTTP request is one) parked inside
 		// the pipeline: the request has added its caller and its flush,
@@ -796,15 +803,15 @@ func TestBatcherSoloPath(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		res := make(chan error, 1)
 		go func() {
-			_, err := b.Predict(ctx, 42)
+			_, err := b.predict(ctx, 42)
 			res <- err
 		}()
 		<-entered
 		if n := runtime.NumGoroutine(); n > base+2 {
 			t.Errorf("a solo request in flight runs %d goroutines over the %d idle ones, want <= 2 (caller + flush)", n-base, base)
 		}
-		if st := b.Stats(); st.InFlight != 1 || b.QueueDepth() != 0 {
-			t.Errorf("executing solo request: InFlight=%d QueueDepth=%d, want 1, 0", st.InFlight, b.QueueDepth())
+		if st := countsOf(b); st.InFlight != 1 || b.queueDepth() != 0 {
+			t.Errorf("executing solo request: InFlight=%d QueueDepth=%d, want 1, 0", st.InFlight, b.queueDepth())
 		}
 		cancel()
 		if err := <-res; !errors.Is(err, context.Canceled) {
@@ -812,10 +819,10 @@ func TestBatcherSoloPath(t *testing.T) {
 		}
 		close(gate)
 		eventually(t, "abandoned solo request accounted for", func() bool {
-			st := b.Stats()
+			st := countsOf(b)
 			return st.Batches == 2 && st.Records == 2 && st.InFlight == 0
 		})
-		if snap := b.Latency(); snap.Samples != 2 {
+		if snap := b.window.snapshot(); snap.Samples != 2 {
 			t.Errorf("latency window holds %d samples after 2 solo requests", snap.Samples)
 		}
 	})
@@ -841,31 +848,31 @@ func TestBatcherContainsPipelinePanic(t *testing.T) {
 		errs := make(chan error, 3)
 		for _, x := range []float64{13, 1, 2} {
 			go func(x float64) {
-				_, err := sb.b.Predict(context.Background(), x)
+				_, err := sb.b.predict(context.Background(), x)
 				errs <- err
 			}(x)
 		}
 		eventually(t, "poisoned batch assembled", func() bool { return sb.b.assembling.Load() == 3 })
 		sb.release(0)
 		for i := 0; i < 3; i++ {
-			if err := <-errs; err == nil || errors.Is(err, ErrBatcherClosed) {
+			if err := <-errs; err == nil || errors.Is(err, ErrRouteClosed) {
 				t.Errorf("caller in the panicking batch got %v, want the recovered panic as an error", err)
 			}
 		}
 		sb.drain(t)
 
 		// Solo path, then proof of life.
-		if _, err := sb.b.Predict(context.Background(), 13); err == nil {
+		if _, err := sb.b.predict(context.Background(), 13); err == nil {
 			t.Error("solo poison record returned no error")
 		}
-		if out, err := sb.b.Predict(context.Background(), 5); err != nil || out[0] != 5 {
+		if out, err := sb.b.predict(context.Background(), 5); err != nil || out[0] != 5 {
 			t.Fatalf("good request after the panics = %v, %v", out, err)
 		}
 		const served = flushOverlap + 3 + 1 + 1
-		if st := sb.b.Stats(); st.Failed != 4 || st.Records != served {
+		if st := countsOf(sb.b); st.Failed != 4 || st.Records != served {
 			t.Errorf("failed=%d records=%d, want 4 of %d", st.Failed, st.Records, served)
 		}
-		if snap := sb.b.Latency(); snap.Samples != served {
+		if snap := sb.b.window.snapshot(); snap.Samples != served {
 			t.Errorf("latency window holds %d samples, want %d (failures are observed too)", snap.Samples, served)
 		}
 	})

@@ -129,41 +129,17 @@ func (rt *Route[I, O]) Shadow(ctx context.Context, fitted *keystone.Fitted[I, O]
 
 // stage builds the candidate version and publishes the canary state.
 func (rt *Route[I, O]) stage(ctx context.Context, fitted *keystone.Fitted[I, O], mode canaryMode, fraction float64) (int, error) {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
+	if err := rt.begin(ctx, false); err != nil {
+		return 0, err
 	}
-	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	if rt.closed {
-		return 0, ErrRouteClosed
-	}
-	if rt.canary.Load() != nil {
-		return 0, ErrCanaryActive
-	}
-	batch, delay := rt.limits()
-	note := "canary candidate"
-	if mode == modeShadow {
-		note = "shadow candidate"
-	}
 	// A candidate is stored up front like a deploy: if it wins promotion
 	// the swap must not be the first moment persistence can fail.
 	art, err := rt.storeFitted(fitted)
 	if err != nil {
 		return 0, err
 	}
-	cand := &version[I, O]{
-		note:     note,
-		artifact: art,
-		fitted:   fitted,
-		batcher:  keystone.NewBatcher(fitted, batch, delay),
-		deployed: time.Now(),
-	}
-	rt.histMu.Lock()
-	cand.id = len(rt.vers) + 1
-	rt.vers = append(rt.vers, cand)
-	rt.histMu.Unlock()
+	cand := rt.newVersion(fitted, mode.String()+" candidate", art)
 	st := &canaryState[I, O]{
 		mode:    mode,
 		cand:    cand,
@@ -184,29 +160,12 @@ func (rt *Route[I, O]) stage(ctx context.Context, fitted *keystone.Fitted[I, O],
 // behind its gate before its batcher closes — the same lossless sequence
 // as Deploy. Returns the promoted version id.
 func (rt *Route[I, O]) Promote(ctx context.Context) (int, error) {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
+	if err := rt.begin(ctx, true); err != nil {
+		return 0, err
 	}
-	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	if rt.closed {
-		return 0, ErrRouteClosed
-	}
 	st := rt.canary.Swap(nil)
-	if st == nil {
-		return 0, ErrNoCanary
-	}
-	old := rt.cur.Swap(st.cand)
-	prevArt := ""
-	if old != nil {
-		rt.prevLiveID = old.id
-		prevArt = old.artifact
-		old.gate.retire()
-		old.batcher.Close()
-	}
-	rt.retagLocked(st.cand.artifact, prevArt)
+	rt.makeLive(st.cand)
 	return st.cand.id, nil
 }
 
@@ -216,19 +175,11 @@ func (rt *Route[I, O]) Promote(ctx context.Context) (int, error) {
 // Requests that raced the abort retry on the primary via the usual gate
 // retry loop, so an abort — like a rollback — loses nothing.
 func (rt *Route[I, O]) Abort(ctx context.Context) error {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
+	if err := rt.begin(ctx, true); err != nil {
+		return err
 	}
-	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	st := rt.canary.Swap(nil)
-	if st == nil {
-		return ErrNoCanary
-	}
-	st.cand.gate.retire()
-	st.cand.batcher.Close()
+	rt.retire(rt.canary.Swap(nil).cand)
 	return nil
 }
 
@@ -277,12 +228,18 @@ func (rt *Route[I, O]) CanaryStats() (stats CanaryStats, ok bool) {
 		CandidateErrors:  st.cand.errs.Load(),
 		ShadowDropped:    st.shadowDropped.Load(),
 	}
-	candSnap := st.cand.batcher.Latency()
-	stats.CandidateP50, stats.CandidateP95 = candSnap.P50, candSnap.P95
+	// histMu keeps both batchers attached while their windows are read: a
+	// concurrent Abort or two swaps may retire either version meanwhile.
+	rt.histMu.RLock()
+	defer rt.histMu.RUnlock()
+	if b := st.cand.batcher; b != nil {
+		snap := b.window.snapshot()
+		stats.CandidateP50, stats.CandidateP95 = snap.P50, snap.P95
+	}
 	if prim := rt.cur.Load(); prim != nil {
 		stats.PrimaryServed = prim.served.Load() - st.primServed0
 		stats.PrimaryErrors = prim.errs.Load() - st.primErrs0
-		snap := prim.batcher.Latency()
+		snap := prim.batcher.window.snapshot()
 		stats.PrimaryP50, stats.PrimaryP95 = snap.P50, snap.P95
 	}
 	return stats, true
@@ -305,7 +262,7 @@ func (rt *Route[I, O]) mirror(st *canaryState[I, O], rec I) {
 		defer st.cand.gate.leave()
 		ctx, cancel := context.WithTimeout(context.Background(), rt.timeout)
 		defer cancel()
-		if _, err := st.cand.batcher.Predict(ctx, rec); err != nil {
+		if _, err := st.cand.batcher.predict(ctx, rec); err != nil {
 			st.cand.errs.Add(1)
 		} else {
 			st.cand.served.Add(1)

@@ -34,12 +34,12 @@ type routeConfig struct {
 }
 
 // WithBatchLimits sets the route's initial micro-batching limits.
-// maxBatch <= 0 selects the batcher default (32 records). maxDelay is the
-// linger: 0 dispatches a batch as soon as the pipeline has a free
-// execution slot, a positive value holds a non-full batch open that long
-// first, a negative one — like not giving the option — selects the
-// batcher default (1ms). Under an SLO these are just the autotuner's
-// starting point, clamped into the SLO's bounds.
+// maxBatch <= 0 selects the default (32 records). maxDelay is the linger:
+// 0 dispatches a batch as soon as the pipeline has a free execution slot,
+// a positive value holds a non-full batch open that long first, a
+// negative one — like not giving the option — selects the default (1ms).
+// Under an SLO these are just the autotuner's starting point, clamped
+// into the SLO's bounds.
 func WithBatchLimits(maxBatch int, maxDelay time.Duration) RouteOption {
 	return func(c *routeConfig) { c.maxBatch, c.maxDelay = maxBatch, maxDelay }
 }
@@ -75,9 +75,10 @@ type Route[I, O any] struct {
 	refitMu sync.RWMutex
 	refit   func(context.Context) (*keystone.Fitted[I, O], error)
 
-	// tuner state; tunedBatch/tunedDelay carry the current limits across
+	// slo is the autotuner's objective with defaults resolved (zero = no
+	// tuning); tunedBatch/tunedDelay carry the current limits across
 	// deploys so a new version's batcher starts where tuning left off.
-	tuner      *Tuner
+	slo        SLO
 	tunerStop  chan struct{}
 	tunedBatch atomic.Int64
 	tunedDelay atomic.Int64
@@ -102,6 +103,8 @@ type Route[I, O any] struct {
 	store   ArtifactStore
 	tagErrs atomic.Int64
 
+	// histMu guards the history, and the fitted/batcher fields of its
+	// versions that retire clears.
 	histMu sync.RWMutex
 	vers   []*version[I, O]
 
@@ -122,10 +125,17 @@ func Register[I, O any](s *Server, name string, fitted *keystone.Fitted[I, O], c
 	if codec == nil {
 		return nil, fmt.Errorf("serve: route %q registered with nil codec", name)
 	}
-	// maxDelay -1: unset selects the batcher default; 0 means no linger.
-	cfg := routeConfig{timeout: defaultRouteTimeout, maxDelay: -1}
+	cfg := routeConfig{timeout: defaultRouteTimeout, maxBatch: defaultMaxBatch, maxDelay: defaultMaxDelay}
 	for _, opt := range opts {
 		opt(&cfg)
+	}
+	// The one place batch limits are resolved: WithBatchLimits' defaults,
+	// then the SLO's bounds when the route is tuned.
+	if cfg.maxBatch <= 0 {
+		cfg.maxBatch = defaultMaxBatch
+	}
+	if cfg.maxDelay < 0 {
+		cfg.maxDelay = defaultMaxDelay
 	}
 	rt := &Route[I, O]{
 		server:  s,
@@ -135,14 +145,15 @@ func Register[I, O any](s *Server, name string, fitted *keystone.Fitted[I, O], c
 		store:   cfg.store,
 	}
 	rt.adm.Store(newAdmitter(cfg.admission))
-	rt.tunedBatch.Store(int64(cfg.maxBatch))
-	rt.tunedDelay.Store(int64(cfg.maxDelay))
 	if cfg.slo.TargetP95 > 0 {
-		rt.tuner = NewTuner(cfg.slo)
+		rt.slo = cfg.slo.withDefaults()
+		cfg.maxBatch, cfg.maxDelay = rt.slo.clamp(cfg.maxBatch, cfg.maxDelay)
 		// Created before s.add publishes rt: a concurrent Server.Close
 		// may reach closeRoute as soon as the route is visible.
 		rt.tunerStop = make(chan struct{})
 	}
+	rt.tunedBatch.Store(int64(cfg.maxBatch))
+	rt.tunedDelay.Store(int64(cfg.maxDelay))
 
 	// Deploy before publishing in the registry so the route is never
 	// visible over HTTP without a live version. With an artifact store
@@ -158,19 +169,11 @@ func Register[I, O any](s *Server, name string, fitted *keystone.Fitted[I, O], c
 	rt.mu.Lock()
 	rt.deployLocked(fitted, "initial", art)
 	rt.mu.Unlock()
-	if rt.tuner != nil {
-		// The batcher has resolved unset limits to its own defaults; fold
-		// the result into the SLO's bounds so the route and the tuner
-		// agree on where tuning starts.
-		b := rt.cur.Load().batcher
-		batch, delay := rt.tuner.clampLimits(b.Limits())
-		rt.setLimits(b, batch, delay)
-	}
 	if err := s.add(name, rt); err != nil {
 		rt.closeRoute()
 		return nil, err
 	}
-	if rt.tuner != nil {
+	if rt.tunerStop != nil {
 		// If Close won the race since add, tunerStop is already closed
 		// and the loop exits on its first select.
 		go rt.tuneLoop()
@@ -224,48 +227,47 @@ func (rt *Route[I, O]) PredictBatch(ctx context.Context, recs []I) ([]O, error) 
 	return outs, err
 }
 
-// limits returns the batcher limits a new version should start with.
+// limits returns the batcher limits a new version starts with.
 func (rt *Route[I, O]) limits() (int, time.Duration) {
 	return int(rt.tunedBatch.Load()), time.Duration(rt.tunedDelay.Load())
 }
 
-// setLimits retargets b and records the limits for the versions that
-// follow it.
-func (rt *Route[I, O]) setLimits(b *keystone.Batcher[I, O], batch int, delay time.Duration) {
-	b.SetLimits(batch, delay)
-	rt.tunedBatch.Store(int64(batch))
-	rt.tunedDelay.Store(int64(delay))
-}
-
-// tuneLoop applies the autotuner to the live version's batcher every
-// Interval until the route closes.
+// tuneLoop applies the autotuner every Interval until the route closes.
 func (rt *Route[I, O]) tuneLoop() {
-	ticker := time.NewTicker(rt.tuner.Config().Interval)
+	ticker := time.NewTicker(rt.slo.Interval)
 	defer ticker.Stop()
 	for {
 		select {
 		case <-rt.tunerStop:
 			return
 		case <-ticker.C:
-			v := rt.cur.Load()
-			if v == nil {
-				return
-			}
-			curB, curD := v.batcher.Limits()
-			newB, newD := rt.tuner.Step(v.batcher.Latency(), curB, curD)
-			if newB != curB || newD != curD {
-				v.batcher.SetLimits(newB, newD)
-				rt.tunedBatch.Store(int64(newB))
-				rt.tunedDelay.Store(int64(newD))
-				// A staged candidate must track the same limits, or the
-				// canary/shadow p95 comparison would measure assembly-window
-				// skew instead of the artifacts. (SetLimits on a batcher a
-				// concurrent Abort just closed is harmless — atomics only.)
-				if st := rt.canary.Load(); st != nil {
-					st.cand.batcher.SetLimits(newB, newD)
-				}
-			}
+			rt.tuneStep()
 		}
+	}
+}
+
+// tuneStep retargets the live version's batcher from its latency window,
+// and a staged candidate's with it: the candidate must track the same
+// limits, or the canary/shadow p95 comparison would measure
+// assembly-window skew instead of the artifacts. histMu keeps both
+// batchers attached while it reads and writes them.
+func (rt *Route[I, O]) tuneStep() {
+	rt.histMu.RLock()
+	defer rt.histMu.RUnlock()
+	v := rt.cur.Load()
+	if v == nil {
+		return
+	}
+	curB, curD := v.batcher.limits()
+	newB, newD := rt.slo.step(v.batcher.window.snapshot(), curB, curD)
+	if newB == curB && newD == curD {
+		return
+	}
+	v.batcher.setLimits(newB, newD)
+	rt.tunedBatch.Store(int64(newB))
+	rt.tunedDelay.Store(int64(newD))
+	if st := rt.canary.Load(); st != nil {
+		st.cand.batcher.setLimits(newB, newD)
 	}
 }
 
@@ -356,16 +358,8 @@ func (rt *Route[I, O]) handleDeploy(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, map[string]any{"route": rt.name, "version": ver, "artifact": req.Artifact})
 		return
 	}
-	rt.refitMu.RLock()
-	refit := rt.refit
-	rt.refitMu.RUnlock()
-	if refit == nil {
-		httpError(w, http.StatusNotImplemented, fmt.Sprintf("route %q has no refitter configured", rt.name))
-		return
-	}
-	fitted, err := refit(r.Context())
-	if err != nil {
-		httpError(w, statusOf(err), "refit: "+err.Error())
+	fitted, ok := rt.refitForHTTP(w, r)
+	if !ok {
 		return
 	}
 	ver, err := rt.Deploy(r.Context(), fitted)
@@ -416,40 +410,27 @@ func (rt *Route[I, O]) versionsValue() []map[string]any {
 }
 
 func (rt *Route[I, O]) statsValue() map[string]any {
-	rt.histMu.RLock()
-	versions := len(rt.vers)
-	rt.histMu.RUnlock()
+	autotune := rt.slo.TargetP95 > 0
 	out := map[string]any{
 		"route":        rt.name,
-		"versions":     versions,
 		"live_version": rt.LiveVersion(),
 		"served":       rt.served.Load(),
-		"autotune":     rt.tuner != nil,
+		"autotune":     autotune,
 	}
+	rt.histMu.RLock()
+	out["versions"] = len(rt.vers)
 	v := rt.cur.Load()
+	if v != nil {
+		v.batcher.statsInto(out)
+	}
+	rt.histMu.RUnlock()
 	if v == nil {
 		return out
 	}
-	st := v.batcher.Stats()
-	out["batches"] = st.Batches
-	out["records"] = st.Records
-	out["largest_batch"] = st.LargestBatch
-	out["in_flight"] = st.InFlight
-	b, d := v.batcher.Limits()
-	out["max_batch"] = b
-	out["max_delay_ms"] = durMS(d)
-	snap := v.batcher.Latency()
-	out["latency_p50_ms"] = durMS(snap.P50)
-	out["latency_p95_ms"] = durMS(snap.P95)
-	out["window_samples"] = snap.Samples
-	out["mean_occupancy"] = snap.MeanOccupancy
-	out["throughput_rps"] = snap.Throughput
-	out["queue_depth"] = v.batcher.QueueDepth()
-	if rt.tuner != nil {
-		cfg := rt.tuner.Config()
-		out["slo_target_p95_ms"] = durMS(cfg.TargetP95)
-		if cfg.ThroughputFloor > 0 {
-			out["slo_throughput_floor_rps"] = cfg.ThroughputFloor
+	if autotune {
+		out["slo_target_p95_ms"] = durMS(rt.slo.TargetP95)
+		if rt.slo.ThroughputFloor > 0 {
+			out["slo_throughput_floor_rps"] = rt.slo.ThroughputFloor
 		}
 	}
 	if rt.store != nil {

@@ -365,8 +365,8 @@ func TestPredictPanicIs500(t *testing.T) {
 	if scores, _ := body["scores"].([]any); code != 200 || len(scores) != 2 || scores[0] != float64(9) {
 		t.Fatalf("good record after the panic = %d %v, want 200 with scores [9 0]", code, body)
 	}
-	if st := rt.cur.Load().batcher.Stats(); st.Failed != 1 || st.Records != 2 {
-		t.Errorf("batcher failed=%d records=%d, want 1 of 2", st.Failed, st.Records)
+	if b := rt.cur.Load().batcher; b.failed.Load() != 1 || b.records.Load() != 2 {
+		t.Errorf("batcher failed=%d records=%d, want 1 of 2", b.failed.Load(), b.records.Load())
 	}
 }
 
@@ -439,10 +439,10 @@ func TestErrorBodyIsJSON(t *testing.T) {
 	}
 }
 
-// TestRegisterLimitDefaults: unset limits are resolved in one place, the
-// batcher — 32 records, 1ms — and an SLO clamps what the batcher resolved:
-// a tuned route with unset limits starts there too, and one asked for no
-// linger starts at the tuner's MinDelay.
+// TestRegisterLimitDefaults: limits are resolved in one place, Register
+// — unset or negative, 32 records and 1ms — and an SLO clamps what
+// Register resolved: a tuned route with unset limits starts there too,
+// and one asked for no linger starts at the tuner's MinDelay.
 func TestRegisterLimitDefaults(t *testing.T) {
 	s := NewServer()
 	defer s.Close()
@@ -454,7 +454,7 @@ func TestRegisterLimitDefaults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if b, d := rt.cur.Load().batcher.Limits(); b != 32 || d != want {
+		if b, d := rt.cur.Load().batcher.limits(); b != 32 || d != want {
 			t.Errorf("%s: limits = (%d, %v), want (32, %v)", name, b, d, want)
 		}
 		return rt
@@ -462,10 +462,11 @@ func TestRegisterLimitDefaults(t *testing.T) {
 	slo := WithSLO(SLO{TargetP95: 10 * time.Millisecond})
 	limits("plain", time.Millisecond)
 	limits("nolinger", 0, WithBatchLimits(0, 0))
+	limits("negative", time.Millisecond, WithBatchLimits(-1, -1))
 	limits("tuned", time.Millisecond, slo)
 	tuned := limits("tuned-nolinger", 50*time.Microsecond, slo, WithBatchLimits(0, 0))
 	// The next version starts where this one stands.
-	if b, d := tuned.limits(); b != 32 || d != tuned.tuner.Config().MinDelay {
-		t.Errorf("SLO route carries (%d, %v) to its next version, want (32, %v)", b, d, tuned.tuner.Config().MinDelay)
+	if b, d := tuned.limits(); b != 32 || d != tuned.slo.MinDelay {
+		t.Errorf("SLO route carries (%d, %v) to its next version, want (32, %v)", b, d, tuned.slo.MinDelay)
 	}
 }

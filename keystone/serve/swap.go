@@ -20,20 +20,25 @@ var ErrRouteClosed = errors.New("serve: route closed")
 // swapping it out lossless.
 //
 // The zero-downtime contract: requests pin the version they load with an
-// RLock held for the whole prediction. Deploy publishes the successor
-// first (the atomic pointer swap), then takes the write lock — which
-// waits for every pinned request to finish — marks the version retired,
-// and only then closes its batcher. A request that loaded the old
-// pointer either gets in before the write lock (and is served normally
-// by the still-running old version) or blocks, observes retired, and
-// retries against the new version. No request ever meets a closed
-// batcher.
+// RLock held for the whole prediction. A transition publishes the
+// successor first (the atomic pointer swap), then retires the old
+// version: its gate's write lock waits for every pinned request to
+// finish and marks it retired, and only then does its batcher close. A
+// request that loaded the old pointer either gets in before the write
+// lock (and is served normally by the still-running old version) or
+// blocks, observes retired, and retries against the new version. No
+// request ever meets a closed batcher.
+//
+// fitted and batcher are read under the gate on the request path and
+// under histMu by stats and the tuner; retire clears them (under histMu)
+// once the version can never serve again, so history keeps only ids,
+// notes, artifacts and counters.
 type version[I, O any] struct {
 	id       int
 	note     string
 	artifact string // content address in the bound ArtifactStore ("" = not stored)
 	fitted   *keystone.Fitted[I, O]
-	batcher  *keystone.Batcher[I, O]
+	batcher  *batcher[I, O]
 	deployed time.Time
 	served   atomic.Int64
 	errs     atomic.Int64 // failed records attributed to this version
@@ -51,19 +56,10 @@ func (rt *Route[I, O]) Deploy(ctx context.Context, fitted *keystone.Fitted[I, O]
 	if fitted == nil {
 		return 0, fmt.Errorf("serve: Deploy on route %q with nil fitted pipeline", rt.name)
 	}
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
+	if err := rt.begin(ctx, false); err != nil {
+		return 0, err
 	}
-	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	if rt.closed {
-		return 0, ErrRouteClosed
-	}
-	if rt.canary.Load() != nil {
-		return 0, ErrCanaryActive
-	}
 	// With an artifact store bound the new version is stored before the
 	// swap: a deploy that cannot be made durable fails loudly with the
 	// old version still serving.
@@ -78,19 +74,10 @@ func (rt *Route[I, O]) Deploy(ctx context.Context, fitted *keystone.Fitted[I, O]
 // the current one, as a new version (history is append-only). Returns
 // the new version id.
 func (rt *Route[I, O]) Rollback(ctx context.Context) (int, error) {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
+	if err := rt.begin(ctx, false); err != nil {
+		return 0, err
 	}
-	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	if rt.closed {
-		return 0, ErrRouteClosed
-	}
-	if rt.canary.Load() != nil {
-		return 0, ErrCanaryActive
-	}
 	// prevLiveID tracks the last version that actually held traffic, not
 	// merely the previous history entry — aborted canary candidates sit
 	// in the history too and must never be a rollback target.
@@ -114,62 +101,103 @@ func (rt *Route[I, O]) rollbackFromStoreLocked() (int, error) {
 		return 0, fmt.Errorf("serve: route %q has no previous version to roll back to", rt.name)
 	}
 	tag := rt.name + ".previous"
-	id, err := rt.store.Resolve(tag)
+	fitted, id, err := loadArtifact[I, O](rt.store, tag)
 	if err != nil {
-		return 0, fmt.Errorf("serve: route %q has no previous version to roll back to (in memory or under tag %q: %v)", rt.name, tag, err)
-	}
-	data, err := rt.store.Get(id)
-	if err != nil {
-		return 0, err
-	}
-	fitted, err := keystone.Decode[I, O](data)
-	if err != nil {
-		return 0, fmt.Errorf("serve: route %q artifact %s: %w", rt.name, shortID(id), err)
+		return 0, fmt.Errorf("serve: route %q has no previous version in memory; rollback from %w", rt.name, err)
 	}
 	return rt.deployLocked(fitted, "rollback to artifact "+shortID(id), id), nil
 }
 
-// Deploy is the name-addressed form: it resolves the route on the server
-// and type-asserts it, so callers holding only the Server can hot-swap.
-func Deploy[I, O any](ctx context.Context, s *Server, name string, fitted *keystone.Fitted[I, O]) (int, error) {
-	h := s.route(name)
-	if h == nil {
-		return 0, fmt.Errorf("serve: no route %q", name)
+// begin opens a lifecycle transition: it refuses a dead ctx, takes rt.mu,
+// and refuses a closed route or one whose staging state is not the one
+// the transition needs — a staged candidate when staged is true (Promote,
+// Abort), none otherwise (Deploy, Rollback, DeployArtifact, Canary,
+// Shadow). On success the caller holds rt.mu and must unlock it.
+func (rt *Route[I, O]) begin(ctx context.Context, staged bool) error {
+	if ctx != nil {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 	}
-	rt, ok := h.(*Route[I, O])
-	if !ok {
-		return 0, fmt.Errorf("serve: route %q does not serve this record type", name)
+	rt.mu.Lock()
+	var err error
+	switch active := rt.canary.Load() != nil; {
+	case rt.closed:
+		err = ErrRouteClosed
+	case staged && !active:
+		err = ErrNoCanary
+	case !staged && active:
+		err = ErrCanaryActive
+	default:
+		return nil
 	}
-	return rt.Deploy(ctx, fitted)
+	rt.mu.Unlock()
+	return err
 }
 
-// deployLocked builds, publishes and drains; caller holds rt.mu.
-// artifact is the new version's content address in the bound store ("" =
-// not stored); after the swap the store's live/previous tags follow.
-func (rt *Route[I, O]) deployLocked(fitted *keystone.Fitted[I, O], note, artifact string) int {
-	batch, delay := rt.limits()
+// newVersion builds a version serving fitted behind a fresh batcher at
+// the route's current limits and appends it to the history; caller holds
+// rt.mu. artifact is its content address in the bound store ("" = not
+// stored).
+func (rt *Route[I, O]) newVersion(fitted *keystone.Fitted[I, O], note, artifact string) *version[I, O] {
+	maxBatch, maxDelay := rt.limits()
 	v := &version[I, O]{
 		note:     note,
 		artifact: artifact,
 		fitted:   fitted,
-		batcher:  keystone.NewBatcher(fitted, batch, delay),
+		batcher:  newBatcher(fitted, maxBatch, maxDelay),
 		deployed: time.Now(),
 	}
 	rt.histMu.Lock()
 	v.id = len(rt.vers) + 1
 	rt.vers = append(rt.vers, v)
 	rt.histMu.Unlock()
+	return v
+}
 
+// deployLocked builds a version and makes it live; caller holds rt.mu.
+func (rt *Route[I, O]) deployLocked(fitted *keystone.Fitted[I, O], note, artifact string) int {
+	v := rt.newVersion(fitted, note, artifact)
+	rt.makeLive(v)
+	return v.id
+}
+
+// makeLive publishes v as the live version, retires the one it replaces
+// (which becomes the rollback target), and moves the store's live and
+// previous tags; caller holds rt.mu.
+func (rt *Route[I, O]) makeLive(v *version[I, O]) {
 	old := rt.cur.Swap(v)
 	prevArt := ""
 	if old != nil {
 		rt.prevLiveID = old.id
 		prevArt = old.artifact
-		old.gate.retire()
-		old.batcher.Close()
+		rt.retire(old)
 	}
-	rt.retagLocked(artifact, prevArt)
-	return v.id
+	rt.retagLocked(v.artifact, prevArt)
+}
+
+// retire takes v out of service, the one way any version leaves it: its
+// gate drains every pinned request and turns later ones away, then its
+// batcher closes. Then every version that can no longer serve — not live,
+// not the staged candidate, not the rollback target — lets go of its
+// pipeline and batcher, so a route holds at most three pipelines however
+// many versions its history lists. Caller holds rt.mu and has already
+// unpublished v.
+func (rt *Route[I, O]) retire(v *version[I, O]) {
+	v.gate.retire()
+	v.batcher.close()
+	live := rt.cur.Load()
+	var cand *version[I, O]
+	if st := rt.canary.Load(); st != nil {
+		cand = st.cand
+	}
+	rt.histMu.Lock()
+	for _, h := range rt.vers {
+		if h != live && h != cand && h.id != rt.prevLiveID {
+			h.fitted, h.batcher = nil, nil
+		}
+	}
+	rt.histMu.Unlock()
 }
 
 // drainGate is the per-version admission control behind the hot-swap:
@@ -234,7 +262,7 @@ func (rt *Route[I, O]) predict(ctx context.Context, rec I) (O, int, error) {
 					tryCanary = false
 					if s.cand.gate.enter() {
 						v = s.cand
-						if adm.queueFull(v.batcher.QueueDepth()) {
+						if adm.queueFull(v.batcher.queueDepth()) {
 							v.gate.leave()
 							return zero, 0, ErrOverloaded
 						}
@@ -248,7 +276,7 @@ func (rt *Route[I, O]) predict(ctx context.Context, rec I) (O, int, error) {
 		if !v.gate.enter() {
 			continue // swapped out under us; retry on the successor
 		}
-		if adm.queueFull(v.batcher.QueueDepth()) {
+		if adm.queueFull(v.batcher.queueDepth()) {
 			v.gate.leave()
 			return zero, 0, ErrOverloaded
 		}
@@ -264,7 +292,7 @@ func (rt *Route[I, O]) predict(ctx context.Context, rec I) (O, int, error) {
 // already holds, keeping the per-version counters; it releases the gate.
 func (rt *Route[I, O]) servePinned(ctx context.Context, v *version[I, O], rec I) (O, error) {
 	defer v.gate.leave()
-	out, err := v.batcher.Predict(ctx, rec)
+	out, err := v.batcher.predict(ctx, rec)
 	if err == nil {
 		rt.served.Add(1)
 		v.served.Add(1)
@@ -297,17 +325,14 @@ func (rt *Route[I, O]) predictBatch(ctx context.Context, recs []I) ([]O, int, er
 	}
 }
 
-// serveBatchPinned is servePinned for a whole batch. It is the batch
-// path's panic boundary: TransformBatch runs on the caller's goroutine —
-// over HTTP the handler's, where net/http answers an operator panic by
-// dropping the connection — so a panic becomes the error Batcher.execute
-// makes of one, with the gate left and the records counted failed.
+// serveBatchPinned is servePinned for a whole batch. TransformBatch runs
+// on the caller's goroutine — over HTTP the handler's, where net/http
+// answers an operator panic by dropping the connection — so it defers
+// the same panic boundary as the batcher, with the gate left and the
+// records counted failed.
 func (rt *Route[I, O]) serveBatchPinned(ctx context.Context, v *version[I, O], recs []I) (outs []O, err error) {
 	defer v.gate.leave()
 	defer func() {
-		if p := recover(); p != nil {
-			outs, err = nil, fmt.Errorf("keystone: pipeline panicked: %v", p)
-		}
 		// Counters are in records on both sides: a failed batch failed
 		// every record in it, or error rates would understate batch
 		// failures by the batch size.
@@ -318,11 +343,13 @@ func (rt *Route[I, O]) serveBatchPinned(ctx context.Context, v *version[I, O], r
 			v.errs.Add(n)
 		}
 	}()
+	defer recoverPipeline(&err)
 	return v.fitted.TransformBatch(ctx, recs)
 }
 
-// closeRoute retires the live version and stops the tuner. Requests in
-// flight complete; later ones get ErrRouteClosed.
+// closeRoute retires the staged candidate and the live version and
+// stops the tuner. Requests in flight complete; later ones get
+// ErrRouteClosed.
 func (rt *Route[I, O]) closeRoute() {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -334,12 +361,9 @@ func (rt *Route[I, O]) closeRoute() {
 		close(rt.tunerStop)
 	}
 	if st := rt.canary.Swap(nil); st != nil {
-		st.cand.gate.retire()
-		st.cand.batcher.Close()
+		rt.retire(st.cand)
 	}
-	old := rt.cur.Swap(nil)
-	if old != nil {
-		old.gate.retire()
-		old.batcher.Close()
+	if old := rt.cur.Swap(nil); old != nil {
+		rt.retire(old)
 	}
 }

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -189,33 +188,5 @@ func TestRollbackRestoresArtifact(t *testing.T) {
 	}
 	if out, _ := rt.Predict(context.Background(), 0); out[0] != 1 {
 		t.Fatalf("post-rollback mark = %v, want 1", out[0])
-	}
-}
-
-// TestDeployByName: the package-level name-addressed Deploy resolves and
-// type-checks the route.
-func TestDeployByName(t *testing.T) {
-	s := NewServer()
-	defer s.Close()
-	if _, err := Register(s, "m", fitFloatMarker(t, 1), JSONCodec[float64, []float64]{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Deploy(context.Background(), s, "m", fitFloatMarker(t, 2)); err != nil {
-		t.Fatalf("Deploy by name: %v", err)
-	}
-	if _, err := Deploy(context.Background(), s, "missing", fitFloatMarker(t, 3)); err == nil {
-		t.Error("Deploy on a missing route succeeded")
-	}
-	if _, err := Deploy(context.Background(), s, "m", fitTextMarker(t, 1, 0)); err == nil {
-		t.Error("Deploy with mismatched record types succeeded")
-	}
-	var canceled context.Context
-	{
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		canceled = ctx
-	}
-	if _, err := Deploy(canceled, s, "m", fitFloatMarker(t, 4)); !errors.Is(err, context.Canceled) {
-		t.Errorf("Deploy with canceled ctx = %v, want context.Canceled", err)
 	}
 }
