@@ -11,7 +11,7 @@ GO ?= go
 # The packages whose API is the product (documentation gate, size ledger).
 PUBLIC_PKGS = keystone keystone/serve keystone/registry keystone/dist keystone/tune
 
-.PHONY: build test race vet staticcheck docs-check ledger bench-smoke bench bench-kernels e2e e2e-compare flake fuzz-serve serve serve-smoke dist-smoke ci
+.PHONY: build test race vet staticcheck docs-check ledger bench-smoke bench bench-kernels e2e e2e-compare flake fuzz serve serve-smoke dist-smoke ci
 
 build:
 	$(GO) build ./...
@@ -94,13 +94,15 @@ flake:
 	GOMAXPROCS=1 $(GO) test -race -count=5 $(FLAKE_PKGS)
 	GOMAXPROCS=4 $(GO) test -race -count=5 $(FLAKE_PKGS)
 
-# Fuzz the numeric serve codecs against their encoding/json oracle (the
-# seed corpus alone already runs under `go test`); one target per run is
-# go test's rule.
+# Fuzz each target against its oracle: the numeric serve codecs against
+# encoding/json, the fused Figure 2 featuriser against the unfused text
+# chain (the seed corpora alone already run under `go test`); one target
+# per run is go test's rule.
 FUZZTIME ?= 30s
-fuzz-serve:
+fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzImageDecode -fuzztime $(FUZZTIME) ./keystone/serve
 	$(GO) test -run '^$$' -fuzz FuzzVectorDecode -fuzztime $(FUZZTIME) ./keystone/serve
+	$(GO) test -run '^$$' -fuzz FuzzFeaturize -fuzztime $(FUZZTIME) ./internal/text
 
 # The HTTP inference server (trains text + vision pipelines at startup).
 serve:

@@ -20,15 +20,20 @@ type Fitted struct {
 	models map[int]TransformOp
 	ctx    *engine.Context
 
-	// steps is the precomputed single-record evaluation plan: the
-	// reachable non-estimator nodes in dependency order with dep slots
-	// and models resolved up front, so the per-record hot path is a flat
-	// loop over closures with no graph walk, no memo map, and no
-	// Collection/partition machinery.
+	// plan is the persisted form of the pipeline: the reachable
+	// non-estimator nodes in dependency order, one step per node, with
+	// dep slots and models resolved up front. StepRecords writes it.
+	plan    []fittedStep
+	planOut int
+
+	// steps is the run form every entry point but Apply evaluates: the
+	// plan with each fused chain collapsed into one step (see fuse.go),
+	// so the per-record hot path is a flat loop over closures with no
+	// graph walk, no memo map, and no Collection/partition machinery.
 	steps  []fittedStep
 	outIdx int
 
-	// blocks marks a plan TransformBatch can run a block at a time:
+	// blocks marks a run form TransformBatch can run a block at a time:
 	// every step is the source, a gather or a BlockOp (see block.go).
 	blocks bool
 }
@@ -39,16 +44,17 @@ type fittedStep struct {
 	kind  NodeKind
 	deps  []int
 	apply func(in any) any // set for transform and apply-model steps
-	op    TransformOp      // the operator behind apply, for persistence
+	op    TransformOp      // the operator behind apply; nil on a fused step
 	name  string
 	block BlockOp   // op's block form, nil when it has none
 	home  blockHome // where the block path puts this step's rows
 }
 
 // NewFitted assembles a fitted pipeline from a graph and its trained
-// models, precompiling the single-record evaluation plan. models may be
-// missing entries for estimators that were never fit; evaluating a path
-// through such a node panics, matching the lazy behaviour of Apply.
+// models, precompiling its plan and, from that, its run form: fused
+// chains, then the dense block form. models may be missing entries for
+// estimators that were never fit; evaluating a path through such a node
+// panics, matching the lazy behaviour of Apply.
 func NewFitted(g *Graph, models map[int]TransformOp, ctx *engine.Context) *Fitted {
 	f := &Fitted{g: g, models: models, ctx: ctx}
 	slot := make(map[int]int)
@@ -89,12 +95,13 @@ func NewFitted(g *Graph, models map[int]TransformOp, ctx *engine.Context) *Fitte
 		default:
 			panic(fmt.Sprintf("core: unexpected node kind %v at apply time", n.Kind))
 		}
-		idx := len(f.steps)
+		idx := len(f.plan)
 		slot[n.ID] = idx
-		f.steps = append(f.steps, st)
+		f.plan = append(f.plan, st)
 		return idx
 	}
-	f.outIdx = walk(g.Sink)
+	f.planOut = walk(g.Sink)
+	f.compileRun()
 	f.compileBlocks()
 	return f
 }

@@ -128,9 +128,9 @@ type StepRecord struct {
 // in dependency order. It fails if any step's operator cannot be encoded
 // or if the plan reads labels at apply time.
 func (f *Fitted) StepRecords() ([]StepRecord, error) {
-	recs := make([]StepRecord, len(f.steps))
-	for i := range f.steps {
-		st := &f.steps[i]
+	recs := make([]StepRecord, len(f.plan))
+	for i := range f.plan {
+		st := &f.plan[i]
 		switch st.kind {
 		case KindSource:
 			recs[i] = StepRecord{Kind: KindSource.String()}
@@ -223,4 +223,4 @@ func ShapeSpec(recs []StepRecord) string {
 }
 
 // OutIdx exposes the plan's output step index for persistence.
-func (f *Fitted) OutIdx() int { return f.outIdx }
+func (f *Fitted) OutIdx() int { return f.planOut }

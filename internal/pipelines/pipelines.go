@@ -49,7 +49,7 @@ func Text(cfg TextConfig) *core.Pipeline[string, []float64] {
 	p2 := core.AndThen(p1, text.LowerCase())
 	p3 := core.AndThen(p2, text.Tokenizer())
 	p4 := core.AndThen(p3, text.NGrams(1, 2))
-	p5 := core.AndThen(p4, text.TermFrequency(text.Binary))
+	p5 := core.AndThen(p4, text.TermFrequency())
 	p6 := core.AndThenEstimator(p5, text.NewCommonSparseFeaturesEst(cfg.NumFeatures))
 	return core.AndThenLabeledEstimator(p6,
 		core.NewLabeledEst[any, []float64](&solvers.LogisticRegression{Iterations: cfg.Iterations}))

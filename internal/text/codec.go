@@ -24,19 +24,65 @@ func (v *Vocabulary) EncodeState() ([]byte, error) {
 	return buf.Bytes(), err
 }
 
+// IndexError reports a decoded vocabulary state no fit produces. A fit
+// numbers its n terms 0 to n-1 and sets Dim to max(n, 1); a decoded
+// state must have that Dim and an Index one to one into [0, Dim), which
+// also bounds the fused featuriser's per-index scratch by the artifact's
+// size.
+type IndexError struct {
+	Terms, Dim int    // the decoded vocabulary's size and dimension
+	Term       string // the term at fault when Dim is right
+	Index      int    // Term's index
+	Other      string // the term sharing Index when it is in range
+}
+
+func (e *IndexError) Error() string {
+	switch {
+	case e.Dim != max(e.Terms, 1):
+		return fmt.Sprintf("text: vocabulary of %d terms has Dim %d, want %d", e.Terms, e.Dim, max(e.Terms, 1))
+	case e.Index < 0 || e.Index >= e.Dim:
+		return fmt.Sprintf("text: vocabulary term %q has index %d outside [0,%d)", e.Term, e.Index, e.Dim)
+	}
+	return fmt.Sprintf("text: vocabulary terms %q and %q share index %d", e.Other, e.Term, e.Index)
+}
+
+// validate checks the state against what a fit produces.
+func (s *vocabularyState) validate() error {
+	n := len(s.Index)
+	if s.Dim != max(n, 1) {
+		return &IndexError{Terms: n, Dim: s.Dim}
+	}
+	seen := make([]bool, s.Dim)
+	for term, i := range s.Index {
+		if i < 0 || i >= s.Dim {
+			return &IndexError{Terms: n, Dim: s.Dim, Term: term, Index: i}
+		}
+		if seen[i] {
+			for other, j := range s.Index {
+				if j == i && other != term {
+					return &IndexError{Terms: n, Dim: s.Dim, Term: max(term, other), Index: i, Other: min(term, other)}
+				}
+			}
+		}
+		seen[i] = true
+	}
+	return nil
+}
+
 func init() {
 	core.RegisterStateDecoder("model.vocab", func(state []byte) (core.TransformOp, error) {
 		var s vocabularyState
 		if err := gob.NewDecoder(bytes.NewReader(state)).Decode(&s); err != nil {
 			return nil, err
 		}
+		if err := s.validate(); err != nil {
+			return nil, err
+		}
 		return &Vocabulary{Index: s.Index, Dim: s.Dim}, nil
 	})
 
 	// The text featurizers are stateless and reconstructible from their
-	// names. "text.termfreq" resolves to the Binary weighting — the only
-	// weighting reachable through the public pipeline surface; a custom
-	// weight function cannot be persisted by name.
+	// names.
 	core.RegisterFuncResolver(func(name string) (core.TransformOp, bool) {
 		switch name {
 		case "text.trim":
@@ -46,10 +92,9 @@ func init() {
 		case "text.tokenize":
 			return Tokenizer().Raw(), true
 		case "text.termfreq":
-			return TermFrequency(Binary).Raw(), true
+			return TermFrequency().Raw(), true
 		}
-		var lo, hi int
-		if n, err := fmt.Sscanf(name, "text.ngrams[%d-%d]", &lo, &hi); n == 2 && err == nil && lo >= 1 && hi >= lo {
+		if lo, hi, ok := ngramRange(name); ok {
 			return NGrams(lo, hi).Raw(), true
 		}
 		return nil, false

@@ -5,7 +5,9 @@
 package text
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -28,18 +30,18 @@ func LowerCase() core.Op[string, string] {
 // dropping punctuation-only tokens.
 func Tokenizer() core.Op[string, []string] {
 	return core.FuncOp("text.tokenize", func(doc string) []string {
-		fields := strings.FieldsFunc(doc, func(r rune) bool {
-			return r == ' ' || r == '\t' || r == '\n' || r == '.' || r == ',' ||
-				r == '!' || r == '?' || r == ';' || r == ':' || r == '"' || r == '\''
-		})
-		out := fields[:0]
-		for _, f := range fields {
-			if f != "" {
-				out = append(out, f)
-			}
-		}
-		return out
+		return strings.FieldsFunc(doc, isSeparator)
 	})
+}
+
+// isSeparator reports whether the tokenizer splits on r. '\r', '\v' and
+// '\f' are not separators: inside a document they stay in their token.
+func isSeparator(r rune) bool {
+	switch r {
+	case ' ', '\t', '\n', '.', ',', '!', '?', ';', ':', '"', '\'':
+		return true
+	}
+	return false
 }
 
 // NGrams returns a transformer expanding a token sequence into all
@@ -49,8 +51,7 @@ func NGrams(lo, hi int) core.Op[[]string, []string] {
 	if lo < 1 || hi < lo {
 		panic(fmt.Sprintf("text: invalid ngram range [%d,%d]", lo, hi))
 	}
-	name := fmt.Sprintf("text.ngrams[%d-%d]", lo, hi)
-	return core.FuncOp(name, func(tokens []string) []string {
+	return core.FuncOp(fmt.Sprintf(ngramsName, lo, hi), func(tokens []string) []string {
 		var out []string
 		for n := lo; n <= hi; n++ {
 			for i := 0; i+n <= len(tokens); i++ {
@@ -61,30 +62,35 @@ func NGrams(lo, hi int) core.Op[[]string, []string] {
 	})
 }
 
-// TermFrequency returns a transformer mapping n-grams to (term, weight)
-// counts with a caller-supplied weighting function applied to the raw
-// count — TermFrequency(x => 1) in Figure 2 is Binary.
-func TermFrequency(weight func(count float64) float64) core.Op[[]string, map[string]float64] {
-	if weight == nil {
-		weight = func(c float64) float64 { return c }
+// ngramsName is the name of NGrams(lo, hi): the range is part of it, so
+// an artifact rebuilds the operator from the name alone.
+const ngramsName = "text.ngrams[%d-%d]"
+
+// ngramRange parses a name NGrams gives its operator.
+func ngramRange(name string) (lo, hi int, ok bool) {
+	if _, err := fmt.Sscanf(name, ngramsName, &lo, &hi); err != nil || lo < 1 || hi < lo {
+		return 0, 0, false
 	}
+	return lo, hi, name == fmt.Sprintf(ngramsName, lo, hi)
+}
+
+// TermFrequency returns a transformer mapping n-grams to binary term
+// frequencies: every distinct term weighs 1, the TermFrequency(x => 1) of
+// Figure 2. It has no weight parameter because an artifact persists it by
+// its name alone, which must therefore determine what it computes.
+func TermFrequency() core.Op[[]string, map[string]float64] {
 	return core.FuncOp("text.termfreq", func(terms []string) map[string]float64 {
-		counts := make(map[string]float64, len(terms))
+		tf := make(map[string]float64, len(terms))
 		for _, t := range terms {
-			counts[t]++
+			tf[t] = 1
 		}
-		for t, c := range counts {
-			counts[t] = weight(c)
-		}
-		return counts
+		return tf
 	})
 }
 
-// Binary is the weight function x => 1.
-func Binary(float64) float64 { return 1 }
-
 // Vocabulary is the fitted CommonSparseFeatures transformer: maps term-
-// frequency maps to sparse vectors over the selected vocabulary.
+// frequency maps to sparse vectors over the selected vocabulary. Index
+// maps its terms one to one into [0, Dim).
 type Vocabulary struct {
 	Index map[string]int
 	Dim   int
@@ -93,21 +99,33 @@ type Vocabulary struct {
 // Name implements core.TransformOp.
 func (v *Vocabulary) Name() string { return "model.vocab" }
 
-// Apply implements core.TransformOp.
+// Apply implements core.TransformOp. The row holds every in-vocabulary
+// term of non-zero weight in index order; Index being one to one, no two
+// terms share an entry.
 func (v *Vocabulary) Apply(in any) any {
 	tf, ok := in.(map[string]float64)
 	if !ok {
 		panic(fmt.Sprintf("text: vocabulary expects map[string]float64, got %T", in))
 	}
-	idx := make([]int, 0, len(tf))
-	val := make([]float64, 0, len(tf))
+	type entry struct {
+		i int
+		w float64
+	}
+	es := make([]entry, 0, len(tf))
 	for term, w := range tf {
-		if i, ok := v.Index[term]; ok {
-			idx = append(idx, i)
-			val = append(val, w)
+		if i, ok := v.Index[term]; ok && w != 0 {
+			es = append(es, entry{i, w})
 		}
 	}
-	return linalg.NewSparseVector(v.Dim, idx, val)
+	slices.SortFunc(es, func(a, b entry) int { return cmp.Compare(a.i, b.i) })
+	row := &linalg.SparseVector{Dim: v.Dim}
+	if len(es) > 0 {
+		row.Idx, row.Val = make([]int, len(es)), make([]float64, len(es))
+		for k, e := range es {
+			row.Idx[k], row.Val[k] = e.i, e.w
+		}
+	}
+	return row
 }
 
 // CommonSparseFeatures is the estimator selecting the numFeatures most

@@ -1,6 +1,8 @@
 package text
 
 import (
+	"errors"
+	"reflect"
 	"testing"
 
 	"keystoneml/internal/core"
@@ -55,14 +57,79 @@ func TestNGramsInvalidRangePanics(t *testing.T) {
 	NGrams(2, 1)
 }
 
+// TestTermFrequency: term frequencies are binary, and the operator an
+// artifact decodes from the name computes the same.
 func TestTermFrequency(t *testing.T) {
-	tf := TermFrequency(nil).Raw().Apply([]string{"a", "b", "a"}).(map[string]float64)
-	if tf["a"] != 2 || tf["b"] != 1 {
-		t.Errorf("raw counts = %v", tf)
+	op := TermFrequency().Raw()
+	kind, state, err := core.EncodeOp(op)
+	if err != nil {
+		t.Fatal(err)
 	}
-	binary := TermFrequency(Binary).Raw().Apply([]string{"a", "b", "a"}).(map[string]float64)
-	if binary["a"] != 1 || binary["b"] != 1 {
-		t.Errorf("binary counts = %v", binary)
+	back, err := core.DecodeOp(kind, state)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]float64{"a": 1, "b": 1}
+	for name, op := range map[string]core.TransformOp{"built": op, "decoded": back} {
+		if got := op.Apply([]string{"a", "b", "a"}); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: term frequencies = %v, want %v", name, got, want)
+		}
+	}
+}
+
+// TestVocabularyDecodeValidatesIndex: a decoded vocabulary must be what
+// a fit makes, its terms numbered one to one into [0, Dim) with Dim =
+// max(terms, 1); anything else is an IndexError at decode, not a wrong
+// row or a panic at predict.
+func TestVocabularyDecodeValidatesIndex(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		index map[string]int
+		dim   int
+		want  *IndexError
+	}{
+		{"shared, narrow", map[string]int{"a": 0, "b": 0}, 1, &IndexError{Terms: 2, Dim: 1}},
+		{"shared", map[string]int{"a": 0, "b": 0, "c": 2}, 3, &IndexError{Terms: 3, Dim: 3, Term: "b", Index: 0, Other: "a"}},
+		{"too large", map[string]int{"a": 0, "b": 2}, 2, &IndexError{Terms: 2, Dim: 2, Term: "b", Index: 2}},
+		{"negative", map[string]int{"a": -1}, 1, &IndexError{Terms: 1, Dim: 1, Term: "a", Index: -1}},
+		{"wide", map[string]int{"a": 1, "b": 0}, 3, &IndexError{Terms: 2, Dim: 3}},
+		{"no dimension", nil, 0, &IndexError{Dim: 0}},
+	} {
+		state, err := (&Vocabulary{Index: c.index, Dim: c.dim}).EncodeState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = core.DecodeOp("model.vocab", state)
+		var got *IndexError
+		if !errors.As(err, &got) || *got != *c.want {
+			t.Errorf("%s: decode error %v, want %v", c.name, err, c.want)
+		}
+	}
+	good := &Vocabulary{Index: map[string]int{"a": 1, "b": 0}, Dim: 2}
+	state, err := good.EncodeState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back, err := core.DecodeOp("model.vocab", state); err != nil || !reflect.DeepEqual(back, good) {
+		t.Errorf("valid vocabulary decoded as %v, %v", back, err)
+	}
+}
+
+// TestVocabularyApplyRows: rows are index-sorted, drop zero weights and
+// out-of-vocabulary terms, and an empty row has nil slices.
+func TestVocabularyApplyRows(t *testing.T) {
+	v := &Vocabulary{Index: map[string]int{"a": 2, "b": 0, "c": 1, "d": 3}, Dim: 4}
+	for _, c := range []struct {
+		tf   map[string]float64
+		want *linalg.SparseVector
+	}{
+		{map[string]float64{"a": 1, "b": 2, "d": 0, "zz": 5}, &linalg.SparseVector{Dim: 4, Idx: []int{0, 2}, Val: []float64{2, 1}}},
+		{map[string]float64{"zz": 1, "d": 0}, &linalg.SparseVector{Dim: 4}},
+		{map[string]float64{}, &linalg.SparseVector{Dim: 4}},
+	} {
+		if got := v.Apply(c.tf); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("Apply(%v) = %+v, want %+v", c.tf, got, c.want)
+		}
 	}
 }
 
@@ -123,7 +190,7 @@ func TestEndToEndTextPipelineChain(t *testing.T) {
 	p2 := core.AndThen(p1, LowerCase())
 	p3 := core.AndThen(p2, Tokenizer())
 	p4 := core.AndThen(p3, NGrams(1, 2))
-	p5 := core.AndThen(p4, TermFrequency(Binary))
+	p5 := core.AndThen(p4, TermFrequency())
 	p6 := core.AndThenEstimator(p5, NewCommonSparseFeaturesEst(100))
 
 	docs := []any{" The cat sat ", "the DOG ran", "a cat ran"}

@@ -6,7 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"reflect"
 	"testing"
+
+	"keystoneml/internal/core"
 )
 
 // encoded serializes the pipeline behind a served harness.
@@ -81,6 +84,55 @@ func TestArtifactRoundTrip(t *testing.T) {
 				t.Fatalf("shape digest changed across round-trip: %s vs %s", orig, back)
 			}
 		})
+	}
+}
+
+// TestTextArtifactKeepsUnfusedSteps: the Figure 2 chain runs fused into
+// the vocabulary, but the artifact records every operator; the decoded
+// pipeline fuses again and predicts bit for bit as the fitted one. A
+// fused record costs about 5 allocations and the unfused chain about 70;
+// the bound leaves room for the race detector, which drops pooled
+// scratch at random.
+func TestTextArtifactKeepsUnfusedSteps(t *testing.T) {
+	s := fitText(t).(*servedPipeline[string])
+	steps, err := s.f.inner.StepRecords()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const golden = "0:source::[];1:transform:core.func:[0];2:transform:core.func:[1];3:transform:core.func:[2];" +
+		"4:transform:core.func:[3];5:transform:core.func:[4];6:transform:model.vocab:[5];7:transform:model.linear:[6];"
+	if got := core.ShapeSpec(steps); got != golden {
+		t.Fatalf("ShapeSpec = %s, want %s", got, golden)
+	}
+	// The solver behind the last step is the optimizer's choice.
+	var names []string
+	for _, r := range steps[:7] {
+		names = append(names, r.Name)
+	}
+	wantNames := []string{"", "text.trim", "text.lowercase", "text.tokenize", "text.ngrams[1-2]", "text.termfreq", "model.vocab"}
+	if !reflect.DeepEqual(names, wantNames) {
+		t.Errorf("persisted steps %q, want %q", names, wantNames)
+	}
+
+	decoded, err := Decode[string, []float64](s.encoded(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, doc := range s.test {
+		want, err := s.f.Transform(context.Background(), doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := decoded.Transform(context.Background(), doc)
+		if err != nil || !sameBits(got, want) {
+			t.Fatalf("%q: decoded scores %v (%v), fitted %v", doc, got, err, want)
+		}
+	}
+	for name, f := range map[string]*Fitted[string, []float64]{"fitted": s.f, "decoded": decoded} {
+		allocs := testing.AllocsPerRun(50, func() { _, _ = f.Transform(context.Background(), s.test[0]) })
+		if allocs > 20 {
+			t.Errorf("%s: %.1f allocations per record; the chain did not fuse", name, allocs)
+		}
 	}
 }
 

@@ -29,7 +29,7 @@ func NGrams(lo, hi int) Op[[]string, []string] {
 // TermFrequency maps a token stream to binary term frequencies, the
 // weighting the paper's Amazon pipeline uses.
 func TermFrequency() Op[[]string, map[string]float64] {
-	return wrapOp[[]string, map[string]float64](text.TermFrequency(text.Binary).Raw())
+	return wrapOp[[]string, map[string]float64](text.TermFrequency().Raw())
 }
 
 // CommonSparseFeatures learns the numFeatures most frequent terms and
