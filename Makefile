@@ -1,5 +1,5 @@
 # Development and CI entry points. `make ci` runs the workflow's test
-# job steps (vet/build/race/bench-smoke/smokes); the GitHub Actions
+# job steps (vet/build/race/bench-smoke/examples/smokes); the GitHub Actions
 # workflow additionally runs them under a GOMAXPROCS {1,4} matrix plus a
 # `staticcheck` job — run that target too before pushing anything
 # non-trivial (staticcheck downloads the tool on first use, so it needs
@@ -11,7 +11,7 @@ GO ?= go
 # The packages whose API is the product (documentation gate, size ledger).
 PUBLIC_PKGS = keystone keystone/serve keystone/registry keystone/dist keystone/tune
 
-.PHONY: build test race vet staticcheck docs-check ledger bench-smoke bench bench-kernels e2e e2e-compare flake fuzz serve serve-smoke dist-smoke ci
+.PHONY: build test race vet staticcheck docs-check ledger bench-smoke bench bench-kernels examples e2e e2e-compare flake fuzz serve serve-smoke dist-smoke ci
 
 build:
 	$(GO) build ./...
@@ -69,6 +69,15 @@ bench:
 bench-kernels:
 	$(GO) run ./cmd/keybench -exp kernels
 
+# Run every example program plus the two caching figures (Fig. 10: the
+# greedy pinned set against LRU and rule-based caching; Fig. 11: the
+# cache budget sweep), so programs that `go build` only compiles are
+# executed too. ~12 s on a 2-CPU host.
+examples:
+	@for d in examples/*/; do echo "== $$d"; $(GO) run ./$$d || exit 1; done
+	$(GO) run ./cmd/keybench -exp fig10
+	$(GO) run ./cmd/keybench -exp fig11
+
 # The end-to-end ledger (bench/e2e, declared in BENCHMARK.json): the four
 # train → deploy → serve workloads, first untraced (the end-to-end
 # metrics) then traced (the per-layer ones), appended to one result file.
@@ -123,4 +132,4 @@ serve-smoke:
 dist-smoke:
 	$(GO) run ./cmd/distsmoke
 
-ci: docs-check build race bench-smoke serve-smoke dist-smoke
+ci: docs-check build race bench-smoke examples serve-smoke dist-smoke

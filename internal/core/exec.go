@@ -84,23 +84,15 @@ type Executor struct {
 	sharedCache *engine.SharedCache
 	sharedKeys  map[int]string
 
-	// plan, when set, is the optimizer's shared schedule plan (profile
-	// priorities + refetch sets) and additionally enables speculative
-	// cross-pass retention. dispatch is the plan priorities actually
-	// drive dispatch with: the attached plan, or a lazily built
-	// structural fallback (unit times) when none was threaded through.
-	plan *SchedulePlan
-
-	mu          sync.Mutex // guards models, report, flight maps, dispatch, pendingRefetch
+	mu sync.Mutex // guards models, report, flight maps, dispatch
+	// dispatch is the schedule plan whose priorities order the parallel
+	// ready queue: the optimizer's (SetSchedulePlan), or a structural
+	// fallback (unit times) built on first use.
 	dispatch    *SchedulePlan
 	models      map[int]TransformOp
 	report      *ExecReport
 	flight      map[int]*flight
 	modelFlight map[int]*modelFlight
-	// pendingRefetch counts, per node, the estimators whose fits will
-	// still refetch it — while positive, a computed-but-unpinnable pass
-	// result is worth retaining speculatively (budget permitting).
-	pendingRefetch map[int]int
 }
 
 // NewExecutor binds a graph to training data and an execution context.
@@ -145,21 +137,12 @@ func (e *Executor) SetWorkers(n int) *Executor {
 func (e *Executor) Workers() int { return e.workers }
 
 // SetSchedulePlan attaches the shared schedule plan the optimizer built
-// for this graph. The parallel dispatcher orders ready nodes by the
-// plan's critical-path priorities, and speculative cross-pass retention
-// activates: a pass result that the pinned-set policy rejects is kept in
-// the cache's free headroom while an estimator that will refetch it is
-// still fitting, then released. Without a plan the dispatcher falls back
-// to structural (unit-time) priorities and retention stays off. Must not
-// be called once Run has started; returns the executor for chaining.
+// for this graph: the parallel dispatcher orders ready nodes by its
+// critical-path priorities. Without a plan it falls back to structural
+// (unit-time) priorities. Must not be called once Run has started;
+// returns the executor for chaining.
 func (e *Executor) SetSchedulePlan(p *SchedulePlan) *Executor {
-	e.plan = p
 	e.dispatch = p
-	if p != nil {
-		e.pendingRefetch = p.RefetchCounts()
-	} else {
-		e.pendingRefetch = nil
-	}
 	return e
 }
 
@@ -215,50 +198,6 @@ func (e *Executor) dispatchPlan() *SchedulePlan {
 	return e.dispatch
 }
 
-// retainSpeculatively reports whether node id's output is still worth
-// keeping across passes: a schedule plan is attached and at least one
-// estimator that refetches id has not finished fitting.
-func (e *Executor) retainSpeculatively(id int) bool {
-	if e.plan == nil {
-		return false
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.pendingRefetch[id] > 0
-}
-
-// releaseRetained drops the speculative interest estimator estID held on
-// its refetch set; entries no other fitting estimator cares about are
-// released back to the cache budget immediately.
-func (e *Executor) releaseRetained(estID int) {
-	if e.plan == nil || e.cache == nil {
-		return
-	}
-	for _, id := range e.plan.RefetchSet(estID) {
-		e.mu.Lock()
-		e.pendingRefetch[id]--
-		drop := e.pendingRefetch[id] <= 0
-		e.mu.Unlock()
-		if drop {
-			e.cache.ReleaseSpeculative(cacheKey(id))
-		}
-	}
-}
-
-// drainRetention releases every speculative entry this executor could
-// have created. Deferred from Run/RunContext: a fit that panics or is
-// canceled never reaches releaseRetained, and the cache manager may
-// outlive the executor (ExecuteContext accepts a caller-provided one),
-// so retained results must not be able to leak past the run.
-func (e *Executor) drainRetention() {
-	if e.plan == nil || e.cache == nil {
-		return
-	}
-	for id := range e.plan.RefetchCounts() {
-		e.cache.ReleaseSpeculative(cacheKey(id))
-	}
-}
-
 // Run is RunContext without cancellation; it panics where RunContext
 // returns an error.
 func (e *Executor) Run() (map[int]TransformOp, *engine.Collection, *ExecReport) {
@@ -284,7 +223,6 @@ func (e *Executor) RunContext(ctx context.Context) (models map[int]TransformOp, 
 		e.ctx = e.ctx.WithCancellation(ctx)
 	}
 	defer e.place.Close()
-	defer e.drainRetention()
 	defer func() {
 		switch r := recover().(type) {
 		case nil:
@@ -621,9 +559,6 @@ func (e *Executor) fitModel(n *Node) TransformOp {
 	st.Computes++
 	e.models[n.ID] = model
 	e.mu.Unlock()
-	// The fit is done: nothing will refetch this estimator's inputs on
-	// its behalf again, so release whatever was retained for it.
-	e.releaseRetained(n.ID)
 	f.model = model
 	return model
 }

@@ -45,12 +45,14 @@ type passPlan struct {
 	boundary map[int]bool  // members that entered as cache boundaries
 }
 
-// planPass computes the pass membership for a demand of root. The walk
-// follows Deps like Graph.Topological but stops at cache boundaries (a
-// cached node needs no inputs) and at estimator nodes (a fit fetches its
-// inputs itself, through nested passes, so iterative refetch semantics
-// survive).
-func (e *Executor) planPass(root *Node) *passPlan {
+// newPassPlan computes the pass for a demand of root. The walk follows
+// Deps like Graph.Topological but stops at boundary nodes (a cached node
+// needs no inputs) and at estimator nodes (a fit fetches its inputs
+// itself, through nested passes, so iterative refetch semantics
+// survive). It is the one pass planner: the executor's runPass calls it
+// with the live cache as the boundary test and the makespan simulator
+// with its simulated one, so the simulated pass is the executed pass.
+func newPassPlan(root *Node, boundary func(*Node) bool) *passPlan {
 	p := &passPlan{
 		nodes:    make(map[int]*Node),
 		pending:  make(map[int]int),
@@ -66,13 +68,11 @@ func (e *Executor) planPass(root *Node) *passPlan {
 		switch {
 		case n.Kind == KindEstimator:
 			// Member as a fit task; inputs are fetched on demand.
-		case e.cachedNow(n) || e.sharedNow(n):
-			// Cache boundary (the root included — a refetch of a
-			// materialized node is a one-member pass): produce will
-			// serve the hit; nothing upstream is demanded, matching
-			// the sequential oracle, which never descends past a hit.
-			// A shared-prefix-cache entry is a boundary too — another
-			// fit already materialized this node's output.
+		case boundary(n):
+			// The root included — a refetch of a materialized node is a
+			// one-member pass: its output is served from memory, and
+			// nothing upstream is demanded, matching the sequential
+			// oracle, which never descends past a hit.
 			p.boundary[n.ID] = true
 		default:
 			for _, d := range n.Deps {
@@ -117,7 +117,9 @@ func (e *Executor) runPass(root *Node) Dataset {
 	if root.Kind == KindEstimator {
 		panic("core: estimator node demanded as data; estimators produce models, not collections")
 	}
-	plan := e.planPass(root)
+	// A cache boundary is a node the local cache holds, or one a shared
+	// prefix cache holds — another fit already materialized it.
+	plan := newPassPlan(root, func(n *Node) bool { return e.cachedNow(n) || e.sharedNow(n) })
 	results := make(map[int]Dataset, len(plan.order))
 	done := make(chan passDone, len(plan.order))
 	// The ready set is a heap over the schedule plan's critical-path
@@ -271,20 +273,7 @@ func (e *Executor) produce(n *Node, ins []Dataset) (out Dataset) {
 	// single-flight against every other executor attached to it.
 	out, bytes, _ := e.sharedFetch(n, ins)
 	if e.cache != nil {
-		if !e.cache.Put(cacheKey(n.ID), out, bytes) && e.retainSpeculatively(n.ID) {
-			// Speculative cross-pass retention: the policy rejected the
-			// entry (not in the pinned set), but an estimator that will
-			// refetch it is still fitting — keep it in the cache's free
-			// headroom, strictly subordinate to the budget (never
-			// evicting anything to make room), until the last
-			// interested fit completes or budget pressure reclaims it.
-			// Re-check interest after inserting: the last fit can
-			// complete between the check and the insert, and its
-			// release must not be allowed to miss the entry.
-			if e.cache.PutSpeculative(cacheKey(n.ID), out, bytes) && !e.retainSpeculatively(n.ID) {
-				e.cache.ReleaseSpeculative(cacheKey(n.ID))
-			}
-		}
+		e.cache.Put(cacheKey(n.ID), out, bytes)
 	}
 	return out
 }

@@ -3,8 +3,6 @@ package core
 import (
 	"container/heap"
 	"fmt"
-	"sort"
-	"sync"
 )
 
 // This file defines the SchedulePlan: the one schedule model both the
@@ -23,17 +21,13 @@ import (
 //   - dispatch priorities: critical-path-first ordering for the
 //     executor's ready queue, breaking ties toward nodes whose outputs
 //     the materialization plan pins and toward nodes whose successors
-//     unlock the widest stages;
-//   - refetch sets: for every estimator, the nodes its iterative fit
-//     will demand again — what the executor's speculative cross-pass
-//     retention keeps alive (subordinate to the cache budget) while the
-//     fit is still running.
+//     unlock the widest stages.
 
 // SchedulePlan is a schedule model for one pipeline graph: per-node
 // times, the materialization boundaries, and a worker count, plus the
-// derived priorities and refetch sets. Build it with NewSchedulePlan;
-// the optimizer does so via optimizer.ScheduleFor and hands it to the
-// executor through Plan.Execute, so both layers consume the same object.
+// derived priorities. Build it with NewSchedulePlan; the optimizer does
+// so via optimizer.ScheduleFor and hands it to the executor through
+// Plan.Execute, so both layers consume the same object.
 //
 // A plan is immutable after construction and safe for concurrent readers
 // (the executor's pass coordinators and the simulator never mutate it);
@@ -61,12 +55,6 @@ type SchedulePlan struct {
 	structural bool
 	priority   map[int]float64
 	succWidth  map[int]int
-	// refetch (estimator ID -> nodes its fit passes recompute) is built
-	// lazily: only the executor's retention consumes it, and the greedy
-	// planner constructs thousands of throwaway plans per Fit whose
-	// Makespan never touches it.
-	refetchOnce sync.Once
-	refetch     map[int][]int
 }
 
 // DistModel prices execution behind a remote Placement over W worker
@@ -90,7 +78,7 @@ type DistModel struct {
 	OutBytes map[int]int64
 }
 
-// NewSchedulePlan derives priorities and refetch sets for g under the
+// NewSchedulePlan derives priorities for g under the
 // given per-node times (nil for structural unit costs), materialization
 // set (nil for none) and worker count. The maps are retained, not
 // copied; callers must not mutate them while the plan is in use.
@@ -140,20 +128,6 @@ func NewSchedulePlan(g *Graph, times map[int]float64, cached map[int]bool, worke
 	return p
 }
 
-// refetchSets builds (once, thread-safely) the estimator -> refetch-set
-// map.
-func (p *SchedulePlan) refetchSets() map[int][]int {
-	p.refetchOnce.Do(func() {
-		p.refetch = make(map[int][]int)
-		for _, n := range p.g.Topological() {
-			if n.Kind == KindEstimator {
-				p.refetch[n.ID] = p.refetchSet(n)
-			}
-		}
-	})
-	return p.refetch
-}
-
 // timeOf returns the modeled local compute time of n.
 func (p *SchedulePlan) timeOf(n *Node) float64 {
 	if p.structural {
@@ -189,54 +163,6 @@ func (p *SchedulePlan) Less(a, b *Node) bool {
 		return wa > wb
 	}
 	return a.ID < b.ID
-}
-
-// RefetchSet returns the nodes estimator estID's fit passes will demand
-// again (and, where uncached, recompute): the subtree of its data
-// dependency pruned at materialization boundaries, label/source inputs
-// and nested estimators (models are memoized). Callers must not mutate
-// the returned slice.
-func (p *SchedulePlan) RefetchSet(estID int) []int { return p.refetchSets()[estID] }
-
-// RefetchCounts returns, for every node appearing in some refetch set,
-// how many estimators will refetch it — the executor's initial
-// speculative-retention interest counts.
-func (p *SchedulePlan) RefetchCounts() map[int]int {
-	out := make(map[int]int)
-	for _, set := range p.refetchSets() {
-		for _, id := range set {
-			out[id]++
-		}
-	}
-	return out
-}
-
-func (p *SchedulePlan) refetchSet(est *Node) []int {
-	var out []int
-	seen := map[int]bool{}
-	var walk func(n *Node)
-	walk = func(n *Node) {
-		if seen[n.ID] {
-			return
-		}
-		seen[n.ID] = true
-		if p.Cached[n.ID] {
-			return // pinned boundary: the cache itself retains it
-		}
-		switch n.Kind {
-		case KindSource, KindLabels:
-			return // bound inputs are always in memory
-		case KindEstimator:
-			return // nested fits are memoized, not re-run
-		}
-		out = append(out, n.ID)
-		for _, d := range n.Deps {
-			walk(d)
-		}
-	}
-	walk(est.Deps[0])
-	sort.Ints(out)
-	return out
 }
 
 // Makespan estimates the wall-clock seconds of executing the graph to
@@ -350,14 +276,15 @@ func steadyFetches(w int, fetch func() float64) float64 {
 }
 
 // parallelTime simulates the parallel executor: each demand of a node is
-// one pass (planned like Executor.planPass, pruned at current
-// materialization boundaries, estimator members not descended into),
-// event-driven list scheduling assigns ready members to k workers in
+// one pass, planned by newPassPlan exactly as the executor plans it with
+// the simulated materialization state as the boundary test; event-driven
+// list scheduling assigns ready members to k workers in
 // plan priority order, and estimator members expand into their refetch
 // passes when dispatched.
 func (p *SchedulePlan) parallelTime() float64 {
 	mat := make(map[int]bool)
 	fitted := make(map[int]bool)
+	isMat := func(n *Node) bool { return mat[n.ID] }
 	var passTime func(root *Node) float64
 	var fitTime func(n *Node) float64
 
@@ -381,44 +308,7 @@ func (p *SchedulePlan) parallelTime() float64 {
 		if mat[root.ID] {
 			return 0
 		}
-		// Pass membership: the subtree of root pruned at current cache
-		// boundaries; estimator members fetch their own inputs through
-		// nested passes, so the walk does not descend into them.
-		members := make(map[int]*Node)
-		boundary := make(map[int]bool)
-		var order []*Node
-		var visit func(n *Node)
-		visit = func(n *Node) {
-			if _, ok := members[n.ID]; ok {
-				return
-			}
-			members[n.ID] = n
-			switch {
-			case n.Kind == KindEstimator:
-			case mat[n.ID]:
-				boundary[n.ID] = true
-			default:
-				for _, d := range n.Deps {
-					visit(d)
-				}
-			}
-			order = append(order, n)
-		}
-		visit(root)
-		pending := make(map[int]int, len(order))
-		succ := make(map[int][]int, len(order))
-		for _, n := range order {
-			if boundary[n.ID] {
-				continue
-			}
-			for _, d := range n.Deps {
-				if _, ok := members[d.ID]; !ok {
-					continue
-				}
-				pending[n.ID]++
-				succ[d.ID] = append(succ[d.ID], n.ID)
-			}
-		}
+		plan := newPassPlan(root, isMat)
 
 		// dur resolves a member's duration at dispatch time, mutating
 		// the simulation state exactly when the real scheduler would:
@@ -428,7 +318,7 @@ func (p *SchedulePlan) parallelTime() float64 {
 			switch {
 			case n.Kind == KindEstimator:
 				return fitTime(n)
-			case boundary[n.ID]:
+			case plan.boundary[n.ID]:
 				return 0
 			case n.Kind == KindSource || n.Kind == KindLabels:
 				return p.timeOf(n)
@@ -441,8 +331,8 @@ func (p *SchedulePlan) parallelTime() float64 {
 		}
 
 		ready := &planHeap{plan: p}
-		for _, n := range order {
-			if pending[n.ID] == 0 {
+		for _, n := range plan.order {
+			if plan.pending[n.ID] == 0 {
 				heap.Push(ready, n)
 			}
 		}
@@ -460,10 +350,10 @@ func (p *SchedulePlan) parallelTime() float64 {
 			r := heap.Pop(running).(simRun)
 			clock = r.finish
 			free++
-			for _, sid := range succ[r.id] {
-				pending[sid]--
-				if pending[sid] == 0 {
-					heap.Push(ready, members[sid])
+			for _, sid := range plan.succ[r.id] {
+				plan.pending[sid]--
+				if plan.pending[sid] == 0 {
+					heap.Push(ready, plan.nodes[sid])
 				}
 			}
 		}

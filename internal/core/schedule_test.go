@@ -134,31 +134,6 @@ func TestLessBreaksTiesTowardPinnedThenWidth(t *testing.T) {
 	}
 }
 
-func TestRefetchSetPrunesAtBoundaries(t *testing.T) {
-	// source -> t1 -> t2 -> est(w=2) -> apply, with t1 pinned: the fit
-	// refetches t2 but stops at the t1 boundary.
-	g := NewGraph()
-	t1 := g.AddTransform(IdentityOp(), g.Source)
-	t2 := g.AddTransform(IdentityOp(), t1)
-	est := g.AddEstimator(&schedTestEst{w: 2}, t2, false)
-	g.AddApplyModel(est, t2)
-
-	p := NewSchedulePlan(g, nil, map[int]bool{t1.ID: true}, 4)
-	set := p.RefetchSet(est.ID)
-	if len(set) != 1 || set[0] != t2.ID {
-		t.Errorf("refetch set = %v, want [%d] (t2 only; t1 is a pinned boundary)", set, t2.ID)
-	}
-	counts := p.RefetchCounts()
-	if counts[t2.ID] != 1 || counts[t1.ID] != 0 {
-		t.Errorf("refetch counts = %v, want t2:1 only", counts)
-	}
-
-	unpinned := NewSchedulePlan(g, nil, nil, 4)
-	if set := unpinned.RefetchSet(est.ID); len(set) != 2 {
-		t.Errorf("unpinned refetch set = %v, want both t1 and t2", set)
-	}
-}
-
 // schedTestEst is a minimal iterative estimator for schedule tests.
 type schedTestEst struct{ w int }
 
@@ -214,51 +189,19 @@ func TestPriorityDispatchRunsCriticalPathFirst(t *testing.T) {
 	}
 }
 
-// TestSpeculativeRetentionServesRefetches: with a schedule plan attached
-// and budget headroom, an unpinnable intermediate computed in the outer
-// pass is retained for the estimator's refetch passes, then released
-// when the fit completes.
-func TestSpeculativeRetentionServesRefetches(t *testing.T) {
+// TestParallelUnpinnedRefetchRecomputes: the parallel executor keeps
+// exactly what the plan pins. With nothing pinned, even under an
+// unlimited budget, every fetch of the estimator's input recomputes it —
+// the recompute-per-fetch counts of the sequential oracle and of
+// Makespan.
+func TestParallelUnpinnedRefetchRecomputes(t *testing.T) {
 	g := NewGraph()
 	t1 := g.AddTransform(IdentityOp(), g.Source)
 	est := g.AddEstimator(&schedTestEst{w: 3}, t1, false)
 	g.AddApplyModel(est, t1)
 
 	ctx := engine.NewContext(4)
-	// Pinned set is empty: the policy rejects every Put, so only the
-	// speculative path can keep t1 alive.
 	cache := engine.NewCacheManager(0, engine.NewPinnedSetPolicy(nil))
-	plan := NewSchedulePlan(g, nil, nil, 4)
-	ex := NewExecutor(g, ctx, cache, engine.FromSlice([]any{[]float64{1, 2}}, 1), nil).
-		SetWorkers(4).SetSchedulePlan(plan)
-	_, _, report := ex.Run()
-
-	st := report.Nodes[t1.ID]
-	if st.Computes != 1 {
-		t.Errorf("retained transform computed %d times, want 1 (refetches served speculatively)", st.Computes)
-	}
-	if st.Hits != 3 {
-		t.Errorf("retained transform hits = %d, want 3 (one per fit pass)", st.Hits)
-	}
-	if got := cache.SpeculativeBytes(); got != 0 {
-		t.Errorf("speculative bytes after run = %d, want 0 (released when the fit completed)", got)
-	}
-	if used := cache.Used(); used != 0 {
-		t.Errorf("cache used after run = %d, want 0", used)
-	}
-}
-
-// TestSpeculativeRetentionSubordinateToBudget: with no budget headroom
-// the retention path must not evict anything — behaviour falls back to
-// the oracle's recompute-per-fetch counts.
-func TestSpeculativeRetentionSubordinateToBudget(t *testing.T) {
-	g := NewGraph()
-	t1 := g.AddTransform(IdentityOp(), g.Source)
-	est := g.AddEstimator(&schedTestEst{w: 3}, t1, false)
-	g.AddApplyModel(est, t1)
-
-	ctx := engine.NewContext(4)
-	cache := engine.NewCacheManager(1, engine.NewPinnedSetPolicy(nil)) // 1 byte: nothing fits
 	plan := NewSchedulePlan(g, nil, nil, 4)
 	ex := NewExecutor(g, ctx, cache, engine.FromSlice([]any{[]float64{1, 2}}, 1), nil).
 		SetWorkers(4).SetSchedulePlan(plan)
@@ -266,47 +209,9 @@ func TestSpeculativeRetentionSubordinateToBudget(t *testing.T) {
 
 	st := report.Nodes[t1.ID]
 	if st.Computes != 4 {
-		t.Errorf("transform computed %d times, want 4 (no headroom: 3 fetches + outer pass)", st.Computes)
+		t.Errorf("transform computed %d times, want 4 (3 fetches + outer pass)", st.Computes)
 	}
 	if st.Hits != 0 {
 		t.Errorf("hits = %d, want 0", st.Hits)
 	}
-}
-
-// TestRetentionDrainedOnPanic: a fit that panics never reaches the
-// per-fit release, so the run-level drain must reclaim the speculative
-// entries (the cache manager can outlive the executor).
-func TestRetentionDrainedOnPanic(t *testing.T) {
-	g := NewGraph()
-	t1 := g.AddTransform(IdentityOp(), g.Source)
-	est := g.AddEstimator(&panicAfterFetchEst{}, t1, false)
-	g.AddApplyModel(est, t1)
-
-	ctx := engine.NewContext(4)
-	cache := engine.NewCacheManager(0, engine.NewPinnedSetPolicy(nil))
-	plan := NewSchedulePlan(g, nil, nil, 4)
-	ex := NewExecutor(g, ctx, cache, engine.FromSlice([]any{[]float64{1}}, 1), nil).
-		SetWorkers(4).SetSchedulePlan(plan)
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("expected the estimator panic to propagate")
-			}
-		}()
-		ex.Run()
-	}()
-	if got := cache.SpeculativeBytes(); got != 0 {
-		t.Errorf("speculative bytes after panicked run = %d, want 0 (drained)", got)
-	}
-}
-
-// panicAfterFetchEst fetches once (so the input gets retained) and then
-// dies mid-fit.
-type panicAfterFetchEst struct{}
-
-func (panicAfterFetchEst) Name() string { return "test.panicEst" }
-func (panicAfterFetchEst) Weight() int  { return 3 }
-func (panicAfterFetchEst) Fit(ctx *engine.Context, data Fetch, labels Fetch) TransformOp {
-	data()
-	panic("fit exploded")
 }

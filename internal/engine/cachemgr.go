@@ -7,73 +7,42 @@ import (
 // CachePolicy decides which intermediate datasets stay in cluster memory.
 // Implementations reproduce the three strategies compared in Figure 10 of
 // the paper: the KeystoneML greedy pinned set, LRU (Spark's default), and
-// the rule-based "cache Estimator results only" baseline.
+// the rule-based "cache Estimator results only" baseline. A policy is
+// immutable after construction, so the manager calls it without a lock of
+// its own.
 type CachePolicy interface {
-	// Admit is called before storing id with the given size; it returns
-	// true if the entry may enter the cache. The policy may evict other
-	// entries (via the manager callback) to make room.
-	Admit(id string, size int64) bool
-	// Touch notes an access to id (for recency-based policies).
-	Touch(id string)
-	// Evicted must be invoked by the manager when it removes id.
-	Evicted(id string)
-}
-
-// PinAware is an optional CachePolicy refinement: a policy that pins
-// entries reports which ones, and the manager's budget-pressure eviction
-// never selects a pinned entry as a victim to admit a newer one — under
-// pressure the newer entry is rejected instead. Pinned must be stable
-// for a given id (the manager files entries by pinned-ness at admission
-// time). PinnedSetPolicy implements it; recency policies (LRU) do not,
-// keeping every entry evictable.
-type PinAware interface {
-	Pinned(id string) bool
+	// Admit reports whether id may enter the cache at all.
+	Admit(id string) bool
+	// Evicts reports whether an admitted entry that does not fit may
+	// evict the oldest entries to make room. When false, such a Put is
+	// rejected instead, so nothing admitted is ever displaced.
+	Evicts() bool
 }
 
 // CacheManager stores materialized node outputs under a byte budget. It is
 // the "additional cache-management layer aware of the multiple jobs that
-// comprise a pipeline" described in Section 5 of the paper.
-//
-// Entries come in two classes. Regular entries pass the policy's Admit
-// check and may evict others to fit. Speculative entries (PutSpeculative)
-// are the executor's cross-pass retention: results the policy rejected
-// but that an in-flight estimator fit will demand again. They are
-// strictly subordinate to the budget — admitted only into free headroom,
-// never by evicting anything — and they are the first victims when a
-// regular entry needs room. Note that a non-positive budget means
-// *unlimited*: the caller has declared memory unconstrained, so nothing
-// bounds speculative headroom either — their lifetime is bounded
-// instead (the executor releases them as fits complete and drains the
-// remainder when the run ends, even on panic or cancellation).
+// comprise a pipeline" described in Section 5 of the paper. A
+// non-positive budget means unlimited.
 //
 // Recency is an intrusive doubly-linked list over the entries themselves
-// with the map as index, so Get-touch and Remove are O(1) — the previous
-// slice-based order was O(n) per touch, which showed up under serving
-// load.
+// with the map as index, so a Get-touch and an eviction are O(1).
 type CacheManager struct {
 	mu      sync.Mutex
 	budget  int64
 	used    int64
 	entries map[string]*cacheEntry
-	main    entryList // evictable regular entries, oldest first
-	pinnedL entryList // pinned regular entries (never victims)
-	spec    entryList // speculative entries, oldest first
+	lru     entryList // oldest first
 	policy  CachePolicy
 
 	hits, misses, evictions int64
 }
 
-// cacheEntry is one cached value, threaded onto its class's recency
-// list (speculative, pinned, or evictable-regular; keeping the classes
-// on separate lists makes victim selection O(1) — no skipping over
-// pinned prefixes).
+// cacheEntry is one cached value, threaded onto the recency list.
 type cacheEntry struct {
-	key         string
-	value       any
-	size        int64
-	speculative bool
-	pinned      bool
-	prev, next  *cacheEntry
+	key        string
+	value      any
+	size       int64
+	prev, next *cacheEntry
 }
 
 // entryList is an intrusive circular doubly-linked list with a sentinel
@@ -92,14 +61,6 @@ func (l *entryList) oldest() *cacheEntry {
 		return nil
 	}
 	return l.root.next
-}
-
-// next returns the entry after e in recency order (nil at the end).
-func (l *entryList) next(e *cacheEntry) *cacheEntry {
-	if e.next == &l.root {
-		return nil
-	}
-	return e.next
 }
 
 func (l *entryList) pushNewest(e *cacheEntry) {
@@ -127,31 +88,8 @@ func NewCacheManager(budget int64, policy CachePolicy) *CacheManager {
 		entries: make(map[string]*cacheEntry),
 		policy:  policy,
 	}
-	m.main.init()
-	m.pinnedL.init()
-	m.spec.init()
+	m.lru.init()
 	return m
-}
-
-// listOf returns the recency list entry e lives on.
-func (m *CacheManager) listOf(e *cacheEntry) *entryList {
-	switch {
-	case e.speculative:
-		return &m.spec
-	case e.pinned:
-		return &m.pinnedL
-	default:
-		return &m.main
-	}
-}
-
-// pinnedID reports whether the policy pins id (false for policies that
-// are not PinAware).
-func (m *CacheManager) pinnedID(id string) bool {
-	if pa, ok := m.policy.(PinAware); ok {
-		return pa.Pinned(id)
-	}
-	return false
 }
 
 // Contains reports whether id is currently cached. Unlike Get it does
@@ -174,156 +112,43 @@ func (m *CacheManager) Get(id string) (any, bool) {
 		return nil, false
 	}
 	m.hits++
-	m.policy.Touch(id)
 	unlink(e)
-	m.listOf(e).pushNewest(e)
+	m.lru.pushNewest(e)
 	return e.value, true
 }
 
-// Put offers a value to the cache. The policy decides admission; if the
-// budget would be exceeded, victims are evicted until the value fits —
-// speculative entries first, then regular entries oldest-first, but
-// never an entry the policy pins (PinAware): when only pinned entries
-// could make room, the newcomer is rejected instead. A value larger than
-// the whole budget is rejected outright.
+// Put offers a value to the cache and reports whether it is now cached.
+// The policy decides admission. If the budget would be exceeded, an
+// evicting policy drops the oldest entries until the value fits; a
+// non-evicting one rejects the value. A value larger than the whole
+// budget is rejected outright. Re-putting a cached id keeps the stored
+// value.
 func (m *CacheManager) Put(id string, value any, size int64) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if e, ok := m.entries[id]; ok {
-		// Already cached. A speculative entry that the policy would now
-		// admit is promoted to a regular one (it must stop being an
-		// evict-first victim and must survive ReleaseSpeculative, or a
-		// pin guarantee would silently not hold).
-		if e.speculative && m.policy.Admit(id, e.size) {
-			e.speculative = false
-			e.pinned = m.pinnedID(id)
-			unlink(e)
-			m.listOf(e).pushNewest(e)
-		}
-		return true
-	}
-	if !m.policy.Admit(id, size) {
+	if !m.policy.Admit(id) {
 		return false
 	}
-	if m.budget > 0 {
-		if size > m.budget {
-			return false // can never fit
-		}
-		if !m.makeRoomLocked(size) {
-			return false
-		}
-	}
-	e := &cacheEntry{key: id, value: value, size: size, pinned: m.pinnedID(id)}
-	m.entries[id] = e
-	m.listOf(e).pushNewest(e)
-	m.used += size
-	return true
-}
-
-// makeRoomLocked evicts victims until size fits in the budget, or
-// reports failure if only pinned entries remain.
-func (m *CacheManager) makeRoomLocked(size int64) bool {
-	for m.used+size > m.budget {
-		v := m.victimLocked()
-		if v == nil {
-			return false
-		}
-		m.deleteLocked(v)
-		m.evictions++
-	}
-	return true
-}
-
-// victimLocked picks the next eviction victim in O(1): the oldest
-// speculative entry if any, else the oldest evictable regular entry
-// (pinned entries live on their own list and are never considered).
-// Returns nil when nothing is evictable.
-func (m *CacheManager) victimLocked() *cacheEntry {
-	if v := m.spec.oldest(); v != nil {
-		return v
-	}
-	return m.main.oldest()
-}
-
-// deleteLocked removes e from the map, its recency list, and the byte
-// accounting. The policy is only notified for entries it admitted.
-func (m *CacheManager) deleteLocked(e *cacheEntry) {
-	delete(m.entries, e.key)
-	unlink(e)
-	m.used -= e.size
-	if !e.speculative {
-		m.policy.Evicted(e.key)
-	}
-}
-
-// PutSpeculative offers a value for cross-pass retention, bypassing the
-// policy's admission check but strictly subordinate to the budget: the
-// entry is stored only if it fits in the currently free headroom —
-// nothing is ever evicted to make room for it — and it is the first
-// victim when a regular Put needs space. Returns whether the value is
-// now cached.
-func (m *CacheManager) PutSpeculative(id string, value any, size int64) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if _, ok := m.entries[id]; ok {
 		return true
 	}
 	if m.budget > 0 && m.used+size > m.budget {
-		return false
-	}
-	e := &cacheEntry{key: id, value: value, size: size, speculative: true}
-	m.entries[id] = e
-	m.spec.pushNewest(e)
-	m.used += size
-	return true
-}
-
-// ReleaseSpeculative drops id if (and only if) it is a speculative
-// entry; regular entries are untouched. The executor calls this when the
-// last estimator interested in a retained result finishes fitting.
-func (m *CacheManager) ReleaseSpeculative(id string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if e, ok := m.entries[id]; ok && e.speculative {
-		m.deleteLocked(e)
-	}
-}
-
-// SpeculativeBytes returns the bytes currently held by speculative
-// (cross-pass retention) entries.
-func (m *CacheManager) SpeculativeBytes() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var total int64
-	for e := m.spec.oldest(); e != nil; e = m.spec.next(e) {
-		total += e.size
-	}
-	return total
-}
-
-// Remove drops id from the cache if present.
-func (m *CacheManager) Remove(id string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if e, ok := m.entries[id]; ok {
-		m.deleteLocked(e)
-	}
-}
-
-// Clear empties the cache, keeping statistics.
-func (m *CacheManager) Clear() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for id, e := range m.entries {
-		if !e.speculative {
-			m.policy.Evicted(id)
+		if size > m.budget || !m.policy.Evicts() {
+			return false
+		}
+		for m.used+size > m.budget {
+			v := m.lru.oldest() // non-nil: size fits the budget
+			delete(m.entries, v.key)
+			unlink(v)
+			m.used -= v.size
+			m.evictions++
 		}
 	}
-	m.entries = make(map[string]*cacheEntry)
-	m.main.init()
-	m.pinnedL.init()
-	m.spec.init()
-	m.used = 0
+	e := &cacheEntry{key: id, value: value, size: size}
+	m.entries[id] = e
+	m.lru.pushNewest(e)
+	m.used += size
+	return true
 }
 
 // Used returns the bytes currently cached.
@@ -341,11 +166,10 @@ func (m *CacheManager) Stats() (hits, misses, evictions int64) {
 }
 
 // PinnedSetPolicy admits exactly the node ids chosen in advance by the
-// greedy materialization algorithm (Algorithm 1). Everything else is
-// rejected, so the pinned outputs can never be evicted by large
-// non-reused intermediates.
+// greedy materialization algorithm (Algorithm 1) and never evicts one of
+// them, so the pinned outputs can never be displaced by large non-reused
+// intermediates or by each other.
 type PinnedSetPolicy struct {
-	mu     sync.Mutex
 	pinned map[string]bool
 }
 
@@ -359,49 +183,31 @@ func NewPinnedSetPolicy(ids []string) *PinnedSetPolicy {
 }
 
 // Admit implements CachePolicy.
-func (p *PinnedSetPolicy) Admit(id string, _ int64) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.pinned[id]
-}
+func (p *PinnedSetPolicy) Admit(id string) bool { return p.pinned[id] }
 
-// Touch implements CachePolicy.
-func (p *PinnedSetPolicy) Touch(string) {}
+// Evicts implements CachePolicy: a pinned entry is never a victim.
+func (*PinnedSetPolicy) Evicts() bool { return false }
 
-// Evicted implements CachePolicy.
-func (p *PinnedSetPolicy) Evicted(string) {}
-
-// Pinned implements PinAware: admitted entries are exactly the pinned
-// ones, and the manager must never evict them to admit a newer entry.
-func (p *PinnedSetPolicy) Pinned(id string) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.pinned[id]
-}
-
-// LRUPolicy admits everything; recency ordering and eviction are handled
-// by the manager. It reproduces Spark's default storage behaviour,
-// including the implicit admission-control quirk the paper observes (an
-// object bigger than the budget is simply not admitted).
+// LRUPolicy admits everything and evicts the least recently used entries.
+// It reproduces Spark's default storage behaviour, including the implicit
+// admission-control quirk the paper observes (an object bigger than the
+// budget is simply not admitted).
 type LRUPolicy struct{}
 
 // NewLRUPolicy returns an LRU admission policy.
 func NewLRUPolicy() *LRUPolicy { return &LRUPolicy{} }
 
 // Admit implements CachePolicy.
-func (*LRUPolicy) Admit(string, int64) bool { return true }
+func (*LRUPolicy) Admit(string) bool { return true }
 
-// Touch implements CachePolicy.
-func (*LRUPolicy) Touch(string) {}
-
-// Evicted implements CachePolicy.
-func (*LRUPolicy) Evicted(string) {}
+// Evicts implements CachePolicy.
+func (*LRUPolicy) Evicts() bool { return true }
 
 // RuleBasedPolicy admits only ids registered as Estimator outputs — the
 // "sensible rule" baseline from Section 5.4 (models are cheap to hold and
 // expensive to recompute), which misses reuse of featurized data.
+// Admitted entries evict each other by recency.
 type RuleBasedPolicy struct {
-	mu        sync.Mutex
 	estimator map[string]bool
 }
 
@@ -415,14 +221,7 @@ func NewRuleBasedPolicy(estimatorIDs []string) *RuleBasedPolicy {
 }
 
 // Admit implements CachePolicy.
-func (p *RuleBasedPolicy) Admit(id string, _ int64) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.estimator[id]
-}
+func (p *RuleBasedPolicy) Admit(id string) bool { return p.estimator[id] }
 
-// Touch implements CachePolicy.
-func (p *RuleBasedPolicy) Touch(string) {}
-
-// Evicted implements CachePolicy.
-func (p *RuleBasedPolicy) Evicted(string) {}
+// Evicts implements CachePolicy.
+func (*RuleBasedPolicy) Evicts() bool { return true }

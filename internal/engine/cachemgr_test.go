@@ -89,26 +89,6 @@ func TestRuleBasedPolicy(t *testing.T) {
 	}
 }
 
-func TestCacheManagerRemoveAndClear(t *testing.T) {
-	m := NewCacheManager(100, NewLRUPolicy())
-	m.Put("a", 1, 10)
-	m.Put("b", 2, 20)
-	m.Remove("a")
-	if _, ok := m.Get("a"); ok {
-		t.Error("a still present after Remove")
-	}
-	if m.Used() != 20 {
-		t.Errorf("Used = %d, want 20", m.Used())
-	}
-	m.Clear()
-	if m.Used() != 0 {
-		t.Errorf("Used after Clear = %d", m.Used())
-	}
-	if _, ok := m.Get("b"); ok {
-		t.Error("b present after Clear")
-	}
-}
-
 func TestCacheManagerPinnedNeverEvictedForNewer(t *testing.T) {
 	// Under budget pressure a pinned entry must never be the victim that
 	// admits a newer entry: the newcomer is rejected instead.
@@ -127,114 +107,6 @@ func TestCacheManagerPinnedNeverEvictedForNewer(t *testing.T) {
 	}
 	if _, _, ev := m.Stats(); ev != 0 {
 		t.Errorf("evictions = %d, want 0", ev)
-	}
-}
-
-func TestCacheManagerSpeculativeLifecycle(t *testing.T) {
-	m := NewCacheManager(100, NewPinnedSetPolicy([]string{"pin"}))
-	// Speculative entries bypass admission but live in free headroom only.
-	if !m.PutSpeculative("s1", 1, 50) {
-		t.Fatal("speculative entry with headroom rejected")
-	}
-	if m.PutSpeculative("s2", 2, 60) {
-		t.Error("speculative entry admitted beyond free headroom (must never evict)")
-	}
-	if v, ok := m.Get("s1"); !ok || v.(int) != 1 {
-		t.Error("speculative entry not served by Get")
-	}
-	if !m.Contains("s1") {
-		t.Error("Contains must see speculative entries (scheduler boundary peek)")
-	}
-	// Release drops speculative entries only.
-	m.ReleaseSpeculative("s1")
-	if m.Contains("s1") {
-		t.Error("s1 still present after ReleaseSpeculative")
-	}
-	if m.Used() != 0 {
-		t.Errorf("Used = %d, want 0", m.Used())
-	}
-	m.Put("pin", 3, 40)
-	m.ReleaseSpeculative("pin")
-	if !m.Contains("pin") {
-		t.Error("ReleaseSpeculative must not touch regular entries")
-	}
-}
-
-func TestCacheManagerSpeculativeEvictedFirst(t *testing.T) {
-	// A regular Put under pressure evicts speculative entries before any
-	// regular entry, regardless of recency.
-	m := NewCacheManager(100, NewLRUPolicy())
-	m.Put("old", 1, 40)
-	if !m.PutSpeculative("spec", 2, 40) {
-		t.Fatal("speculative entry rejected")
-	}
-	m.Get("spec") // most recently used — still the first victim
-	if !m.Put("new", 3, 40) {
-		t.Fatal("regular entry rejected despite evictable speculative entry")
-	}
-	if m.Contains("spec") {
-		t.Error("speculative entry survived budget pressure from a regular Put")
-	}
-	if !m.Contains("old") || !m.Contains("new") {
-		t.Error("regular entries evicted while a speculative victim existed")
-	}
-	if m.SpeculativeBytes() != 0 {
-		t.Errorf("SpeculativeBytes = %d, want 0", m.SpeculativeBytes())
-	}
-}
-
-func TestCacheManagerPutPromotesSpeculative(t *testing.T) {
-	// A Put for an id already held speculatively must promote it to a
-	// regular (here: pinned) entry when the policy admits it: it stops
-	// being an evict-first victim and survives ReleaseSpeculative —
-	// otherwise a pin guarantee silently would not hold on a shared
-	// manager.
-	m := NewCacheManager(100, NewPinnedSetPolicy([]string{"x"}))
-	if !m.PutSpeculative("x", 1, 40) {
-		t.Fatal("speculative insert rejected")
-	}
-	if !m.Put("x", 2, 40) {
-		t.Fatal("Put on speculative entry reported failure")
-	}
-	m.ReleaseSpeculative("x")
-	if _, ok := m.Get("x"); !ok {
-		t.Error("promoted entry dropped by ReleaseSpeculative")
-	}
-	if m.SpeculativeBytes() != 0 {
-		t.Errorf("SpeculativeBytes = %d after promotion, want 0", m.SpeculativeBytes())
-	}
-	// Original value retained (consistent with the double-Put contract).
-	if v, _ := m.Get("x"); v.(int) != 1 {
-		t.Errorf("promotion replaced the stored value: %v", v)
-	}
-}
-
-func TestCacheManagerPutDoesNotPromoteUnadmitted(t *testing.T) {
-	// A speculative entry the policy still rejects stays speculative on
-	// a re-Put (and Put still reports it cached).
-	m := NewCacheManager(100, NewPinnedSetPolicy([]string{"pin"}))
-	m.PutSpeculative("other", 1, 40)
-	if !m.Put("other", 1, 40) {
-		t.Fatal("Put on cached speculative entry reported failure")
-	}
-	m.ReleaseSpeculative("other")
-	if m.Contains("other") {
-		t.Error("unadmitted entry was promoted out of the speculative class")
-	}
-}
-
-func TestCacheManagerPinnedPutEvictsSpeculative(t *testing.T) {
-	// The pinned set reclaims headroom held speculatively.
-	m := NewCacheManager(100, NewPinnedSetPolicy([]string{"pin"}))
-	m.PutSpeculative("s", 1, 80)
-	if !m.Put("pin", 2, 60) {
-		t.Fatal("pinned entry rejected while speculative headroom was reclaimable")
-	}
-	if m.Contains("s") {
-		t.Error("speculative entry not sacrificed for the pinned set")
-	}
-	if _, ok := m.Get("pin"); !ok {
-		t.Error("pinned entry missing")
 	}
 }
 

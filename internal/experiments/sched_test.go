@@ -101,9 +101,9 @@ func (s schedShape) build() (*core.Graph, *optimizer.Profile, *engine.Collection
 }
 
 // runPinSet executes the graph under the parallel scheduler with the
-// given pin set and returns wall time. Speculative retention stays
-// inactive (no schedule plan attached): the comparison isolates what the
-// pin-set *choice* is worth, not the retention optimization.
+// given pin set and returns wall time (no schedule plan attached, so
+// dispatch priorities are structural): the comparison isolates what the
+// pin-set *choice* is worth.
 func runPinSet(g *core.Graph, set []int, data *engine.Collection, workers int) time.Duration {
 	var cache *engine.CacheManager
 	if len(set) > 0 {

@@ -40,9 +40,8 @@ func EstCost(g *core.Graph, prof *Profile, cached map[int]bool, workers int) flo
 // ScheduleFor builds the shared schedule plan both layers consume: the
 // profile's node times and placement model, the chosen materialization
 // set as cache boundaries, and the execution worker count. The executor
-// orders dispatch by its priorities and drives speculative retention
-// from its refetch sets; the planner used the same model (via EstCost)
-// to choose the pins, so optimizer and executor reason about one
+// orders dispatch by its priorities; the planner used the same model (via
+// EstCost) to choose the pins, so optimizer and executor reason about one
 // schedule. A nil profile gives the structural (unit-time) plan.
 func ScheduleFor(g *core.Graph, prof *Profile, cacheSet []int, workers int) *core.SchedulePlan {
 	cached := make(map[int]bool, len(cacheSet))

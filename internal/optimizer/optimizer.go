@@ -96,8 +96,8 @@ type Plan struct {
 	// Schedule is the shared schedule plan the materialization set was
 	// chosen under (profile times, cache boundaries, worker count).
 	// Execute threads it into the executor, whose priority dispatcher
-	// and speculative retention then work from the same model the
-	// planner costed; nil when profiling did not run (LevelNone).
+	// then works from the same model the planner costed; nil when
+	// profiling did not run (LevelNone).
 	Schedule *core.SchedulePlan
 	// Placement, when non-nil, is where Execute runs the plan's
 	// record-wise operators instead of this process; the executor then

@@ -110,7 +110,7 @@ func FitPlaced[I, O any](ctx context.Context, p *Pipeline[I, O], records []I, la
 		plan.Shared = cfg.prefix.sc
 		plan.SharedScope = fmt.Sprintf("n=%d;labeled=%t", len(records), labels != nil)
 	}
-	models, _, report, err := plan.ExecuteContext(ctx, data, lab, cfg.workers, cfg.cache(plan))
+	models, _, report, err := plan.ExecuteContext(ctx, data, lab, cfg.workers, plan.DefaultCache(cfg.cacheBudget))
 	if err != nil {
 		return nil, fmt.Errorf("keystone: fit: %w", err)
 	}

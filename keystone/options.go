@@ -4,7 +4,6 @@ import (
 	"runtime"
 
 	"keystoneml/internal/cluster"
-	"keystoneml/internal/engine"
 	"keystoneml/internal/optimizer"
 )
 
@@ -36,21 +35,6 @@ func (l Level) internal() optimizer.Level {
 	}
 }
 
-// CachePolicy selects how intermediate results are kept during Fit.
-type CachePolicy int
-
-const (
-	// CacheAuto (the default) pins exactly the materialization set the
-	// optimizer's greedy planner chooses under the cache budget.
-	CacheAuto CachePolicy = iota
-	// CacheLRU keeps intermediates under the budget with
-	// least-recently-used eviction (a Spark-style baseline).
-	CacheLRU
-	// CacheNone disables materialization entirely: every re-access
-	// recomputes.
-	CacheNone
-)
-
 // modeledNodes is the cluster size the operator cost models price every
 // fit against, wherever its partitions live.
 const modeledNodes = 8
@@ -58,7 +42,6 @@ const modeledNodes = 8
 // fitConfig is the resolved option set for one Fit call.
 type fitConfig struct {
 	level       Level
-	cachePolicy CachePolicy
 	cacheBudget int64
 	workers     int
 	partitions  int
@@ -69,9 +52,8 @@ type fitConfig struct {
 
 func defaultFitConfig() fitConfig {
 	return fitConfig{
-		level:       LevelFull,
-		cachePolicy: CacheAuto,
-		workers:     0, // NumCPU
+		level:   LevelFull,
+		workers: 0, // NumCPU
 	}
 }
 
@@ -116,15 +98,11 @@ func WithPartitions(n int) Option {
 }
 
 // WithCacheBudget bounds the bytes of intermediate state kept in memory
-// during Fit; 0 (the default) means unlimited.
+// during Fit; 0 (the default) means unlimited. The planner pins the node
+// outputs worth most under the budget (Algorithm 1), and a fit keeps
+// exactly those: every other re-access recomputes.
 func WithCacheBudget(bytes int64) Option {
 	return func(c *fitConfig) { c.cacheBudget = bytes }
-}
-
-// WithCachePolicy selects the materialization strategy (default
-// CacheAuto).
-func WithCachePolicy(p CachePolicy) Option {
-	return func(c *fitConfig) { c.cachePolicy = p }
 }
 
 // WithNumClasses declares the label class count for the solver cost
@@ -149,7 +127,7 @@ func (c fitConfig) optimizerConfig(classes int, site Site) optimizer.Config {
 	cfg := optimizer.Config{
 		Level:          c.level.internal(),
 		Resources:      cluster.Local(modeledNodes),
-		MemBudgetBytes: c.budgetForPlanner(),
+		MemBudgetBytes: c.cacheBudget,
 		NumClasses:     classes,
 		SampleSizes:    c.sampleSizes,
 		Parallelism:    c.workers,
@@ -158,25 +136,4 @@ func (c fitConfig) optimizerConfig(classes int, site Site) optimizer.Config {
 		cfg.Dist = &site.Model
 	}
 	return cfg
-}
-
-// budgetForPlanner feeds the cache budget to the greedy materialization
-// planner only when the pinned-set policy will actually enforce it.
-func (c fitConfig) budgetForPlanner() int64 {
-	if c.cachePolicy == CacheAuto {
-		return c.cacheBudget
-	}
-	return 0
-}
-
-// cache builds the cache manager the executor runs with.
-func (c fitConfig) cache(plan *optimizer.Plan) *engine.CacheManager {
-	switch c.cachePolicy {
-	case CacheNone:
-		return nil
-	case CacheLRU:
-		return engine.NewCacheManager(c.cacheBudget, engine.NewLRUPolicy())
-	default:
-		return plan.DefaultCache(c.cacheBudget)
-	}
 }

@@ -22,10 +22,10 @@ import (
 // subset grows between rounds).
 //
 // Only operators with a registered codec (library ops, or closures
-// registered via RegisterStatelessOp / RegisterFuncResolver) can be
-// signed; an unsignable operator simply makes its node — and everything
-// downstream of it — private to its own fit. Estimators and apply-model
-// nodes are never shared. A PrefixCache is safe for concurrent use.
+// registered via RegisterStatelessOp) can be signed; an unsignable
+// operator simply makes its node — and everything downstream of it —
+// private to its own fit. Estimators and apply-model nodes are never
+// shared. A PrefixCache is safe for concurrent use.
 type PrefixCache struct {
 	sc *engine.SharedCache
 }
