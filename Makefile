@@ -72,7 +72,7 @@ bench-kernels:
 # Run every example program plus the two caching figures (Fig. 10: the
 # greedy pinned set against LRU and rule-based caching; Fig. 11: the
 # cache budget sweep), so programs that `go build` only compiles are
-# executed too. ~12 s on a 2-CPU host.
+# executed too. ~17 s on a 2-CPU host.
 examples:
 	@for d in examples/*/; do echo "== $$d"; $(GO) run ./$$d || exit 1; done
 	$(GO) run ./cmd/keybench -exp fig10

@@ -1,4 +1,4 @@
-// Ablation benchmarks for the design choices DESIGN.md calls out: blocked
+// Ablation benchmarks for the design choices ARCHITECTURE.md calls out: blocked
 // vs naive GEMM, CSE on vs off, greedy vs exact materialization planning,
 // and TSQR vs normal equations inside the distributed exact solver.
 package keystoneml_test
@@ -60,7 +60,7 @@ func BenchmarkAblationCSE(b *testing.B) {
 	}
 	data := engine.FromSlice(items, 4)
 	build := func() *core.Graph {
-		p := core.Input[[]float64]()
+		g := core.NewGraph()
 		// Two structurally identical expensive branches.
 		heavy := func(x []float64) []float64 {
 			out := make([]float64, len(x))
@@ -69,9 +69,10 @@ func BenchmarkAblationCSE(b *testing.B) {
 			}
 			return out
 		}
-		b1 := core.AndThen(p, core.FuncOp("heavy", heavy))
-		b2 := core.AndThen(p, core.FuncOp("heavy", heavy))
-		return core.Gather(b1, b2).Graph()
+		b1 := g.AddTransform(core.TypedTransform("heavy", heavy), g.Source)
+		b2 := g.AddTransform(core.TypedTransform("heavy", heavy), g.Source)
+		g.AddGather([]*core.Node{b1, b2})
+		return g
 	}
 	run := func(b *testing.B, cse bool) {
 		for i := 0; i < b.N; i++ {
@@ -93,13 +94,12 @@ func BenchmarkAblationCSE(b *testing.B) {
 func BenchmarkAblationPlanner(b *testing.B) {
 	// A 14-node chain with an iterative tail: 12 cacheable candidates,
 	// still feasible for the exact planner (2^12 subsets).
-	p := core.Input[float64]()
-	cur := p
+	g := core.NewGraph()
+	cur := g.Source
 	for i := 0; i < 12; i++ {
-		cur = core.AndThen(cur, core.FuncOp("t", func(x float64) float64 { return x + 1 }))
+		cur = g.AddTransform(core.TypedTransform("t", func(x float64) float64 { return x + 1 }), cur)
 	}
-	final := core.AndThenEstimator(cur, core.NewEst[float64, float64](benchEst{}))
-	g := final.Graph()
+	g.AddApplyModel(g.AddEstimator(benchEst{}, cur, false), cur)
 	prof := &optimizer.Profile{Nodes: map[int]*optimizer.NodeProfile{}}
 	for _, n := range g.Topological() {
 		prof.Nodes[n.ID] = &optimizer.NodeProfile{Name: n.OpName(), Kind: n.Kind, TimeSec: 0.01, SizeBytes: 100}
@@ -158,11 +158,9 @@ func BenchmarkAblationSubsampling(b *testing.B) {
 		s := s
 		b.Run(sampleName(s), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				g := core.AndThenLabeledEstimator(
-					core.AndThen(core.Input[[]float64](),
-						core.FuncOp("id", func(x []float64) []float64 { return x })),
-					solvers.NewLinearSolverEst(10, 1e-4, 0),
-				).Graph()
+				g := core.NewGraph()
+				id := g.AddTransform(core.TypedTransform("id", func(x []float64) []float64 { return x }), g.Source)
+				g.AddApplyModel(g.AddEstimator(&solvers.LinearSolver{Iterations: 10, Lambda: 1e-4}, id, true), id)
 				optimizer.Optimize(g, train.Data, train.Labels, optimizer.Config{
 					Level:       optimizer.LevelFull,
 					Resources:   cluster.Local(4),

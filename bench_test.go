@@ -24,9 +24,9 @@ import (
 	"keystoneml/internal/linalg"
 	"keystoneml/internal/optimizer"
 	"keystoneml/internal/pca"
-	"keystoneml/internal/pipelines"
 	"keystoneml/internal/solvers"
 	"keystoneml/internal/workload"
+	"keystoneml/keystone"
 )
 
 // BenchmarkTable1SolverCostModels evaluates the analytic Table 1 cost
@@ -145,7 +145,7 @@ func BenchmarkFig9OptLevels(b *testing.B) {
 	for _, level := range []optimizer.Level{optimizer.LevelNone, optimizer.LevelPipeline, optimizer.LevelFull} {
 		b.Run(level.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				g := pipelines.Text(pipelines.TextConfig{NumFeatures: 1000, Iterations: 15}).Graph()
+				g, _ := keystone.TextPipeline(keystone.TextConfig{NumFeatures: 1000, Iterations: 15}).EngineGraph()
 				plan := optimizer.Optimize(g, train.Data, train.Labels, optimizer.Config{
 					Level:       level,
 					Resources:   cluster.Local(8),
@@ -163,9 +163,10 @@ func BenchmarkFig9OptLevels(b *testing.B) {
 func BenchmarkFig10Caching(b *testing.B) {
 	train := workload.Images(24, 48, 3, 4, 40, 4)
 	build := func() *core.Graph {
-		return pipelines.Vision(pipelines.VisionConfig{
+		g, _ := keystone.VisionPipeline(keystone.VisionConfig{
 			PCADims: 8, GMMComponents: 8, SampleDescs: 15, Seed: 9, Iterations: 15, WithLCS: true,
-		}).Graph()
+		}).EngineGraph()
+		return g
 	}
 	const budget = 256 << 10
 	b.Run("keystoneml", func(b *testing.B) {
@@ -206,9 +207,9 @@ func BenchmarkFig10Caching(b *testing.B) {
 // must be cheap enough to run at optimization time (unlike an ILP).
 func BenchmarkFig11GreedyPlanner(b *testing.B) {
 	train := workload.Images(16, 48, 3, 4, 40, 4)
-	g := pipelines.Vision(pipelines.VisionConfig{
+	g, _ := keystone.VisionPipeline(keystone.VisionConfig{
 		PCADims: 8, GMMComponents: 8, SampleDescs: 15, Seed: 9, Iterations: 15, WithLCS: true,
-	}).Graph()
+	}).EngineGraph()
 	plan := optimizer.Optimize(g, train.Data, train.Labels, optimizer.Config{
 		Level: optimizer.LevelPipeline, Resources: cluster.Local(8),
 		NumClasses: 4, SampleSizes: [2]int{6, 12},
@@ -248,7 +249,7 @@ func BenchmarkTable6ScalingModel(b *testing.B) {
 func BenchmarkTable5Pipelines(b *testing.B) {
 	train := workload.AmazonReviews(250, 1, 8)
 	for i := 0; i < b.N; i++ {
-		g := pipelines.Text(pipelines.TextConfig{NumFeatures: 1000, Iterations: 15}).Graph()
+		g, _ := keystone.TextPipeline(keystone.TextConfig{NumFeatures: 1000, Iterations: 15}).EngineGraph()
 		plan := optimizer.Optimize(g, train.Data, train.Labels, optimizer.Config{
 			Level: optimizer.LevelFull, Resources: cluster.Local(8),
 			NumClasses: 2, SampleSizes: [2]int{16, 32},
@@ -299,9 +300,10 @@ func BenchmarkParallelDAG(b *testing.B) {
 func BenchmarkParallelVOC(b *testing.B) {
 	train := workload.Images(12, 48, 3, 4, 40, 2)
 	build := func() *core.Graph {
-		return pipelines.Vision(pipelines.VisionConfig{
+		g, _ := keystone.VisionPipeline(keystone.VisionConfig{
 			PCADims: 8, GMMComponents: 6, SampleDescs: 10, Seed: 9, Iterations: 5, WithLCS: true,
-		}).Graph()
+		}).EngineGraph()
+		return g
 	}
 	for _, mode := range []struct {
 		name    string

@@ -46,6 +46,12 @@ func (labelReader) Fit(ctx *engine.Context, data Fetch, labels Fetch) TransformO
 	return IdentityOp()
 }
 
+// fitOn appends an unsupervised estimator fit on dep and the node
+// applying its model to dep.
+func fitOn(g *Graph, est EstimatorOp, dep *Node) *Node {
+	return g.AddApplyModel(g.AddEstimator(est, dep, false), dep)
+}
+
 func floatColl(vals []float64, parts int) *engine.Collection {
 	items := make([]any, len(vals))
 	for i, v := range vals {
@@ -55,12 +61,12 @@ func floatColl(vals []float64, parts int) *engine.Collection {
 }
 
 func TestPipelineLinearChain(t *testing.T) {
-	p := Input[float64]()
-	p2 := AndThen(p, FuncOp("double", func(x float64) float64 { return 2 * x }))
-	p3 := AndThen(p2, FuncOp("inc", func(x float64) float64 { return x + 1 }))
+	g := NewGraph()
+	double := g.AddTransform(TypedTransform("double", func(x float64) float64 { return 2 * x }), g.Source)
+	g.AddTransform(TypedTransform("inc", func(x float64) float64 { return x + 1 }), double)
 
 	ctx := engine.NewContext(2)
-	ex := NewExecutor(p3.Graph(), ctx, nil, floatColl([]float64{1, 2, 3}, 2), nil)
+	ex := NewExecutor(g, ctx, nil, floatColl([]float64{1, 2, 3}, 2), nil)
 	models, out, _ := ex.Run()
 	got := out.Collect()
 	want := []float64{3, 5, 7}
@@ -75,12 +81,11 @@ func TestPipelineLinearChain(t *testing.T) {
 }
 
 func TestPipelineWithEstimator(t *testing.T) {
-	p := Input[float64]()
-	est := &doublerEst{weight: 1}
-	p2 := AndThenEstimator(p, NewEst[float64, float64](est))
+	g := NewGraph()
+	fitOn(g, &doublerEst{weight: 1}, g.Source)
 
 	ctx := engine.NewContext(2)
-	ex := NewExecutor(p2.Graph(), ctx, nil, floatColl([]float64{1, 2, 3, 4}, 2), nil)
+	ex := NewExecutor(g, ctx, nil, floatColl([]float64{1, 2, 3, 4}, 2), nil)
 	models, out, _ := ex.Run()
 	if len(models) != 1 {
 		t.Fatalf("models = %d, want 1", len(models))
@@ -98,33 +103,32 @@ func TestPipelineWithEstimator(t *testing.T) {
 func TestIterativeEstimatorRefetchesInput(t *testing.T) {
 	// Without caching, a weight-3 estimator plus the downstream apply node
 	// should materialize the upstream transform 4 times.
-	p := Input[float64]()
-	p2 := AndThen(p, FuncOp("id", func(x float64) float64 { return x }))
+	g := NewGraph()
+	id := g.AddTransform(TypedTransform("id", func(x float64) float64 { return x }), g.Source)
 	est := &doublerEst{weight: 3}
-	p3 := AndThenEstimator(p2, NewEst[float64, float64](est))
+	fitOn(g, est, id)
 
 	ctx := engine.NewContext(1)
-	ex := NewExecutor(p3.Graph(), ctx, nil, floatColl([]float64{1, 2}, 1), nil)
+	ex := NewExecutor(g, ctx, nil, floatColl([]float64{1, 2}, 1), nil)
 	_, _, report := ex.Run()
 	if est.fetches != 3 {
 		t.Errorf("estimator fetches = %d, want 3", est.fetches)
 	}
-	transformID := p2.OutputNode().ID
+	transformID := id.ID
 	if got := report.Nodes[transformID].Computes; got != 4 {
 		t.Errorf("upstream transform computed %d times, want 4 (3 passes + 1 apply)", got)
 	}
 }
 
 func TestCachingEliminatesRecompute(t *testing.T) {
-	p := Input[float64]()
-	p2 := AndThen(p, FuncOp("id", func(x float64) float64 { return x }))
-	est := &doublerEst{weight: 5}
-	p3 := AndThenEstimator(p2, NewEst[float64, float64](est))
+	g := NewGraph()
+	id := g.AddTransform(TypedTransform("id", func(x float64) float64 { return x }), g.Source)
+	fitOn(g, &doublerEst{weight: 5}, id)
 
 	ctx := engine.NewContext(1)
-	transformID := p2.OutputNode().ID
+	transformID := id.ID
 	cache := engine.NewCacheManager(0, engine.NewPinnedSetPolicy([]string{cacheKey(transformID)}))
-	ex := NewExecutor(p3.Graph(), ctx, cache, floatColl([]float64{1, 2}, 1), nil)
+	ex := NewExecutor(g, ctx, cache, floatColl([]float64{1, 2}, 1), nil)
 	_, _, report := ex.Run()
 	st := report.Nodes[transformID]
 	if st.Computes != 1 {
@@ -138,22 +142,20 @@ func TestCachingEliminatesRecompute(t *testing.T) {
 func TestOptimizedPlanMatchesUnoptimizedOutput(t *testing.T) {
 	// Identical pipelines with and without caching must produce identical
 	// outputs: materialization is semantically invisible.
-	build := func() (*Pipeline[float64, float64], *doublerEst) {
-		p := Input[float64]()
-		p2 := AndThen(p, FuncOp("x3", func(x float64) float64 { return 3 * x }))
-		est := &doublerEst{weight: 2}
-		return AndThenEstimator(p2, NewEst[float64, float64](est)), est
+	build := func() *Graph {
+		g := NewGraph()
+		x3 := g.AddTransform(TypedTransform("x3", func(x float64) float64 { return 3 * x }), g.Source)
+		fitOn(g, &doublerEst{weight: 2}, x3)
+		return g
 	}
 	data := []float64{5, 1, -2, 7}
 	ctx := engine.NewContext(2)
 
-	p1, _ := build()
-	ex1 := NewExecutor(p1.Graph(), ctx, nil, floatColl(data, 2), nil)
+	ex1 := NewExecutor(build(), ctx, nil, floatColl(data, 2), nil)
 	_, out1, _ := ex1.Run()
 
-	p2, _ := build()
 	cache := engine.NewCacheManager(0, engine.NewLRUPolicy())
-	ex2 := NewExecutor(p2.Graph(), ctx, cache, floatColl(data, 2), nil)
+	ex2 := NewExecutor(build(), ctx, cache, floatColl(data, 2), nil)
 	_, out2, _ := ex2.Run()
 
 	a, b := out1.Collect(), out2.Collect()
@@ -165,20 +167,20 @@ func TestOptimizedPlanMatchesUnoptimizedOutput(t *testing.T) {
 }
 
 func TestGatherConcatenates(t *testing.T) {
-	p := Input[[]float64]()
-	b1 := AndThen(p, FuncOp("first", func(x []float64) []float64 { return x[:1] }))
-	b2 := AndThen(p, FuncOp("scaled", func(x []float64) []float64 {
+	g := NewGraph()
+	b1 := g.AddTransform(TypedTransform("first", func(x []float64) []float64 { return x[:1] }), g.Source)
+	b2 := g.AddTransform(TypedTransform("scaled", func(x []float64) []float64 {
 		out := make([]float64, len(x))
 		for i, v := range x {
 			out[i] = 10 * v
 		}
 		return out
-	}))
-	g := Gather(b1, b2)
+	}), g.Source)
+	g.AddGather([]*Node{b1, b2})
 
 	ctx := engine.NewContext(1)
 	data := engine.FromSlice([]any{[]float64{1, 2}}, 1)
-	ex := NewExecutor(g.Graph(), ctx, nil, data, nil)
+	ex := NewExecutor(g, ctx, nil, data, nil)
 	_, out, _ := ex.Run()
 	got := out.Collect()[0].([]float64)
 	want := []float64{1, 10, 20}
@@ -195,32 +197,38 @@ func TestGatherConcatenates(t *testing.T) {
 func TestBranchingSharesPrefix(t *testing.T) {
 	// Two branches off the same prefix: without caching, the shared prefix
 	// recomputes once per branch access.
-	p := Input[[]float64]()
-	shared := AndThen(p, FuncOp("shared", func(x []float64) []float64 { return x }))
-	b1 := AndThen(shared, FuncOp("b1", func(x []float64) []float64 { return x }))
-	b2 := AndThen(shared, FuncOp("b2", func(x []float64) []float64 { return x }))
-	g := Gather(b1, b2)
+	g, shared := sharedPrefixGraph()
 
 	ctx := engine.NewContext(1)
 	data := engine.FromSlice([]any{[]float64{1}}, 1)
-	ex := NewExecutor(g.Graph(), ctx, nil, data, nil)
+	ex := NewExecutor(g, ctx, nil, data, nil)
 	_, _, report := ex.Run()
-	if got := report.Nodes[shared.OutputNode().ID].Computes; got != 2 {
+	if got := report.Nodes[shared.ID].Computes; got != 2 {
 		t.Errorf("shared prefix computed %d times, want 2", got)
 	}
 }
 
+// sharedPrefixGraph builds source -> shared -> {b1, b2} -> gather and
+// returns the graph and its shared node.
+func sharedPrefixGraph() (*Graph, *Node) {
+	g := NewGraph()
+	shared := g.AddTransform(TypedTransform("shared", func(x []float64) []float64 { return x }), g.Source)
+	b1 := g.AddTransform(TypedTransform("b1", func(x []float64) []float64 { return x }), shared)
+	b2 := g.AddTransform(TypedTransform("b2", func(x []float64) []float64 { return x }), shared)
+	g.AddGather([]*Node{b1, b2})
+	return g, shared
+}
+
 func TestFittedApply(t *testing.T) {
-	p := Input[float64]()
-	p2 := AndThen(p, FuncOp("x2", func(x float64) float64 { return 2 * x }))
-	est := &doublerEst{weight: 1}
-	p3 := AndThenEstimator(p2, NewEst[float64, float64](est))
+	g := NewGraph()
+	x2 := g.AddTransform(TypedTransform("x2", func(x float64) float64 { return 2 * x }), g.Source)
+	fitOn(g, &doublerEst{weight: 1}, x2)
 
 	ctx := engine.NewContext(1)
-	ex := NewExecutor(p3.Graph(), ctx, nil, floatColl([]float64{1, 2, 3}, 1), nil)
+	ex := NewExecutor(g, ctx, nil, floatColl([]float64{1, 2, 3}, 1), nil)
 	models, _, _ := ex.Run()
 
-	fitted := NewFitted(p3.Graph(), models, ctx)
+	fitted := NewFitted(g, models, ctx)
 	// Train mean of 2x data = 4; apply to 10 -> 20 - 4 = 16.
 	if got := fitted.TransformOne(10.0).(float64); got != 16 {
 		t.Errorf("TransformOne(10) = %g, want 16", got)
@@ -228,10 +236,10 @@ func TestFittedApply(t *testing.T) {
 }
 
 func TestTopologicalOrder(t *testing.T) {
-	p := Input[float64]()
-	p2 := AndThen(p, FuncOp("a", func(x float64) float64 { return x }))
-	p3 := AndThen(p2, FuncOp("b", func(x float64) float64 { return x }))
-	order := p3.Graph().Topological()
+	g := NewGraph()
+	a := g.AddTransform(TypedTransform("a", func(x float64) float64 { return x }), g.Source)
+	b := g.AddTransform(TypedTransform("b", func(x float64) float64 { return x }), a)
+	order := g.Topological()
 	pos := map[int]int{}
 	for i, n := range order {
 		pos[n.ID] = i
@@ -243,15 +251,15 @@ func TestTopologicalOrder(t *testing.T) {
 			}
 		}
 	}
-	if order[len(order)-1].ID != p3.OutputNode().ID {
+	if order[len(order)-1].ID != b.ID {
 		t.Error("sink is not last in topological order")
 	}
 }
 
 func TestGraphString(t *testing.T) {
-	p := Input[float64]()
-	p2 := AndThen(p, FuncOp("myop", func(x float64) float64 { return x }))
-	s := p2.Graph().String()
+	g := NewGraph()
+	g.AddTransform(TypedTransform("myop", func(x float64) float64 { return x }), g.Source)
+	s := g.String()
 	if !strings.Contains(s, "myop") {
 		t.Errorf("graph string missing op name: %q", s)
 	}
@@ -288,9 +296,9 @@ func TestLabelsRequired(t *testing.T) {
 			t.Error("expected panic for missing labels")
 		}
 	}()
-	p := Input[float64]()
-	p2 := AndThenLabeledEstimator(p, NewLabeledEst[float64, float64](labelReader{}))
+	g := NewGraph()
+	g.AddApplyModel(g.AddEstimator(labelReader{}, g.Source, true), g.Source)
 	ctx := engine.NewContext(1)
-	ex := NewExecutor(p2.Graph(), ctx, nil, floatColl([]float64{1}, 1), nil)
+	ex := NewExecutor(g, ctx, nil, floatColl([]float64{1}, 1), nil)
 	ex.Run()
 }

@@ -12,13 +12,13 @@ import (
 // buildWide constructs a k-branch pipeline: source -> shared -> k parallel
 // branches -> gather, optionally with a per-record delay to make branch
 // overlap observable in wall time.
-func buildWide(k int, delay time.Duration) *Pipeline[[]float64, []float64] {
-	p := Input[[]float64]()
-	shared := AndThen(p, FuncOp("shared", func(x []float64) []float64 { return x }))
-	branches := make([]*Pipeline[[]float64, []float64], k)
+func buildWide(k int, delay time.Duration) *Graph {
+	g := NewGraph()
+	shared := g.AddTransform(TypedTransform("shared", func(x []float64) []float64 { return x }), g.Source)
+	branches := make([]*Node, k)
 	for i := 0; i < k; i++ {
 		scale := float64(i + 1)
-		branches[i] = AndThen(shared, FuncOp(fmt.Sprintf("branch%d", i), func(x []float64) []float64 {
+		branches[i] = g.AddTransform(TypedTransform(fmt.Sprintf("branch%d", i), func(x []float64) []float64 {
 			if delay > 0 {
 				time.Sleep(delay)
 			}
@@ -27,9 +27,10 @@ func buildWide(k int, delay time.Duration) *Pipeline[[]float64, []float64] {
 				out[j] = scale * v
 			}
 			return out
-		}))
+		}), shared)
 	}
-	return Gather(branches...)
+	g.AddGather(branches)
+	return g
 }
 
 func vecColl(n, dim int, parts int) *engine.Collection {
@@ -86,17 +87,17 @@ func assertSameVecs(t *testing.T, seq, par [][]float64) {
 }
 
 func TestParallelEquivalenceWideGather(t *testing.T) {
-	build := func() *Graph { return buildWide(6, 0).Graph() }
+	build := func() *Graph { return buildWide(6, 0) }
 	seq, par := runBoth(t, build, vecColl(40, 4, 2), nil, 4)
 	assertSameVecs(t, seq, par)
 }
 
 func TestParallelEquivalenceWithEstimators(t *testing.T) {
 	build := func() *Graph {
-		p := Input[float64]()
-		p2 := AndThen(p, FuncOp("x3", func(x float64) float64 { return 3 * x }))
-		est := &doublerEst{weight: 4}
-		return AndThenEstimator(p2, NewEst[float64, float64](est)).Graph()
+		g := NewGraph()
+		x3 := g.AddTransform(TypedTransform("x3", func(x float64) float64 { return 3 * x }), g.Source)
+		fitOn(g, &doublerEst{weight: 4}, x3)
+		return g
 	}
 	data := []float64{5, 1, -2, 7, 4, 4, -9, 0}
 	ctx := engine.NewContext(4)
@@ -120,11 +121,10 @@ func TestParallelEquivalenceWithEstimators(t *testing.T) {
 // sequential oracle's — including the estimator's iterative refetches.
 func TestParallelLinearChainCountsMatchOracle(t *testing.T) {
 	build := func() (*Graph, int) {
-		p := Input[float64]()
-		p2 := AndThen(p, FuncOp("id", func(x float64) float64 { return x }))
-		est := &doublerEst{weight: 3}
-		g := AndThenEstimator(p2, NewEst[float64, float64](est))
-		return g.Graph(), p2.OutputNode().ID
+		g := NewGraph()
+		id := g.AddTransform(TypedTransform("id", func(x float64) float64 { return x }), g.Source)
+		fitOn(g, &doublerEst{weight: 3}, id)
+		return g, id.ID
 	}
 	ctx := engine.NewContext(4)
 	gSeq, idSeq := build()
@@ -144,16 +144,12 @@ func TestParallelLinearChainCountsMatchOracle(t *testing.T) {
 // several branches is computed exactly once (the single-flight /
 // pass-memoization rule the scheduler is specified to enforce).
 func TestParallelSharedPrefixComputesOnce(t *testing.T) {
-	p := Input[[]float64]()
-	shared := AndThen(p, FuncOp("shared", func(x []float64) []float64 { return x }))
-	b1 := AndThen(shared, FuncOp("b1", func(x []float64) []float64 { return x }))
-	b2 := AndThen(shared, FuncOp("b2", func(x []float64) []float64 { return x }))
-	g := Gather(b1, b2)
+	g, shared := sharedPrefixGraph()
 
 	ctx := engine.NewContext(4)
-	ex := NewExecutor(g.Graph(), ctx, nil, vecColl(4, 2, 1), nil).SetWorkers(4)
+	ex := NewExecutor(g, ctx, nil, vecColl(4, 2, 1), nil).SetWorkers(4)
 	_, _, report := ex.Run()
-	if got := report.Nodes[shared.OutputNode().ID].Computes; got != 1 {
+	if got := report.Nodes[shared.ID].Computes; got != 1 {
 		t.Errorf("shared prefix computed %d times under one pass, want 1", got)
 	}
 }
@@ -162,15 +158,14 @@ func TestParallelSharedPrefixComputesOnce(t *testing.T) {
 // working under the parallel scheduler — the cached node computes once
 // and estimator refetches hit.
 func TestParallelCachingStillObserved(t *testing.T) {
-	p := Input[float64]()
-	p2 := AndThen(p, FuncOp("id", func(x float64) float64 { return x }))
-	est := &doublerEst{weight: 5}
-	p3 := AndThenEstimator(p2, NewEst[float64, float64](est))
+	g := NewGraph()
+	id := g.AddTransform(TypedTransform("id", func(x float64) float64 { return x }), g.Source)
+	fitOn(g, &doublerEst{weight: 5}, id)
 
 	ctx := engine.NewContext(4)
-	transformID := p2.OutputNode().ID
+	transformID := id.ID
 	cache := engine.NewCacheManager(0, engine.NewPinnedSetPolicy([]string{cacheKey(transformID)}))
-	ex := NewExecutor(p3.Graph(), ctx, cache, floatColl([]float64{1, 2}, 1), nil).SetWorkers(4)
+	ex := NewExecutor(g, ctx, cache, floatColl([]float64{1, 2}, 1), nil).SetWorkers(4)
 	_, _, report := ex.Run()
 	st := report.Nodes[transformID]
 	if st.Computes != 1 {
@@ -189,9 +184,9 @@ func TestParallelBranchesOverlap(t *testing.T) {
 	data := vecColl(2, 2, 1) // one partition: branch overlap is the only parallelism
 	ctx := engine.NewContext(k)
 
-	exSeq := NewExecutor(buildWide(k, delay).Graph(), ctx, nil, data, nil).SetWorkers(1)
+	exSeq := NewExecutor(buildWide(k, delay), ctx, nil, data, nil).SetWorkers(1)
 	seqTime := timed(func() { exSeq.Run() })
-	exPar := NewExecutor(buildWide(k, delay).Graph(), ctx, nil, data, nil).SetWorkers(k)
+	exPar := NewExecutor(buildWide(k, delay), ctx, nil, data, nil).SetWorkers(k)
 	parTime := timed(func() { exPar.Run() })
 
 	// Sequential: k branches x 2 records x delay. Parallel: branches
@@ -213,10 +208,10 @@ func TestParallelWorkerPoolBounded(t *testing.T) {
 	const workers, branches = 2, 8
 	var mu sync.Mutex
 	running, peak := 0, 0
-	p := Input[[]float64]()
-	bs := make([]*Pipeline[[]float64, []float64], branches)
+	g := NewGraph()
+	bs := make([]*Node, branches)
 	for i := 0; i < branches; i++ {
-		bs[i] = AndThen(p, FuncOp(fmt.Sprintf("b%d", i), func(x []float64) []float64 {
+		bs[i] = g.AddTransform(TypedTransform(fmt.Sprintf("b%d", i), func(x []float64) []float64 {
 			mu.Lock()
 			running++
 			if running > peak {
@@ -228,11 +223,11 @@ func TestParallelWorkerPoolBounded(t *testing.T) {
 			running--
 			mu.Unlock()
 			return x
-		}))
+		}), g.Source)
 	}
-	g := Gather(bs...)
+	g.AddGather(bs)
 	ctx := engine.NewContext(1) // one record partition -> one Map worker per node
-	ex := NewExecutor(g.Graph(), ctx, nil, vecColl(1, 2, 1), nil).SetWorkers(workers)
+	ex := NewExecutor(g, ctx, nil, vecColl(1, 2, 1), nil).SetWorkers(workers)
 	ex.Run()
 	if peak > workers {
 		t.Errorf("worker pool bound violated: %d nodes computing concurrently, bound %d", peak, workers)
@@ -273,16 +268,15 @@ func TestParallelEstimatorFitsBounded(t *testing.T) {
 	const workers, branches = 2, 6
 	var mu sync.Mutex
 	running, peak := 0, 0
-	p := Input[[]float64]()
-	bs := make([]*Pipeline[[]float64, []float64], branches)
+	g := NewGraph()
+	bs := make([]*Node, branches)
 	for i := 0; i < branches; i++ {
-		pre := AndThen(p, FuncOp(fmt.Sprintf("pre%d", i), func(x []float64) []float64 { return x }))
-		bs[i] = AndThenEstimator(pre, NewEst[[]float64, []float64](
-			countingEst{mu: &mu, running: &running, peak: &peak}))
+		pre := g.AddTransform(TypedTransform(fmt.Sprintf("pre%d", i), func(x []float64) []float64 { return x }), g.Source)
+		bs[i] = fitOn(g, countingEst{mu: &mu, running: &running, peak: &peak}, pre)
 	}
-	g := Gather(bs...)
+	g.AddGather(bs)
 	ctx := engine.NewContext(workers)
-	ex := NewExecutor(g.Graph(), ctx, nil, vecColl(2, 2, 1), nil).SetWorkers(workers)
+	ex := NewExecutor(g, ctx, nil, vecColl(2, 2, 1), nil).SetWorkers(workers)
 	ex.Run()
 	if peak > workers {
 		t.Errorf("estimator fits escaped the worker pool: %d concurrent, bound %d", peak, workers)
@@ -300,12 +294,12 @@ func TestParallelPanicPropagates(t *testing.T) {
 			t.Error("expected operator panic to propagate through the scheduler")
 		}
 	}()
-	p := Input[[]float64]()
-	ok := AndThen(p, FuncOp("fine", func(x []float64) []float64 { return x }))
-	boom := AndThen(p, FuncOp("boom", func(x []float64) []float64 { panic("operator exploded") }))
-	g := Gather(ok, boom)
+	g := NewGraph()
+	ok := g.AddTransform(TypedTransform("fine", func(x []float64) []float64 { return x }), g.Source)
+	boom := g.AddTransform(TypedTransform("boom", func(x []float64) []float64 { panic("operator exploded") }), g.Source)
+	g.AddGather([]*Node{ok, boom})
 	ctx := engine.NewContext(4)
-	NewExecutor(g.Graph(), ctx, nil, vecColl(3, 2, 1), nil).SetWorkers(4).Run()
+	NewExecutor(g, ctx, nil, vecColl(3, 2, 1), nil).SetWorkers(4).Run()
 }
 
 // TestParallelTinyCacheStress hammers the scheduler with shared subtrees
@@ -314,23 +308,22 @@ func TestParallelPanicPropagates(t *testing.T) {
 // cache manager and single-flight paths.
 func TestParallelTinyCacheStress(t *testing.T) {
 	build := func() *Graph {
-		p := Input[[]float64]()
-		shared := AndThen(p, FuncOp("shared", func(x []float64) []float64 { return x }))
-		var branches []*Pipeline[[]float64, []float64]
+		g := NewGraph()
+		shared := g.AddTransform(TypedTransform("shared", func(x []float64) []float64 { return x }), g.Source)
+		var branches []*Node
 		for i := 0; i < 5; i++ {
 			scale := float64(i + 1)
-			b := AndThen(shared, FuncOp(fmt.Sprintf("scale%d", i), func(x []float64) []float64 {
+			b := g.AddTransform(TypedTransform(fmt.Sprintf("scale%d", i), func(x []float64) []float64 {
 				out := make([]float64, len(x))
 				for j, v := range x {
 					out[j] = scale * v
 				}
 				return out
-			}))
+			}), shared)
 			branches = append(branches, b)
 		}
-		gathered := Gather(branches...)
-		est := &doublerVecEst{weight: 4}
-		return AndThenEstimator(gathered, NewEst[[]float64, []float64](est)).Graph()
+		fitOn(g, &doublerVecEst{weight: 4}, g.AddGather(branches))
+		return g
 	}
 	data := vecColl(16, 3, 4)
 	ctx := engine.NewContext(4)
@@ -391,7 +384,7 @@ func (d *doublerVecEst) Fit(ctx *engine.Context, data Fetch, labels Fetch) Trans
 // TestStages verifies the ready-set level decomposition the scheduler's
 // dispatch is based on.
 func TestStages(t *testing.T) {
-	g := buildWide(3, 0).Graph()
+	g := buildWide(3, 0)
 	stages := g.Stages()
 	if len(stages) != 4 {
 		t.Fatalf("stage count = %d, want 4 (source, shared, branches, gather)", len(stages))
@@ -416,7 +409,7 @@ func TestParallelConcurrentExecutors(t *testing.T) {
 		go func(r int) {
 			defer wg.Done()
 			ctx := engine.NewContext(2)
-			ex := NewExecutor(buildWide(4, 0).Graph(), ctx, nil, data, nil).SetWorkers(2)
+			ex := NewExecutor(buildWide(4, 0), ctx, nil, data, nil).SetWorkers(2)
 			_, out, _ := ex.Run()
 			outs[r] = collectVecs(out)
 		}(r)

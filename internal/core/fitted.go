@@ -206,7 +206,7 @@ func (f *Fitted) TransformBatch(ctx context.Context, records []any) (out []any, 
 		defer func() {
 			if r := recover(); r != nil {
 				if c, ok := engine.AsCanceled(r); ok {
-					out, err = nil, c
+					out, err = nil, c.Err
 					return
 				}
 				panic(r)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -90,21 +89,23 @@ func TestTransformBatchMatchesApply(t *testing.T) {
 	}
 }
 
-// TestTransformBatchCancel: a canceled context aborts both the
-// sequential and the fanned-out batch paths with the context error.
+// TestTransformBatchCancel: a context canceled mid-batch aborts both the
+// serial path (which polls every 32 records) and the fanned-out path
+// (n >= batchParallelMin) with the context's own error and no output.
 func TestTransformBatchCancel(t *testing.T) {
-	f := chainFitted(4)
-	recs := make([]any, 200)
-	for i := range recs {
-		recs[i] = []float64{float64(i)}
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := f.TransformBatch(ctx, recs[:8]); !errors.Is(err, context.Canceled) {
-		t.Fatalf("sequential path: want context.Canceled, got %v", err)
-	}
-	if _, err := f.TransformBatch(ctx, recs); !errors.Is(err, context.Canceled) {
-		t.Fatalf("parallel path: want context.Canceled, got %v", err)
+	for _, n := range []int{60, 200} {
+		ctx, cancel := context.WithCancel(context.Background())
+		g := NewGraph()
+		g.AddTransform(NewTransform("cancel", func(in any) any { cancel(); return in }), g.Source)
+		f := NewFitted(g, map[int]TransformOp{}, engine.NewContext(4))
+		recs := make([]any, n)
+		for i := range recs {
+			recs[i] = []float64{float64(i)}
+		}
+		out, err := f.TransformBatch(ctx, recs)
+		if err != ctx.Err() || out != nil {
+			t.Errorf("n=%d: got %d outputs, err %v; want none and %v", n, len(out), err, ctx.Err())
+		}
 	}
 }
 

@@ -1,9 +1,8 @@
 // Package core implements the KeystoneML pipeline abstraction: Transformer
 // and Estimator operators chained into a DAG with andThen/gather (Figures
-// 3-4 of the paper), a type-safe generic construction facade, and a
-// depth-first executor whose caching behaviour reproduces the
-// recompute-vs-materialize semantics the whole-pipeline optimizer reasons
-// about (Section 4.3).
+// 3-4 of the paper) and a depth-first executor whose caching behaviour
+// reproduces the recompute-vs-materialize semantics the whole-pipeline
+// optimizer reasons about (Section 4.3).
 package core
 
 import (
@@ -87,7 +86,7 @@ func NewTransform(name string, fn func(any) any) TransformOp {
 }
 
 // TypedTransform wraps a typed function as a TransformOp, asserting the
-// record type at runtime. The generic pipeline facade guarantees the
+// record type at runtime. keystone's typed builder guarantees the
 // assertion can only fail if an operator lies about its types.
 func TypedTransform[A, B any](name string, fn func(A) B) TransformOp {
 	return NewTransform(name, func(in any) any {

@@ -9,8 +9,8 @@ import (
 	"keystoneml/internal/core"
 	"keystoneml/internal/engine"
 	"keystoneml/internal/optimizer"
-	"keystoneml/internal/pipelines"
 	"keystoneml/internal/workload"
+	"keystoneml/keystone"
 )
 
 // cachingSpec builds the two-branch (SIFT + LCS) VOC/ImageNet pipeline
@@ -21,10 +21,10 @@ import (
 func cachingSpec(scale Scale) (func() *core.Graph, workload.Labeled) {
 	train := imageDatasetForCaching(scale)
 	build := func() *core.Graph {
-		return pipelines.Vision(pipelines.VisionConfig{
+		return graphOf(keystone.VisionPipeline(keystone.VisionConfig{
 			PCADims: 12, GMMComponents: 24, SampleDescs: 10, Seed: 9, Iterations: 25,
 			WithLCS: true,
-		}).Graph()
+		}).EngineGraph())
 	}
 	return build, train
 }

@@ -7,8 +7,8 @@ import (
 	"keystoneml/internal/core"
 	"keystoneml/internal/engine"
 	"keystoneml/internal/optimizer"
-	"keystoneml/internal/pipelines"
 	"keystoneml/internal/workload"
+	"keystoneml/keystone"
 )
 
 // equivalenceSpecs are the evaluation pipelines the parallel scheduler
@@ -23,7 +23,7 @@ func equivalenceSpecs() []workloadSpec {
 	out = append(out, workloadSpec{
 		name: "CIFAR-10",
 		build: func() *core.Graph {
-			return pipelines.Cifar(pipelines.CifarConfig{NumFilters: 8, Seed: 23, Iterations: 10}).Graph()
+			return graphOf(keystone.CifarPipeline(keystone.CifarConfig{NumFilters: 8, Seed: 23, Iterations: 10}).EngineGraph())
 		},
 		train: cifarTrain, test: cifarTest, numClasses: 4,
 	})
@@ -32,9 +32,9 @@ func equivalenceSpecs() []workloadSpec {
 	out = append(out, workloadSpec{
 		name: "VOC-LCS",
 		build: func() *core.Graph {
-			return pipelines.Vision(pipelines.VisionConfig{
+			return graphOf(keystone.VisionPipeline(keystone.VisionConfig{
 				PCADims: 8, GMMComponents: 6, SampleDescs: 15, Seed: 9, Iterations: 10, WithLCS: true,
-			}).Graph()
+			}).EngineGraph())
 		},
 		train: vocTrain, test: vocTest, numClasses: 4,
 	})

@@ -9,8 +9,8 @@ import (
 	"time"
 
 	"keystoneml/internal/core"
-	"keystoneml/internal/solvers"
 	"keystoneml/internal/workload"
+	"keystoneml/keystone"
 )
 
 // FanoutConfig parameterizes the synthetic multi-branch pipeline used to
@@ -35,12 +35,12 @@ type FanoutConfig struct {
 // one branch at a time.
 func BuildFanout(cfg FanoutConfig) (*core.Graph, workload.Labeled) {
 	train := workload.DenseVectors(cfg.Records, cfg.Dim, 4, 17, cfg.Partitions)
-	p := core.Input[[]float64]()
-	branches := make([]*core.Pipeline[[]float64, []float64], cfg.Branches)
+	in := keystone.Input[[]float64]()
+	branches := make([]*keystone.Pipeline[[]float64, []float64], cfg.Branches)
 	for i := 0; i < cfg.Branches; i++ {
 		shift := float64(i + 1)
 		lat := cfg.BranchLatency
-		branches[i] = core.AndThen(p, core.FuncOp(fmt.Sprintf("fanout.branch%d", i),
+		branches[i] = in.Then(keystone.NewOp(fmt.Sprintf("fanout.branch%d", i),
 			func(x []float64) []float64 {
 				if lat > 0 {
 					time.Sleep(lat)
@@ -52,8 +52,10 @@ func BuildFanout(cfg FanoutConfig) (*core.Graph, workload.Labeled) {
 				return out
 			}))
 	}
-	gathered := core.Gather(branches...)
-	final := core.AndThenLabeledEstimator(gathered,
-		solvers.NewLinearSolverEst(cfg.Iterations, 1e-4, 0))
-	return final.Graph(), train
+	final := keystone.Gather(branches...).ThenEstimator(keystone.LinearSolver(cfg.Iterations))
+	return graphOf(final.EngineGraph()), train
 }
+
+// graphOf keeps the DAG of a pipeline's EngineGraph, whose sink is the
+// pipeline's output.
+func graphOf(g *core.Graph, _ *core.Node) *core.Graph { return g }

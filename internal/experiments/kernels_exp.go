@@ -8,8 +8,8 @@ import (
 	"keystoneml/internal/cluster"
 	"keystoneml/internal/linalg"
 	"keystoneml/internal/optimizer"
-	"keystoneml/internal/pipelines"
 	"keystoneml/internal/workload"
+	"keystoneml/keystone"
 
 	"keystoneml/internal/core"
 )
@@ -179,7 +179,7 @@ func cifarSpec(scale Scale) workloadSpec {
 	return workloadSpec{
 		name: "CIFAR-10",
 		build: func() *core.Graph {
-			return pipelines.Cifar(pipelines.CifarConfig{NumFilters: 12, Seed: 23, Iterations: 20}).Graph()
+			return graphOf(keystone.CifarPipeline(keystone.CifarConfig{NumFilters: 12, Seed: 23, Iterations: 20}).EngineGraph())
 		},
 		train:      workload.Images(n, 32, 3, 4, 21, 4),
 		test:       workload.Images(n/2, 32, 3, 4, 22, 2),

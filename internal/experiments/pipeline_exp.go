@@ -12,8 +12,8 @@ import (
 	"keystoneml/internal/image"
 	"keystoneml/internal/metrics"
 	"keystoneml/internal/optimizer"
-	"keystoneml/internal/pipelines"
 	"keystoneml/internal/workload"
+	"keystoneml/keystone"
 )
 
 // workloadSpec bundles a buildable pipeline with its train/test data.
@@ -41,21 +41,21 @@ func specs(scale Scale) []workloadSpec {
 		{
 			name: "Amazon",
 			build: func() *core.Graph {
-				return pipelines.Text(pipelines.TextConfig{NumFeatures: 2000, Iterations: 20}).Graph()
+				return graphOf(keystone.TextPipeline(keystone.TextConfig{NumFeatures: 2000, Iterations: 20}).EngineGraph())
 			},
 			train: textTrain, test: textTest, numClasses: 2,
 		},
 		{
 			name: "TIMIT",
 			build: func() *core.Graph {
-				return pipelines.Speech(pipelines.SpeechConfig{InputDim: 40, NumFeatures: 192, Seed: 7, Iterations: 20}).Graph()
+				return graphOf(keystone.SpeechPipeline(keystone.SpeechConfig{InputDim: 40, NumFeatures: 192, Seed: 7, Iterations: 20}).EngineGraph())
 			},
 			train: speechTrain, test: speechTest, numClasses: 8,
 		},
 		{
 			name: "VOC",
 			build: func() *core.Graph {
-				return pipelines.Vision(pipelines.VisionConfig{PCADims: 12, GMMComponents: 6, SampleDescs: 30, Seed: 9, Iterations: 20}).Graph()
+				return graphOf(keystone.VisionPipeline(keystone.VisionConfig{PCADims: 12, GMMComponents: 6, SampleDescs: 30, Seed: 9, Iterations: 20}).EngineGraph())
 			},
 			train: visionTrain, test: visionTest, numClasses: 4,
 		},
@@ -130,7 +130,7 @@ func Table5(w io.Writer, scale Scale) {
 	spec := workloadSpec{
 		name: "CIFAR-10",
 		build: func() *core.Graph {
-			return pipelines.Cifar(pipelines.CifarConfig{NumFilters: 12, Seed: 23, Iterations: 20}).Graph()
+			return graphOf(keystone.CifarPipeline(keystone.CifarConfig{NumFilters: 12, Seed: 23, Iterations: 20}).EngineGraph())
 		},
 		train: train, test: test, numClasses: 4,
 	}
@@ -144,7 +144,7 @@ func Table5(w io.Writer, scale Scale) {
 	ytSpec := workloadSpec{
 		name: "YouTube8m",
 		build: func() *core.Graph {
-			return pipelines.Speech(pipelines.SpeechConfig{InputDim: 1024, NumFeatures: 128, Seed: 33, Iterations: 15}).Graph()
+			return graphOf(keystone.SpeechPipeline(keystone.SpeechConfig{InputDim: 1024, NumFeatures: 128, Seed: 33, Iterations: 15}).EngineGraph())
 		},
 		train: yt, test: ytTest, numClasses: 12,
 	}

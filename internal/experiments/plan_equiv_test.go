@@ -8,8 +8,8 @@ import (
 	"keystoneml/internal/cluster"
 	"keystoneml/internal/core"
 	"keystoneml/internal/optimizer"
-	"keystoneml/internal/pipelines"
 	"keystoneml/internal/workload"
+	"keystoneml/keystone"
 )
 
 // TestDefaultSamplesPlanLikeFixedSizes pins what the data-proportional
@@ -25,15 +25,15 @@ func TestDefaultSamplesPlanLikeFixedSizes(t *testing.T) {
 	all = append(all, workloadSpec{
 		name: "CIFAR-10",
 		build: func() *core.Graph {
-			return pipelines.Cifar(pipelines.CifarConfig{NumFilters: 8, Seed: 23, Iterations: 10}).Graph()
+			return graphOf(keystone.CifarPipeline(keystone.CifarConfig{NumFilters: 8, Seed: 23, Iterations: 10}).EngineGraph())
 		},
 		train: workload.Images(96, 32, 3, 4, 21, 4), numClasses: 4,
 	}, workloadSpec{
 		name: "VOC-LCS",
 		build: func() *core.Graph {
-			return pipelines.Vision(pipelines.VisionConfig{
+			return graphOf(keystone.VisionPipeline(keystone.VisionConfig{
 				PCADims: 8, GMMComponents: 6, SampleDescs: 15, Seed: 9, Iterations: 10, WithLCS: true,
-			}).Graph()
+			}).EngineGraph())
 		},
 		train: workload.Images(96, 48, 3, 4, 40, 4), numClasses: 4,
 	})

@@ -184,15 +184,15 @@ func init() {
 	core.RegisterFuncResolver(func(name string) (core.TransformOp, bool) {
 		switch name {
 		case "image.grayscale":
-			return GrayscaleOp().Raw(), true
+			return GrayscaleOp(), true
 		case "image.tovector":
-			return ImageToVector().Raw(), true
+			return ImageToVector(), true
 		case "image.flatten":
-			return Flatten().Raw(), true
+			return Flatten(), true
 		}
 		var alpha float64
 		if n, err := fmt.Sscanf(name, "image.symrect[%g]", &alpha); n == 1 && err == nil {
-			return SymmetricRectifier(alpha).Raw(), true
+			return SymmetricRectifier(alpha), true
 		}
 		return nil, false
 	})

@@ -12,8 +12,8 @@ import (
 )
 
 // GrayscaleOp returns the Grayscale transformer (Table 4's GrayScale).
-func GrayscaleOp() core.Op[*Image, *Image] {
-	return core.FuncOp("image.grayscale", Grayscale)
+func GrayscaleOp() core.TransformOp {
+	return core.TypedTransform("image.grayscale", Grayscale)
 }
 
 // SIFTParams configures the dense SIFT-style descriptor extractor.
@@ -196,11 +196,6 @@ func grow[T any](buf *[]T, n int) []T {
 	return (*buf)[:n]
 }
 
-// NewSIFTOp wraps SIFT with pipeline types.
-func NewSIFTOp(params SIFTParams) core.Op[*Image, [][]float64] {
-	return core.NewOp[*Image, [][]float64](&SIFT{Params: params})
-}
-
 // LCS extracts local color statistic descriptors: per-patch per-channel
 // mean and standard deviation on a dense grid, the LCS operator of the
 // ImageNet pipeline.
@@ -250,11 +245,6 @@ func (l *LCS) Apply(in any) any {
 	return descs
 }
 
-// NewLCSOp wraps LCS with pipeline types.
-func NewLCSOp(patch, stride int) core.Op[*Image, [][]float64] {
-	return core.NewOp[*Image, [][]float64](&LCS{PatchSize: patch, Stride: stride})
-}
-
 // ColumnSampler deterministically subsamples a descriptor set to at most
 // N entries — the Column Sampler nodes feeding PCA and GMM in the
 // Figure 5 DAG.
@@ -284,15 +274,10 @@ func (c *ColumnSampler) Apply(in any) any {
 	return out
 }
 
-// NewColumnSamplerOp wraps ColumnSampler with pipeline types.
-func NewColumnSamplerOp(n int, seed uint64) core.Op[[][]float64, [][]float64] {
-	return core.NewOp[[][]float64, [][]float64](&ColumnSampler{N: n, Seed: seed})
-}
-
 // Flatten maps a descriptor set to the concatenation of its descriptors —
 // used where a pipeline stage needs flat vectors.
-func Flatten() core.Op[[][]float64, []float64] {
-	return core.FuncOp("image.flatten", func(descs [][]float64) []float64 {
+func Flatten() core.TransformOp {
+	return core.TypedTransform("image.flatten", func(descs [][]float64) []float64 {
 		var out []float64
 		for _, d := range descs {
 			out = append(out, d...)
@@ -486,9 +471,9 @@ func (z *zcaTransform) Apply(in any) any {
 
 // SymmetricRectifier maps x to [max(0, x-alpha), max(0, -x-alpha)]
 // concatenated — the two-sided ReLU of the CIFAR-10 pipeline.
-func SymmetricRectifier(alpha float64) core.Op[[]float64, []float64] {
+func SymmetricRectifier(alpha float64) core.TransformOp {
 	name := fmt.Sprintf("image.symrect[%g]", alpha)
-	return core.FuncOp(name, func(x []float64) []float64 {
+	return core.TypedTransform(name, func(x []float64) []float64 {
 		out := make([]float64, 2*len(x))
 		for i, v := range x {
 			if v-alpha > 0 {
@@ -546,14 +531,9 @@ func (p *Pooler) Apply(in any) any {
 	return out
 }
 
-// NewPoolerOp wraps Pooler with pipeline types.
-func NewPoolerOp(poolSize int) core.Op[*Image, *Image] {
-	return core.NewOp[*Image, *Image](&Pooler{PoolSize: poolSize})
-}
-
 // ImageToVector flattens an image to a feature vector.
-func ImageToVector() core.Op[*Image, []float64] {
-	return core.FuncOp("image.tovector", func(im *Image) []float64 {
+func ImageToVector() core.TransformOp {
+	return core.TypedTransform("image.tovector", func(im *Image) []float64 {
 		out := make([]float64, len(im.Pix))
 		copy(out, im.Pix)
 		return out
@@ -600,11 +580,6 @@ func (p *PatchExtractor) Apply(in any) any {
 		}
 	}
 	return out
-}
-
-// NewPatchExtractorOp wraps PatchExtractor with pipeline types.
-func NewPatchExtractorOp(patch, stride int) core.Op[*Image, [][]float64] {
-	return core.NewOp[*Image, [][]float64](&PatchExtractor{PatchSize: patch, Stride: stride})
 }
 
 // Windower splits an image into a grid of Window x Window sub-images

@@ -140,7 +140,7 @@ func TestZCAWhitening(t *testing.T) {
 }
 
 func TestSymmetricRectifier(t *testing.T) {
-	op := SymmetricRectifier(0.5).Raw()
+	op := SymmetricRectifier(0.5)
 	out := op.Apply([]float64{2, -2, 0.1}).([]float64)
 	want := []float64{1.5, 0, 0, 0, 1.5, 0}
 	if len(out) != 6 {
@@ -210,13 +210,13 @@ func TestWindower(t *testing.T) {
 }
 
 func TestFlattenAndImageToVector(t *testing.T) {
-	f := Flatten().Raw()
+	f := Flatten()
 	out := f.Apply([][]float64{{1, 2}, {3}}).([]float64)
 	if len(out) != 3 || out[2] != 3 {
 		t.Errorf("flattened = %v", out)
 	}
 	im := randomImage(6, 3, 2, 1)
-	v := ImageToVector().Raw().Apply(im).([]float64)
+	v := ImageToVector().Apply(im).([]float64)
 	if len(v) != 6 {
 		t.Errorf("vectorized length = %d", len(v))
 	}

@@ -15,12 +15,22 @@ import (
 // buildChain constructs Input -> t1 -> t2 -> estimator(weight w) -> apply,
 // returning the graph and interesting node IDs.
 func buildChain(w int) (g *core.Graph, t1, t2 int) {
-	p := core.Input[float64]()
-	p1 := core.AndThen(p, core.FuncOp("t1", func(x float64) float64 { return x + 1 }))
-	p2 := core.AndThen(p1, core.FuncOp("t2", func(x float64) float64 { return 2 * x }))
-	est := &weightedEst{w: w}
-	p3 := core.AndThenEstimator(p2, core.NewEst[float64, float64](est))
-	return p3.Graph(), p1.OutputNode().ID, p2.OutputNode().ID
+	g = core.NewGraph()
+	n1 := g.AddTransform(core.TypedTransform("t1", func(x float64) float64 { return x + 1 }), g.Source)
+	n2 := g.AddTransform(core.TypedTransform("t2", func(x float64) float64 { return 2 * x }), n1)
+	fitOn(g, &weightedEst{w: w}, n2)
+	return g, n1.ID, n2.ID
+}
+
+// fitOn appends an unsupervised estimator fit on dep and the node
+// applying its model to dep.
+func fitOn(g *core.Graph, est core.EstimatorOp, dep *core.Node) *core.Node {
+	return g.AddApplyModel(g.AddEstimator(est, dep, false), dep)
+}
+
+// vecOp is a pass-through transform over []float64 records.
+func vecOp(name string) core.TransformOp {
+	return core.TypedTransform(name, func(x []float64) []float64 { return x })
 }
 
 type weightedEst struct{ w int }
@@ -169,11 +179,11 @@ func TestGreedyMatchesExactOnChain(t *testing.T) {
 
 func TestGreedyNearExactOnBranchingDAG(t *testing.T) {
 	// Branching pipeline: shared prefix, two estimator branches, gather.
-	p := core.Input[[]float64]()
-	shared := core.AndThen(p, core.FuncOp("shared", func(x []float64) []float64 { return x }))
-	b1 := core.AndThenEstimator(shared, core.NewEst[[]float64, []float64](&vecEst{w: 8}))
-	b2 := core.AndThenEstimator(shared, core.NewEst[[]float64, []float64](&vecEst{w: 3}))
-	g := core.Gather(b1, b2).Graph()
+	g := core.NewGraph()
+	shared := g.AddTransform(vecOp("shared"), g.Source)
+	b1 := fitOn(g, &vecEst{w: 8}, shared)
+	b2 := fitOn(g, &vecEst{w: 3}, shared)
+	g.AddGather([]*core.Node{b1, b2})
 	prof := profileFor(g, 0.1, 100)
 	for _, budget := range []int64{100, 250, 400, 0} {
 		gSet := GreedyCacheSet(g, prof, budget, 1)
@@ -229,10 +239,8 @@ func TestGreedyMonotoneInBudget(t *testing.T) {
 
 func TestCSEMergesIdenticalBranches(t *testing.T) {
 	// Two branches applying the same op to the same input must merge.
-	p := core.Input[[]float64]()
-	b1 := core.AndThen(p, core.FuncOp("same", func(x []float64) []float64 { return x }))
-	b2 := core.AndThen(p, core.FuncOp("same", func(x []float64) []float64 { return x }))
-	g := core.Gather(b1, b2).Graph()
+	g := core.NewGraph()
+	g.AddGather([]*core.Node{g.AddTransform(vecOp("same"), g.Source), g.AddTransform(vecOp("same"), g.Source)})
 	before := len(g.Topological())
 	merged := CSE(g)
 	after := len(g.Topological())
@@ -252,10 +260,8 @@ func TestCSEMergesIdenticalBranches(t *testing.T) {
 }
 
 func TestCSEPreservesDistinctOps(t *testing.T) {
-	p := core.Input[[]float64]()
-	b1 := core.AndThen(p, core.FuncOp("opA", func(x []float64) []float64 { return x }))
-	b2 := core.AndThen(p, core.FuncOp("opB", func(x []float64) []float64 { return x }))
-	g := core.Gather(b1, b2).Graph()
+	g := core.NewGraph()
+	g.AddGather([]*core.Node{g.AddTransform(vecOp("opA"), g.Source), g.AddTransform(vecOp("opB"), g.Source)})
 	if merged := CSE(g); merged != 0 {
 		t.Errorf("CSE merged %d distinct nodes", merged)
 	}
@@ -263,12 +269,10 @@ func TestCSEPreservesDistinctOps(t *testing.T) {
 
 func TestCSECascades(t *testing.T) {
 	// a->x->y and a->x'->y' with identical x,x' and y,y': both levels merge.
-	p := core.Input[[]float64]()
-	x1 := core.AndThen(p, core.FuncOp("x", func(v []float64) []float64 { return v }))
-	y1 := core.AndThen(x1, core.FuncOp("y", func(v []float64) []float64 { return v }))
-	x2 := core.AndThen(p, core.FuncOp("x", func(v []float64) []float64 { return v }))
-	y2 := core.AndThen(x2, core.FuncOp("y", func(v []float64) []float64 { return v }))
-	g := core.Gather(y1, y2).Graph()
+	g := core.NewGraph()
+	y1 := g.AddTransform(vecOp("y"), g.AddTransform(vecOp("x"), g.Source))
+	y2 := g.AddTransform(vecOp("y"), g.AddTransform(vecOp("x"), g.Source))
+	g.AddGather([]*core.Node{y1, y2})
 	if merged := CSE(g); merged != 2 {
 		t.Errorf("cascaded CSE merged %d, want 2", merged)
 	}
@@ -386,18 +390,21 @@ func (e *countingEst) Fit(ctx *engine.Context, data core.Fetch, labels core.Fetc
 // on the nested S1 and on S2.
 func TestProfileTouchesEachSampleRecordOnce(t *testing.T) {
 	var applies atomic.Int64
-	vec := core.FuncOp("vec", func(x float64) []float64 { applies.Add(1); return []float64{x} })
-	in := core.AndThen(core.Input[float64](), vec)
-	a := core.AndThen(in, core.FuncOp("a", func(x []float64) []float64 { applies.Add(1); return x }))
-	b := core.AndThen(in, core.FuncOp("b", func(x []float64) []float64 { applies.Add(1); return x }))
+	count := func(name string) core.TransformOp {
+		return core.TypedTransform(name, func(x []float64) []float64 { applies.Add(1); return x })
+	}
+	g := core.NewGraph()
+	in := g.AddTransform(core.TypedTransform("vec", func(x float64) []float64 { applies.Add(1); return []float64{x} }), g.Source)
+	a := g.AddTransform(count("a"), in)
+	b := g.AddTransform(count("b"), in)
 	est := &countingEst{applies: &applies}
-	p := core.AndThenEstimator(core.Gather(a, b), core.NewEst[[]float64, []float64](est))
+	fitOn(g, est, g.AddGather([]*core.Node{a, b}))
 
 	items := make([]any, 1000)
 	for i := range items {
 		items[i] = float64(i)
 	}
-	plan := Optimize(p.Graph(), engine.FromSlice(items, 4), nil, Config{Level: LevelFull, Resources: cluster.Local(4)})
+	plan := Optimize(g, engine.FromSlice(items, 4), nil, Config{Level: LevelFull, Resources: cluster.Local(4)})
 	if plan.Profile.SampleSizes != [2]int{62, 125} {
 		t.Fatalf("sample sizes %v, want [62 125]", plan.Profile.SampleSizes)
 	}

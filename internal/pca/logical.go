@@ -116,8 +116,3 @@ func (p *PCA) Options() []cost.Option {
 		{Model: tsvdDistCost{iters: iters}, Operator: &DistTSVD{K: p.K, Iters: iters, Seed: p.Seed}},
 	}
 }
-
-// NewPCAEst wraps the logical PCA as a typed unsupervised estimator.
-func NewPCAEst(k int, memLimit float64, seed uint64) core.Est[[]float64, []float64] {
-	return core.NewEst[[]float64, []float64](&PCA{K: k, MemLimitBytes: memLimit, Seed: seed})
-}

@@ -179,17 +179,6 @@ func (s *LinearSolver) Options() []cost.Option {
 	}
 }
 
-// NewLinearSolverEst wraps the logical solver as a typed supervised
-// estimator over dense feature vectors.
-func NewLinearSolverEst(iters int, lambda, memLimit float64) core.LabeledEst[[]float64, []float64] {
-	return core.NewLabeledEst[[]float64, []float64](&LinearSolver{Iterations: iters, Lambda: lambda, MemLimitBytes: memLimit})
-}
-
-// NewSparseLinearSolverEst wraps the logical solver for sparse features.
-func NewSparseLinearSolverEst(iters int, lambda, memLimit float64) core.LabeledEst[any, []float64] {
-	return core.NewLabeledEst[any, []float64](&LinearSolver{Iterations: iters, Lambda: lambda, MemLimitBytes: memLimit})
-}
-
 // LogisticRegression is the logical multinomial logistic operator used by
 // the text-classification pipeline. Physical implementations: L-BFGS on
 // the logistic objective (default) or minibatch SGD.

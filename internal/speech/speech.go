@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"math"
 
-	"keystoneml/internal/core"
 	"keystoneml/internal/linalg"
 )
 
@@ -88,11 +87,6 @@ func (r *RandomFeatures) ApplyBlock(dst, x *linalg.Matrix) error {
 		}
 	}
 	return nil
-}
-
-// NewRandomFeaturesOp wraps the map as a typed pipeline operator.
-func NewRandomFeaturesOp(inputDim, numFeatures int, gamma float64, seed uint64) core.Op[[]float64, []float64] {
-	return core.NewOp[[]float64, []float64](NewRandomFeatures(inputDim, numFeatures, gamma, seed))
 }
 
 // Kernel returns the RBF kernel value exp(-γ||x-y||²) that the random

@@ -86,16 +86,16 @@ func init() {
 	core.RegisterFuncResolver(func(name string) (core.TransformOp, bool) {
 		switch name {
 		case "text.trim":
-			return Trim().Raw(), true
+			return Trim(), true
 		case "text.lowercase":
-			return LowerCase().Raw(), true
+			return LowerCase(), true
 		case "text.tokenize":
-			return Tokenizer().Raw(), true
+			return Tokenizer(), true
 		case "text.termfreq":
-			return TermFrequency().Raw(), true
+			return TermFrequency(), true
 		}
 		if lo, hi, ok := ngramRange(name); ok {
-			return NGrams(lo, hi).Raw(), true
+			return NGrams(lo, hi), true
 		}
 		return nil, false
 	})

@@ -62,8 +62,8 @@ type fig2 struct {
 }
 
 func newFig2(lo, hi int, corpus []string) *fig2 {
-	trim := &countingOp{TransformOp: Trim().Raw()}
-	p := &fig2{trim: trim, chain: []core.TransformOp{trim, LowerCase().Raw(), Tokenizer().Raw(), NGrams(lo, hi).Raw(), TermFrequency().Raw()}}
+	trim := &countingOp{TransformOp: Trim()}
+	p := &fig2{trim: trim, chain: []core.TransformOp{trim, LowerCase(), Tokenizer(), NGrams(lo, hi), TermFrequency()}}
 	var terms []string
 	for _, doc := range corpus {
 		for term := range p.terms(doc) {

@@ -17,19 +17,19 @@ import (
 )
 
 // Trim returns a transformer stripping leading/trailing whitespace.
-func Trim() core.Op[string, string] {
-	return core.FuncOp("text.trim", strings.TrimSpace)
+func Trim() core.TransformOp {
+	return core.TypedTransform("text.trim", strings.TrimSpace)
 }
 
 // LowerCase returns a transformer lower-casing documents.
-func LowerCase() core.Op[string, string] {
-	return core.FuncOp("text.lowercase", strings.ToLower)
+func LowerCase() core.TransformOp {
+	return core.TypedTransform("text.lowercase", strings.ToLower)
 }
 
 // Tokenizer returns a transformer splitting documents on whitespace and
 // dropping punctuation-only tokens.
-func Tokenizer() core.Op[string, []string] {
-	return core.FuncOp("text.tokenize", func(doc string) []string {
+func Tokenizer() core.TransformOp {
+	return core.TypedTransform("text.tokenize", func(doc string) []string {
 		return strings.FieldsFunc(doc, isSeparator)
 	})
 }
@@ -47,11 +47,11 @@ func isSeparator(r rune) bool {
 // NGrams returns a transformer expanding a token sequence into all
 // n-grams for n in [lo, hi] (joined with '_'), the NGramsFeaturizer(lo to
 // hi) of Figure 2.
-func NGrams(lo, hi int) core.Op[[]string, []string] {
+func NGrams(lo, hi int) core.TransformOp {
 	if lo < 1 || hi < lo {
 		panic(fmt.Sprintf("text: invalid ngram range [%d,%d]", lo, hi))
 	}
-	return core.FuncOp(fmt.Sprintf(ngramsName, lo, hi), func(tokens []string) []string {
+	return core.TypedTransform(fmt.Sprintf(ngramsName, lo, hi), func(tokens []string) []string {
 		var out []string
 		for n := lo; n <= hi; n++ {
 			for i := 0; i+n <= len(tokens); i++ {
@@ -78,8 +78,8 @@ func ngramRange(name string) (lo, hi int, ok bool) {
 // frequencies: every distinct term weighs 1, the TermFrequency(x => 1) of
 // Figure 2. It has no weight parameter because an artifact persists it by
 // its name alone, which must therefore determine what it computes.
-func TermFrequency() core.Op[[]string, map[string]float64] {
-	return core.FuncOp("text.termfreq", func(terms []string) map[string]float64 {
+func TermFrequency() core.TransformOp {
+	return core.TypedTransform("text.termfreq", func(terms []string) map[string]float64 {
 		tf := make(map[string]float64, len(terms))
 		for _, t := range terms {
 			tf[t] = 1
@@ -184,11 +184,4 @@ func (c *CommonSparseFeatures) Fit(ctx *engine.Context, data core.Fetch, labels 
 		index[all[i].term] = i
 	}
 	return &Vocabulary{Index: index, Dim: max(n, 1)}
-}
-
-// NewCommonSparseFeaturesEst wraps the estimator with pipeline types: it
-// consumes term-frequency maps and emits sparse vectors (typed as `any`
-// so sparse records can feed the solver facade).
-func NewCommonSparseFeaturesEst(numFeatures int) core.Est[map[string]float64, any] {
-	return core.NewEst[map[string]float64, any](&CommonSparseFeatures{NumFeatures: numFeatures})
 }

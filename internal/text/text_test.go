@@ -11,16 +11,16 @@ import (
 )
 
 func TestTrimAndLowerCase(t *testing.T) {
-	if got := Trim().Raw().Apply("  Hello ").(string); got != "Hello" {
+	if got := Trim().Apply("  Hello ").(string); got != "Hello" {
 		t.Errorf("Trim = %q", got)
 	}
-	if got := LowerCase().Raw().Apply("HeLLo").(string); got != "hello" {
+	if got := LowerCase().Apply("HeLLo").(string); got != "hello" {
 		t.Errorf("LowerCase = %q", got)
 	}
 }
 
 func TestTokenizer(t *testing.T) {
-	toks := Tokenizer().Raw().Apply("Hello, world! It's  fine.").([]string)
+	toks := Tokenizer().Apply("Hello, world! It's  fine.").([]string)
 	want := []string{"Hello", "world", "It", "s", "fine"}
 	if len(toks) != len(want) {
 		t.Fatalf("tokens = %v, want %v", toks, want)
@@ -30,13 +30,13 @@ func TestTokenizer(t *testing.T) {
 			t.Fatalf("tokens = %v, want %v", toks, want)
 		}
 	}
-	if got := Tokenizer().Raw().Apply("").([]string); len(got) != 0 {
+	if got := Tokenizer().Apply("").([]string); len(got) != 0 {
 		t.Errorf("empty doc tokens = %v", got)
 	}
 }
 
 func TestNGrams(t *testing.T) {
-	grams := NGrams(1, 2).Raw().Apply([]string{"a", "b", "c"}).([]string)
+	grams := NGrams(1, 2).Apply([]string{"a", "b", "c"}).([]string)
 	want := []string{"a", "b", "c", "a_b", "b_c"}
 	if len(grams) != len(want) {
 		t.Fatalf("ngrams = %v", grams)
@@ -60,7 +60,7 @@ func TestNGramsInvalidRangePanics(t *testing.T) {
 // TestTermFrequency: term frequencies are binary, and the operator an
 // artifact decodes from the name computes the same.
 func TestTermFrequency(t *testing.T) {
-	op := TermFrequency().Raw()
+	op := TermFrequency()
 	kind, state, err := core.EncodeOp(op)
 	if err != nil {
 		t.Fatal(err)
@@ -184,17 +184,17 @@ func TestVocabularyDeterministicTieBreak(t *testing.T) {
 }
 
 func TestEndToEndTextPipelineChain(t *testing.T) {
-	// The Figure 2 chain composes with compile-time type safety.
-	p := core.Input[string]()
-	p1 := core.AndThen(p, Trim())
-	p2 := core.AndThen(p1, LowerCase())
-	p3 := core.AndThen(p2, Tokenizer())
-	p4 := core.AndThen(p3, NGrams(1, 2))
-	p5 := core.AndThen(p4, TermFrequency())
-	p6 := core.AndThenEstimator(p5, NewCommonSparseFeaturesEst(100))
+	// The Figure 2 chain, each step's output the next step's record type,
+	// runs end to end into sparse vectors.
+	g := core.NewGraph()
+	tf := g.Source
+	for _, op := range []core.TransformOp{Trim(), LowerCase(), Tokenizer(), NGrams(1, 2), TermFrequency()} {
+		tf = g.AddTransform(op, tf)
+	}
+	g.AddApplyModel(g.AddEstimator(&CommonSparseFeatures{NumFeatures: 100}, tf, false), tf)
 
 	docs := []any{" The cat sat ", "the DOG ran", "a cat ran"}
-	ex := core.NewExecutor(p6.Graph(), engine.NewContext(2), nil, engine.FromSlice(docs, 2), nil)
+	ex := core.NewExecutor(g, engine.NewContext(2), nil, engine.FromSlice(docs, 2), nil)
 	_, out, _ := ex.Run()
 	recs := out.Collect()
 	if len(recs) != 3 {

@@ -44,3 +44,28 @@ func ExamplePipeline_Fit() {
 	fmt.Println(out)
 	// Output: [3 9]
 }
+
+// Example is the package overview's Figure 2 pipeline, compiled and run:
+// tokens, binary term frequencies, a learned sparse vocabulary and a
+// logistic regression scoring two classes.
+func Example() {
+	ctx := context.Background()
+	reviews := keystone.SyntheticReviews(200, 1)
+	docs, truth := reviews.Records, reviews.Truth
+
+	pipe := keystone.Then(
+		keystone.Then(keystone.Input[string](), keystone.Tokenizer()),
+		keystone.TermFrequency())
+	features := keystone.ThenEstimator(pipe, keystone.CommonSparseFeatures(1000))
+	full := keystone.ThenEstimator(features, keystone.LogisticRegression(25))
+	fitted, err := full.Fit(ctx, docs, keystone.OneHot(truth, 2))
+	if err != nil {
+		log.Fatal(err)
+	}
+	score, err := fitted.Transform(ctx, "a held-out document")
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println(len(score))
+	// Output: 2
+}

@@ -13,7 +13,8 @@
 //	pipe := keystone.Then(
 //	    keystone.Then(keystone.Input[string](), keystone.Tokenizer()),
 //	    keystone.TermFrequency())
-//	full := keystone.ThenEstimator(pipe, keystone.LogisticRegression(25))
+//	features := keystone.ThenEstimator(pipe, keystone.CommonSparseFeatures(1000))
+//	full := keystone.ThenEstimator(features, keystone.LogisticRegression(25))
 //	fitted, err := full.Fit(ctx, docs, keystone.OneHot(truth, 2))
 //	score, err := fitted.Transform(ctx, "a held-out document")
 //

@@ -13,29 +13,29 @@ type Image = image.Image
 // --- Text operators (the paper's Figure 2 chain) ---
 
 // Trim strips surrounding whitespace from a document.
-func Trim() Op[string, string] { return wrapOp[string, string](text.Trim().Raw()) }
+func Trim() Op[string, string] { return wrapOp[string, string](text.Trim()) }
 
 // LowerCase folds a document to lower case.
-func LowerCase() Op[string, string] { return wrapOp[string, string](text.LowerCase().Raw()) }
+func LowerCase() Op[string, string] { return wrapOp[string, string](text.LowerCase()) }
 
 // Tokenizer splits a document into word tokens.
-func Tokenizer() Op[string, []string] { return wrapOp[string, []string](text.Tokenizer().Raw()) }
+func Tokenizer() Op[string, []string] { return wrapOp[string, []string](text.Tokenizer()) }
 
 // NGrams expands a token stream into all n-grams for n in [lo, hi].
 func NGrams(lo, hi int) Op[[]string, []string] {
-	return wrapOp[[]string, []string](text.NGrams(lo, hi).Raw())
+	return wrapOp[[]string, []string](text.NGrams(lo, hi))
 }
 
 // TermFrequency maps a token stream to binary term frequencies, the
 // weighting the paper's Amazon pipeline uses.
 func TermFrequency() Op[[]string, map[string]float64] {
-	return wrapOp[[]string, map[string]float64](text.TermFrequency().Raw())
+	return wrapOp[[]string, map[string]float64](text.TermFrequency())
 }
 
 // CommonSparseFeatures learns the numFeatures most frequent terms and
 // encodes documents as sparse vectors over that vocabulary.
 func CommonSparseFeatures(numFeatures int) Estimator[map[string]float64, any] {
-	return wrapEst[map[string]float64, any](text.NewCommonSparseFeaturesEst(numFeatures).Raw(), false)
+	return wrapEst[map[string]float64, any](&text.CommonSparseFeatures{NumFeatures: numFeatures}, false)
 }
 
 // --- Solvers ---
@@ -51,7 +51,7 @@ func LogisticRegression(iterations int) Estimator[any, []float64] {
 // vectors; the optimizer picks among exact (QR) and iterative (L-BFGS,
 // SGD, block coordinate) implementations by cost.
 func LinearSolver(iterations int) Estimator[[]float64, []float64] {
-	return wrapEst[[]float64, []float64](solvers.NewLinearSolverEst(iterations, 1e-4, 0).Raw(), true)
+	return wrapEst[[]float64, []float64](&solvers.LinearSolver{Iterations: iterations, Lambda: 1e-4}, true)
 }
 
 // --- Kernel approximation ---
@@ -60,5 +60,5 @@ func LinearSolver(iterations int) Estimator[[]float64, []float64] {
 // approximating an RBF kernel of bandwidth gamma (Rahimi-Recht), the
 // featurization of the paper's TIMIT pipeline.
 func RandomFeatures(inputDim, numFeatures int, gamma float64, seed uint64) Op[[]float64, []float64] {
-	return wrapOp[[]float64, []float64](speech.NewRandomFeaturesOp(inputDim, numFeatures, gamma, seed).Raw())
+	return wrapOp[[]float64, []float64](speech.NewRandomFeatures(inputDim, numFeatures, gamma, seed))
 }

@@ -1,13 +1,29 @@
 package keystone
 
 import (
-	"keystoneml/internal/pipelines"
+	"keystoneml/internal/conv"
+	"keystoneml/internal/core"
+	"keystoneml/internal/engine"
+	"keystoneml/internal/fisher"
+	"keystoneml/internal/gmm"
+	"keystoneml/internal/image"
+	"keystoneml/internal/linalg"
+	"keystoneml/internal/pca"
 )
 
 // Prebuilt pipelines: the five end-to-end applications of the paper's
 // evaluation (Table 4), assembled from the operator library. Each builder
 // returns an ordinary unfitted Pipeline that can be extended with Then or
 // fit directly.
+//
+//	Amazon   — Trim → LowerCase → Tokenize → NGrams(1,2) → TermFrequency →
+//	           CommonSparseFeatures → LogisticRegression
+//	TIMIT    — two gathered RandomFeatures blocks → LinearSolver
+//	VOC      — Grayscale → SIFT → sample → PCA → GMM → FisherVector →
+//	           Normalize → LinearSolver (Figure 5's DAG)
+//	ImageNet — VOC plus a gathered LCS color branch
+//	CIFAR-10 — learned whitened filters → Convolver → Pooler →
+//	           SymmetricRectifier → LinearSolver
 
 // TextConfig parameterizes the Amazon review-classification pipeline.
 type TextConfig struct {
@@ -19,11 +35,16 @@ type TextConfig struct {
 // Trim → LowerCase → Tokenize → NGrams(1,2) → TermFrequency →
 // CommonSparseFeatures → LogisticRegression.
 func TextPipeline(cfg TextConfig) *Pipeline[string, []float64] {
-	p := pipelines.Text(pipelines.TextConfig{
-		NumFeatures: cfg.NumFeatures,
-		Iterations:  cfg.Iterations,
-	})
-	return &Pipeline[string, []float64]{g: p.Graph(), out: p.OutputNode()}
+	if cfg.NumFeatures <= 0 {
+		cfg.NumFeatures = 10000
+	}
+	if cfg.Iterations <= 0 {
+		cfg.Iterations = 20
+	}
+	docs := Input[string]().Then(Trim()).Then(LowerCase())
+	tf := Then(Then(Then(docs, Tokenizer()), NGrams(1, 2)), TermFrequency())
+	return ThenEstimator(ThenEstimator(tf, CommonSparseFeatures(cfg.NumFeatures)),
+		LogisticRegression(cfg.Iterations))
 }
 
 // SpeechConfig parameterizes the TIMIT kernel-SVM pipeline.
@@ -38,14 +59,23 @@ type SpeechConfig struct {
 // SpeechPipeline builds the TIMIT pipeline: two gathered random-feature
 // blocks followed by the cost-model-selected linear solver.
 func SpeechPipeline(cfg SpeechConfig) *Pipeline[[]float64, []float64] {
-	p := pipelines.Speech(pipelines.SpeechConfig{
-		InputDim:    cfg.InputDim,
-		NumFeatures: cfg.NumFeatures,
-		Gamma:       cfg.Gamma,
-		Seed:        cfg.Seed,
-		Iterations:  cfg.Iterations,
-	})
-	return &Pipeline[[]float64, []float64]{g: p.Graph(), out: p.OutputNode()}
+	if cfg.NumFeatures <= 0 {
+		cfg.NumFeatures = 512
+	}
+	if cfg.Gamma <= 0 {
+		// RBF bandwidth scaled so gamma*E||x-y||^2 is O(1) for unit-variance
+		// inputs of this dimensionality.
+		cfg.Gamma = 1.0 / (16.0 * float64(cfg.InputDim))
+	}
+	if cfg.Iterations <= 0 {
+		cfg.Iterations = 30
+	}
+	in := Input[[]float64]()
+	half := cfg.NumFeatures / 2
+	gathered := Gather(
+		Then(in, RandomFeatures(cfg.InputDim, half, cfg.Gamma, cfg.Seed+1)),
+		Then(in, RandomFeatures(cfg.InputDim, cfg.NumFeatures-half, cfg.Gamma, cfg.Seed+2)))
+	return ThenEstimator(gathered, LinearSolver(cfg.Iterations))
 }
 
 // VisionConfig parameterizes the VOC / ImageNet Fisher-vector pipelines.
@@ -63,16 +93,75 @@ type VisionConfig struct {
 // normalization, linear solver — plus a gathered LCS color branch when
 // WithLCS is set.
 func VisionPipeline(cfg VisionConfig) *Pipeline[*Image, []float64] {
-	p := pipelines.Vision(pipelines.VisionConfig{
-		PCADims:       cfg.PCADims,
-		GMMComponents: cfg.GMMComponents,
-		SampleDescs:   cfg.SampleDescs,
-		Seed:          cfg.Seed,
-		Iterations:    cfg.Iterations,
-		WithLCS:       cfg.WithLCS,
-	})
-	return &Pipeline[*Image, []float64]{g: p.Graph(), out: p.OutputNode()}
+	if cfg.PCADims <= 0 {
+		cfg.PCADims = 16
+	}
+	if cfg.GMMComponents <= 0 {
+		cfg.GMMComponents = 8
+	}
+	if cfg.SampleDescs <= 0 {
+		cfg.SampleDescs = 40
+	}
+	if cfg.Iterations <= 0 {
+		cfg.Iterations = 20
+	}
+	in := Input[*Image]()
+	out := fisherBranch(Then(in.Then(Grayscale()), SIFT(SIFTParams{})), cfg, cfg.Seed)
+	if cfg.WithLCS {
+		out = Gather(out, fisherBranch(Then(in, LCS(6, 8)), cfg, cfg.Seed+100))
+	}
+	return ThenEstimator(out, LinearSolver(cfg.Iterations))
 }
+
+// fisherBranch is the shared descriptor -> PCA -> GMM -> FV -> normalize
+// sub-DAG of Figure 5.
+func fisherBranch(descs *Pipeline[*Image, [][]float64], cfg VisionConfig, seed uint64) *Pipeline[*Image, []float64] {
+	sampled := descs.Then(SampleDescriptors(cfg.SampleDescs, seed))
+	reduced := sampled.ThenEstimator(wrapEst[[][]float64, [][]float64](
+		&image.DescriptorPCAEst{Fitter: &pca.PCA{K: cfg.PCADims, Seed: seed}}, false))
+	encoded := ThenEstimator(reduced, wrapEst[[][]float64, []float64](
+		&fisherEst{k: cfg.GMMComponents, seed: seed}, false))
+	return encoded.Then(NewOp("features.normalize", normalizeFeatures))
+}
+
+// fisherEst fits a GMM on pooled descriptors and produces the Fisher
+// vector encoder.
+type fisherEst struct {
+	k    int
+	seed uint64
+}
+
+// Name implements core.EstimatorOp.
+func (f *fisherEst) Name() string { return "fisher.est" }
+
+// Weight implements core.Iterative (EM passes over the descriptors).
+func (f *fisherEst) Weight() int { return 10 }
+
+// Fit implements core.EstimatorOp.
+func (f *fisherEst) Fit(ctx *engine.Context, data core.Fetch, labels core.Fetch) core.TransformOp {
+	flatten := func() *engine.Collection {
+		c := data()
+		var items []any
+		for _, rec := range c.Collect() {
+			for _, d := range rec.([][]float64) {
+				items = append(items, d)
+			}
+		}
+		return engine.FromSlice(items, c.NumPartitions())
+	}
+	post := (&gmm.GMM{K: f.k, Iters: 10, Seed: f.seed}).Fit(ctx, flatten, nil).(*gmm.PosteriorTransform)
+	return fisher.NewEncoder(post.Model)
+}
+
+// normalizeFeatures is the vision pipelines' final step: an L2-normalized
+// copy of the Fisher vector. Stateless, so an artifact rebuilds it by name.
+func normalizeFeatures(x []float64) []float64 {
+	out := linalg.CloneVec(x)
+	linalg.Normalize(out)
+	return out
+}
+
+func init() { RegisterStatelessOp("features.normalize", normalizeFeatures) }
 
 // CifarConfig parameterizes the CIFAR-10 convolutional pipeline.
 type CifarConfig struct {
@@ -87,13 +176,58 @@ type CifarConfig struct {
 // CifarPipeline builds the CIFAR-10 pipeline: learned whitened patch
 // filters, convolution, symmetric rectification, pooling, linear solver.
 func CifarPipeline(cfg CifarConfig) *Pipeline[*Image, []float64] {
-	p := pipelines.Cifar(pipelines.CifarConfig{
-		PatchSize:  cfg.PatchSize,
-		NumFilters: cfg.NumFilters,
-		PoolSize:   cfg.PoolSize,
-		Alpha:      cfg.Alpha,
-		Seed:       cfg.Seed,
-		Iterations: cfg.Iterations,
-	})
-	return &Pipeline[*Image, []float64]{g: p.Graph(), out: p.OutputNode()}
+	if cfg.PatchSize <= 0 {
+		cfg.PatchSize = 5
+	}
+	if cfg.NumFilters <= 0 {
+		cfg.NumFilters = 16
+	}
+	if cfg.PoolSize <= 0 {
+		cfg.PoolSize = 7
+	}
+	if cfg.Alpha <= 0 {
+		cfg.Alpha = 0.25
+	}
+	if cfg.Iterations <= 0 {
+		cfg.Iterations = 20
+	}
+	convolved := Input[*Image]().ThenEstimator(wrapEst[*Image, *Image](&convEst{cfg: cfg}, false))
+	vec := Then(convolved.Then(Pooling(cfg.PoolSize)), ImageToVector())
+	return ThenEstimator(vec.Then(SymmetricRectify(cfg.Alpha)), LinearSolver(cfg.Iterations))
+}
+
+// convEst learns a whitened patch filter bank (KMeans-free variant: ZCA
+// whitening of sampled patches, filters = whitened random patches) and
+// produces a convolution transformer over it.
+type convEst struct {
+	cfg CifarConfig
+}
+
+// Name implements core.EstimatorOp.
+func (c *convEst) Name() string { return "cifar.convfilters" }
+
+// Fit implements core.EstimatorOp.
+func (c *convEst) Fit(ctx *engine.Context, data core.Fetch, labels core.Fetch) core.TransformOp {
+	coll := data()
+	rng := linalg.NewRNG(c.cfg.Seed + 55)
+	ps := c.cfg.PatchSize
+	extractor := &image.PatchExtractor{PatchSize: ps, Stride: ps}
+	var patches []any
+	for _, rec := range coll.Collect() {
+		for _, patch := range extractor.Apply(rec).([][]float64) {
+			patches = append(patches, patch)
+		}
+	}
+	patchColl := engine.FromSlice(patches, coll.NumPartitions())
+	zca := (&image.ZCAWhitener{Epsilon: 0.1}).Fit(ctx, func() *engine.Collection { return patchColl }, nil)
+	// Filters: whitened random patches, normalized.
+	channels := coll.Take(1)[0].(*Image).Channels
+	bank := conv.NewFilterBank(ps, channels, c.cfg.NumFilters)
+	for f := 0; f < c.cfg.NumFilters; f++ {
+		patch := patches[rng.Intn(len(patches))].([]float64)
+		white := zca.Apply(patch).([]float64)
+		linalg.Normalize(white)
+		copy(bank.Weights[f], white)
+	}
+	return &conv.Convolver{Bank: bank}
 }

@@ -1,4 +1,4 @@
-package pipelines
+package keystone
 
 import (
 	"testing"
@@ -34,7 +34,7 @@ func trainEval(t *testing.T, g *core.Graph, train, test workload.Labeled, level 
 func TestTextPipelineLearns(t *testing.T) {
 	train := workload.AmazonReviews(400, 1, 4)
 	test := workload.AmazonReviews(100, 2, 2)
-	g := Text(TextConfig{NumFeatures: 1500, Iterations: 20}).Graph()
+	g := TextPipeline(TextConfig{NumFeatures: 1500, Iterations: 20}).g
 	if acc := trainEval(t, g, train, test, optimizer.LevelFull); acc < 0.85 {
 		t.Errorf("text accuracy %.2f < 0.85", acc)
 	}
@@ -43,7 +43,7 @@ func TestTextPipelineLearns(t *testing.T) {
 func TestSpeechPipelineLearns(t *testing.T) {
 	train := workload.DenseVectors(400, 40, 8, 3, 4)
 	test := workload.DenseVectors(100, 40, 8, 4, 2)
-	g := Speech(SpeechConfig{InputDim: 40, NumFeatures: 192, Seed: 7, Iterations: 20}).Graph()
+	g := SpeechPipeline(SpeechConfig{InputDim: 40, NumFeatures: 192, Seed: 7, Iterations: 20}).g
 	if acc := trainEval(t, g, train, test, optimizer.LevelFull); acc < 0.8 {
 		t.Errorf("speech accuracy %.2f < 0.8 (chance 0.125)", acc)
 	}
@@ -52,7 +52,7 @@ func TestSpeechPipelineLearns(t *testing.T) {
 func TestVisionPipelineLearns(t *testing.T) {
 	train := workload.Images(40, 48, 1, 4, 5, 4)
 	test := workload.Images(24, 48, 1, 4, 6, 2)
-	g := Vision(VisionConfig{PCADims: 12, GMMComponents: 6, SampleDescs: 30, Seed: 9, Iterations: 20}).Graph()
+	g := VisionPipeline(VisionConfig{PCADims: 12, GMMComponents: 6, SampleDescs: 30, Seed: 9, Iterations: 20}).g
 	if acc := trainEval(t, g, train, test, optimizer.LevelFull); acc < 0.45 {
 		t.Errorf("vision accuracy %.2f < 0.45 (chance 0.25)", acc)
 	}
@@ -61,7 +61,7 @@ func TestVisionPipelineLearns(t *testing.T) {
 func TestCifarPipelineLearns(t *testing.T) {
 	train := workload.Images(48, 32, 3, 4, 21, 4)
 	test := workload.Images(24, 32, 3, 4, 22, 2)
-	g := Cifar(CifarConfig{NumFilters: 12, Seed: 23, Iterations: 20}).Graph()
+	g := CifarPipeline(CifarConfig{NumFilters: 12, Seed: 23, Iterations: 20}).g
 	if acc := trainEval(t, g, train, test, optimizer.LevelFull); acc < 0.5 {
 		t.Errorf("cifar accuracy %.2f < 0.5 (chance 0.25)", acc)
 	}
@@ -75,7 +75,7 @@ func TestOptimizationLevelsPreserveSemantics(t *testing.T) {
 	test := workload.DenseVectors(80, 20, 4, 4, 2)
 	var preds [][]int
 	for _, level := range []optimizer.Level{optimizer.LevelNone, optimizer.LevelPipeline, optimizer.LevelFull} {
-		g := Speech(SpeechConfig{InputDim: 20, NumFeatures: 128, Seed: 5, Iterations: 25}).Graph()
+		g := SpeechPipeline(SpeechConfig{InputDim: 20, NumFeatures: 128, Seed: 5, Iterations: 25}).g
 		plan := optimizer.Optimize(g, train.Data, train.Labels, optimizer.Config{
 			Level: level, Resources: cluster.Local(4), NumClasses: 4, SampleSizes: [2]int{16, 32},
 		})
@@ -108,7 +108,7 @@ func TestOptimizationLevelsPreserveSemantics(t *testing.T) {
 }
 
 func TestVisionWithLCSHasGather(t *testing.T) {
-	g := Vision(VisionConfig{WithLCS: true}).Graph()
+	g := VisionPipeline(VisionConfig{WithLCS: true}).g
 	found := false
 	for _, n := range g.Topological() {
 		if n.Kind == core.KindGather {
@@ -122,8 +122,8 @@ func TestVisionWithLCSHasGather(t *testing.T) {
 
 func TestPipelineDefaultsApplied(t *testing.T) {
 	// Zero-valued configs must produce runnable pipelines.
-	if Text(TextConfig{}) == nil || Speech(SpeechConfig{InputDim: 8}) == nil ||
-		Vision(VisionConfig{}) == nil || Cifar(CifarConfig{}) == nil {
+	if TextPipeline(TextConfig{}) == nil || SpeechPipeline(SpeechConfig{InputDim: 8}) == nil ||
+		VisionPipeline(VisionConfig{}) == nil || CifarPipeline(CifarConfig{}) == nil {
 		t.Fatal("builders returned nil")
 	}
 }

@@ -101,7 +101,7 @@ func WithScorer[I, O any](s Scorer[I, O]) Option[I, O] {
 }
 
 // WithFitOptions forwards keystone Fit options to every candidate fit
-// (optimizer level, cache policy, sample sizes, ...). The search
+// (optimizer level, cache budget, sample sizes, ...). The search
 // appends its own worker bound and shared-cache options after these, so
 // the per-fit worker budget cannot be overridden here.
 func WithFitOptions[I, O any](opts ...keystone.Option) Option[I, O] {

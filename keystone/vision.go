@@ -28,7 +28,7 @@ type SIFTParams struct {
 // Grayscale converts a multi-channel image to one luminance channel
 // (identity on single-channel input).
 func Grayscale() Op[*Image, *Image] {
-	return wrapOp[*Image, *Image](image.GrayscaleOp().Raw())
+	return wrapOp[*Image, *Image](image.GrayscaleOp())
 }
 
 // SIFT extracts dense SIFT-style descriptors on a grid: local
@@ -38,24 +38,20 @@ func Grayscale() Op[*Image, *Image] {
 // the descriptors that overlap it; a pixel whose orientation is NaN (a
 // non-finite neighbourhood) adds nothing.
 func SIFT(p SIFTParams) Op[*Image, [][]float64] {
-	return wrapOp[*Image, [][]float64](image.NewSIFTOp(image.SIFTParams{
-		CellSize: p.CellSize,
-		Stride:   p.Stride,
-		Bins:     p.Bins,
-	}).Raw())
+	return wrapOp[*Image, [][]float64](&image.SIFT{Params: image.SIFTParams(p)})
 }
 
 // LCS extracts local color statistic descriptors: per-patch per-channel
 // mean and standard deviation on a dense grid — the color branch of the
 // ImageNet pipeline. Non-positive sizes select the defaults (6, 8).
 func LCS(patchSize, stride int) Op[*Image, [][]float64] {
-	return wrapOp[*Image, [][]float64](image.NewLCSOp(patchSize, stride).Raw())
+	return wrapOp[*Image, [][]float64](&image.LCS{PatchSize: patchSize, Stride: stride})
 }
 
 // Pooling sums activations over a size x size spatial grid, shrinking the
 // image by that factor per axis with the channel count preserved.
 func Pooling(size int) Op[*Image, *Image] {
-	return wrapOp[*Image, *Image](image.NewPoolerOp(size).Raw())
+	return wrapOp[*Image, *Image](&image.Pooler{PoolSize: size})
 }
 
 // ZCAWhitening is the unsupervised ZCA whitening estimator: it fits
@@ -69,29 +65,29 @@ func ZCAWhitening(epsilon float64) Estimator[[]float64, []float64] {
 // as flat vectors (the CIFAR pipeline's patch source). Non-positive
 // arguments select patch 6 with stride = patch.
 func PatchExtract(patch, stride int) Op[*Image, [][]float64] {
-	return wrapOp[*Image, [][]float64](image.NewPatchExtractorOp(patch, stride).Raw())
+	return wrapOp[*Image, [][]float64](&image.PatchExtractor{PatchSize: patch, Stride: stride})
 }
 
 // SymmetricRectify maps x to [max(0, x-alpha), max(0, -x-alpha)]
 // concatenated — the two-sided ReLU of the CIFAR pipeline.
 func SymmetricRectify(alpha float64) Op[[]float64, []float64] {
-	return wrapOp[[]float64, []float64](image.SymmetricRectifier(alpha).Raw())
+	return wrapOp[[]float64, []float64](image.SymmetricRectifier(alpha))
 }
 
 // ImageToVector flattens an image into a feature vector (row-major per
 // channel plane).
 func ImageToVector() Op[*Image, []float64] {
-	return wrapOp[*Image, []float64](image.ImageToVector().Raw())
+	return wrapOp[*Image, []float64](image.ImageToVector())
 }
 
 // SampleDescriptors deterministically subsamples a descriptor set to at
 // most n entries — the Column Sampler feeding PCA/GMM fits in Figure 5.
 func SampleDescriptors(n int, seed uint64) Op[[][]float64, [][]float64] {
-	return wrapOp[[][]float64, [][]float64](image.NewColumnSamplerOp(n, seed).Raw())
+	return wrapOp[[][]float64, [][]float64](&image.ColumnSampler{N: n, Seed: seed})
 }
 
 // FlattenDescriptors concatenates a descriptor set into one flat vector,
 // bridging descriptor-set operators to flat-vector estimators.
 func FlattenDescriptors() Op[[][]float64, []float64] {
-	return wrapOp[[][]float64, []float64](image.Flatten().Raw())
+	return wrapOp[[][]float64, []float64](image.Flatten())
 }
