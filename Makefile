@@ -98,7 +98,7 @@ e2e-compare:
 # whose operators share pooled scratch across goroutines (image, pca),
 # repeated under the race detector at both scheduler widths. Any
 # order/timing dependence shows up here long before it flakes in CI.
-FLAKE_PKGS = ./internal/core/ ./internal/image/ ./internal/pca/ ./keystone/ ./keystone/serve/ ./keystone/dist/ ./keystone/tune/
+FLAKE_PKGS = ./internal/engine/ ./internal/core/ ./internal/image/ ./internal/pca/ ./keystone/ ./keystone/serve/ ./keystone/dist/ ./keystone/tune/
 flake:
 	GOMAXPROCS=1 $(GO) test -race -count=5 $(FLAKE_PKGS)
 	GOMAXPROCS=4 $(GO) test -race -count=5 $(FLAKE_PKGS)

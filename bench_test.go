@@ -189,7 +189,7 @@ func BenchmarkFig10Caching(b *testing.B) {
 	b.Run("rule-based", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			g := build()
-			policy := engine.NewRuleBasedPolicy(optimizer.CacheKeys(optimizer.ApplyModelIDs(g)))
+			policy := engine.NewRuleBasedPolicy(core.CacheKeys(optimizer.ApplyModelIDs(g)))
 			cache := engine.NewCacheManager(budget, policy)
 			core.NewExecutor(g, engine.NewContext(0), cache, train.Data, train.Labels).Run()
 		}

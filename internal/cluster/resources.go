@@ -1,15 +1,12 @@
 // Package cluster models the compute resources a KeystoneML pipeline runs
 // on. It provides the cluster resource descriptor R from Section 3 of the
 // paper (per-node CPU throughput, memory/disk/network bandwidth, node and
-// core counts), microbenchmarks that measure those quantities on the local
-// machine, and a virtual clock that converts operator cost profiles into
-// simulated wall time so scale-out experiments (Figure 12, Table 6) can be
-// run without a physical cluster.
+// core counts) and microbenchmarks that measure those quantities on the local
+// machine.
 package cluster
 
 import (
 	"fmt"
-	"time"
 )
 
 // Resources is the cluster resource descriptor (R in the paper's cost
@@ -88,12 +85,6 @@ func (r Resources) Validate() error {
 	return nil
 }
 
-// TotalCores returns the aggregate core count.
-func (r Resources) TotalCores() int { return r.Nodes * r.CoresPerNode }
-
-// TotalMemGB returns the aggregate cache memory across the cluster.
-func (r Resources) TotalMemGB() float64 { return float64(r.Nodes) * r.MemPerNodeGB }
-
 // ExecWeight returns R_exec: seconds per FLOP of local execution across one
 // node's cores. Splitting the model into an operator part and a cluster
 // part (Eq. 1-2) means this weight is the only place hardware compute speed
@@ -113,50 +104,8 @@ func (r Resources) MemWeight() float64 {
 	return 1.0 / (r.MemBandwidthGB * 1e9)
 }
 
-// DiskWeight returns seconds per byte of disk traffic on one node, or the
-// memory weight if no disk bandwidth is configured.
-func (r Resources) DiskWeight() float64 {
-	if r.DiskBandwidth <= 0 {
-		return r.MemWeight()
-	}
-	return 1.0 / (r.DiskBandwidth * 1e9)
-}
-
-// WithNodes returns a copy of the descriptor with a different node count.
-// Used by the scaling experiments to sweep cluster sizes.
-func (r Resources) WithNodes(n int) Resources {
-	r.Nodes = n
-	return r
-}
-
 // String implements fmt.Stringer.
 func (r Resources) String() string {
 	return fmt.Sprintf("cluster{nodes=%d cores/node=%d %.0fGFLOP/s mem=%.0fGB/s net=%.2fGB/s cache=%.0fGB/node}",
 		r.Nodes, r.CoresPerNode, r.GFLOPs, r.MemBandwidthGB, r.NetBandwidthGB, r.MemPerNodeGB)
 }
-
-// Clock is a virtual clock used in simulated-scale mode. Operator cost
-// profiles are converted to durations with the resource weights and
-// accumulated here, letting a single process report the wall time a real
-// cluster of the described size would take.
-type Clock struct {
-	elapsed time.Duration
-}
-
-// Advance adds d to the virtual clock. Negative durations are ignored.
-func (c *Clock) Advance(d time.Duration) {
-	if d > 0 {
-		c.elapsed += d
-	}
-}
-
-// AdvanceSeconds adds s seconds to the virtual clock.
-func (c *Clock) AdvanceSeconds(s float64) {
-	c.Advance(time.Duration(s * float64(time.Second)))
-}
-
-// Elapsed returns the accumulated virtual time.
-func (c *Clock) Elapsed() time.Duration { return c.elapsed }
-
-// Reset zeroes the clock.
-func (c *Clock) Reset() { c.elapsed = 0 }

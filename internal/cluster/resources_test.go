@@ -3,7 +3,6 @@ package cluster
 import (
 	"math"
 	"testing"
-	"time"
 )
 
 func TestR3Descriptor(t *testing.T) {
@@ -13,12 +12,6 @@ func TestR3Descriptor(t *testing.T) {
 	}
 	if r.Nodes != 16 || r.CoresPerNode != 8 {
 		t.Errorf("descriptor wrong: %v", r)
-	}
-	if r.TotalCores() != 128 {
-		t.Errorf("TotalCores = %d", r.TotalCores())
-	}
-	if r.TotalMemGB() != 16*122 {
-		t.Errorf("TotalMemGB = %g", r.TotalMemGB())
 	}
 }
 
@@ -44,36 +37,6 @@ func TestWeights(t *testing.T) {
 	}
 	if w := r.CoordWeight(); w <= 0 || w > 1e-8 {
 		t.Errorf("CoordWeight = %g", w)
-	}
-	if r.DiskWeight() <= r.MemWeight() {
-		t.Error("disk should be slower than memory")
-	}
-	noDisk := r
-	noDisk.DiskBandwidth = 0
-	if noDisk.DiskWeight() != noDisk.MemWeight() {
-		t.Error("missing disk bandwidth should fall back to memory weight")
-	}
-}
-
-func TestWithNodes(t *testing.T) {
-	r := R3_4XLarge(8)
-	r2 := r.WithNodes(128)
-	if r2.Nodes != 128 || r.Nodes != 8 {
-		t.Error("WithNodes must copy")
-	}
-}
-
-func TestClock(t *testing.T) {
-	var c Clock
-	c.Advance(2 * time.Second)
-	c.AdvanceSeconds(1.5)
-	c.Advance(-time.Hour) // ignored
-	if got := c.Elapsed(); got != 3500*time.Millisecond {
-		t.Errorf("Elapsed = %v", got)
-	}
-	c.Reset()
-	if c.Elapsed() != 0 {
-		t.Error("Reset failed")
 	}
 }
 

@@ -20,22 +20,14 @@ type NodeStats struct {
 	Computes int // how many times the node's computation ran
 	Hits     int // how many accesses were served by the cache
 	// Coalesced counts accesses served by joining an in-flight
-	// computation under the parallel scheduler's single-flight rule
-	// (always 0 under the sequential oracle).
+	// computation under the cache manager's single-flight rule (always 0
+	// under the sequential oracle).
 	Coalesced int
 	// SharedHits counts accesses served by a cross-fit shared prefix
 	// cache (SetSharedCache) — reuse of work another executor did
 	// (always 0 when no shared cache is attached).
 	SharedHits int
 	Time       time.Duration // total local computation time across runs
-}
-
-// TimePerCompute returns the average local computation time t(v).
-func (s NodeStats) TimePerCompute() time.Duration {
-	if s.Computes == 0 {
-		return 0
-	}
-	return s.Time / time.Duration(s.Computes)
 }
 
 // ExecReport aggregates execution statistics for one Fit run.
@@ -64,7 +56,7 @@ type ExecReport struct {
 type Executor struct {
 	g      *Graph
 	ctx    *engine.Context
-	cache  *engine.CacheManager // nil disables materialization entirely
+	cache  *engine.CacheManager // the fit's pinned set; never nil
 	data   *engine.Collection
 	labels *engine.Collection
 
@@ -78,28 +70,31 @@ type Executor struct {
 	workers int
 	slots   chan struct{} // bounded worker pool, nil in sequential mode
 
-	// sharedCache, when set, is a search-scoped cross-executor cache of
-	// node outputs; sharedKeys maps this graph's node IDs to the content
+	// shared, when set, is a search-scoped cross-executor cache of node
+	// outputs; sharedKeys maps this graph's node IDs to the content
 	// signatures that key it. Nodes without a key never touch it.
-	sharedCache *engine.SharedCache
-	sharedKeys  map[int]string
+	shared     *engine.CacheManager
+	sharedKeys map[int]string
 
-	mu sync.Mutex // guards models, report, flight maps, dispatch
+	mu sync.Mutex // guards models, report, modelFlight, dispatch
 	// dispatch is the schedule plan whose priorities order the parallel
 	// ready queue: the optimizer's (SetSchedulePlan), or a structural
 	// fallback (unit times) built on first use.
 	dispatch    *SchedulePlan
 	models      map[int]TransformOp
 	report      *ExecReport
-	flight      map[int]*flight
 	modelFlight map[int]*modelFlight
 }
 
 // NewExecutor binds a graph to training data and an execution context.
 // labels may be nil for unsupervised pipelines; cache may be nil to run
-// with no materialization at all. DAG-level parallelism defaults to the
+// with no materialization at all (an empty pinned set, which still
+// coalesces concurrent demands). DAG-level parallelism defaults to the
 // context's Parallelism; use SetWorkers(1) for the sequential oracle.
 func NewExecutor(g *Graph, ctx *engine.Context, cache *engine.CacheManager, data, labels *engine.Collection) *Executor {
+	if cache == nil {
+		cache = engine.NewCacheManager(0, engine.NewPinnedSetPolicy(nil))
+	}
 	e := &Executor{
 		g:           g,
 		ctx:         ctx,
@@ -108,7 +103,6 @@ func NewExecutor(g *Graph, ctx *engine.Context, cache *engine.CacheManager, data
 		labels:      labels,
 		models:      make(map[int]TransformOp),
 		report:      &ExecReport{Nodes: make(map[int]*NodeStats)},
-		flight:      make(map[int]*flight),
 		modelFlight: make(map[int]*modelFlight),
 	}
 	e.place = localPlacement{e}
@@ -157,33 +151,17 @@ func (e *Executor) SetPlacement(p Placement) *Executor {
 }
 
 // SetSharedCache attaches a cross-fit shared prefix cache: nodes whose
-// ID appears in keys consult (and fill) sc before computing, so
-// concurrent executors over graphs that share a signed prefix reuse each
-// other's materialized intermediates, single-flight per shared node.
-// keys come from PrefixSignatures over this executor's graph; the
-// caller owns the cache's data-identity scope (see engine.SharedCache).
+// ID appears in keys compute through sc's GetOrCompute under that key,
+// so concurrent executors over graphs that share a signed prefix reuse
+// each other's materialized intermediates, single-flight per shared
+// node. keys come from PrefixSignatures over this executor's graph; the
+// caller owns the cache's data-identity scope (see PrefixSignatures).
 // Must not be called once Run has started; returns the executor for
 // chaining.
-func (e *Executor) SetSharedCache(sc *engine.SharedCache, keys map[int]string) *Executor {
-	e.sharedCache = sc
+func (e *Executor) SetSharedCache(sc *engine.CacheManager, keys map[int]string) *Executor {
+	e.shared = sc
 	e.sharedKeys = keys
 	return e
-}
-
-// sharedKey returns the shared-cache key for n, if sharing applies.
-func (e *Executor) sharedKey(n *Node) (string, bool) {
-	if e.sharedCache == nil {
-		return "", false
-	}
-	k, ok := e.sharedKeys[n.ID]
-	return k, ok
-}
-
-// sharedNow reports whether n's output currently sits in the shared
-// cache (a planning peek, like cachedNow).
-func (e *Executor) sharedNow(n *Node) bool {
-	k, ok := e.sharedKey(n)
-	return ok && e.sharedCache.Contains(k)
 }
 
 // dispatchPlan returns the plan priorities the ready queue should use:
@@ -276,16 +254,79 @@ func (e *Executor) demand(n *Node) (Dataset, bool) {
 	if e.workers > 1 {
 		return e.runPass(n), false
 	}
-	return e.materialize(n)
+	return e.obtain(n, nil)
 }
 
 func cacheKey(id int) string { return "node:" + strconv.Itoa(id) }
 
-// cachedNow reports whether n's output currently sits in the cache,
-// without counting an access (a planning peek, not a Get).
-func (e *Executor) cachedNow(n *Node) bool {
-	return e.cache != nil && e.cache.Contains(cacheKey(n.ID))
+// CacheKeys converts node IDs to the executor's cache keys, the ids a
+// cache policy pins.
+func CacheKeys(ids []int) []string {
+	keys := make([]string, len(ids))
+	for i, id := range ids {
+		keys[i] = cacheKey(id)
+	}
+	return keys
 }
+
+// cachedNow reports whether n's output currently sits in the fit's
+// cache or, for a node with a shared key, in the prefix cache. It counts
+// no access: it is the pass planner's boundary test.
+func (e *Executor) cachedNow(n *Node) bool {
+	if e.cache.Contains(cacheKey(n.ID)) {
+		return true
+	}
+	k, ok := e.sharedKeys[n.ID]
+	return ok && e.shared.Contains(k)
+}
+
+// obtain gets n's output through the fit's cache: a stored entry, a
+// concurrent demand's computation, or this caller's own, which the
+// cache keeps if its policy admits n. ins follows the localCompute
+// contract. It reports whether the caller owns the output (a temp
+// neither cache keeps). It is the one place both walkers get a node
+// output.
+func (e *Executor) obtain(n *Node, ins []Dataset) (Dataset, bool) {
+	temp := false
+	out, how, kept := e.cache.GetOrCompute(cacheKey(n.ID), func() any {
+		var out Dataset
+		out, temp = e.compute(n, ins)
+		return out
+	}, e.size)
+	switch how {
+	case engine.Hit:
+		e.noteHit(n)
+	case engine.Joined:
+		e.noteCoalesced(n)
+	}
+	return out, temp && !kept
+}
+
+// compute runs n's operator: through the prefix cache when n carries a
+// shared key (reusing another fit's result, or computing once under
+// cross-executor single-flight), directly otherwise. The prefix cache
+// keeps what it serves, so only a direct computation yields a temp.
+func (e *Executor) compute(n *Node, ins []Dataset) (Dataset, bool) {
+	key, ok := e.sharedKeys[n.ID]
+	if !ok {
+		out, temp := e.localCompute(n, ins)
+		e.noteCompute(n)
+		return out, temp
+	}
+	out, how, _ := e.shared.GetOrCompute(key, func() any {
+		out, _ := e.localCompute(n, ins)
+		return out
+	}, e.size)
+	if how == engine.Computed {
+		e.noteCompute(n)
+	} else {
+		e.noteSharedHit(n)
+	}
+	return out, false
+}
+
+// size measures a computed output for cache admission.
+func (e *Executor) size(v any) int64 { return e.place.Size(v) }
 
 // stats returns the mutable record for n; the caller must hold e.mu.
 func (e *Executor) statsLocked(n *Node) *NodeStats {
@@ -324,36 +365,6 @@ func (e *Executor) noteSharedHit(n *Node) {
 	e.mu.Unlock()
 }
 
-// sharedFetch materializes n's output on a local-cache miss: through the
-// shared prefix cache when n carries a shared key (reusing another
-// fit's result or computing once under cross-executor single-flight),
-// plainly otherwise. ins follows the localCompute contract. It returns
-// the output, its estimated size for local cache admission (not measured
-// when there is no cache to admit it to), and whether the caller owns it
-// (the shared cache keeps what it serves).
-func (e *Executor) sharedFetch(n *Node, ins []Dataset) (Dataset, int64, bool) {
-	key, ok := e.sharedKey(n)
-	if !ok {
-		out, temp := e.localCompute(n, ins)
-		e.noteCompute(n)
-		var bytes int64
-		if e.cache != nil {
-			bytes = e.place.Size(out)
-		}
-		return out, bytes, temp
-	}
-	out, bytes, hit := e.sharedCache.GetOrCompute(key, func() (any, int64) {
-		out, _ := e.localCompute(n, ins)
-		return out, e.place.Size(out)
-	})
-	if hit {
-		e.noteSharedHit(n)
-	} else {
-		e.noteCompute(n)
-	}
-	return out, bytes, false
-}
-
 func (e *Executor) addTime(n *Node, d time.Duration) {
 	e.mu.Lock()
 	e.statsLocked(n).Time += d
@@ -373,24 +384,6 @@ func (e *Executor) releaseSlot() {
 	if e.slots != nil {
 		<-e.slots
 	}
-}
-
-// materialize produces the output of n under the sequential oracle,
-// consulting the cache first and recomputing from dependencies on a
-// miss. What the cache keeps it owns; what it refuses is the caller's
-// temp.
-func (e *Executor) materialize(n *Node) (Dataset, bool) {
-	if e.cache != nil {
-		if v, ok := e.cache.Get(cacheKey(n.ID)); ok {
-			e.noteHit(n)
-			return v, false
-		}
-	}
-	out, bytes, temp := e.sharedFetch(n, nil)
-	if e.cache != nil && e.cache.Put(cacheKey(n.ID), out, bytes) {
-		temp = false
-	}
-	return out, temp
 }
 
 // localCompute evaluates n's operator through the placement. ins, when

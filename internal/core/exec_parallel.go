@@ -18,20 +18,10 @@ import (
 // *across* passes: pass results are dropped when the pass ends, so an
 // iterative estimator's next fetch recomputes everything the cache
 // manager does not hold, exactly as in the paper's T(v)/C(v) model.
-// Within one pass (and between concurrent passes, via single-flight) a
-// node shared by several branches computes once — that coalescing is the
-// scheduler's other source of speedup and is reported separately in
-// NodeStats.Coalesced.
-
-// flight is the single-flight record for one node's in-progress
-// materialization. Concurrent demands join the in-flight computation
-// instead of duplicating it; the entry is removed on completion so later
-// (sequential) demands still recompute on a cache miss.
-type flight struct {
-	done     chan struct{}
-	out      Dataset
-	panicked any
-}
+// Within one pass (and between concurrent passes, via the cache
+// manager's single-flight GetOrCompute) a node shared by several
+// branches computes once — that coalescing is the scheduler's other
+// source of speedup and is reported separately in NodeStats.Coalesced.
 
 // passPlan is the schedule for one dataflow pass: the member nodes in
 // dependency order, each member's unsatisfied in-pass dependency count,
@@ -117,9 +107,7 @@ func (e *Executor) runPass(root *Node) Dataset {
 	if root.Kind == KindEstimator {
 		panic("core: estimator node demanded as data; estimators produce models, not collections")
 	}
-	// A cache boundary is a node the local cache holds, or one a shared
-	// prefix cache holds — another fit already materialized it.
-	plan := newPassPlan(root, func(n *Node) bool { return e.cachedNow(n) || e.sharedNow(n) })
+	plan := newPassPlan(root, e.cachedNow)
 	results := make(map[int]Dataset, len(plan.order))
 	done := make(chan passDone, len(plan.order))
 	// The ready set is a heap over the schedule plan's critical-path
@@ -220,11 +208,10 @@ func (e *Executor) runPass(root *Node) Dataset {
 	return out
 }
 
-// produce materializes one pass member under the single-flight rule:
-// concurrent passes demanding the same node share one computation, with
-// the waiters blocking on its result. Estimator members resolve to their
-// fitted model instead of a collection.
-func (e *Executor) produce(n *Node, ins []Dataset) (out Dataset) {
+// produce materializes one pass member through obtain, so concurrent
+// passes demanding the same node share one computation. Estimator
+// members resolve to their fitted model instead of a collection.
+func (e *Executor) produce(n *Node, ins []Dataset) Dataset {
 	// Cooperative cancellation point: a canceled pass stops at the next
 	// node boundary; the coordinator drains in-flight members and
 	// re-raises the sentinel, which RunContext converts to an error.
@@ -233,47 +220,9 @@ func (e *Executor) produce(n *Node, ins []Dataset) (out Dataset) {
 		e.fitModel(n)
 		return nil
 	}
-	e.mu.Lock()
-	if f, ok := e.flight[n.ID]; ok {
-		e.mu.Unlock()
-		<-f.done
-		if f.panicked != nil {
-			panic(f.panicked)
-		}
-		e.noteCoalesced(n)
-		return f.out
-	}
-	f := &flight{done: make(chan struct{})}
-	e.flight[n.ID] = f
-	e.mu.Unlock()
-	defer func() {
-		if r := recover(); r != nil {
-			f.panicked = r
-		}
-		f.out = out
-		e.mu.Lock()
-		delete(e.flight, n.ID)
-		e.mu.Unlock()
-		close(f.done)
-		if f.panicked != nil {
-			panic(f.panicked)
-		}
-	}()
-
-	if e.cache != nil {
-		if v, ok := e.cache.Get(cacheKey(n.ID)); ok {
-			e.noteHit(n)
-			return v
-		}
-	}
 	// A planned cache boundary can lose its entry between planning and
 	// production (tight budgets, concurrent eviction); localCompute then
-	// demands the missing inputs itself via nested passes. Nodes with a
-	// shared prefix key resolve through the cross-fit cache here —
-	// single-flight against every other executor attached to it.
-	out, bytes, _ := e.sharedFetch(n, ins)
-	if e.cache != nil {
-		e.cache.Put(cacheKey(n.ID), out, bytes)
-	}
+	// demands the missing inputs itself via nested passes.
+	out, _ := e.obtain(n, ins)
 	return out
 }

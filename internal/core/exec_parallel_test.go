@@ -338,8 +338,8 @@ func TestParallelTinyCacheStress(t *testing.T) {
 		} else {
 			assertSameVecs(t, ref, got)
 		}
-		if cache.Used() > 700 {
-			t.Fatalf("cache over budget under concurrency: %d", cache.Used())
+		if used := cache.Stats().UsedBytes; used > 700 {
+			t.Fatalf("cache over budget under concurrency: %d", used)
 		}
 	}
 }
@@ -379,22 +379,6 @@ func (d *doublerVecEst) Fit(ctx *engine.Context, data Fetch, labels Fetch) Trans
 		}
 		return out
 	})
-}
-
-// TestStages verifies the ready-set level decomposition the scheduler's
-// dispatch is based on.
-func TestStages(t *testing.T) {
-	g := buildWide(3, 0)
-	stages := g.Stages()
-	if len(stages) != 4 {
-		t.Fatalf("stage count = %d, want 4 (source, shared, branches, gather)", len(stages))
-	}
-	if len(stages[2]) != 3 {
-		t.Errorf("branch stage width = %d, want 3", len(stages[2]))
-	}
-	if len(stages[3]) != 1 || stages[3][0].Kind != KindGather {
-		t.Errorf("final stage should be the gather node, got %v", stages[3])
-	}
 }
 
 // TestParallelConcurrentExecutors runs several parallel executors over

@@ -216,30 +216,6 @@ func (g *Graph) Topological() []*Node {
 	return order
 }
 
-// Stages groups the reachable nodes into dependency levels: stage 0
-// holds nodes with no reachable dependencies, stage k nodes whose
-// deepest dependency sits in stage k-1. Nodes within a stage are
-// mutually independent, so a stage's width is the DAG parallelism the
-// scheduler can exploit at that depth.
-func (g *Graph) Stages() [][]*Node {
-	level := make(map[int]int)
-	var stages [][]*Node
-	for _, n := range g.Topological() {
-		l := 0
-		for _, d := range n.Deps {
-			if dl, ok := level[d.ID]; ok && dl+1 > l {
-				l = dl + 1
-			}
-		}
-		level[n.ID] = l
-		for len(stages) <= l {
-			stages = append(stages, nil)
-		}
-		stages[l] = append(stages[l], n)
-	}
-	return stages
-}
-
 // Reachable returns the set of node IDs reachable from the sink.
 func (g *Graph) Reachable() map[int]bool {
 	r := make(map[int]bool)

@@ -62,14 +62,6 @@ type Iterative interface {
 	Weight() int
 }
 
-// Sized lets an operator predict its per-record output size in bytes from
-// its per-record input size; used when extrapolating sample profiles to
-// full datasets. Operators without Sized fall back to measured sample
-// sizes.
-type Sized interface {
-	OutputBytesPerRecord(inBytes float64) float64
-}
-
 // funcTransform adapts a plain function to TransformOp.
 type funcTransform struct {
 	name string

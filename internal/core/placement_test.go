@@ -42,12 +42,14 @@ type call struct {
 	out int
 }
 
-// recorder logs every call the walker makes on the placement it wraps.
+// recorder logs every call the walker makes on the placement it wraps,
+// and which datasets it was asked to size.
 type recorder struct {
 	Placement
 	t      *testing.T
 	ids    map[Dataset]int
 	log    []call
+	sized  []int
 	closed bool
 }
 
@@ -90,6 +92,15 @@ func (r *recorder) Zip(a, b Dataset) (Dataset, error) {
 func (r *recorder) Fetch(d Dataset) (*engine.Collection, error) {
 	r.note("fetch", nil, d)
 	return r.Placement.Fetch(d)
+}
+
+func (r *recorder) Size(d Dataset) int64 {
+	id, ok := r.ids[d]
+	if !ok {
+		r.t.Fatalf("size: walker passed a handle the placement never issued: %T", d)
+	}
+	r.sized = append(r.sized, id)
+	return r.Placement.Size(d)
 }
 
 func (r *recorder) Release(d Dataset) {
@@ -173,19 +184,24 @@ func TestPlacementSeam(t *testing.T) {
 				t.Errorf("pinGather=%t: an opaque sink came back as a collection", pinGather)
 			}
 
-			// (b) every dataset the cache refused is released exactly once,
+			// (b) only pinned outputs are sized for the cache, each once;
+			// every dataset the cache refused is released exactly once,
 			// after its last use; nothing the cache holds, and never the
 			// source, is released; at Close only those are still live.
 			if !rec.closed {
 				t.Fatalf("pinGather=%t opaque=%t: placement not closed", pinGather, opaque)
 			}
-			pinned := map[int]bool{0: true} // dataset 0 is the source
 			for _, n := range pins {
-				v, ok := cache.Get(cacheKey(n.ID))
-				if !ok {
+				if !cache.Contains(cacheKey(n.ID)) {
 					t.Fatalf("pinGather=%t: node #%d not cached", pinGather, n.ID)
 				}
-				pinned[rec.ids[v]] = true
+			}
+			if len(rec.sized) != len(pins) {
+				t.Errorf("pinGather=%t opaque=%t: placement sized datasets %v, want only the %d pinned outputs", pinGather, opaque, rec.sized, len(pins))
+			}
+			pinned := map[int]bool{0: true} // dataset 0 is the source
+			for _, id := range rec.sized {
+				pinned[id] = true
 			}
 			released := map[int]bool{}
 			for _, c := range rec.log {

@@ -13,7 +13,8 @@ import (
 // kind, its encoded state, and the dependency signatures, so two nodes
 // in *different* graphs built from the same operator chain over the same
 // source key identically — which is what lets concurrent fits of related
-// pipelines share materialized prefixes through an engine.SharedCache.
+// pipelines share materialized prefixes through one engine.CacheManager
+// (keystone.PrefixCache).
 //
 // Nodes that cannot be signed get no key, and neither does anything
 // downstream of them: estimator outputs depend on labels and

@@ -21,20 +21,27 @@ type CachePolicy interface {
 
 // CacheManager stores materialized node outputs under a byte budget. It is
 // the "additional cache-management layer aware of the multiple jobs that
-// comprise a pipeline" described in Section 5 of the paper. A
+// comprise a pipeline" described in Section 5 of the paper, and the one
+// node-output cache: a fit's pinned set and keystone's cross-fit prefix
+// cache (LRU, keyed by content signature) are both CacheManagers. A
 // non-positive budget means unlimited.
 //
+// GetOrCompute is single-flight per id: concurrent demands for one id run
+// one computation, the other callers blocking on its result. A
+// computation that panics (estimator failure, cooperative cancellation)
+// poisons nobody — its flight is discarded and the next waiter computes
+// in its place.
+//
 // Recency is an intrusive doubly-linked list over the entries themselves
-// with the map as index, so a Get-touch and an eviction are O(1).
+// with the map as index, so a hit's touch and an eviction are O(1).
 type CacheManager struct {
 	mu      sync.Mutex
 	budget  int64
-	used    int64
 	entries map[string]*cacheEntry
 	lru     entryList // oldest first
+	flights map[string]*flight
 	policy  CachePolicy
-
-	hits, misses, evictions int64
+	stats   CacheStats
 }
 
 // cacheEntry is one cached value, threaded onto the recency list.
@@ -43,6 +50,14 @@ type cacheEntry struct {
 	value      any
 	size       int64
 	prev, next *cacheEntry
+}
+
+// flight is one in-progress GetOrCompute computation.
+type flight struct {
+	done chan struct{}
+	val  any
+	kept bool
+	ok   bool // false: the computation panicked; waiters must retry
 }
 
 // entryList is an intrusive circular doubly-linked list with a sentinel
@@ -86,15 +101,16 @@ func NewCacheManager(budget int64, policy CachePolicy) *CacheManager {
 	m := &CacheManager{
 		budget:  budget,
 		entries: make(map[string]*cacheEntry),
+		flights: make(map[string]*flight),
 		policy:  policy,
 	}
 	m.lru.init()
 	return m
 }
 
-// Contains reports whether id is currently cached. Unlike Get it does
-// not count a hit/miss or touch recency state — it is the planning peek
-// the parallel scheduler uses to prune passes at cache boundaries.
+// Contains reports whether id is currently cached. It counts no access
+// and leaves recency alone — the planning peek the parallel scheduler
+// uses to prune passes at cache boundaries.
 func (m *CacheManager) Contains(id string) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -102,28 +118,92 @@ func (m *CacheManager) Contains(id string) bool {
 	return ok
 }
 
-// Get returns the cached value for id, if present.
-func (m *CacheManager) Get(id string) (any, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	e, ok := m.entries[id]
-	if !ok {
-		m.misses++
-		return nil, false
+// Served says how GetOrCompute obtained its value.
+type Served int
+
+const (
+	// Computed: this caller ran compute and offered the result to the
+	// cache under its policy.
+	Computed Served = iota
+	// Hit: a stored entry.
+	Hit
+	// Joined: another caller's in-flight computation of the same id.
+	Joined
+)
+
+// GetOrCompute returns the value for id, computing it at most once
+// across concurrent callers. compute runs without the cache lock held;
+// its result is offered to the cache as put does, and size measures it
+// only if the policy admits id. kept reports whether the cache now holds
+// the value. If compute panics, the panic propagates to this caller and
+// the callers waiting on it retry.
+func (m *CacheManager) GetOrCompute(id string, compute func() any, size func(any) int64) (val any, how Served, kept bool) {
+	for {
+		m.mu.Lock()
+		if e := m.lookupLocked(id); e != nil {
+			m.mu.Unlock()
+			return e.value, Hit, true
+		}
+		f, ok := m.flights[id]
+		if !ok {
+			f = &flight{done: make(chan struct{})}
+			m.flights[id] = f
+			m.mu.Unlock()
+			val = m.runFlight(id, f, compute, size)
+			return val, Computed, f.kept
+		}
+		m.mu.Unlock()
+		<-f.done
+		if f.ok {
+			m.mu.Lock()
+			m.stats.Coalesced++
+			m.mu.Unlock()
+			return f.val, Joined, f.kept
+		}
+		// The computer panicked: race the other waiters to take over.
 	}
-	m.hits++
-	unlink(e)
-	m.lru.pushNewest(e)
-	return e.value, true
 }
 
-// Put offers a value to the cache and reports whether it is now cached.
+// runFlight runs the computation of flight f and releases its waiters.
+func (m *CacheManager) runFlight(id string, f *flight, compute func() any, size func(any) int64) any {
+	defer func() {
+		m.mu.Lock()
+		delete(m.flights, id)
+		if f.ok {
+			m.stats.Computes++
+		}
+		m.mu.Unlock()
+		close(f.done)
+	}()
+	f.val = compute()
+	if m.policy.Admit(id) {
+		f.kept = m.put(id, f.val, size(f.val))
+	}
+	f.ok = true
+	return f.val
+}
+
+// lookupLocked returns id's entry, touching its recency, and counts the
+// access as a hit or a miss. The caller holds m.mu.
+func (m *CacheManager) lookupLocked(id string) *cacheEntry {
+	e, ok := m.entries[id]
+	if !ok {
+		m.stats.Misses++
+		return nil
+	}
+	m.stats.Hits++
+	unlink(e)
+	m.lru.pushNewest(e)
+	return e
+}
+
+// put offers a value to the cache and reports whether it is now cached.
 // The policy decides admission. If the budget would be exceeded, an
 // evicting policy drops the oldest entries until the value fits; a
 // non-evicting one rejects the value. A value larger than the whole
 // budget is rejected outright. Re-putting a cached id keeps the stored
 // value.
-func (m *CacheManager) Put(id string, value any, size int64) bool {
+func (m *CacheManager) put(id string, value any, size int64) bool {
 	if !m.policy.Admit(id) {
 		return false
 	}
@@ -132,37 +212,48 @@ func (m *CacheManager) Put(id string, value any, size int64) bool {
 	if _, ok := m.entries[id]; ok {
 		return true
 	}
-	if m.budget > 0 && m.used+size > m.budget {
+	st := &m.stats
+	if m.budget > 0 && st.UsedBytes+size > m.budget {
 		if size > m.budget || !m.policy.Evicts() {
+			st.Rejected++
 			return false
 		}
-		for m.used+size > m.budget {
+		for st.UsedBytes+size > m.budget {
 			v := m.lru.oldest() // non-nil: size fits the budget
 			delete(m.entries, v.key)
 			unlink(v)
-			m.used -= v.size
-			m.evictions++
+			st.UsedBytes -= v.size
+			st.Evictions++
 		}
 	}
 	e := &cacheEntry{key: id, value: value, size: size}
 	m.entries[id] = e
 	m.lru.pushNewest(e)
-	m.used += size
+	st.UsedBytes += size
 	return true
 }
 
-// Used returns the bytes currently cached.
-func (m *CacheManager) Used() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.used
+// CacheStats are a CacheManager's cumulative counters.
+type CacheStats struct {
+	// Hits counts demands served from a stored entry; Misses counts
+	// lookups that found none.
+	Hits, Misses int64
+	// Coalesced counts GetOrCompute demands that joined another caller's
+	// in-flight computation; Computes counts computations that ran to
+	// completion.
+	Coalesced, Computes int64
+	// Evictions counts entries displaced to make room; Rejected counts
+	// admitted values the budget refused to store.
+	Evictions, Rejected int64
+	// UsedBytes is the bytes currently stored.
+	UsedBytes int64
 }
 
-// Stats returns cumulative hit/miss/eviction counters.
-func (m *CacheManager) Stats() (hits, misses, evictions int64) {
+// Stats returns a snapshot of the manager's counters.
+func (m *CacheManager) Stats() CacheStats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.hits, m.misses, m.evictions
+	return m.stats
 }
 
 // PinnedSetPolicy admits exactly the node ids chosen in advance by the

@@ -1,8 +1,9 @@
 // Package engine is the distributed-dataflow substrate KeystoneML-Go runs
 // on, standing in for Apache Spark. It provides partitioned collections
 // executed by a pool of goroutine "nodes", the aggregate patterns the ML
-// operators need (map, mapPartitions, treeAggregate, sample), and a cache
-// manager with pluggable policies (pinned set, LRU with admission control,
+// operators need (map, mapPartitions, treeAggregate, sample), and the one
+// node-output cache: a cache manager with single-flight GetOrCompute and
+// pluggable policies (pinned set, LRU with admission control,
 // estimator-only) that reproduces the memory-management behaviour Section
 // 4.3 of the paper depends on.
 package engine

@@ -19,27 +19,24 @@ func TestCacheManagerConcurrentAccess(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				key := fmt.Sprintf("k%d", (g*31+i)%40)
 				if i%3 == 0 {
-					m.Put(key, i, 500)
+					m.put(key, i, 500)
 				} else if i%7 == 0 {
 					m.Contains(key)
 				} else {
-					m.Get(key)
+					m.get(key)
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
-	if m.Used() > 10_000 {
-		t.Errorf("cache over budget after concurrent access: %d", m.Used())
-	}
-	if m.Used() < 0 {
-		t.Errorf("negative usage: %d", m.Used())
+	if used := m.Stats().UsedBytes; used > 10_000 || used < 0 {
+		t.Errorf("cache accounting broken after concurrent access: used=%d", used)
 	}
 }
 
 // TestCacheManagerTinyBudgetChurn drives every policy with a budget so
 // small that almost every admission forces evictions, from many
-// goroutines mixing Put/Get/Contains/Stats — the workload
+// goroutines mixing put/get/Contains/Stats — the workload
 // the parallel DAG scheduler generates when shared subtrees race for a
 // starved cache. Run under -race this exercises every lock path.
 func TestCacheManagerTinyBudgetChurn(t *testing.T) {
@@ -61,25 +58,24 @@ func TestCacheManagerTinyBudgetChurn(t *testing.T) {
 						key := fmt.Sprintf("k%d", (g*17+i)%8)
 						switch i % 11 {
 						case 0, 1, 2:
-							m.Put(key, i, int64(100+(i%5)*150))
+							m.put(key, i, int64(100+(i%5)*150))
 						case 3, 4:
 							m.Contains(key)
 						case 6:
 							m.Stats()
-							m.Used()
 						default:
-							m.Get(key)
+							m.get(key)
 						}
 					}
 				}(g)
 			}
 			wg.Wait()
-			if used := m.Used(); used > budget || used < 0 {
-				t.Errorf("cache accounting broken after churn: used=%d budget=%d", used, budget)
+			st := m.Stats()
+			if st.UsedBytes > budget || st.UsedBytes < 0 {
+				t.Errorf("cache accounting broken after churn: used=%d budget=%d", st.UsedBytes, budget)
 			}
-			hits, misses, _ := m.Stats()
-			if hits < 0 || misses < 0 {
-				t.Errorf("negative counters: hits=%d misses=%d", hits, misses)
+			if st.Hits < 0 || st.Misses < 0 {
+				t.Errorf("negative counters: hits=%d misses=%d", st.Hits, st.Misses)
 			}
 		})
 	}
@@ -90,9 +86,9 @@ func TestCacheManagerTinyBudgetChurn(t *testing.T) {
 // access or disturb LRU recency ordering.
 func TestCacheManagerContainsDoesNotTouchStats(t *testing.T) {
 	m := NewCacheManager(1000, NewLRUPolicy())
-	m.Put("a", 1, 400)
-	m.Put("b", 2, 400)
-	h0, mi0, _ := m.Stats()
+	m.put("a", 1, 400)
+	m.put("b", 2, 400)
+	before := m.Stats()
 	for i := 0; i < 10; i++ {
 		if !m.Contains("a") {
 			t.Fatal("Contains lost entry a")
@@ -101,12 +97,11 @@ func TestCacheManagerContainsDoesNotTouchStats(t *testing.T) {
 			t.Fatal("Contains invented entry zzz")
 		}
 	}
-	h1, mi1, _ := m.Stats()
-	if h0 != h1 || mi0 != mi1 {
-		t.Errorf("Contains touched stats: hits %d->%d misses %d->%d", h0, h1, mi0, mi1)
+	if after := m.Stats(); after != before {
+		t.Errorf("Contains touched stats: %+v -> %+v", before, after)
 	}
 	// Recency must be untouched: "a" is still oldest and evicts first.
-	m.Put("c", 3, 400)
+	m.put("c", 3, 400)
 	if m.Contains("a") {
 		t.Error("peeking at a should not have refreshed its recency; a should have been evicted")
 	}

@@ -78,7 +78,7 @@ func Figure10(w io.Writer, scale Scale) {
 			plan := optimizer.Optimize(g, train.Data, train.Labels, c)
 			var cache *engine.CacheManager
 			if len(plan.CacheSet) > 0 {
-				cache = engine.NewCacheManager(0, engine.NewPinnedSetPolicy(optimizer.CacheKeys(plan.CacheSet)))
+				cache = engine.NewCacheManager(0, engine.NewPinnedSetPolicy(core.CacheKeys(plan.CacheSet)))
 			}
 			ex := core.NewExecutor(plan.Graph, engine.NewContext(0), cache, train.Data, train.Labels).SetWorkers(1)
 			times["keystone"] = timeIt(func() { ex.Run() })
@@ -93,7 +93,7 @@ func Figure10(w io.Writer, scale Scale) {
 		// Rule-based: only model-application outputs are admitted.
 		{
 			g := build()
-			policy := engine.NewRuleBasedPolicy(optimizer.CacheKeys(optimizer.ApplyModelIDs(g)))
+			policy := engine.NewRuleBasedPolicy(core.CacheKeys(optimizer.ApplyModelIDs(g)))
 			cache := engine.NewCacheManager(budget, policy)
 			ex := core.NewExecutor(g, engine.NewContext(0), cache, train.Data, train.Labels).SetWorkers(1)
 			times["rule"] = timeIt(func() { ex.Run() })

@@ -97,7 +97,7 @@ func TestSequentialParallelEquivalence(t *testing.T) {
 				ctx := engine.NewContext(4)
 				var cache *engine.CacheManager
 				if len(plan.CacheSet) > 0 {
-					cache = engine.NewCacheManager(0, engine.NewPinnedSetPolicy(optimizer.CacheKeys(plan.CacheSet)))
+					cache = engine.NewCacheManager(0, engine.NewPinnedSetPolicy(core.CacheKeys(plan.CacheSet)))
 				}
 				ex := core.NewExecutor(plan.Graph, ctx, cache, spec.train.Data, spec.train.Labels).SetWorkers(workers)
 				models, out, report := ex.Run()

@@ -107,7 +107,7 @@ func (s schedShape) build() (*core.Graph, *optimizer.Profile, *engine.Collection
 func runPinSet(g *core.Graph, set []int, data *engine.Collection, workers int) time.Duration {
 	var cache *engine.CacheManager
 	if len(set) > 0 {
-		cache = engine.NewCacheManager(0, engine.NewPinnedSetPolicy(optimizer.CacheKeys(set)))
+		cache = engine.NewCacheManager(0, engine.NewPinnedSetPolicy(core.CacheKeys(set)))
 	}
 	ex := core.NewExecutor(g, engine.NewContext(workers), cache, data, nil).SetWorkers(workers)
 	return timeIt(func() { ex.Run() })

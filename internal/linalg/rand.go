@@ -99,7 +99,3 @@ func (r *RNG) Perm(n int) []int {
 	}
 	return p
 }
-
-// Fork returns an independent RNG derived from the current stream. Useful
-// for giving each partition or worker its own deterministic substream.
-func (r *RNG) Fork() *RNG { return NewRNG(r.Uint64()) }

@@ -23,15 +23,6 @@ func Norm2(v []float64) float64 {
 	return math.Sqrt(s)
 }
 
-// Norm1 returns the L1 norm of v.
-func Norm1(v []float64) float64 {
-	var s float64
-	for _, x := range v {
-		s += math.Abs(x)
-	}
-	return s
-}
-
 // AxpyInPlace computes y += alpha*x in place, dispatched through the
 // kernel backend registry.
 func AxpyInPlace(alpha float64, x, y []float64) {

@@ -2,7 +2,6 @@ package optimizer
 
 import (
 	"sort"
-	"strconv"
 
 	"keystoneml/internal/core"
 )
@@ -212,16 +211,6 @@ func ApplyModelIDs(g *core.Graph) []int {
 		if n.Kind == core.KindApplyModel {
 			out = append(out, n.ID)
 		}
-	}
-	return out
-}
-
-// CacheKeys converts node IDs to engine cache keys (the executor's
-// keyspace).
-func CacheKeys(ids []int) []string {
-	out := make([]string, len(ids))
-	for i, id := range ids {
-		out[i] = "node:" + strconv.Itoa(id)
 	}
 	return out
 }

@@ -108,9 +108,9 @@ type Plan struct {
 	// signature (core.PrefixSignatures under SharedScope) consult and
 	// fill it, so concurrent fits of pipelines sharing a prefix reuse
 	// each other's materialized intermediates. The caller owns the
-	// cache's data-identity scope (see engine.SharedCache); SharedScope
-	// must identify the training data bound at Execute time.
-	Shared      *engine.SharedCache
+	// cache's data-identity scope (see core.PrefixSignatures);
+	// SharedScope must identify the training data bound at Execute time.
+	Shared      *engine.CacheManager
 	SharedScope string
 	// OptimizeTime is the total optimization overhead (sampling +
 	// profiling + planning), Figure 9's "Optimize" stage.
@@ -223,7 +223,7 @@ func (p *Plan) DefaultCache(budget int64) *engine.CacheManager {
 	if p.Level == LevelNone || len(p.CacheSet) == 0 {
 		return nil
 	}
-	return engine.NewCacheManager(budget, engine.NewPinnedSetPolicy(CacheKeys(p.CacheSet)))
+	return engine.NewCacheManager(budget, engine.NewPinnedSetPolicy(core.CacheKeys(p.CacheSet)))
 }
 
 // ExecuteContext is Execute bound to a context and an explicit cache

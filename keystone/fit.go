@@ -105,10 +105,11 @@ func FitPlaced[I, O any](ctx context.Context, p *Pipeline[I, O], records []I, la
 	if cfg.prefix != nil {
 		// Scope the shared keys by the training data shape: equal-data
 		// fits (the PrefixCache contract) key identically, while a cache
-		// mistakenly reused across differently sized subsets degrades to
-		// zero sharing instead of serving wrong intermediates.
-		plan.Shared = cfg.prefix.sc
-		plan.SharedScope = fmt.Sprintf("n=%d;labeled=%t", len(records), labels != nil)
+		// mistakenly reused across differently sized or differently
+		// partitioned data degrades to zero sharing instead of serving
+		// wrong intermediates.
+		plan.Shared = cfg.prefix.cache
+		plan.SharedScope = fmt.Sprintf("n=%d;parts=%d;labeled=%t", len(records), data.NumPartitions(), labels != nil)
 	}
 	models, _, report, err := plan.ExecuteContext(ctx, data, lab, cfg.workers, plan.DefaultCache(cfg.cacheBudget))
 	if err != nil {

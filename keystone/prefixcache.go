@@ -16,8 +16,8 @@ import (
 //
 // Scoping contract: every Fit sharing one PrefixCache must be given the
 // *same* training records (and the same labels-or-not shape). Fit bakes
-// the record count into the signatures as a guard, but equal-length
-// different datasets are on the caller; use one cache per dataset
+// the record count and the partition count into the signatures as a
+// guard, but equal-length different datasets are on the caller; use one cache per dataset
 // (keystone/tune uses one per halving round, because the training
 // subset grows between rounds).
 //
@@ -27,13 +27,13 @@ import (
 // private to its own fit. Estimators and apply-model nodes are never
 // shared. A PrefixCache is safe for concurrent use.
 type PrefixCache struct {
-	sc *engine.SharedCache
+	cache *engine.CacheManager
 }
 
 // NewPrefixCache creates a shared prefix cache bounded to budget bytes
 // (non-positive = unlimited, LRU eviction over shared entries).
 func NewPrefixCache(budget int64) *PrefixCache {
-	return &PrefixCache{sc: engine.NewSharedCache(budget)}
+	return &PrefixCache{cache: engine.NewCacheManager(budget, nil)}
 }
 
 // PrefixCacheStats is a snapshot of one PrefixCache's counters.
@@ -53,7 +53,7 @@ type PrefixCacheStats struct {
 
 // Stats returns the cache's cumulative counters.
 func (p *PrefixCache) Stats() PrefixCacheStats {
-	s := p.sc.Stats()
+	s := p.cache.Stats()
 	return PrefixCacheStats{
 		SharedHits: s.Hits,
 		Coalesced:  s.Coalesced,
