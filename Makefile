@@ -104,14 +104,17 @@ flake:
 	GOMAXPROCS=4 $(GO) test -race -count=5 $(FLAKE_PKGS)
 
 # Fuzz each target against its oracle: the numeric serve codecs against
-# encoding/json, the fused Figure 2 featuriser against the unfused text
-# chain (the seed corpora alone already run under `go test`); one target
-# per run is go test's rule.
+# encoding/json, the fused Figure 2 featuriser's apply and fit against the
+# unfused text chain, and the dist wire's frame decoder against its own
+# encoder (the seed corpora alone already run under `go test`); one
+# target per run is go test's rule.
 FUZZTIME ?= 30s
 fuzz:
-	$(GO) test -run '^$$' -fuzz FuzzImageDecode -fuzztime $(FUZZTIME) ./keystone/serve
-	$(GO) test -run '^$$' -fuzz FuzzVectorDecode -fuzztime $(FUZZTIME) ./keystone/serve
-	$(GO) test -run '^$$' -fuzz FuzzFeaturize -fuzztime $(FUZZTIME) ./internal/text
+	$(GO) test -run '^$$' -fuzz '^FuzzImageDecode$$' -fuzztime $(FUZZTIME) ./keystone/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzVectorDecode$$' -fuzztime $(FUZZTIME) ./keystone/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzFeaturize$$' -fuzztime $(FUZZTIME) ./internal/text
+	$(GO) test -run '^$$' -fuzz '^FuzzFitFeaturize$$' -fuzztime $(FUZZTIME) ./internal/text
+	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime $(FUZZTIME) ./keystone/dist
 
 # The HTTP inference server (trains text + vision pipelines at startup).
 serve:

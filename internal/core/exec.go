@@ -443,7 +443,7 @@ func (e *Executor) localCompute(n *Node, ins []Dataset) (Dataset, bool) {
 		e.addTime(n, time.Since(start))
 		return out, temp
 	case KindApplyModel:
-		return apply(e.fitModel(n.Deps[0]), 1)
+		return apply(Fuse(e.fitModel(n.Deps[0]), n.Chain), 1)
 	case KindEstimator:
 		panic("core: estimator node materialized as data; estimators produce models, not collections")
 	default:

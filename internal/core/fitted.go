@@ -82,6 +82,9 @@ func NewFitted(g *Graph, models map[int]TransformOp, ctx *engine.Context) *Fitte
 				st.deps[i] = walk(d)
 			}
 		case KindApplyModel:
+			if len(n.Chain) > 0 {
+				panic(fmt.Sprintf("core: node #%d applies a fused chain; a fitted pipeline is built from the logical graph, not the fit graph", n.ID))
+			}
 			st.deps = []int{walk(n.Deps[1])}
 			if model, ok := models[n.Deps[0].ID]; ok {
 				st.apply = model.Apply

@@ -18,17 +18,19 @@ func (o *fuseOp) Name() string { return "fuse" }
 
 func (o *fuseOp) Apply(in any) any { return append([]float64{-1}, in.([]float64)...) }
 
-func (o *fuseOp) FuseChain(chain []TransformOp) (int, func(any) any) {
+func (o *fuseOp) FuseChain(chain []TransformOp) (int, func() func(any) any) {
 	for _, op := range chain {
 		o.offered = append(o.offered, op.Name())
 	}
 	n := min(o.absorb, len(chain))
 	tail := chain[len(chain)-n:]
-	return n, func(in any) any {
-		for _, op := range tail {
-			in = op.Apply(in)
+	return n, func() func(any) any {
+		return func(in any) any {
+			for _, op := range tail {
+				in = op.Apply(in)
+			}
+			return o.Apply(in)
 		}
-		return o.Apply(in)
 	}
 }
 

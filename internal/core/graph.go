@@ -60,6 +60,11 @@ type Node struct {
 	Transform TransformOp
 	// Estimator is set for KindEstimator nodes.
 	Estimator EstimatorOp
+	// Chain is set on a KindApplyModel node of a fit graph whose
+	// estimator fits through the transform chain feeding it (see
+	// ChainEstimator): the node applies Fuse(model, Chain) to Deps[1],
+	// the chain's input.
+	Chain []TransformOp
 }
 
 // OpName returns the logical operator name for display.
@@ -161,7 +166,7 @@ func (g *Graph) AddGather(branches []*Node) *Node {
 func (g *Graph) Clone() *Graph {
 	c := &Graph{Nodes: make([]*Node, len(g.Nodes))}
 	for i, n := range g.Nodes {
-		c.Nodes[i] = &Node{ID: n.ID, Kind: n.Kind, Transform: n.Transform, Estimator: n.Estimator}
+		c.Nodes[i] = &Node{ID: n.ID, Kind: n.Kind, Transform: n.Transform, Estimator: n.Estimator, Chain: n.Chain}
 	}
 	for i, n := range g.Nodes {
 		if len(n.Deps) == 0 {

@@ -54,7 +54,7 @@ type localPlacement struct{ e *Executor }
 func (l localPlacement) Source(data *engine.Collection) (Dataset, error) { return data, nil }
 
 func (l localPlacement) Apply(in Dataset, op TransformOp) (Dataset, error) {
-	return l.e.ctx.Map(in.(*engine.Collection), op.Apply), nil
+	return MapOp(l.e.ctx, in.(*engine.Collection), op), nil
 }
 
 func (l localPlacement) Zip(a, b Dataset) (Dataset, error) {

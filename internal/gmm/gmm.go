@@ -51,10 +51,14 @@ func (m *Model) Dim() int { return m.Means.Cols }
 
 // Posteriors computes the responsibilities gamma_k(x) for one descriptor.
 func (m *Model) Posteriors(x []float64) []float64 {
+	return m.posteriorsInto(make([]float64, m.K()), x)
+}
+
+// posteriorsInto is Posteriors writing into logp, which has length K.
+func (m *Model) posteriorsInto(logp, x []float64) []float64 {
 	m.logsOnce.Do(m.tabulateLogs)
 	k := m.K()
 	dim := m.Dim()
-	logp := make([]float64, k)
 	maxLog := math.Inf(-1)
 	for c := 0; c < k; c++ {
 		lp := m.logW[c]
@@ -125,18 +129,19 @@ func (g *GMM) Fit(ctx *engine.Context, data core.Fetch, labels core.Fetch) core.
 	for it := 0; it < g.iters(); it++ {
 		c := data() // one EM pass = one fetch
 		type suff struct {
-			w  []float64
-			mu *linalg.Matrix
-			s2 *linalg.Matrix
+			w   []float64
+			mu  *linalg.Matrix
+			s2  *linalg.Matrix
+			gam []float64 // the E-step's scratch: one descriptor's posteriors
 		}
 		res := ctx.Aggregate(c,
 			func() any {
-				return &suff{w: make([]float64, k), mu: linalg.NewMatrix(k, d), s2: linalg.NewMatrix(k, d)}
+				return &suff{w: make([]float64, k), mu: linalg.NewMatrix(k, d), s2: linalg.NewMatrix(k, d), gam: make([]float64, k)}
 			},
 			func(acc, item any) any {
 				s := acc.(*suff)
 				x := item.([]float64)
-				gam := model.Posteriors(x)
+				gam := model.posteriorsInto(s.gam, x)
 				for ci, gc := range gam {
 					if gc < 1e-12 {
 						continue

@@ -359,6 +359,28 @@ func (d *DescriptorPCA) applyBlock(descs [][]float64) ([][]float64, bool) {
 	return out, true
 }
 
+// FlattenDescriptors pools the descriptor sets ([][]float64 records) of
+// c into one collection of descriptors, in record order, split into as
+// many partitions as c has. It counts the descriptors first and
+// allocates once.
+func FlattenDescriptors(c *engine.Collection) *engine.Collection {
+	n := 0
+	for i := 0; i < c.NumPartitions(); i++ {
+		for _, rec := range c.Partition(i) {
+			n += len(rec.([][]float64))
+		}
+	}
+	items := make([]any, 0, n)
+	for i := 0; i < c.NumPartitions(); i++ {
+		for _, rec := range c.Partition(i) {
+			for _, desc := range rec.([][]float64) {
+				items = append(items, desc)
+			}
+		}
+	}
+	return engine.FromSlice(items, c.NumPartitions())
+}
+
 // DescriptorPCAEst fits PCA over all descriptors pooled across records and
 // produces a DescriptorPCA transform. It wraps any descriptor-level
 // estimator fitting on []float64 records.
@@ -372,17 +394,7 @@ func (d *DescriptorPCAEst) Name() string { return "image.descpca.est[" + d.Fitte
 // Fit implements core.EstimatorOp by flattening descriptor sets into
 // descriptor records before fitting the inner estimator.
 func (d *DescriptorPCAEst) Fit(ctx *engine.Context, data core.Fetch, labels core.Fetch) core.TransformOp {
-	flatten := func() *engine.Collection {
-		c := data()
-		var items []any
-		for _, rec := range c.Collect() {
-			for _, desc := range rec.([][]float64) {
-				items = append(items, desc)
-			}
-		}
-		return engine.FromSlice(items, c.NumPartitions())
-	}
-	inner := d.Fitter.Fit(ctx, flatten, labels)
+	inner := d.Fitter.Fit(ctx, func() *engine.Collection { return FlattenDescriptors(data()) }, labels)
 	return &DescriptorPCA{Inner: inner}
 }
 

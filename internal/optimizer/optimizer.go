@@ -87,7 +87,14 @@ func (c Config) samples(n int) (int, int) {
 // materialization set, the shared schedule plan behind it, and the
 // profile that justified those choices.
 type Plan struct {
-	Graph     *core.Graph
+	// Graph is the logical plan after CSE and operator substitution: the
+	// graph a fitted pipeline is built from and persists. Execute runs
+	// its fit graph instead when chains fuse (see fuseFit); the fit
+	// graph keeps Graph's node IDs, so the models, profile and cache set
+	// key Graph's nodes.
+	Graph *core.Graph
+	// fit is the fit graph, nil when nothing fuses.
+	fit       *core.Graph
 	Chosen    map[int]string // node ID -> selected physical operator name
 	CacheSet  []int          // node IDs to materialize
 	Profile   *Profile
@@ -153,16 +160,27 @@ func optimize(g *core.Graph, data, labels *engine.Collection, cfg Config, ctx *e
 	}
 	start := time.Now()
 	plan.CSEMerged = CSE(g)
+	// Fusion comes before profiling, so the profile prices the fused
+	// operators the fit will run.
+	plan.fit = fuseFit(g)
+	fg := plan.runGraph()
 
 	fullN := data.Count()
 	s1, s2 := cfg.samples(fullN)
-	run := newSampleRun(g, ctx, nestedSample(data, s1, s2), nestedSample(labels, s1, s2), fullN, cfg)
+	run := newSampleRun(fg, ctx, nestedSample(data, s1, s2), nestedSample(labels, s1, s2), fullN, cfg)
 	run.run()
+	if fg != g {
+		// Operator substitution rewrote the fit graph's nodes; the
+		// logical plan takes the same physical operators.
+		for id := range run.chosen {
+			g.Nodes[id].Transform, g.Nodes[id].Estimator = fg.Nodes[id].Transform, fg.Nodes[id].Estimator
+		}
+	}
 
 	n1 := run.data[0].Count()
 	n2 := n1 + run.data[1].Count()
 	prof := &Profile{Nodes: map[int]*NodeProfile{}, SampleSizes: [2]int{n1, n2}, FullN: fullN}
-	for _, n := range g.Topological() {
+	for _, n := range fg.Topological() {
 		t := run.times[n.ID]
 		prof.Nodes[n.ID] = &NodeProfile{
 			Name:      n.OpName(),
@@ -181,10 +199,19 @@ func optimize(g *core.Graph, data, labels *engine.Collection, cfg Config, ctx *e
 	// plan is carried on the Plan so Execute hands the very same model to
 	// the dispatcher.
 	workers := cfg.execWorkers()
-	plan.CacheSet = GreedyCacheSet(g, prof, cfg.MemBudgetBytes, workers)
-	plan.Schedule = ScheduleFor(g, prof, plan.CacheSet, workers)
+	plan.CacheSet = GreedyCacheSet(fg, prof, cfg.MemBudgetBytes, workers)
+	plan.Schedule = ScheduleFor(fg, prof, plan.CacheSet, workers)
 	plan.OptimizeTime = time.Since(start)
 	return plan
+}
+
+// runGraph is the graph Execute runs: the fit graph when chains fuse,
+// the logical plan otherwise.
+func (p *Plan) runGraph() *core.Graph {
+	if p.fit != nil {
+		return p.fit
+	}
+	return p.Graph
 }
 
 // execWorkers resolves the DAG-level worker count: Parallelism the way
@@ -232,12 +259,13 @@ func (p *Plan) DefaultCache(budget int64) *engine.CacheManager {
 // and placement, whichever are set. Cancellation mid-fit, or a failing
 // placement, returns the error along with the partial execution report.
 func (p *Plan) ExecuteContext(ctx context.Context, data, labels *engine.Collection, parallelism int, cache *engine.CacheManager) (map[int]core.TransformOp, *engine.Collection, *core.ExecReport, error) {
-	ex := core.NewExecutor(p.Graph, engine.NewContext(parallelism), cache, data, labels)
+	g := p.runGraph()
+	ex := core.NewExecutor(g, engine.NewContext(parallelism), cache, data, labels)
 	if p.Schedule != nil {
 		ex.SetSchedulePlan(p.Schedule)
 	}
 	if p.Shared != nil {
-		ex.SetSharedCache(p.Shared, core.PrefixSignatures(p.Graph, p.SharedScope))
+		ex.SetSharedCache(p.Shared, core.PrefixSignatures(g, p.SharedScope))
 	}
 	if p.Placement != nil {
 		ex.SetPlacement(p.Placement)

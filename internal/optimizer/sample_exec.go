@@ -110,7 +110,7 @@ func (s *sampleRun) eval(n *core.Node) sample {
 			s.chosen[n.ID] = op.Name()
 		}
 		return s.timeParts(n, func(i int) *engine.Collection {
-			return s.ctx.Map(in[i], n.Transform.Apply)
+			return core.MapOp(s.ctx, in[i], n.Transform)
 		})
 	case core.KindGather:
 		return s.timeParts(n, func(i int) *engine.Collection {
@@ -121,10 +121,10 @@ func (s *sampleRun) eval(n *core.Node) sample {
 			return out
 		})
 	case core.KindApplyModel:
-		model := s.models[n.Deps[0].ID]
+		model := core.Fuse(s.models[n.Deps[0].ID], n.Chain)
 		in := s.memo[n.Deps[1].ID]
 		return s.timeParts(n, func(i int) *engine.Collection {
-			return s.ctx.Map(in[i], model.Apply)
+			return core.MapOp(s.ctx, in[i], model)
 		})
 	}
 	// KindEstimator.

@@ -10,6 +10,14 @@ import (
 
 // vocabularyState is the gob payload behind Vocabulary's StateCodec.
 type vocabularyState struct {
+	// Terms is the vocabulary in index order, the form EncodeState
+	// writes. Unlike a map, a slice encodes the same vocabulary to the
+	// same bytes, so an artifact's content address depends on its model
+	// alone.
+	Terms []string
+	// Index is the map form: what earlier artifacts carry, and what
+	// EncodeState writes for a vocabulary whose Index is not one to one
+	// onto [0, len(Index)), so that decode reports its IndexError.
 	Index map[string]int
 	Dim   int
 }
@@ -19,9 +27,27 @@ func (v *Vocabulary) StateKind() string { return "model.vocab" }
 
 // EncodeState implements core.StateCodec.
 func (v *Vocabulary) EncodeState() ([]byte, error) {
+	s := vocabularyState{Index: v.Index, Dim: v.Dim}
+	if terms, ok := v.terms(); ok {
+		s = vocabularyState{Terms: terms, Dim: v.Dim}
+	}
 	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(vocabularyState{Index: v.Index, Dim: v.Dim})
+	err := gob.NewEncoder(&buf).Encode(s)
 	return buf.Bytes(), err
+}
+
+// terms lists the vocabulary in index order, when Index numbers its terms
+// one to one onto [0, len(Index)).
+func (v *Vocabulary) terms() ([]string, bool) {
+	terms := make([]string, len(v.Index))
+	set := make([]bool, len(v.Index))
+	for term, i := range v.Index {
+		if i < 0 || i >= len(terms) || set[i] {
+			return nil, false
+		}
+		terms[i], set[i] = term, true
+	}
+	return terms, true
 }
 
 // IndexError reports a decoded vocabulary state no fit produces. A fit
@@ -74,6 +100,12 @@ func init() {
 		var s vocabularyState
 		if err := gob.NewDecoder(bytes.NewReader(state)).Decode(&s); err != nil {
 			return nil, err
+		}
+		if s.Terms != nil {
+			s.Index = make(map[string]int, len(s.Terms))
+			for i, term := range s.Terms {
+				s.Index[term] = i
+			}
 		}
 		if err := s.validate(); err != nil {
 			return nil, err

@@ -152,7 +152,89 @@ func TestFeaturizeMatchesChain(t *testing.T) {
 			if got, want := panicOf(func() { rows.TransformOne(42) }), panicOf(func() { p.row(42) }); got == nil || got != want {
 				t.Errorf("non-string record: panic %v, want %v", got, want)
 			}
+			// The fit: NumFeatures cuts through ties of equal counts, and
+			// 0 and 1<<20 keep every term.
+			for _, k := range []int{1, 5, 17, 0, 1 << 20} {
+				checkFit(t, p.chain, k, featurizeDocs)
+			}
+			bad := engine.FromSlice([]any{"doc", 42}, 1)
+			_, est := (&CommonSparseFeatures{NumFeatures: 4}).FuseChain(p.chain)
+			got := panicOf(func() { est.Fit(engine.NewContext(1), func() *engine.Collection { return bad }, nil) })
+			if want := panicOf(func() { engine.NewContext(1).Map(bad, p.chain[0].Apply) }); got == nil || got != want {
+				t.Errorf("non-string record in the fit: panic %v, want %v", got, want)
+			}
 		})
+	}
+}
+
+// checkFit pins the fused fit to the unfused one on docs, in three
+// partitions: CommonSparseFeatures' fused form fit on the documents gives
+// a vocabulary reflect.DeepEqual to CommonSparseFeatures fit on the
+// chain's term frequencies, and the fused apply of that vocabulary, a
+// partition at a time, gives the training rows the chain and the
+// vocabulary give record by record, before and after the encode and
+// decode that ship it to dist workers.
+func checkFit(t *testing.T, chain []core.TransformOp, numFeatures int, docs []string) {
+	t.Helper()
+	recs, tfs := make([]any, len(docs)), make([]any, len(docs))
+	for i, doc := range docs {
+		recs[i] = doc
+		var tf any = doc
+		for _, op := range chain {
+			tf = op.Apply(tf)
+		}
+		tfs[i] = tf
+	}
+	ctx := engine.NewContext(2)
+	fetch := func(items []any) core.Fetch {
+		return func() *engine.Collection { return engine.FromSlice(items, 3) }
+	}
+	est := &CommonSparseFeatures{NumFeatures: numFeatures}
+	want := est.Fit(ctx, fetch(tfs), nil).(*Vocabulary)
+	n, fused := est.FuseChain(chain)
+	if n != len(chain) {
+		t.Fatalf("CommonSparseFeatures absorbs %d of the %d-operator chain", n, len(chain))
+	}
+	got := fused.Fit(ctx, fetch(recs), nil).(*Vocabulary)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("NumFeatures %d: fused fit %v, want %v", numFeatures, got, want)
+	}
+	fusedOp := core.Fuse(got, chain)
+	kind, state, err := core.EncodeOp(fusedOp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shipped, err := core.DecodeOp(kind, state)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range []core.TransformOp{fusedOp, shipped} {
+		rows := core.MapOp(ctx, fetch(recs)(), op).Collect()
+		for i, tf := range tfs {
+			if want := want.Apply(tf); !reflect.DeepEqual(rows[i], want) {
+				t.Errorf("NumFeatures %d, %q: training row %+v, want %+v", numFeatures, docs[i], rows[i], want)
+			}
+		}
+	}
+}
+
+// TestFitFeaturizeAllocs is the fit featuriser's allocation budget: once
+// a partition's dictionary holds a document's n-grams, counting the
+// document allocates nothing, because the byte scan reuses the
+// partition's scratch and a lookup builds no string.
+func TestFitFeaturizeAllocs(t *testing.T) {
+	docs := workload.AmazonReviews(200, 1, 1).Data.Collect()
+	_, est := (&CommonSparseFeatures{NumFeatures: 100}).FuseChain(newFig2(1, 2, nil).chain)
+	f := est.(*fusedCommonSparse)
+	d, s := newTermCounts(), &scratch{}
+	count := func() {
+		for i, doc := range docs {
+			f.count(d, s, doc, int32(i))
+		}
+	}
+	count()
+	if perDoc := testing.AllocsPerRun(10, count) / float64(len(docs)); perDoc != 0 {
+		t.Errorf("counting a known document allocates %.2f times, want 0", perDoc)
 	}
 }
 
@@ -201,6 +283,23 @@ func FuzzFeaturize(f *testing.F) {
 		if got, want := fused[k].TransformOne(doc), oracles[k].row(doc); !reflect.DeepEqual(got, want) {
 			t.Errorf("%q under ngrams%v: row %+v, want %+v", doc, featurizeRanges[k], got, want)
 		}
+	})
+}
+
+// FuzzFitFeaturize pins the fused fit to the unfused chain on arbitrary
+// documents: a corpus of two of them, repeated and joined so that terms
+// recur and counts tie, under every n-gram range of the table test and
+// NumFeatures from 0 (every term) to 7.
+func FuzzFitFeaturize(f *testing.F) {
+	chains := make([][]core.TransformOp, len(featurizeRanges))
+	for i, r := range featurizeRanges {
+		chains[i] = newFig2(r[0], r[1], nil).chain
+	}
+	for i, doc := range featurizeDocs {
+		f.Add(doc, featurizeDocs[(i+1)%len(featurizeDocs)], uint8(i), uint8(i))
+	}
+	f.Fuzz(func(t *testing.T, a, b string, r, k uint8) {
+		checkFit(t, chains[int(r)%len(chains)], int(k)%8, []string{a, b, a, a + " " + b})
 	})
 }
 

@@ -8,7 +8,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"keystoneml/internal/core"
@@ -131,7 +130,10 @@ func (v *Vocabulary) Apply(in any) any {
 // CommonSparseFeatures is the estimator selecting the numFeatures most
 // frequent terms across the corpus as the featurization vocabulary
 // (CommonSparseFeatures(1e5) in Figure 2). Document frequency is counted
-// distributively with one aggregation pass.
+// distributively with one aggregation pass. Fed by the Figure 2 chain, it
+// is a core.ChainEstimator: the optimizer's fit graph runs its fused form
+// (FuseChain), which counts over interned n-gram ids in one byte scan per
+// document and selects the same vocabulary, ties included.
 type CommonSparseFeatures struct {
 	NumFeatures int
 }
@@ -160,20 +162,28 @@ func (c *CommonSparseFeatures) Fit(ctx *engine.Context, data core.Fetch, labels 
 		},
 	).(map[string]float64)
 
-	type tc struct {
-		term string
-		c    float64
-	}
-	all := make([]tc, 0, len(counts))
+	all := make([]termCount, 0, len(counts))
 	for t, n := range counts {
-		all = append(all, tc{t, n})
+		all = append(all, termCount{t, n})
 	}
-	// Sort by count descending, term ascending for determinism.
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].c != all[j].c {
-			return all[i].c > all[j].c
+	return c.vocabulary(all)
+}
+
+// termCount is one term's document frequency.
+type termCount struct {
+	term string
+	c    float64
+}
+
+// vocabulary indexes the NumFeatures most frequent terms of all (every
+// term when NumFeatures is not positive), by count descending and then
+// term ascending for determinism.
+func (c *CommonSparseFeatures) vocabulary(all []termCount) *Vocabulary {
+	slices.SortFunc(all, func(a, b termCount) int {
+		if a.c != b.c {
+			return cmp.Compare(b.c, a.c)
 		}
-		return all[i].term < all[j].term
+		return strings.Compare(a.term, b.term)
 	})
 	n := c.NumFeatures
 	if n <= 0 || n > len(all) {

@@ -1,7 +1,10 @@
 package text
 
 import (
+	"bytes"
+	"encoding/gob"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -112,6 +115,38 @@ func TestVocabularyDecodeValidatesIndex(t *testing.T) {
 	}
 	if back, err := core.DecodeOp("model.vocab", state); err != nil || !reflect.DeepEqual(back, good) {
 		t.Errorf("valid vocabulary decoded as %v, %v", back, err)
+	}
+}
+
+// TestVocabularyEncodeIsDeterministic: a vocabulary encodes to the same
+// bytes every time, so an artifact's content address depends on its
+// model alone, and the map form of earlier artifacts still decodes.
+func TestVocabularyEncodeIsDeterministic(t *testing.T) {
+	v := &Vocabulary{Index: map[string]int{}, Dim: 300}
+	for i := 0; i < v.Dim; i++ {
+		v.Index[fmt.Sprintf("term%d", i)] = (i * 7) % v.Dim
+	}
+	first, err := v.EncodeState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		if again, _ := v.EncodeState(); !bytes.Equal(again, first) {
+			t.Fatal("the same vocabulary encoded to different bytes")
+		}
+	}
+	type mapForm struct {
+		Index map[string]int
+		Dim   int
+	}
+	var legacy bytes.Buffer
+	if err := gob.NewEncoder(&legacy).Encode(mapForm{v.Index, v.Dim}); err != nil {
+		t.Fatal(err)
+	}
+	for _, state := range [][]byte{first, legacy.Bytes()} {
+		if back, err := core.DecodeOp("model.vocab", state); err != nil || !reflect.DeepEqual(back, v) {
+			t.Errorf("decoded %v, %v; want %v", back, err, v)
+		}
 	}
 }
 

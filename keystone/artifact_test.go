@@ -1,15 +1,18 @@
 package keystone
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"keystoneml/internal/core"
+	"keystoneml/internal/text"
 )
 
 // encoded serializes the pipeline behind a served harness.
@@ -84,6 +87,53 @@ func TestArtifactRoundTrip(t *testing.T) {
 				t.Fatalf("shape digest changed across round-trip: %s vs %s", orig, back)
 			}
 		})
+	}
+}
+
+// plainEst is an estimator without its fused form: it fits exactly as
+// the estimator it wraps, but offers the optimizer no chain to absorb.
+type plainEst struct{ core.EstimatorOp }
+
+// TestTextFitFusedEncodesAsUnfused: TextPipeline's fit runs the Figure 2
+// chain fused into CommonSparseFeatures and its apply, yet Encode of the
+// fitted pipeline is byte-identical to Encode of the same pipeline fit
+// unfused, so the persisted plan is the logical one.
+func TestTextFitFusedEncodesAsUnfused(t *testing.T) {
+	train := SyntheticReviews(160, 1)
+	fit := func(p *Pipeline[string, []float64]) (*Fitted[string, []float64], []string) {
+		t.Helper()
+		f, err := p.Fit(context.Background(), train.Records, train.Labels, quickOpts()...)
+		if err != nil {
+			t.Fatalf("fit: %v", err)
+		}
+		var ran []string
+		for _, r := range f.TrainReport() {
+			ran = append(ran, r.Name)
+		}
+		return f, ran
+	}
+	fused, fusedRan := fit(TextPipeline(TextConfig{NumFeatures: 800, Iterations: 8}))
+	docs := Input[string]().Then(Trim()).Then(LowerCase())
+	tf := Then(Then(Then(docs, Tokenizer()), NGrams(1, 2)), TermFrequency())
+	csf := wrapEst[map[string]float64, any](plainEst{&text.CommonSparseFeatures{NumFeatures: 800}}, false)
+	unfused, unfusedRan := fit(ThenEstimator(ThenEstimator(tf, csf), LogisticRegression(8)))
+
+	if !slices.Contains(fusedRan, "text.commonsparse[fused]") || slices.Contains(fusedRan, "text.tokenize") {
+		t.Errorf("the fit did not fuse: it ran %q", fusedRan)
+	}
+	if !slices.Contains(unfusedRan, "text.tokenize") {
+		t.Errorf("the plain estimator's fit fused: it ran %q", unfusedRan)
+	}
+	a, err := Encode(fused)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Encode(unfused)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Errorf("the fused fit encodes to %d bytes that differ from the unfused fit's %d", len(a), len(b))
 	}
 }
 

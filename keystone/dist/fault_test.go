@@ -289,7 +289,7 @@ func TestChaosAllWorkersDead(t *testing.T) {
 	var workers []*Worker
 	plan := NewFaultPlan(
 		FaultRule{Op: opApply, Worker: 0, Nth: 1, Mode: FaultSever},
-		FaultRule{Op: "", Worker: 1, Nth: 12, Mode: FaultSever},
+		FaultRule{Op: "", Worker: 1, Nth: 6, Mode: FaultSever},
 	)
 	plan.OnSever = func(i int) { workers[i].Close() }
 	addrs := make([]string, 2)

@@ -206,7 +206,7 @@ func (w *Worker) dispatch(req *request, resp *response) error {
 		if err != nil {
 			return err
 		}
-		out := w.ctx.Map(coll, op.Apply)
+		out := core.MapOp(w.ctx, coll, op)
 		w.putParts(req.Dataset, idx, out, len(req.Only) > 0)
 		return nil
 	case opZip:

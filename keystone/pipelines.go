@@ -139,16 +139,7 @@ func (f *fisherEst) Weight() int { return 10 }
 
 // Fit implements core.EstimatorOp.
 func (f *fisherEst) Fit(ctx *engine.Context, data core.Fetch, labels core.Fetch) core.TransformOp {
-	flatten := func() *engine.Collection {
-		c := data()
-		var items []any
-		for _, rec := range c.Collect() {
-			for _, d := range rec.([][]float64) {
-				items = append(items, d)
-			}
-		}
-		return engine.FromSlice(items, c.NumPartitions())
-	}
+	flatten := func() *engine.Collection { return image.FlattenDescriptors(data()) }
 	post := (&gmm.GMM{K: f.k, Iters: 10, Seed: f.seed}).Fit(ctx, flatten, nil).(*gmm.PosteriorTransform)
 	return fisher.NewEncoder(post.Model)
 }
