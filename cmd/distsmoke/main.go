@@ -150,7 +150,7 @@ func run() error {
 	log.Printf("%d test predictions bit-identical to the oracle", len(test.Records))
 
 	// Chaos leg: SIGKILL a worker process mid-fit (deterministically, at
-	// the 3rd apply frame headed to worker 0, via the fault plan's sever
+	// the 2nd apply frame headed to worker 0, via the fault plan's sever
 	// hook) and require the fit to complete through partition
 	// reassignment + lineage replay with predictions still bit-identical
 	// to the single-process oracle.
@@ -272,8 +272,9 @@ func run() error {
 }
 
 // chaosFit boots a fresh pair of fit-only worker processes, arms a
-// fault plan that severs the 3rd apply frame headed to worker 0 and
-// SIGKILLs the process behind it, and requires the distributed fit to
+// fault plan that severs the 2nd apply frame headed to worker 0 (the
+// text fit sends each worker two: the fused featurisation, then the
+// solver's model) and SIGKILLs the process behind it, and requires the distributed fit to
 // complete anyway — reassigning the dead worker's partitions, replaying
 // their lineage on the survivor — with predictions bit-identical to the
 // single-process oracle.
@@ -310,7 +311,7 @@ func chaosFit(bin string, p *keystone.Pipeline[string, []float64], local *keysto
 	}
 	probe.Close()
 
-	plan := dist.NewFaultPlan(dist.FaultRule{Op: "apply", Worker: 0, Nth: 3, Mode: dist.FaultSever})
+	plan := dist.NewFaultPlan(dist.FaultRule{Op: "apply", Worker: 0, Nth: 2, Mode: dist.FaultSever})
 	plan.OnSever = func(i int) {
 		log.Printf("chaos: SIGKILL worker %d mid-fit", i)
 		procs[i].Process.Kill() //nolint:errcheck // the kill is the point

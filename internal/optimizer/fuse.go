@@ -1,6 +1,10 @@
 package optimizer
 
-import "keystoneml/internal/core"
+import (
+	"slices"
+
+	"keystoneml/internal/core"
+)
 
 // fuseFit returns g's fit graph, or nil when nothing in g fuses. In the
 // fit graph every core.ChainEstimator that absorbs the transform chain
@@ -15,6 +19,12 @@ import "keystoneml/internal/core"
 // output feeds the estimator and that estimator's apply-model nodes
 // alone, and every earlier step feeds only the next.
 func fuseFit(g *core.Graph) *core.Graph {
+	if !slices.ContainsFunc(g.Nodes, func(n *core.Node) bool {
+		_, ok := n.Estimator.(core.ChainEstimator)
+		return ok
+	}) {
+		return nil
+	}
 	f := g.Clone()
 	fused := false
 	for _, est := range f.Topological() {

@@ -282,8 +282,9 @@ func TestFaultDelayTripsDeadline(t *testing.T) {
 }
 
 // TestChaosAllWorkersDead kills worker 0 mid-fit, then worker 1 a few
-// frames later with nothing left to fail over to — the fit must fail
-// cleanly with no live workers rather than hang or panic.
+// frames later (its 6th of the 10 it gets once worker 0 is gone) with
+// nothing left to fail over to — the fit must fail cleanly with no live
+// workers rather than hang or panic.
 func TestChaosAllWorkersDead(t *testing.T) {
 	chaosSetup(t)
 	var workers []*Worker
