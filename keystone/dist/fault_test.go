@@ -23,6 +23,17 @@ func chaosPipeline() *keystone.Pipeline[string, []float64] {
 	return keystone.TextPipeline(keystone.TextConfig{NumFeatures: 100, Iterations: 3})
 }
 
+// chaosUnfusedPipeline is chaosPipeline with LowerCase before Trim: the
+// same function on the ASCII synthetic reviews, but the chain no longer
+// matches the Figure 2 chain, so CommonSparseFeatures does not absorb it
+// and the fit runs every transform as a pass of its own.
+func chaosUnfusedPipeline() *keystone.Pipeline[string, []float64] {
+	docs := keystone.Input[string]().Then(keystone.LowerCase()).Then(keystone.Trim())
+	tf := keystone.Then(keystone.Then(keystone.Then(docs, keystone.Tokenizer()), keystone.NGrams(1, 2)), keystone.TermFrequency())
+	return keystone.ThenEstimator(keystone.ThenEstimator(tf, keystone.CommonSparseFeatures(100)),
+		keystone.LogisticRegression(3))
+}
+
 var (
 	chaosOnce   sync.Once
 	chaosTrain  keystone.Dataset[string]
@@ -66,6 +77,12 @@ func chaosSetup(t *testing.T) {
 // timeouts, returning the fitted pipeline, the report, and the workers.
 func chaosFit(t *testing.T, plan *FaultPlan) (*keystone.Fitted[string, []float64], *Report, error) {
 	t.Helper()
+	return chaosFitPipeline(t, chaosPipeline(), plan)
+}
+
+// chaosFitPipeline is chaosFit over pipeline p.
+func chaosFitPipeline(t *testing.T, p *keystone.Pipeline[string, []float64], plan *FaultPlan) (*keystone.Fitted[string, []float64], *Report, error) {
+	t.Helper()
 	workers := make([]*Worker, 2)
 	addrs := make([]string, 2)
 	for i := range workers {
@@ -93,7 +110,7 @@ func chaosFit(t *testing.T, plan *FaultPlan) (*keystone.Fitted[string, []float64
 		t.Fatalf("connect: %v", err)
 	}
 	t.Cleanup(func() { cl.Close() })
-	fitted, rep, err := Fit(context.Background(), cl, chaosPipeline(), chaosTrain.Records, chaosTrain.Labels, FitOptions{
+	fitted, rep, err := Fit(context.Background(), cl, p, chaosTrain.Records, chaosTrain.Labels, FitOptions{
 		Level:       keystone.LevelPipeline,
 		SampleSizes: [2]int{16, 32},
 		Partitions:  4,
@@ -159,17 +176,26 @@ func TestFaultPlanObserve(t *testing.T) {
 // 0, then one fresh fit per (op kind, frame ordinal) severs that exact
 // frame AND kills the worker behind it. Every run must complete via
 // reassignment + lineage replay and predict bit-identically to the
-// single-process oracle.
+// single-process oracle. The sweep covers both fit shapes: the unfused
+// chain, one pass per transform (subtests kind/nth), and the fused
+// Figure 2 fit the text pipeline takes (subtests fused/kind/nth).
 func TestChaosKillAtEveryPassBoundary(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos sweep re-fits once per injection point")
 	}
 	chaosSetup(t)
+	sweepKills(t, chaosUnfusedPipeline)
+	t.Run("fused", func(t *testing.T) { sweepKills(t, chaosPipeline) })
+}
 
+// sweepKills counts the frames a clean fit of pipeline() sends to worker
+// 0, then runs one subtest per (op kind, frame ordinal) that kills worker
+// 0 at that frame.
+func sweepKills(t *testing.T, pipeline func() *keystone.Pipeline[string, []float64]) {
 	// Discovery: an inert plan counts the frames of a clean fit.
 	counter := NewFaultPlan()
 	counter.OnSever = func(int) {} // never fires; suppresses the kill default
-	fitted, rep, err := chaosFit(t, counter)
+	fitted, rep, err := chaosFitPipeline(t, pipeline(), counter)
 	if err != nil {
 		t.Fatalf("clean fit under counting plan: %v", err)
 	}
@@ -195,7 +221,7 @@ func TestChaosKillAtEveryPassBoundary(t *testing.T) {
 			kind, nth := kind, nth
 			t.Run(kind+"/"+itoa(nth), func(t *testing.T) {
 				plan := NewFaultPlan(FaultRule{Op: kind, Worker: 0, Nth: nth, Mode: FaultSever})
-				fitted, rep, err := chaosFit(t, plan)
+				fitted, rep, err := chaosFitPipeline(t, pipeline(), plan)
 				if err != nil {
 					t.Fatalf("fit did not survive killing worker 0 at %s frame %d: %v", kind, nth, err)
 				}
