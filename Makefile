@@ -105,9 +105,10 @@ flake:
 
 # Fuzz each target against its oracle: the numeric serve codecs against
 # encoding/json, the fused Figure 2 featuriser's apply and fit against the
-# unfused text chain, and the dist wire's frame decoder against its own
-# encoder (the seed corpora alone already run under `go test`); one
-# target per run is go test's rule.
+# unfused text chain, the dist wire's frame decoder against its own
+# encoder, and the dist wire's partition codec against its input (the
+# seed corpora alone already run under `go test`); one target per run is
+# go test's rule.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzImageDecode$$' -fuzztime $(FUZZTIME) ./keystone/serve
@@ -115,6 +116,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzFeaturize$$' -fuzztime $(FUZZTIME) ./internal/text
 	$(GO) test -run '^$$' -fuzz '^FuzzFitFeaturize$$' -fuzztime $(FUZZTIME) ./internal/text
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime $(FUZZTIME) ./keystone/dist
+	$(GO) test -run '^$$' -fuzz '^FuzzPartitionRoundTrip$$' -fuzztime $(FUZZTIME) ./keystone/dist
 
 # The HTTP inference server (trains text + vision pipelines at startup).
 serve:

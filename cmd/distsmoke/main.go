@@ -150,8 +150,8 @@ func run() error {
 	log.Printf("%d test predictions bit-identical to the oracle", len(test.Records))
 
 	// Chaos leg: SIGKILL a worker process mid-fit (deterministically, at
-	// the 2nd apply frame headed to worker 0, via the fault plan's sever
-	// hook) and require the fit to complete through partition
+	// the last apply frame a clean fit sends worker 0, via the fault
+	// plan's sever hook) and require the fit to complete through partition
 	// reassignment + lineage replay with predictions still bit-identical
 	// to the single-process oracle.
 	if err := chaosFit(bin, p, local, train, test); err != nil {
@@ -271,10 +271,11 @@ func run() error {
 	return nil
 }
 
-// chaosFit boots a fresh pair of fit-only worker processes, arms a
-// fault plan that severs the 2nd apply frame headed to worker 0 (the
-// text fit sends each worker two: the fused featurisation, then the
-// solver's model) and SIGKILLs the process behind it, and requires the distributed fit to
+// chaosFit boots a fresh pair of fit-only worker processes, counts the
+// apply frames a clean fit sends worker 0, then arms a fault plan that
+// severs the last of them (by then the source and the featurised rows
+// are resident, so recovery replays both onto the survivor) and
+// SIGKILLs the process behind it, and requires the distributed fit to
 // complete anyway — reassigning the dead worker's partitions, replaying
 // their lineage on the survivor — with predictions bit-identical to the
 // single-process oracle.
@@ -311,7 +312,25 @@ func chaosFit(bin string, p *keystone.Pipeline[string, []float64], local *keysto
 	}
 	probe.Close()
 
-	plan := dist.NewFaultPlan(dist.FaultRule{Op: "apply", Worker: 0, Nth: 2, Mode: dist.FaultSever})
+	// Count first: an inert plan maps the clean fit's frames, so the kill
+	// below follows the fit's frame sequence instead of assuming it.
+	counter := dist.NewFaultPlan()
+	ccl, err := dist.ConnectWith(dist.ClusterOptions{Addrs: wireAddrs, Fault: counter})
+	if err != nil {
+		return err
+	}
+	_, _, err = dist.Fit(context.Background(), ccl, p, train.Records, train.Labels, chaosFitOptions)
+	ccl.Close()
+	if err != nil {
+		return fmt.Errorf("clean counting fit: %w", err)
+	}
+	applies := counter.FrameCount("apply", 0)
+	if applies == 0 {
+		return fmt.Errorf("a clean fit sends worker 0 no apply frames")
+	}
+	log.Printf("chaos: a clean fit sends worker 0 %d apply frames; killing it at the last", applies)
+
+	plan := dist.NewFaultPlan(dist.FaultRule{Op: "apply", Worker: 0, Nth: applies, Mode: dist.FaultSever})
 	plan.OnSever = func(i int) {
 		log.Printf("chaos: SIGKILL worker %d mid-fit", i)
 		procs[i].Process.Kill() //nolint:errcheck // the kill is the point
@@ -329,11 +348,7 @@ func chaosFit(bin string, p *keystone.Pipeline[string, []float64], local *keysto
 	defer cl.Close()
 
 	log.Print("chaos: distributed fit with a mid-fit worker kill...")
-	distFit, rep, err := dist.Fit(context.Background(), cl, p, train.Records, train.Labels, dist.FitOptions{
-		Level:       keystone.LevelPipeline,
-		SampleSizes: [2]int{16, 32},
-		Partitions:  4,
-	})
+	distFit, rep, err := dist.Fit(context.Background(), cl, p, train.Records, train.Labels, chaosFitOptions)
 	if err != nil {
 		return fmt.Errorf("fit did not survive the kill: %w", err)
 	}
@@ -367,6 +382,13 @@ func chaosFit(bin string, p *keystone.Pipeline[string, []float64], local *keysto
 		return fmt.Errorf("chaos survivor did not exit on SIGINT")
 	}
 	return nil
+}
+
+// chaosFitOptions are the chaos leg's fit options, the oracle's.
+var chaosFitOptions = dist.FitOptions{
+	Level:       keystone.LevelPipeline,
+	SampleSizes: [2]int{16, 32},
+	Partitions:  4,
 }
 
 // dialCluster retries dist.Connect until every worker's wire port is up.

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -94,6 +95,23 @@ type workerConn struct {
 	down atomic.Bool
 	mu   sync.Mutex // one in-flight request per connection
 	conn net.Conn
+	br   *bufio.Reader // conn's frame reader and writer, kept across redials
+	bw   *bufio.Writer
+}
+
+func newWorkerConn(addr string, conn net.Conn) *workerConn {
+	wc := &workerConn{addr: addr, conn: conn}
+	wc.br, wc.bw = connBuffers(conn)
+	return wc
+}
+
+// redial swaps in a fresh connection, dropping whatever the old one's
+// buffers held.
+func (wc *workerConn) redial(conn net.Conn) {
+	wc.conn.Close()
+	wc.conn = conn
+	wc.br.Reset(conn)
+	wc.bw.Reset(conn)
 }
 
 // Connect dials every worker address with default failure options and
@@ -129,7 +147,7 @@ func ConnectWith(opts ClusterOptions) (*Cluster, error) {
 			c.Close()
 			return nil, fmt.Errorf("dist: dial worker %s: %w", addr, err)
 		}
-		c.conns = append(c.conns, &workerConn{addr: addr, conn: conn})
+		c.conns = append(c.conns, newWorkerConn(addr, conn))
 	}
 	return c, nil
 }
@@ -220,8 +238,7 @@ func (c *Cluster) call(i int, req *request) (*response, error) {
 				lastErr = err
 				continue
 			}
-			wc.conn.Close()
-			wc.conn = conn
+			wc.redial(conn)
 		}
 		resp, err := c.exchange(i, wc, req)
 		if err == nil {
@@ -270,11 +287,11 @@ func (c *Cluster) exchange(i int, wc *workerConn, req *request) (*response, erro
 			// exactly as a mid-send connection loss would.
 		}
 	}
-	if err := writeFrame(wc.conn, req); err != nil {
+	if err := writeFrame(wc.bw, req); err != nil {
 		return nil, fmt.Errorf("dist: worker %s: %w", wc.addr, err)
 	}
 	var resp response
-	if err := readFrame(wc.conn, &resp); err != nil {
+	if err := readFrame(wc.br, &resp); err != nil {
 		return nil, fmt.Errorf("dist: worker %s: %w", wc.addr, err)
 	}
 	if c.opTimeout > 0 {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -400,4 +401,87 @@ func TestFitUnencodableRecordLeavesClusterUsable(t *testing.T) {
 	test := keystone.SyntheticReviews(30, 2)
 	text := keystone.TextPipeline(keystone.TextConfig{NumFeatures: 400, Iterations: 5})
 	equalFits(t, cl, text, train, test)
+}
+
+// wireFeatures maps the gob-carried records of TestFitGobRecords to
+// dense features; registered by name, so workers can run it.
+func wireFeatures(rec any) []float64 {
+	switch v := rec.(type) {
+	case wirePoint:
+		return []float64{v.X, v.Y, v.X * v.Y}
+	case wirePolar:
+		x, y := v.R*math.Cos(v.Theta), v.R*math.Sin(v.Theta)
+		return []float64{x, y, x * y}
+	case []float64:
+		return []float64{v[0], v[1], v[0] * v[1]}
+	}
+	panic(fmt.Sprintf("disttest: no features for %T", rec))
+}
+
+func init() { keystone.RegisterStatelessOp("disttest.wirefeatures", wireFeatures) }
+
+// TestFitGobRecords: partitions the typed codec does not cover — a
+// registered custom record type, and records of mixed types — cross the
+// wire as gob, and the fits over them are bit-identical (Float64bits) to
+// the local fit.
+func TestFitGobRecords(t *testing.T) {
+	data := keystone.SyntheticDenseVectors(120, 2, 2, 3)
+	custom := make([]any, len(data.Records))
+	mixed := make([]any, len(data.Records))
+	for i, v := range data.Records {
+		custom[i] = wirePoint{v[0], v[1]}
+		switch i % 3 {
+		case 0:
+			mixed[i] = wirePoint{v[0], v[1]}
+		case 1:
+			mixed[i] = wirePolar{math.Hypot(v[0], v[1]), math.Atan2(v[1], v[0])}
+		default:
+			mixed[i] = v
+		}
+	}
+	if partitionKind(custom) != kindGob || partitionKind(mixed) != kindGob {
+		t.Fatal("the records would not cross as gob")
+	}
+	p := keystone.ThenEstimator(
+		keystone.Then(keystone.Input[any](), keystone.NewOp("disttest.wirefeatures", wireFeatures)),
+		keystone.LinearSolver(5))
+	cl, _ := startCluster(t, 2, WorkerOptions{})
+	for name, recs := range map[string][]any{"custom": custom, "mixed": mixed} {
+		t.Run(name, func(t *testing.T) {
+			local, err := p.Fit(context.Background(), recs, data.Labels,
+				keystone.WithOptimizerLevel(keystone.LevelPipeline),
+				keystone.WithSampleSizes(16, 32),
+				keystone.WithPartitions(4),
+				keystone.WithWorkers(1))
+			if err != nil {
+				t.Fatalf("local fit: %v", err)
+			}
+			placed, _, err := Fit(context.Background(), cl, p, recs, data.Labels, FitOptions{
+				Level:       keystone.LevelPipeline,
+				SampleSizes: [2]int{16, 32},
+				Partitions:  4,
+			})
+			if err != nil {
+				t.Fatalf("dist fit: %v", err)
+			}
+			want, err := local.TransformBatch(context.Background(), recs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := placed.TransformBatch(context.Background(), recs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%d dist predictions, %d local", len(got), len(want))
+			}
+			for i := range want {
+				for j := range want[i] {
+					if math.Float64bits(got[i][j]) != math.Float64bits(want[i][j]) {
+						t.Fatalf("record %d score %d: dist %v, local %v", i, j, got[i][j], want[i][j])
+					}
+				}
+			}
+		})
+	}
 }

@@ -307,16 +307,29 @@ func TestFaultDelayTripsDeadline(t *testing.T) {
 	assertOracleMatch(t, fitted)
 }
 
-// TestChaosAllWorkersDead kills worker 0 mid-fit, then worker 1 a few
-// frames later (its 6th of the 10 it gets once worker 0 is gone) with
-// nothing left to fail over to — the fit must fail cleanly with no live
-// workers rather than hang or panic.
+// TestChaosAllWorkersDead kills worker 0 at its first apply, then
+// worker 1 midway through the frames a clean fit sends it, with nothing
+// left to fail over to — the fit must fail cleanly with no live workers
+// rather than hang or panic. The kill ordinal is counted, not assumed:
+// once worker 0 is gone, worker 1 gets every frame of the clean run and
+// the replays besides, so the second kill is reached whatever the fit's
+// frame sequence is.
 func TestChaosAllWorkersDead(t *testing.T) {
 	chaosSetup(t)
+	counter := NewFaultPlan()
+	counter.OnSever = func(int) {}
+	if _, _, err := chaosFit(t, counter); err != nil {
+		t.Fatalf("clean fit under counting plan: %v", err)
+	}
+	frames := counter.FrameCount("", 1)
+	if frames < 2 {
+		t.Fatalf("a clean fit sends worker 1 only %d frames", frames)
+	}
+
 	var workers []*Worker
 	plan := NewFaultPlan(
 		FaultRule{Op: opApply, Worker: 0, Nth: 1, Mode: FaultSever},
-		FaultRule{Op: "", Worker: 1, Nth: 6, Mode: FaultSever},
+		FaultRule{Op: "", Worker: 1, Nth: (frames + 1) / 2, Mode: FaultSever},
 	)
 	plan.OnSever = func(i int) { workers[i].Close() }
 	addrs := make([]string, 2)
@@ -346,11 +359,41 @@ func TestChaosAllWorkersDead(t *testing.T) {
 		SampleSizes: [2]int{16, 32},
 		Partitions:  4,
 	})
+	if ev := plan.Events(); len(ev) != 2 {
+		t.Fatalf("kills fired %d times, want 2: %+v", len(ev), ev)
+	}
 	if err == nil {
 		t.Fatal("fit succeeded with every worker dead")
 	}
 	if cl.LiveWorkers() != 0 {
 		t.Fatalf("%d workers still live after killing both", cl.LiveWorkers())
+	}
+}
+
+// TestFitFrameSequence pins what a text fit sends each worker: the
+// documents in one load, and one fetch back. The fused Figure 2
+// estimator fits on the source, which the coordinator already holds, so
+// that fetch can only be the featurised rows the solver needs — the
+// documents never make the round trip.
+func TestFitFrameSequence(t *testing.T) {
+	chaosSetup(t)
+	plan := NewFaultPlan()
+	plan.OnSever = func(int) {}
+	fitted, rep, err := chaosFit(t, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertOracleMatch(t, fitted)
+	if rep.Recoveries != 0 {
+		t.Fatalf("clean fit recovered: %+v", rep)
+	}
+	for w := 0; w < 2; w++ {
+		if got := plan.FrameCount(opLoad, w); got != 1 {
+			t.Errorf("worker %d got %d load frames, want 1", w, got)
+		}
+		if got := plan.FrameCount(opFetch, w); got != 1 {
+			t.Errorf("worker %d got %d fetch frames, want 1 (the featurised rows)", w, got)
+		}
 	}
 }
 

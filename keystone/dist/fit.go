@@ -189,7 +189,8 @@ func handle(d core.Dataset) (*dataset, error) {
 }
 
 // Source ships the training data and records it as the lineage root the
-// whole fit replays from.
+// whole fit replays from. Its handle is born fetched: the coordinator
+// already holds the data.
 func (r *fitRun) Source(data *engine.Collection) (core.Dataset, error) {
 	r.data = data
 	d, err := r.create(func(name string) error {
@@ -199,6 +200,7 @@ func (r *fitRun) Source(data *engine.Collection) (core.Dataset, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dist: load training data: %w", err)
 	}
+	d.(*dataset).fetched = data // an estimator over the source never fetches it back
 	return d, nil
 }
 

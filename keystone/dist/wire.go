@@ -3,33 +3,48 @@
 // engine.Collection partitions, and a consistent-hashing Router that
 // fronts N serve.Server replicas booted from one registry artifact id.
 //
-// The wire protocol is deliberately lean — length-prefixed gob frames
+// The wire protocol is deliberately lean — length-prefixed binary frames
 // over TCP, one self-contained request or response per frame — and
 // reuses the artifact-persistence codecs for everything interesting:
 // operators cross the wire as (state kind, state bytes) pairs exactly as
 // they are persisted on disk (core.EncodeOp / core.DecodeOp), so any
 // operator a pipeline can Save is an operator a worker can execute.
-// Records cross inside []any partitions and therefore need their
-// concrete types gob-registered on both ends; RegisterRecordType extends
-// the built-in set (strings, dense and sparse vectors, token lists,
-// term-frequency maps — the evaluation pipelines' record types).
+//
+// Records cross as typed partitions: a partition whose records all have
+// one of the built-in record types (documents, token lists,
+// term-frequency maps, dense vectors, sparse vectors, images, descriptor
+// sets) is written as column blocks of that type — uvarint lengths,
+// delta-uvarint sparse indices, floats as gob's byte-reversed uvarint, so
+// every bit survives — and decoded into one block per column, each record
+// a capped sub-slice of it. Any other partition (a custom record type
+// added with RegisterRecordType, or records of mixed types) is one gob
+// blob.
 //
 // Framing: a frame is a big-endian uint32 payload length followed by
-// that many bytes of gob, produced by a fresh encoder per frame. Fresh
-// encoders cost a re-sent type description per frame but make failure
-// semantics clean: a torn or corrupt frame kills one request, not the
-// decoder stream, and either side can drop the connection at any frame
-// boundary. Workers answer strictly in request order per connection;
-// the coordinator serializes in-flight requests per connection and
-// fans out across workers with one connection each.
+// that many payload bytes. The writer sizes the payload exactly in a
+// first pass (which is also where an unencodable record is caught, so
+// nothing is written for it), then streams header and payload through
+// the connection's one fixed-size bufio.Writer; the reader decodes from
+// the connection's one bufio.Reader, never past the frame's length. No
+// state is shared across frames, so a torn or corrupt frame kills one
+// request, not the stream, and either side can drop the connection at
+// any frame boundary. Workers answer strictly in request order per
+// connection; the coordinator serializes in-flight requests per
+// connection and fans out across workers with one connection each.
 package dist
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"math/bits"
+	"net"
+	"strings"
 
 	"keystoneml/internal/image"
 	"keystoneml/internal/linalg"
@@ -40,10 +55,15 @@ import (
 // corrupt length prefix, not to limit payloads).
 const maxFrame = 1 << 30
 
+// connBufSize is the size of each connection's reader and writer
+// buffer: the most a frame ever holds in memory beyond its decoded
+// records.
+const connBufSize = 64 << 10
+
 // Typed frame-decoding failures. Every malformed input readFrame can
 // meet maps onto one of these (via errors.Is), so callers distinguish
 // protocol damage from ordinary I/O without string matching — and the
-// decoder never panics or allocates past the cap on garbage input.
+// decoder never panics or allocates past the frame on garbage input.
 var (
 	// ErrFrameTooLarge: the length prefix exceeds the 1 GiB cap —
 	// almost always a corrupt or misaligned prefix, not a real payload.
@@ -51,14 +71,24 @@ var (
 	// ErrFrameTruncated: the stream ended inside a frame (torn header
 	// or payload shorter than its prefix).
 	ErrFrameTruncated = errors.New("dist: truncated frame")
-	// ErrFrameCorrupt: the payload arrived whole but is not a valid gob
-	// message for the expected type.
+	// ErrFrameCorrupt: the payload arrived whole but does not decode as
+	// the expected message.
 	ErrFrameCorrupt = errors.New("dist: corrupt frame payload")
-	// ErrFrameEncode: the message could not be gob-encoded — in practice
-	// a record type missing from RegisterRecordType. Nothing was written:
+	// ErrFrameEncode: the message could not be encoded — in practice a
+	// record type missing from RegisterRecordType. Nothing was written:
 	// it is the sender's fault, not the connection's or the peer's, and
 	// sending again cannot help.
 	ErrFrameEncode = errors.New("dist: frame not encodable")
+)
+
+// The decoder's own failures: preallocated, so rejecting a hostile
+// frame allocates nothing.
+var (
+	errPastFrame = fmt.Errorf("%w: a field runs past the end of the frame", ErrFrameCorrupt)
+	errCount     = fmt.Errorf("%w: a count exceeds the bytes left in the frame", ErrFrameCorrupt)
+	errBlock     = fmt.Errorf("%w: record lengths disagree with their block", ErrFrameCorrupt)
+	errKind      = fmt.Errorf("%w: unknown record kind", ErrFrameCorrupt)
+	errTrailing  = fmt.Errorf("%w: bytes left over after the message", ErrFrameCorrupt)
 )
 
 // Wire operation names (request.Op).
@@ -114,82 +144,801 @@ type response struct {
 	HTTPAddr string         // ping/serve: replica base address ("" = no replica)
 }
 
-// writeFrame gob-encodes v with a fresh encoder and writes it as one
-// length-prefixed frame. A value that does not encode fails with
-// ErrFrameEncode before anything reaches w.
-func writeFrame(w io.Writer, v any) error {
-	bw := &sliceWriter{}
-	if err := gob.NewEncoder(bw).Encode(v); err != nil {
-		return fmt.Errorf("%w: %v", ErrFrameEncode, err)
-	}
-	buf := bw.b
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(buf)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(buf)
-	return err
+// connBuffers returns the one reader and one writer a connection's
+// frames go through for its whole life.
+func connBuffers(c net.Conn) (*bufio.Reader, *bufio.Writer) {
+	return bufio.NewReaderSize(c, connBufSize), bufio.NewWriterSize(c, connBufSize)
 }
 
-// readFrame reads one length-prefixed frame into v. A clean EOF at a
-// frame boundary comes back as io.EOF; anything torn, oversized, or
-// undecodable maps onto the typed Err* sentinels above.
-func readFrame(r io.Reader, v any) error {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.EOF {
+// writeFrame encodes v (a *request or *response) as one length-prefixed
+// frame through bw and flushes it. A value that does not encode fails
+// with ErrFrameEncode before anything reaches bw.
+func writeFrame(bw *bufio.Writer, v any) error {
+	w := frameWriter{bw: bw, sizing: true}
+	w.message(v)
+	if w.err != nil {
+		return fmt.Errorf("%w: %v", ErrFrameEncode, w.err)
+	}
+	size := w.n
+	if size > maxFrame {
+		return fmt.Errorf("%w: %d-byte payload exceeds the 1 GiB frame cap", ErrFrameEncode, size)
+	}
+	w.sizing = false
+	w.buf = binary.BigEndian.AppendUint32(bw.AvailableBuffer(), uint32(size))
+	w.n = -len(w.buf) // the header is not payload
+	w.message(v)
+	w.commit()
+	if w.werr != nil {
+		return w.werr
+	}
+	if w.n != size {
+		return fmt.Errorf("dist: frame encoder wrote %d of %d sized bytes", w.n, size)
+	}
+	return bw.Flush()
+}
+
+// readFrame decodes one length-prefixed frame from br into v (a
+// *request or *response). A clean EOF at a frame boundary comes back as
+// io.EOF; anything torn, oversized, or undecodable maps onto the typed
+// Err* sentinels above. A corrupt frame is consumed whole, so the next
+// read starts at the next frame boundary.
+func readFrame(br *bufio.Reader, v any) error {
+	hdr, err := br.Peek(4)
+	if err != nil {
+		if err == io.EOF && len(hdr) == 0 {
 			return io.EOF // connection closed between frames
 		}
 		return fmt.Errorf("%w: header: %v", ErrFrameTruncated, err)
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(hdr)
+	br.Discard(4) //nolint:errcheck // the four bytes are buffered
 	if n > maxFrame {
 		return fmt.Errorf("%w: length prefix %d", ErrFrameTooLarge, n)
 	}
-	buf := make([]byte, n)
-	if m, err := io.ReadFull(r, buf); err != nil {
-		return fmt.Errorf("%w: got %d of %d payload bytes: %v", ErrFrameTruncated, m, n, err)
+	r := frameReader{br: br, rem: int(n)}
+	r.message(v)
+	if r.err == nil && r.rem != 0 {
+		r.fail(errTrailing)
 	}
-	if err := gob.NewDecoder(&sliceReader{b: buf}).Decode(v); err != nil {
-		return fmt.Errorf("%w: %v", ErrFrameCorrupt, err)
+	if r.err != nil && !errors.Is(r.err, ErrFrameTruncated) {
+		br.Discard(r.rem) //nolint:errcheck // a short discard is the next read's truncation
 	}
-	return nil
+	return r.err
 }
 
-// sliceWriter/sliceReader avoid bytes.Buffer's unused capacity games for
-// the simple encode-whole/decode-whole frames used here.
-type sliceWriter struct{ b []byte }
+// Record kinds: how a partition's records are laid out on the wire.
+const (
+	kindGob      = iota // one gob blob: registered custom types, mixed partitions
+	kindString          // string
+	kindStrings         // []string
+	kindTermFreq        // map[string]float64
+	kindFloats          // []float64
+	kindSparse          // *linalg.SparseVector
+	kindImage           // *image.Image
+	kindDense           // [][]float64
+)
 
-func (w *sliceWriter) Write(p []byte) (int, error) { w.b = append(w.b, p...); return len(p), nil }
-
-type sliceReader struct {
-	b []byte
-	i int
+// kindOf returns the typed kind of one record, or kindGob when the
+// typed codec cannot carry it (an unknown type, a nil pointer, a sparse
+// vector whose index and value lengths differ).
+func kindOf(rec any) int {
+	switch v := rec.(type) {
+	case string:
+		return kindString
+	case []string:
+		return kindStrings
+	case map[string]float64:
+		return kindTermFreq
+	case []float64:
+		return kindFloats
+	case *linalg.SparseVector:
+		if v != nil && len(v.Idx) == len(v.Val) {
+			return kindSparse
+		}
+	case *image.Image:
+		if v != nil {
+			return kindImage
+		}
+	case [][]float64:
+		return kindDense
+	}
+	return kindGob
 }
 
-func (r *sliceReader) Read(p []byte) (int, error) {
-	if r.i >= len(r.b) {
-		return 0, io.EOF
+// partitionKind is the kind every record of recs shares, or kindGob.
+// An empty partition is written as a kind and a zero count alone.
+func partitionKind(recs []any) int {
+	if len(recs) == 0 {
+		return kindString
 	}
-	n := copy(p, r.b[r.i:])
-	r.i += n
-	return n, nil
+	k := kindOf(recs[0])
+	for _, r := range recs[1:] {
+		if kindOf(r) != k {
+			return kindGob
+		}
+	}
+	return k
+}
+
+// frameWriter runs one message's encoding twice: a sizing pass that
+// counts the exact payload length and gob-encodes the fallback
+// partitions (the one step that can fail), then a writing pass that
+// streams the same bytes through the connection's bufio.Writer.
+type frameWriter struct {
+	bw     *bufio.Writer
+	sizing bool
+	n      int      // payload bytes counted (sizing) or committed (writing)
+	buf    []byte   // writing: bytes appended in bw's free space, not yet committed
+	blobs  [][]byte // gob payloads of the fallback partitions, in encoding order
+	blob   int      // writing: the next blob
+	err    error    // sizing: why the message does not encode
+	werr   error    // writing: bw's failure; the rest of the frame is dropped
+}
+
+// commit hands the pending bytes to bw (they already sit in its buffer)
+// and makes room for the next uvarint. A failed flush leaves bw's
+// buffer full for good, so it ends the writing: werr is set.
+func (w *frameWriter) commit() {
+	w.n += len(w.buf)
+	w.bw.Write(w.buf) //nolint:errcheck // an error sticks in bw and surfaces at Flush
+	if w.bw.Available() < binary.MaxVarintLen64 {
+		w.werr = w.bw.Flush()
+	}
+	w.buf = w.bw.AvailableBuffer()
+}
+
+func (w *frameWriter) uvarint(v uint64) {
+	switch {
+	case w.sizing:
+		w.n += (bits.Len64(v|1) + 6) / 7
+	case w.werr != nil:
+	default:
+		if cap(w.buf)-len(w.buf) < binary.MaxVarintLen64 {
+			w.commit()
+		}
+		w.buf = binary.AppendUvarint(w.buf, v)
+	}
+}
+
+// int writes any int losslessly: negative values wrap to large uvarints.
+func (w *frameWriter) int(v int) { w.uvarint(uint64(v)) }
+
+// float writes f's bits byte-reversed, as gob does: small integers and
+// short mantissas take a few bytes, and every value, NaNs included,
+// round-trips exactly.
+func (w *frameWriter) float(f float64) { w.uvarint(bits.ReverseBytes64(math.Float64bits(f))) }
+
+func (w *frameWriter) floats(fs []float64) {
+	w.int(len(fs))
+	for _, f := range fs {
+		w.float(f)
+	}
+}
+
+// writeRaw writes p with no length prefix, copying it straight into
+// bw's buffer a buffer-full at a time.
+func writeRaw[T string | []byte](w *frameWriter, p T) {
+	if w.sizing {
+		w.n += len(p)
+		return
+	}
+	for len(p) > 0 && w.werr == nil {
+		if len(w.buf) == cap(w.buf) {
+			w.commit()
+			continue
+		}
+		k := copy(w.buf[len(w.buf):cap(w.buf)], p)
+		w.buf = w.buf[:len(w.buf)+k]
+		p = p[k:]
+	}
+}
+
+func (w *frameWriter) string(s string) {
+	w.int(len(s))
+	writeRaw(w, s)
+}
+
+func (w *frameWriter) bytes(b []byte) {
+	w.int(len(b))
+	writeRaw(w, b)
+}
+
+func (w *frameWriter) message(v any) {
+	switch m := v.(type) {
+	case *request:
+		w.string(m.Op)
+		w.string(m.Dataset)
+		w.string(m.Source)
+		w.string(m.Source2)
+		w.string(m.OpKind)
+		w.bytes(m.OpState)
+		w.string(m.Route)
+		w.string(m.Kind)
+		w.string(m.Ref)
+		w.int(len(m.Only))
+		for _, i := range m.Only {
+			w.int(i)
+		}
+		w.parts(m.Parts)
+	case *response:
+		w.string(m.Err)
+		w.string(m.HTTPAddr)
+		w.int(len(m.Counts))
+		for name, n := range m.Counts {
+			w.string(name)
+			w.int(n)
+		}
+		w.parts(m.Parts)
+	default:
+		w.err = fmt.Errorf("no wire codec for %T", v)
+	}
+}
+
+func (w *frameWriter) parts(ps []partition) {
+	w.int(len(ps))
+	for _, p := range ps {
+		w.partition(p)
+	}
+}
+
+// partition writes the global index, the record kind, the record count,
+// then the kind's column totals (so the reader sizes each block once)
+// and the records themselves.
+func (w *frameWriter) partition(p partition) {
+	recs := p.Records
+	kind := partitionKind(recs)
+	w.int(p.Index)
+	w.int(kind)
+	w.int(len(recs))
+	if len(recs) == 0 {
+		return
+	}
+	switch kind {
+	case kindString:
+		total := 0
+		for _, r := range recs {
+			total += len(r.(string))
+		}
+		w.int(total)
+		for _, r := range recs {
+			w.string(r.(string))
+		}
+	case kindStrings:
+		toks, total := 0, 0
+		for _, r := range recs {
+			for _, s := range r.([]string) {
+				toks++
+				total += len(s)
+			}
+		}
+		w.int(toks)
+		w.int(total)
+		for _, r := range recs {
+			ts := r.([]string)
+			w.int(len(ts))
+			for _, s := range ts {
+				w.string(s)
+			}
+		}
+	case kindTermFreq:
+		total := 0
+		for _, r := range recs {
+			for k := range r.(map[string]float64) {
+				total += len(k)
+			}
+		}
+		w.int(total)
+		for _, r := range recs {
+			m := r.(map[string]float64)
+			w.int(len(m))
+			for k, v := range m {
+				w.string(k)
+				w.float(v)
+			}
+		}
+	case kindFloats:
+		total := 0
+		for _, r := range recs {
+			total += len(r.([]float64))
+		}
+		w.int(total)
+		for _, r := range recs {
+			w.floats(r.([]float64))
+		}
+	case kindSparse:
+		nnz := 0
+		for _, r := range recs {
+			nnz += len(r.(*linalg.SparseVector).Idx)
+		}
+		w.int(nnz)
+		for _, r := range recs {
+			v := r.(*linalg.SparseVector)
+			w.int(v.Dim)
+			w.int(len(v.Idx))
+			prev := 0
+			for _, i := range v.Idx {
+				w.int(i - prev)
+				prev = i
+			}
+			for _, x := range v.Val {
+				w.float(x)
+			}
+		}
+	case kindImage:
+		total := 0
+		for _, r := range recs {
+			total += len(r.(*image.Image).Pix)
+		}
+		w.int(total)
+		for _, r := range recs {
+			im := r.(*image.Image)
+			w.int(im.Width)
+			w.int(im.Height)
+			w.int(im.Channels)
+			w.floats(im.Pix)
+		}
+	case kindDense:
+		rows, total := 0, 0
+		for _, r := range recs {
+			for _, row := range r.([][]float64) {
+				rows++
+				total += len(row)
+			}
+		}
+		w.int(rows)
+		w.int(total)
+		for _, r := range recs {
+			m := r.([][]float64)
+			w.int(len(m))
+			for _, row := range m {
+				w.floats(row)
+			}
+		}
+	case kindGob:
+		w.gob(recs)
+	}
+}
+
+// gob writes recs as one gob blob, encoded in the sizing pass.
+func (w *frameWriter) gob(recs []any) {
+	if !w.sizing {
+		w.bytes(w.blobs[w.blob])
+		w.blob++
+		return
+	}
+	var b bytes.Buffer
+	if err := gob.NewEncoder(&b).Encode(recs); err != nil {
+		if w.err == nil {
+			w.err = err
+		}
+		return
+	}
+	w.blobs = append(w.blobs, b.Bytes())
+	w.bytes(b.Bytes())
+}
+
+// frameReader decodes one frame's payload from the connection's
+// bufio.Reader. Every read is bounded by rem, the frame bytes not yet
+// consumed; the first failure sticks, and every read after it returns
+// zero values, so decoders check err only before they allocate.
+type frameReader struct {
+	br  *bufio.Reader
+	rem int
+	err error
+}
+
+func (r *frameReader) fail(err error) {
+	if r.err == nil {
+		r.err = err
+	}
+}
+
+// truncated records that the stream ended inside the frame.
+func (r *frameReader) truncated(err error) {
+	r.fail(fmt.Errorf("%w: %d payload bytes missing: %v", ErrFrameTruncated, r.rem, err))
+}
+
+func (r *frameReader) uvarint() uint64 {
+	if r.err != nil {
+		return 0
+	}
+	k := min(r.rem, binary.MaxVarintLen64)
+	if k == 0 {
+		r.fail(errPastFrame)
+		return 0
+	}
+	p, err := r.br.Peek(k)
+	v, n := binary.Uvarint(p)
+	switch {
+	case n > 0:
+		r.br.Discard(n) //nolint:errcheck // the bytes are buffered
+		r.rem -= n
+		return v
+	case n < 0:
+		r.fail(errPastFrame) // longer than any uint64
+	case err != nil:
+		r.truncated(err)
+	default:
+		r.fail(errPastFrame)
+	}
+	return 0
+}
+
+func (r *frameReader) int() int { return int(r.uvarint()) }
+
+func (r *frameReader) float() float64 {
+	return math.Float64frombits(bits.ReverseBytes64(r.uvarint()))
+}
+
+// count reads a count whose items each take at least minBytes of the
+// frame, and fails the frame when that many could not fit in what is
+// left of it: no count sizes an allocation past the frame.
+func (r *frameReader) count(minBytes int) int {
+	v := r.uvarint()
+	if v > uint64(r.rem/minBytes) {
+		r.fail(errCount)
+		return 0
+	}
+	return int(v)
+}
+
+// within fails the frame unless n more items fit in a block of size
+// with used already taken, and reports whether decoding can go on.
+func (r *frameReader) within(n, used, size int) bool {
+	if n > size-used {
+		r.fail(errBlock)
+	}
+	return r.err == nil
+}
+
+// appendBytes moves the next n frame bytes into sb through br's buffer.
+func (r *frameReader) appendBytes(sb *strings.Builder, n int) {
+	for n > 0 && r.err == nil {
+		p, err := r.br.Peek(min(n, r.br.Size()))
+		sb.Write(p)
+		r.br.Discard(len(p)) //nolint:errcheck // the bytes are buffered
+		n -= len(p)
+		r.rem -= len(p)
+		if err != nil {
+			r.truncated(err)
+		}
+	}
+}
+
+func (r *frameReader) string() string {
+	n := r.count(1)
+	if n == 0 || r.err != nil {
+		return ""
+	}
+	var sb strings.Builder
+	sb.Grow(n)
+	r.appendBytes(&sb, n)
+	return sb.String()
+}
+
+// blockString reads one length-prefixed string into the shared block sb
+// (grown to its size up front, so it never moves) and returns it.
+func (r *frameReader) blockString(sb *strings.Builder) string {
+	n := r.count(1)
+	if !r.within(n, sb.Len(), sb.Cap()) {
+		return ""
+	}
+	start := sb.Len()
+	r.appendBytes(sb, n)
+	return sb.String()[start:]
+}
+
+func (r *frameReader) bytes() []byte {
+	n := r.count(1)
+	if n == 0 || r.err != nil {
+		return nil
+	}
+	b := make([]byte, n)
+	if m, err := io.ReadFull(r.br, b); err != nil {
+		r.rem -= m
+		r.truncated(err)
+		return nil
+	}
+	r.rem -= n
+	return b
+}
+
+// floats reads one length-prefixed float run into block from *at on and
+// returns it as a capped sub-slice.
+func (r *frameReader) floats(block []float64, at *int) []float64 {
+	n := r.count(1)
+	if !r.within(n, *at, len(block)) {
+		return nil
+	}
+	s := block[*at : *at+n : *at+n]
+	for i := range s {
+		s[i] = r.float()
+	}
+	*at += n
+	return s
+}
+
+func (r *frameReader) message(v any) {
+	switch m := v.(type) {
+	case *request:
+		m.Op = r.string()
+		m.Dataset = r.string()
+		m.Source = r.string()
+		m.Source2 = r.string()
+		m.OpKind = r.string()
+		m.OpState = r.bytes()
+		m.Route = r.string()
+		m.Kind = r.string()
+		m.Ref = r.string()
+		if n := r.count(1); n > 0 && r.err == nil {
+			m.Only = make([]int, n)
+			for i := range m.Only {
+				m.Only[i] = r.int()
+			}
+		}
+		m.Parts = r.parts()
+	case *response:
+		m.Err = r.string()
+		m.HTTPAddr = r.string()
+		if n := r.count(2); n > 0 && r.err == nil {
+			m.Counts = make(map[string]int, n)
+			for i := 0; i < n && r.err == nil; i++ {
+				name := r.string()
+				m.Counts[name] = r.int()
+			}
+		}
+		m.Parts = r.parts()
+	default:
+		r.fail(fmt.Errorf("dist: no wire codec for %T", v))
+	}
+}
+
+// parts reads a partition list. The list is allocated only once its
+// first partition has decoded, so a frame that lies in its first
+// partition costs nothing.
+func (r *frameReader) parts() []partition {
+	n := r.count(3) // index, kind and record count: a byte each at least
+	var out []partition
+	for i := 0; i < n; i++ {
+		p := r.partition()
+		if r.err != nil {
+			return nil
+		}
+		if out == nil {
+			out = make([]partition, 0, n)
+		}
+		out = append(out, p)
+	}
+	return out
+}
+
+// partition reads one partition. Every count is checked against the
+// frame before the blocks it sizes are allocated — each kind's reader
+// reads its column totals first — and each decoded column is one block,
+// each record a capped sub-slice of it.
+func (r *frameReader) partition() partition {
+	p := partition{Index: r.int()}
+	kind := r.uvarint()
+	n := r.count(1)
+	if kind > kindDense {
+		r.fail(errKind)
+	}
+	if n == 0 || r.err != nil {
+		return p // a zero-record partition decodes as nil
+	}
+	switch kind {
+	case kindString:
+		p.Records = r.stringRecords(n)
+	case kindStrings:
+		p.Records = r.stringsRecords(n)
+	case kindTermFreq:
+		p.Records = r.termFreqRecords(n)
+	case kindFloats:
+		p.Records = r.floatsRecords(n)
+	case kindSparse:
+		p.Records = r.sparseRecords(n)
+	case kindImage:
+		p.Records = r.imageRecords(n)
+	case kindDense:
+		p.Records = r.denseRecords(n)
+	case kindGob:
+		p.Records = r.gobRecords(n)
+	}
+	return p
+}
+
+// full fails the frame unless a block was filled exactly.
+func (r *frameReader) full(used, size int) {
+	if used != size {
+		r.fail(errBlock)
+	}
+}
+
+func (r *frameReader) stringRecords(n int) []any {
+	total := r.count(1)
+	if r.err != nil {
+		return nil
+	}
+	recs := make([]any, n)
+	var sb strings.Builder
+	sb.Grow(total)
+	for i := range recs {
+		recs[i] = r.blockString(&sb)
+	}
+	r.full(sb.Len(), total)
+	return recs
+}
+
+func (r *frameReader) stringsRecords(n int) []any {
+	ntok, total := r.count(1), r.count(1)
+	if r.err != nil {
+		return nil
+	}
+	recs := make([]any, n)
+	toks := make([]string, ntok)
+	var sb strings.Builder
+	sb.Grow(total)
+	t := 0
+	for i := range recs {
+		c := r.count(1)
+		if !r.within(c, t, ntok) {
+			return nil
+		}
+		ts := toks[t : t+c : t+c]
+		for j := range ts {
+			ts[j] = r.blockString(&sb)
+		}
+		recs[i] = ts
+		t += c
+	}
+	r.full(t, ntok)
+	r.full(sb.Len(), total)
+	return recs
+}
+
+func (r *frameReader) termFreqRecords(n int) []any {
+	total := r.count(1)
+	if r.err != nil {
+		return nil
+	}
+	recs := make([]any, n)
+	var sb strings.Builder
+	sb.Grow(total)
+	for i := range recs {
+		m := r.count(2) // key length and value: a byte each at least
+		if r.err != nil {
+			return nil
+		}
+		tf := make(map[string]float64, m)
+		for j := 0; j < m; j++ {
+			k := r.blockString(&sb)
+			tf[k] = r.float()
+		}
+		recs[i] = tf
+	}
+	r.full(sb.Len(), total)
+	return recs
+}
+
+func (r *frameReader) floatsRecords(n int) []any {
+	total := r.count(1)
+	if r.err != nil {
+		return nil
+	}
+	recs := make([]any, n)
+	block, at := make([]float64, total), 0
+	for i := range recs {
+		recs[i] = r.floats(block, &at)
+	}
+	r.full(at, total)
+	return recs
+}
+
+func (r *frameReader) sparseRecords(n int) []any {
+	nnz := r.count(2) // index delta and value: a byte each at least
+	if r.err != nil {
+		return nil
+	}
+	recs := make([]any, n)
+	vecs := make([]linalg.SparseVector, n)
+	idx, val, at := make([]int, nnz), make([]float64, nnz), 0
+	for i := range vecs {
+		v := &vecs[i]
+		v.Dim = r.int()
+		c := r.count(2)
+		if !r.within(c, at, nnz) {
+			return nil
+		}
+		v.Idx, v.Val = idx[at:at+c:at+c], val[at:at+c:at+c]
+		prev := 0
+		for j := range v.Idx {
+			prev += r.int()
+			v.Idx[j] = prev
+		}
+		for j := range v.Val {
+			v.Val[j] = r.float()
+		}
+		at += c
+		recs[i] = v
+	}
+	r.full(at, nnz)
+	return recs
+}
+
+func (r *frameReader) imageRecords(n int) []any {
+	total := r.count(1)
+	if r.err != nil {
+		return nil
+	}
+	recs := make([]any, n)
+	ims := make([]image.Image, n)
+	pix, at := make([]float64, total), 0
+	for i := range ims {
+		im := &ims[i]
+		im.Width, im.Height, im.Channels = r.int(), r.int(), r.int()
+		im.Pix = r.floats(pix, &at)
+		recs[i] = im
+	}
+	r.full(at, total)
+	return recs
+}
+
+func (r *frameReader) denseRecords(n int) []any {
+	rows, total := r.count(1), r.count(1)
+	if r.err != nil {
+		return nil
+	}
+	recs := make([]any, n)
+	rowBlock, block := make([][]float64, rows), make([]float64, total)
+	ri, at := 0, 0
+	for i := range recs {
+		c := r.count(1)
+		if !r.within(c, ri, rows) {
+			return nil
+		}
+		m := rowBlock[ri : ri+c : ri+c]
+		for j := range m {
+			m[j] = r.floats(block, &at)
+		}
+		recs[i] = m
+		ri += c
+	}
+	r.full(ri, rows)
+	r.full(at, total)
+	return recs
+}
+
+func (r *frameReader) gobRecords(n int) []any {
+	blob := r.bytes()
+	if r.err != nil {
+		return nil
+	}
+	var recs []any
+	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&recs); err != nil {
+		r.fail(fmt.Errorf("%w: gob partition: %v", ErrFrameCorrupt, err))
+		return nil
+	}
+	if len(recs) != n {
+		r.fail(errBlock)
+		return nil
+	}
+	return recs
 }
 
 // RegisterRecordType registers a concrete record type for wire
-// transport (records travel as []any inside partitions, so gob needs
-// the concrete types on both ends). The evaluation pipelines' record
-// types are pre-registered; pipelines with custom record types call
-// this in both the coordinator and worker binaries. A fit that ships an
-// unregistered type fails with ErrFrameEncode and leaves the cluster
-// usable.
+// transport. The built-in record types travel as typed column blocks; a
+// partition holding any other type, or records of mixed types, crosses
+// as one gob blob, and gob needs its concrete types on both ends.
+// Pipelines with custom record types call this in both the coordinator
+// and worker binaries. A fit that ships an unregistered type fails with
+// ErrFrameEncode and leaves the cluster usable.
 func RegisterRecordType(v any) { gob.Register(v) }
 
 func init() {
-	// The record types of the built-in evaluation pipelines: documents,
-	// token/n-gram lists, term-frequency maps, sparse featurizations,
-	// dense feature/label vectors, images and their descriptor sets.
+	// The built-in record types, for partitions that mix them (and so
+	// travel as gob): documents, token/n-gram lists, term-frequency maps,
+	// sparse featurizations, dense feature/label vectors, images and
+	// their descriptor sets.
 	gob.Register("")
 	gob.Register([]string(nil))
 	gob.Register(map[string]float64{})

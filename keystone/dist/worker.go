@@ -138,6 +138,7 @@ func (w *Worker) acceptLoop() {
 // until the connection drops or the worker closes.
 func (w *Worker) serveConn(conn net.Conn) {
 	defer conn.Close()
+	br, bw := connBuffers(conn)
 	for {
 		select {
 		case <-w.closed:
@@ -145,14 +146,14 @@ func (w *Worker) serveConn(conn net.Conn) {
 		default:
 		}
 		var req request
-		if err := readFrame(conn, &req); err != nil {
+		if err := readFrame(br, &req); err != nil {
 			return // EOF or torn frame: the coordinator is gone
 		}
 		resp := w.handle(&req)
-		err := writeFrame(conn, resp)
+		err := writeFrame(bw, resp)
 		if errors.Is(err, ErrFrameEncode) {
 			// The connection is intact; the request fails, not the worker.
-			err = writeFrame(conn, &response{Err: err.Error()})
+			err = writeFrame(bw, &response{Err: err.Error()})
 		}
 		if err != nil {
 			return
