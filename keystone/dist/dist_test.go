@@ -420,7 +420,7 @@ func wireFeatures(rec any) []float64 {
 
 func init() { keystone.RegisterStatelessOp("disttest.wirefeatures", wireFeatures) }
 
-// TestFitGobRecords: partitions the typed codec does not cover — a
+// TestFitGobRecords: partitions the typed kinds do not cover — a
 // registered custom record type, and records of mixed types — cross the
 // wire as gob, and the fits over them are bit-identical (Float64bits) to
 // the local fit.

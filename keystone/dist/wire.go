@@ -10,14 +10,13 @@
 // they are persisted on disk (core.EncodeOp / core.DecodeOp), so any
 // operator a pipeline can Save is an operator a worker can execute.
 //
-// Records cross as typed partitions: a partition whose records all have
-// one of the built-in record types (documents, token lists,
-// term-frequency maps, dense vectors, sparse vectors, images, descriptor
-// sets) is written as column blocks of that type — uvarint lengths,
-// delta-uvarint sparse indices, floats as gob's byte-reversed uvarint, so
-// every bit survives — and decoded into one block per column, each record
-// a capped sub-slice of it. Any other partition (a custom record type
-// added with RegisterRecordType, or records of mixed types) is one gob
+// Records cross as typed partitions where the traffic is: a partition of
+// documents (string) or of sparse vectors (*linalg.SparseVector) is
+// written as column blocks — uvarint lengths, delta-uvarint sparse
+// indices, floats as gob's byte-reversed uvarint, so every bit survives —
+// and decoded into one block per column, each record a capped sub-slice
+// of it. Any other partition (the other built-in record types, a custom
+// type added with RegisterRecordType, records of mixed types) is one gob
 // blob.
 //
 // Framing: a frame is a big-endian uint32 payload length followed by
@@ -25,7 +24,9 @@
 // first pass (which is also where an unencodable record is caught, so
 // nothing is written for it), then streams header and payload through
 // the connection's one fixed-size bufio.Writer; the reader decodes from
-// the connection's one bufio.Reader, never past the frame's length. No
+// the connection's one bufio.Reader, never past the frame's length, and
+// presizes at most 1 GiB of blocks per frame from the counts it reads, so
+// a lying length prefix costs no more than the cap. No
 // state is shared across frames, so a torn or corrupt frame kills one
 // request, not the stream, and either side can drop the connection at
 // any frame boundary. Workers answer strictly in request order per
@@ -45,6 +46,7 @@ import (
 	"math/bits"
 	"net"
 	"strings"
+	"unsafe"
 
 	"keystoneml/internal/image"
 	"keystoneml/internal/linalg"
@@ -54,6 +56,15 @@ import (
 // one frame, so the cap is generous; it exists to fail fast on a
 // corrupt length prefix, not to limit payloads).
 const maxFrame = 1 << 30
+
+// Sizes of the blocks a reader presizes from counts, charged against its
+// frame's decode budget of maxFrame bytes.
+const (
+	wordSize   = int(unsafe.Sizeof(0))
+	anySize    = int(unsafe.Sizeof(any(nil)))
+	partSize   = int(unsafe.Sizeof(partition{}))
+	sparseSize = int(unsafe.Sizeof(linalg.SparseVector{}))
+)
 
 // connBufSize is the size of each connection's reader and writer
 // buffer: the most a frame ever holds in memory beyond its decoded
@@ -88,6 +99,7 @@ var (
 	errCount     = fmt.Errorf("%w: a count exceeds the bytes left in the frame", ErrFrameCorrupt)
 	errBlock     = fmt.Errorf("%w: record lengths disagree with their block", ErrFrameCorrupt)
 	errKind      = fmt.Errorf("%w: unknown record kind", ErrFrameCorrupt)
+	errBudget    = fmt.Errorf("%w: counts presize more than 1 GiB of blocks", ErrFrameCorrupt)
 	errTrailing  = fmt.Errorf("%w: bytes left over after the message", ErrFrameCorrupt)
 )
 
@@ -163,6 +175,9 @@ func writeFrame(bw *bufio.Writer, v any) error {
 	if size > maxFrame {
 		return fmt.Errorf("%w: %d-byte payload exceeds the 1 GiB frame cap", ErrFrameEncode, size)
 	}
+	if w.decoded > maxFrame {
+		return fmt.Errorf("%w: decodes into %d bytes of blocks, past the 1 GiB budget", ErrFrameEncode, w.decoded)
+	}
 	w.sizing = false
 	w.buf = binary.BigEndian.AppendUint32(bw.AvailableBuffer(), uint32(size))
 	w.n = -len(w.buf) // the header is not payload
@@ -195,7 +210,7 @@ func readFrame(br *bufio.Reader, v any) error {
 	if n > maxFrame {
 		return fmt.Errorf("%w: length prefix %d", ErrFrameTooLarge, n)
 	}
-	r := frameReader{br: br, rem: int(n)}
+	r := frameReader{br: br, rem: int(n), budget: maxFrame}
 	r.message(v)
 	if r.err == nil && r.rem != 0 {
 		r.fail(errTrailing)
@@ -206,41 +221,26 @@ func readFrame(br *bufio.Reader, v any) error {
 	return r.err
 }
 
-// Record kinds: how a partition's records are laid out on the wire.
+// Record kinds: how a partition's records are laid out on the wire. The
+// typed kinds are the records a distributed fit moves in bulk: the
+// documents it loads and the sparse rows it fetches.
 const (
-	kindGob      = iota // one gob blob: registered custom types, mixed partitions
-	kindString          // string
-	kindStrings         // []string
-	kindTermFreq        // map[string]float64
-	kindFloats          // []float64
-	kindSparse          // *linalg.SparseVector
-	kindImage           // *image.Image
-	kindDense           // [][]float64
+	kindGob    = iota // one gob blob: every other record type, mixed partitions
+	kindString        // string
+	kindSparse        // *linalg.SparseVector
 )
 
 // kindOf returns the typed kind of one record, or kindGob when the
-// typed codec cannot carry it (an unknown type, a nil pointer, a sparse
+// typed codec cannot carry it (any other type, a nil vector, a sparse
 // vector whose index and value lengths differ).
 func kindOf(rec any) int {
 	switch v := rec.(type) {
 	case string:
 		return kindString
-	case []string:
-		return kindStrings
-	case map[string]float64:
-		return kindTermFreq
-	case []float64:
-		return kindFloats
 	case *linalg.SparseVector:
 		if v != nil && len(v.Idx) == len(v.Val) {
 			return kindSparse
 		}
-	case *image.Image:
-		if v != nil {
-			return kindImage
-		}
-	case [][]float64:
-		return kindDense
 	}
 	return kindGob
 }
@@ -261,18 +261,27 @@ func partitionKind(recs []any) int {
 }
 
 // frameWriter runs one message's encoding twice: a sizing pass that
-// counts the exact payload length and gob-encodes the fallback
-// partitions (the one step that can fail), then a writing pass that
-// streams the same bytes through the connection's bufio.Writer.
+// counts the exact payload length, the blocks the reader will presize,
+// and gob-encodes the fallback partitions (the one step that can fail),
+// then a writing pass that streams the same bytes through the
+// connection's bufio.Writer.
 type frameWriter struct {
-	bw     *bufio.Writer
-	sizing bool
-	n      int      // payload bytes counted (sizing) or committed (writing)
-	buf    []byte   // writing: bytes appended in bw's free space, not yet committed
-	blobs  [][]byte // gob payloads of the fallback partitions, in encoding order
-	blob   int      // writing: the next blob
-	err    error    // sizing: why the message does not encode
-	werr   error    // writing: bw's failure; the rest of the frame is dropped
+	bw      *bufio.Writer
+	sizing  bool
+	n       int      // payload bytes counted (sizing) or committed (writing)
+	decoded int      // sizing: bytes of blocks the reader presizes, as frameReader.charge counts them
+	buf     []byte   // writing: bytes appended in bw's free space, not yet committed
+	blobs   [][]byte // gob payloads of the fallback partitions, in encoding order
+	blob    int      // writing: the next blob
+	err     error    // sizing: why the message does not encode
+	werr    error    // writing: bw's failure; the rest of the frame is dropped
+}
+
+// charge counts n bytes of blocks the reader will presize.
+func (w *frameWriter) charge(n int) {
+	if w.sizing {
+		w.decoded += n
+	}
 }
 
 // commit hands the pending bytes to bw (they already sit in its buffer)
@@ -308,13 +317,6 @@ func (w *frameWriter) int(v int) { w.uvarint(uint64(v)) }
 // round-trips exactly.
 func (w *frameWriter) float(f float64) { w.uvarint(bits.ReverseBytes64(math.Float64bits(f))) }
 
-func (w *frameWriter) floats(fs []float64) {
-	w.int(len(fs))
-	for _, f := range fs {
-		w.float(f)
-	}
-}
-
 // writeRaw writes p with no length prefix, copying it straight into
 // bw's buffer a buffer-full at a time.
 func writeRaw[T string | []byte](w *frameWriter, p T) {
@@ -334,11 +336,13 @@ func writeRaw[T string | []byte](w *frameWriter, p T) {
 }
 
 func (w *frameWriter) string(s string) {
+	w.charge(len(s))
 	w.int(len(s))
 	writeRaw(w, s)
 }
 
 func (w *frameWriter) bytes(b []byte) {
+	w.charge(len(b))
 	w.int(len(b))
 	writeRaw(w, b)
 }
@@ -355,6 +359,7 @@ func (w *frameWriter) message(v any) {
 		w.string(m.Route)
 		w.string(m.Kind)
 		w.string(m.Ref)
+		w.charge(len(m.Only) * wordSize)
 		w.int(len(m.Only))
 		for _, i := range m.Only {
 			w.int(i)
@@ -375,6 +380,7 @@ func (w *frameWriter) message(v any) {
 }
 
 func (w *frameWriter) parts(ps []partition) {
+	w.charge(len(ps) * partSize)
 	w.int(len(ps))
 	for _, p := range ps {
 		w.partition(p)
@@ -399,57 +405,19 @@ func (w *frameWriter) partition(p partition) {
 		for _, r := range recs {
 			total += len(r.(string))
 		}
+		w.charge(len(recs)*anySize + total)
 		w.int(total)
 		for _, r := range recs {
-			w.string(r.(string))
-		}
-	case kindStrings:
-		toks, total := 0, 0
-		for _, r := range recs {
-			for _, s := range r.([]string) {
-				toks++
-				total += len(s)
-			}
-		}
-		w.int(toks)
-		w.int(total)
-		for _, r := range recs {
-			ts := r.([]string)
-			w.int(len(ts))
-			for _, s := range ts {
-				w.string(s)
-			}
-		}
-	case kindTermFreq:
-		total := 0
-		for _, r := range recs {
-			for k := range r.(map[string]float64) {
-				total += len(k)
-			}
-		}
-		w.int(total)
-		for _, r := range recs {
-			m := r.(map[string]float64)
-			w.int(len(m))
-			for k, v := range m {
-				w.string(k)
-				w.float(v)
-			}
-		}
-	case kindFloats:
-		total := 0
-		for _, r := range recs {
-			total += len(r.([]float64))
-		}
-		w.int(total)
-		for _, r := range recs {
-			w.floats(r.([]float64))
+			s := r.(string)
+			w.int(len(s))
+			writeRaw(w, s)
 		}
 	case kindSparse:
 		nnz := 0
 		for _, r := range recs {
 			nnz += len(r.(*linalg.SparseVector).Idx)
 		}
+		w.charge(len(recs)*(anySize+sparseSize) + nnz*(wordSize+8))
 		w.int(nnz)
 		for _, r := range recs {
 			v := r.(*linalg.SparseVector)
@@ -462,36 +430,6 @@ func (w *frameWriter) partition(p partition) {
 			}
 			for _, x := range v.Val {
 				w.float(x)
-			}
-		}
-	case kindImage:
-		total := 0
-		for _, r := range recs {
-			total += len(r.(*image.Image).Pix)
-		}
-		w.int(total)
-		for _, r := range recs {
-			im := r.(*image.Image)
-			w.int(im.Width)
-			w.int(im.Height)
-			w.int(im.Channels)
-			w.floats(im.Pix)
-		}
-	case kindDense:
-		rows, total := 0, 0
-		for _, r := range recs {
-			for _, row := range r.([][]float64) {
-				rows++
-				total += len(row)
-			}
-		}
-		w.int(rows)
-		w.int(total)
-		for _, r := range recs {
-			m := r.([][]float64)
-			w.int(len(m))
-			for _, row := range m {
-				w.floats(row)
 			}
 		}
 	case kindGob:
@@ -519,12 +457,29 @@ func (w *frameWriter) gob(recs []any) {
 
 // frameReader decodes one frame's payload from the connection's
 // bufio.Reader. Every read is bounded by rem, the frame bytes not yet
-// consumed; the first failure sticks, and every read after it returns
-// zero values, so decoders check err only before they allocate.
+// consumed, and every block presized from a count is paid for out of
+// budget first: rem is what the length prefix claims, not what has
+// arrived, so counts alone would let a short stream that claims a large
+// frame size blocks many times the cap. The first failure sticks, and
+// every read after it returns zero values, so decoders check err only
+// before they allocate.
 type frameReader struct {
-	br  *bufio.Reader
-	rem int
-	err error
+	br     *bufio.Reader
+	rem    int
+	budget int // bytes of blocks the frame may still presize
+	err    error
+}
+
+// charge pays n bytes of presized blocks out of the frame's budget (the
+// writer counts the same bytes, so a frame it sends never fails here)
+// and reports whether decoding can go on.
+func (r *frameReader) charge(n int) bool {
+	if r.err == nil {
+		if r.budget -= n; r.budget < 0 {
+			r.fail(errBudget)
+		}
+	}
+	return r.err == nil
 }
 
 func (r *frameReader) fail(err error) {
@@ -607,7 +562,7 @@ func (r *frameReader) appendBytes(sb *strings.Builder, n int) {
 
 func (r *frameReader) string() string {
 	n := r.count(1)
-	if n == 0 || r.err != nil {
+	if n == 0 || !r.charge(n) {
 		return ""
 	}
 	var sb strings.Builder
@@ -630,7 +585,7 @@ func (r *frameReader) blockString(sb *strings.Builder) string {
 
 func (r *frameReader) bytes() []byte {
 	n := r.count(1)
-	if n == 0 || r.err != nil {
+	if n == 0 || !r.charge(n) {
 		return nil
 	}
 	b := make([]byte, n)
@@ -641,21 +596,6 @@ func (r *frameReader) bytes() []byte {
 	}
 	r.rem -= n
 	return b
-}
-
-// floats reads one length-prefixed float run into block from *at on and
-// returns it as a capped sub-slice.
-func (r *frameReader) floats(block []float64, at *int) []float64 {
-	n := r.count(1)
-	if !r.within(n, *at, len(block)) {
-		return nil
-	}
-	s := block[*at : *at+n : *at+n]
-	for i := range s {
-		s[i] = r.float()
-	}
-	*at += n
-	return s
 }
 
 func (r *frameReader) message(v any) {
@@ -670,7 +610,7 @@ func (r *frameReader) message(v any) {
 		m.Route = r.string()
 		m.Kind = r.string()
 		m.Ref = r.string()
-		if n := r.count(1); n > 0 && r.err == nil {
+		if n := r.count(1); n > 0 && r.charge(n*wordSize) {
 			m.Only = make([]int, n)
 			for i := range m.Only {
 				m.Only[i] = r.int()
@@ -680,8 +620,10 @@ func (r *frameReader) message(v any) {
 	case *response:
 		m.Err = r.string()
 		m.HTTPAddr = r.string()
+		// Counts is not presized: a stats reply names a few datasets, and
+		// each entry is paid for by its own bytes arriving.
 		if n := r.count(2); n > 0 && r.err == nil {
-			m.Counts = make(map[string]int, n)
+			m.Counts = make(map[string]int)
 			for i := 0; i < n && r.err == nil; i++ {
 				name := r.string()
 				m.Counts[name] = r.int()
@@ -698,6 +640,9 @@ func (r *frameReader) message(v any) {
 // partition costs nothing.
 func (r *frameReader) parts() []partition {
 	n := r.count(3) // index, kind and record count: a byte each at least
+	if !r.charge(n * partSize) {
+		return nil
+	}
 	var out []partition
 	for i := 0; i < n; i++ {
 		p := r.partition()
@@ -713,14 +658,14 @@ func (r *frameReader) parts() []partition {
 }
 
 // partition reads one partition. Every count is checked against the
-// frame before the blocks it sizes are allocated — each kind's reader
-// reads its column totals first — and each decoded column is one block,
-// each record a capped sub-slice of it.
+// frame, and the blocks it sizes are charged to the budget, before they
+// are allocated — each kind's reader reads its column totals first — and
+// each decoded column is one block, each record a capped sub-slice of it.
 func (r *frameReader) partition() partition {
 	p := partition{Index: r.int()}
 	kind := r.uvarint()
 	n := r.count(1)
-	if kind > kindDense {
+	if kind > kindSparse {
 		r.fail(errKind)
 	}
 	if n == 0 || r.err != nil {
@@ -729,18 +674,8 @@ func (r *frameReader) partition() partition {
 	switch kind {
 	case kindString:
 		p.Records = r.stringRecords(n)
-	case kindStrings:
-		p.Records = r.stringsRecords(n)
-	case kindTermFreq:
-		p.Records = r.termFreqRecords(n)
-	case kindFloats:
-		p.Records = r.floatsRecords(n)
 	case kindSparse:
 		p.Records = r.sparseRecords(n)
-	case kindImage:
-		p.Records = r.imageRecords(n)
-	case kindDense:
-		p.Records = r.denseRecords(n)
 	case kindGob:
 		p.Records = r.gobRecords(n)
 	}
@@ -756,7 +691,7 @@ func (r *frameReader) full(used, size int) {
 
 func (r *frameReader) stringRecords(n int) []any {
 	total := r.count(1)
-	if r.err != nil {
+	if !r.charge(n*anySize + total) {
 		return nil
 	}
 	recs := make([]any, n)
@@ -769,74 +704,9 @@ func (r *frameReader) stringRecords(n int) []any {
 	return recs
 }
 
-func (r *frameReader) stringsRecords(n int) []any {
-	ntok, total := r.count(1), r.count(1)
-	if r.err != nil {
-		return nil
-	}
-	recs := make([]any, n)
-	toks := make([]string, ntok)
-	var sb strings.Builder
-	sb.Grow(total)
-	t := 0
-	for i := range recs {
-		c := r.count(1)
-		if !r.within(c, t, ntok) {
-			return nil
-		}
-		ts := toks[t : t+c : t+c]
-		for j := range ts {
-			ts[j] = r.blockString(&sb)
-		}
-		recs[i] = ts
-		t += c
-	}
-	r.full(t, ntok)
-	r.full(sb.Len(), total)
-	return recs
-}
-
-func (r *frameReader) termFreqRecords(n int) []any {
-	total := r.count(1)
-	if r.err != nil {
-		return nil
-	}
-	recs := make([]any, n)
-	var sb strings.Builder
-	sb.Grow(total)
-	for i := range recs {
-		m := r.count(2) // key length and value: a byte each at least
-		if r.err != nil {
-			return nil
-		}
-		tf := make(map[string]float64, m)
-		for j := 0; j < m; j++ {
-			k := r.blockString(&sb)
-			tf[k] = r.float()
-		}
-		recs[i] = tf
-	}
-	r.full(sb.Len(), total)
-	return recs
-}
-
-func (r *frameReader) floatsRecords(n int) []any {
-	total := r.count(1)
-	if r.err != nil {
-		return nil
-	}
-	recs := make([]any, n)
-	block, at := make([]float64, total), 0
-	for i := range recs {
-		recs[i] = r.floats(block, &at)
-	}
-	r.full(at, total)
-	return recs
-}
-
 func (r *frameReader) sparseRecords(n int) []any {
 	nnz := r.count(2) // index delta and value: a byte each at least
-	if r.err != nil {
+	if !r.charge(n*(anySize+sparseSize) + nnz*(wordSize+8)) {
 		return nil
 	}
 	recs := make([]any, n)
@@ -865,49 +735,6 @@ func (r *frameReader) sparseRecords(n int) []any {
 	return recs
 }
 
-func (r *frameReader) imageRecords(n int) []any {
-	total := r.count(1)
-	if r.err != nil {
-		return nil
-	}
-	recs := make([]any, n)
-	ims := make([]image.Image, n)
-	pix, at := make([]float64, total), 0
-	for i := range ims {
-		im := &ims[i]
-		im.Width, im.Height, im.Channels = r.int(), r.int(), r.int()
-		im.Pix = r.floats(pix, &at)
-		recs[i] = im
-	}
-	r.full(at, total)
-	return recs
-}
-
-func (r *frameReader) denseRecords(n int) []any {
-	rows, total := r.count(1), r.count(1)
-	if r.err != nil {
-		return nil
-	}
-	recs := make([]any, n)
-	rowBlock, block := make([][]float64, rows), make([]float64, total)
-	ri, at := 0, 0
-	for i := range recs {
-		c := r.count(1)
-		if !r.within(c, ri, rows) {
-			return nil
-		}
-		m := rowBlock[ri : ri+c : ri+c]
-		for j := range m {
-			m[j] = r.floats(block, &at)
-		}
-		recs[i] = m
-		ri += c
-	}
-	r.full(ri, rows)
-	r.full(at, total)
-	return recs
-}
-
 func (r *frameReader) gobRecords(n int) []any {
 	blob := r.bytes()
 	if r.err != nil {
@@ -926,19 +753,20 @@ func (r *frameReader) gobRecords(n int) []any {
 }
 
 // RegisterRecordType registers a concrete record type for wire
-// transport. The built-in record types travel as typed column blocks; a
-// partition holding any other type, or records of mixed types, crosses
-// as one gob blob, and gob needs its concrete types on both ends.
+// transport. Partitions of documents and sparse vectors travel as typed
+// column blocks; a partition holding any other type, or records of mixed
+// types, crosses as one gob blob, and gob needs its concrete types on
+// both ends.
 // Pipelines with custom record types call this in both the coordinator
 // and worker binaries. A fit that ships an unregistered type fails with
 // ErrFrameEncode and leaves the cluster usable.
 func RegisterRecordType(v any) { gob.Register(v) }
 
 func init() {
-	// The built-in record types, for partitions that mix them (and so
-	// travel as gob): documents, token/n-gram lists, term-frequency maps,
-	// sparse featurizations, dense feature/label vectors, images and
-	// their descriptor sets.
+	// The built-in record types, for the partitions that travel as gob:
+	// token/n-gram lists, term-frequency maps, dense feature/label
+	// vectors, images and their descriptor sets, and partitions that mix
+	// them with documents or sparse featurizations.
 	gob.Register("")
 	gob.Register([]string(nil))
 	gob.Register(map[string]float64{})

@@ -141,7 +141,7 @@ func FuzzReadFrame(f *testing.F) {
 		corrupt[6] ^= 0x5A
 	}
 	f.Add(corrupt)
-	// One valid load frame per record kind, the gob fallback included.
+	// One valid load frame per built-in record type and gob case.
 	for _, tc := range kindCases() {
 		b, err := encodeFrame(&request{Op: opLoad, Dataset: "d", Parts: []partition{{Index: 2, Records: tc.recs}}})
 		if err != nil {
@@ -179,9 +179,11 @@ func init() {
 	RegisterRecordType(wirePolar{})
 }
 
-// kindCases is one partition per record kind, each with the edge cases
-// its codec must carry: empty and nil slices, NaN and signed zeros,
-// negative and unsorted sparse indices, and non-ASCII text.
+// kindCases is one partition per built-in record type, plus the gob
+// fallback's own cases, each with the edge cases its codec must carry:
+// empty and nil slices, NaN and signed zeros, negative and unsorted
+// sparse indices, and non-ASCII text. Only documents and sparse vectors
+// are typed; the other built-in types cross as gob.
 func kindCases() []struct {
 	name string
 	kind int
@@ -195,19 +197,19 @@ func kindCases() []struct {
 		recs []any
 	}{
 		{"string", kindString, []any{"a review", "", "naïve — ünïcode", "x"}},
-		{"[]string", kindStrings, []any{[]string{"a", "b c"}, []string(nil), []string{}, []string{"", "é"}}},
-		{"map[string]float64", kindTermFreq, []any{map[string]float64{"a": 1, "b c": 0.5}, map[string]float64{}, map[string]float64{"": nan}}},
-		{"[]float64", kindFloats, []any{[]float64{1, negZero, nan, math.Inf(-1), 1e-300}, []float64(nil), []float64{math.MaxFloat64}}},
+		{"[]string", kindGob, []any{[]string{"a", "b c"}, []string(nil), []string{}, []string{"", "é"}}},
+		{"map[string]float64", kindGob, []any{map[string]float64{"a": 1, "b c": 0.5}, map[string]float64{}, map[string]float64{"": nan}}},
+		{"[]float64", kindGob, []any{[]float64{1, negZero, nan, math.Inf(-1), 1e-300}, []float64(nil), []float64{math.MaxFloat64}}},
 		{"*linalg.SparseVector", kindSparse, []any{
 			&linalg.SparseVector{Dim: 5000, Idx: []int{3, 17, 4999}, Val: []float64{1, 2.5, negZero}},
 			&linalg.SparseVector{Dim: 0},
 			&linalg.SparseVector{Dim: -1, Idx: []int{9, 2, -7, math.MaxInt, math.MinInt}, Val: []float64{nan, 1, 2, 3, 4}},
 		}},
-		{"*image.Image", kindImage, []any{
+		{"*image.Image", kindGob, []any{
 			&image.Image{Width: 2, Height: 1, Channels: 2, Pix: []float64{0.1, 0.2, 0.3, nan}},
 			&image.Image{Width: 1, Height: 1, Channels: 1},
 		}},
-		{"[][]float64", kindDense, []any{[][]float64{{1, 2}, {}, nil, {nan}}, [][]float64(nil), [][]float64{{negZero}}}},
+		{"[][]float64", kindGob, []any{[][]float64{{1, 2}, {}, nil, {nan}}, [][]float64(nil), [][]float64{{negZero}}}},
 		{"registered custom type", kindGob, []any{wirePoint{1, 2}, wirePoint{negZero, nan}}},
 		{"mixed types", kindGob, []any{"doc", []float64{1, 2}, wirePolar{1, 0.5}, &linalg.SparseVector{Dim: 3, Idx: []int{1}, Val: []float64{2}}}},
 		{"sparse with ragged Idx/Val", kindGob, []any{&linalg.SparseVector{Dim: 3, Idx: []int{1, 2}, Val: []float64{2}}}},
@@ -290,9 +292,12 @@ func canonParts(ps []partition) []any {
 	return out
 }
 
-// roundTrip sends parts through one response frame and back.
+// roundTrip sends parts through one response frame and back, and checks
+// that the reader charges its decode budget exactly what the writer
+// counted for the frame.
 func roundTrip(parts []partition) ([]partition, error) {
-	b, err := encodeFrame(&response{Parts: parts})
+	msg := &response{Parts: parts}
+	b, err := encodeFrame(msg)
 	if err != nil {
 		return nil, err
 	}
@@ -300,12 +305,21 @@ func roundTrip(parts []partition) ([]partition, error) {
 	if err := readFrame(frameReaderOf(b), &got); err != nil {
 		return nil, fmt.Errorf("encoded frame does not decode: %w", err)
 	}
+	w := frameWriter{sizing: true}
+	w.message(msg)
+	br := frameReaderOf(b)
+	br.Discard(4)
+	r := frameReader{br: br, rem: len(b) - 4, budget: maxFrame}
+	r.message(new(response))
+	if charged := maxFrame - r.budget; r.err != nil || charged != w.decoded {
+		return nil, fmt.Errorf("reader charged %d bytes (err %v), writer counted %d", charged, r.err, w.decoded)
+	}
 	return got.Parts, nil
 }
 
-// TestPartitionRoundTrip: every record kind, and the gob fallback for
-// registered custom types and mixed partitions, crosses the wire bit for
-// bit, under the kind the codec is meant to pick.
+// TestPartitionRoundTrip: every built-in record type, and the gob
+// fallback for registered custom types and mixed partitions, crosses the
+// wire bit for bit, under the kind the codec is meant to pick.
 func TestPartitionRoundTrip(t *testing.T) {
 	for _, tc := range kindCases() {
 		t.Run(tc.name, func(t *testing.T) {
@@ -410,32 +424,42 @@ func allocBytesPerRun(runs int, f func()) float64 {
 // TestReadFrameHostileCounts: a small frame whose inner count claims
 // 1<<40 items fails with ErrFrameCorrupt and allocates less than the
 // frame's own length — every count is checked against the bytes left in
-// the frame before it sizes anything.
+// the frame before it sizes anything. So does a stream of a few bytes
+// whose length prefix claims a 1 GiB frame and whose counts claim
+// hundreds of millions of items: they fit in the claimed frame, but the
+// blocks they would size exceed the frame's decode budget.
 func TestReadFrameHostileCounts(t *testing.T) {
 	const huge = 1 << 40
-	// A request with every envelope field empty, then tail.
-	frame := func(tail ...uint64) []byte {
-		payload := make([]byte, 10) // Op … Ref, OpState and Only: empty
+	// A request with the first skip envelope fields empty, then tail,
+	// under a length prefix of claim bytes (0: the payload's own length).
+	withPrefix := func(claim uint32, skip int, tail ...uint64) []byte {
+		payload := make([]byte, skip)
 		for _, v := range tail {
 			payload = binary.AppendUvarint(payload, v)
 		}
-		return append(binary.BigEndian.AppendUint32(nil, uint32(len(payload))), payload...)
+		if claim == 0 {
+			claim = uint32(len(payload))
+		}
+		return append(binary.BigEndian.AppendUint32(nil, claim), payload...)
 	}
+	frame := func(tail ...uint64) []byte { return withPrefix(0, 10, tail...) } // Op … Ref, OpState and Only: empty
+	lying := func(tail ...uint64) []byte { return withPrefix(maxFrame, 10, tail...) }
 	cases := []struct {
 		name string
 		in   []byte
+		want error
 	}{
-		{"partitions", frame(huge)},
-		{"string records", frame(1, 0, kindString, huge)},
-		{"string block", frame(1, 0, kindString, 1, huge)},
-		{"tokens", frame(1, 0, kindStrings, 1, huge)},
-		{"term-frequency entries", frame(1, 0, kindTermFreq, 1, 0, huge)},
-		{"floats", frame(1, 0, kindFloats, 1, huge)},
-		{"sparse nonzeros", frame(1, 0, kindSparse, 1, huge)},
-		{"image pixels", frame(1, 0, kindImage, 1, huge)},
-		{"dense rows", frame(1, 0, kindDense, 1, huge)},
-		{"gob blob", frame(1, 0, kindGob, 1, huge)},
-		{"string length", append(binary.BigEndian.AppendUint32(nil, 10), binary.AppendUvarint(make([]byte, 0, 10), huge)...)},
+		{"partitions", frame(huge), errCount},
+		{"string records", frame(1, 0, kindString, huge), errCount},
+		{"string block", frame(1, 0, kindString, 1, huge), errCount},
+		{"sparse nonzeros", frame(1, 0, kindSparse, 1, huge), errCount},
+		{"gob blob", frame(1, 0, kindGob, 1, huge), errCount},
+		{"string length", append(binary.BigEndian.AppendUint32(nil, 10), binary.AppendUvarint(make([]byte, 0, 10), huge)...), errCount},
+		{"short stream: partitions", lying(1 << 28), errBudget},
+		{"short stream: string records", lying(1, 0, kindString, 1<<29, 0), errBudget},
+		{"short stream: sparse records", lying(1, 0, kindSparse, 1<<29, 0), errBudget},
+		{"short stream: sparse nonzeros", lying(1, 0, kindSparse, 1, 1<<28), errBudget},
+		{"short stream: Only", withPrefix(maxFrame, 9, 1<<28), errBudget},
 	}
 	if n := len(cases[0].in); n != 20 {
 		t.Fatalf("partition-count frame is %d bytes, want 20", n)
@@ -452,8 +476,8 @@ func TestReadFrameHostileCounts(t *testing.T) {
 				err = readFrame(br, &req)
 			}
 			decode()
-			if !errors.Is(err, ErrFrameCorrupt) {
-				t.Fatalf("err = %v, want ErrFrameCorrupt", err)
+			if err != tc.want || !errors.Is(err, ErrFrameCorrupt) {
+				t.Fatalf("err = %v, want %v", err, tc.want)
 			}
 			if b := allocBytesPerRun(100, decode); b >= float64(len(tc.in)) {
 				t.Fatalf("rejecting a %d-byte frame allocated %.0f bytes", len(tc.in), b)
@@ -528,8 +552,8 @@ func TestWireAllocBudget(t *testing.T) {
 
 // FuzzPartitionRoundTrip: any partition that encodes decodes to a
 // partition reflect.DeepEqual to it (through canon: float bits, and nil
-// slices equal to empty ones). The fuzz input picks the record kind —
-// each typed kind, a mixed partition, a registered custom type — and
+// slices equal to empty ones). The fuzz input picks the record type —
+// each built-in type, a mixed partition, a registered custom type — and
 // supplies the records' lengths, indices and float bits.
 func FuzzPartitionRoundTrip(f *testing.F) {
 	f.Add([]byte{0, 3, 1, 2, 3, 4, 5, 6, 7, 8, 9})
@@ -552,7 +576,7 @@ func FuzzPartitionRoundTrip(f *testing.F) {
 }
 
 // fuzzPartition builds a partition from fuzz bytes: the first picks the
-// kind (7 typed kinds, then mixed, then a custom type), the second the
+// record type (7 built-in types, then mixed, then a custom type), the second the
 // record count, and the rest feed lengths, indices and float bits,
 // reading zeros once exhausted.
 func fuzzPartition(data []byte) partition {
