@@ -21,23 +21,7 @@ func TestDefaultSamplesPlanLikeFixedSizes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	all := specs(Full)
-	all = append(all, workloadSpec{
-		name: "CIFAR-10",
-		build: func() *core.Graph {
-			return graphOf(keystone.CifarPipeline(keystone.CifarConfig{NumFilters: 8, Seed: 23, Iterations: 10}).EngineGraph())
-		},
-		train: workload.Images(96, 32, 3, 4, 21, 4), numClasses: 4,
-	}, workloadSpec{
-		name: "VOC-LCS",
-		build: func() *core.Graph {
-			return graphOf(keystone.VisionPipeline(keystone.VisionConfig{
-				PCADims: 8, GMMComponents: 6, SampleDescs: 15, Seed: 9, Iterations: 10, WithLCS: true,
-			}).EngineGraph())
-		},
-		train: workload.Images(96, 48, 3, 4, 40, 4), numClasses: 4,
-	})
-	for _, spec := range all {
+	for _, spec := range paperPipelines() {
 		spec := spec
 		t.Run(spec.name, func(t *testing.T) {
 			optimize := func(sizes [2]int) *optimizer.Plan {
@@ -61,4 +45,25 @@ func TestDefaultSamplesPlanLikeFixedSizes(t *testing.T) {
 			}
 		})
 	}
+}
+
+// paperPipelines is the five paper pipelines at the sizes the
+// plan-stability tests profile: Figure 9's three at Full scale, plus
+// CIFAR-10 and VOC with the LCS branch.
+func paperPipelines() []workloadSpec {
+	return append(specs(Full), workloadSpec{
+		name: "CIFAR-10",
+		build: func() *core.Graph {
+			return graphOf(keystone.CifarPipeline(keystone.CifarConfig{NumFilters: 8, Seed: 23, Iterations: 10}).EngineGraph())
+		},
+		train: workload.Images(96, 32, 3, 4, 21, 4), numClasses: 4,
+	}, workloadSpec{
+		name: "VOC-LCS",
+		build: func() *core.Graph {
+			return graphOf(keystone.VisionPipeline(keystone.VisionConfig{
+				PCADims: 8, GMMComponents: 6, SampleDescs: 15, Seed: 9, Iterations: 10, WithLCS: true,
+			}).EngineGraph())
+		},
+		train: workload.Images(96, 48, 3, 4, 40, 4), numClasses: 4,
+	})
 }
