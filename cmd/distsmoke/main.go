@@ -116,7 +116,6 @@ func run() error {
 	log.Print("single-process oracle fit...")
 	local, err := p.Fit(context.Background(), train.Records, train.Labels,
 		keystone.WithOptimizerLevel(keystone.LevelPipeline),
-		keystone.WithSampleSizes(16, 32),
 		keystone.WithPartitions(4),
 		keystone.WithWorkers(1))
 	if err != nil {
@@ -124,9 +123,8 @@ func run() error {
 	}
 	log.Print("distributed fit over 2 workers...")
 	distFit, rep, err := dist.Fit(context.Background(), cl, p, train.Records, train.Labels, dist.FitOptions{
-		Level:       keystone.LevelPipeline,
-		SampleSizes: [2]int{16, 32},
-		Partitions:  4,
+		Level:      keystone.LevelPipeline,
+		Partitions: 4,
 	})
 	if err != nil {
 		return fmt.Errorf("dist fit: %w", err)
@@ -386,9 +384,8 @@ func chaosFit(bin string, p *keystone.Pipeline[string, []float64], local *keysto
 
 // chaosFitOptions are the chaos leg's fit options, the oracle's.
 var chaosFitOptions = dist.FitOptions{
-	Level:       keystone.LevelPipeline,
-	SampleSizes: [2]int{16, 32},
-	Partitions:  4,
+	Level:      keystone.LevelPipeline,
+	Partitions: 4,
 }
 
 // dialCluster retries dist.Connect until every worker's wire port is up.

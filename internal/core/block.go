@@ -136,7 +136,7 @@ func (f *Fitted) transformBlocks(ctx context.Context, l blockLayout, records []a
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			if c, ok := engine.AsCanceled(r); ok {
+			if c, ok := r.(*engine.Canceled); ok {
 				out, err = nil, c.Err
 				return
 			}

@@ -206,12 +206,10 @@ func (e *Executor) RunContext(ctx context.Context) (models map[int]TransformOp, 
 		case nil:
 		case placementError:
 			models, out, report, err = nil, nil, e.report, r.err
+		case *engine.Canceled:
+			models, out, report, err = nil, nil, e.report, r
 		default:
-			c, ok := engine.AsCanceled(r)
-			if !ok {
-				panic(r)
-			}
-			models, out, report, err = nil, nil, e.report, c
+			panic(r)
 		}
 	}()
 	start := time.Now()
@@ -273,11 +271,11 @@ func CacheKeys(ids []int) []string {
 // cache or, for a node with a shared key, in the prefix cache. It counts
 // no access: it is the pass planner's boundary test.
 func (e *Executor) cachedNow(n *Node) bool {
-	if e.cache.Contains(cacheKey(n.ID)) {
-		return true
+	_, hit := e.cache.Peek(cacheKey(n.ID))
+	if k, ok := e.sharedKeys[n.ID]; ok && !hit {
+		_, hit = e.shared.Peek(k)
 	}
-	k, ok := e.sharedKeys[n.ID]
-	return ok && e.shared.Contains(k)
+	return hit
 }
 
 // obtain gets n's output through the fit's cache: a stored entry, a

@@ -208,7 +208,7 @@ func (f *Fitted) TransformBatch(ctx context.Context, records []any) (out []any, 
 	if len(records) >= batchParallelMin && f.ctx.Parallelism > 1 {
 		defer func() {
 			if r := recover(); r != nil {
-				if c, ok := engine.AsCanceled(r); ok {
+				if c, ok := r.(*engine.Canceled); ok {
 					out, err = nil, c.Err
 					return
 				}

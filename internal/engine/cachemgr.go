@@ -108,14 +108,18 @@ func NewCacheManager(budget int64, policy CachePolicy) *CacheManager {
 	return m
 }
 
-// Contains reports whether id is currently cached. It counts no access
-// and leaves recency alone — the planning peek the parallel scheduler
-// uses to prune passes at cache boundaries.
-func (m *CacheManager) Contains(id string) bool {
+// Peek returns id's cached value, if any. It counts no access and leaves
+// recency alone: it is the planning peek the parallel scheduler prunes
+// passes at cache boundaries with, and how the optimizer reads its
+// profile run's node outputs back.
+func (m *CacheManager) Peek(id string) (any, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	_, ok := m.entries[id]
-	return ok
+	e, ok := m.entries[id]
+	if !ok {
+		return nil, false
+	}
+	return e.value, true
 }
 
 // Served says how GetOrCompute obtained its value.

@@ -6,9 +6,10 @@ import (
 )
 
 // Canceled is the panic sentinel raised when the context.Context bound to
-// an engine Context is done. Execution entry points (core.Executor's
-// RunContext, optimizer.OptimizeContext) recover it at their boundary and
-// convert it back into an ordinary error, so cancellation unwinds the
+// an engine Context is done. The execution entry points recover it at
+// their boundary and convert it back into an ordinary error: core.Executor's
+// RunContext, which the optimizer's profile run goes through too, and the
+// fitted pipeline's batch and block paths. So cancellation unwinds the
 // deep recursive evaluation — including estimator fits blocked mid-pass
 // inside a Fetch — without threading an error return through every
 // operator signature.
@@ -23,13 +24,6 @@ func (c *Canceled) Error() string {
 
 // Unwrap exposes the context error for errors.Is(err, context.Canceled).
 func (c *Canceled) Unwrap() error { return c.Err }
-
-// AsCanceled extracts the cancellation error from a recovered panic
-// value, if that is what it is.
-func AsCanceled(r any) (*Canceled, bool) {
-	c, ok := r.(*Canceled)
-	return c, ok
-}
 
 // WithCancellation returns a copy of the Context bound to ctx: collection
 // operations check ctx between partition dispatches and panic with

@@ -153,7 +153,7 @@ func (ctx *Context) forEachPartition(c *Collection, f func(i int, part []any)) {
 	// A genuine worker panic outranks concurrent cancellation — masking
 	// a real bug as "canceled" would hide it from every log line.
 	if firstPanic != nil {
-		if c, ok := AsCanceled(firstPanic); ok {
+		if c, ok := firstPanic.(*Canceled); ok {
 			panic(c) // keep the typed sentinel so RunContext can recover it
 		}
 		panic(fmt.Sprintf("engine: worker panic: %v", firstPanic))

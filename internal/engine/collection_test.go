@@ -283,7 +283,7 @@ func TestCancellationMidAggregate(t *testing.T) {
 		if r == nil {
 			t.Fatal("expected cancellation panic from Aggregate")
 		}
-		canceled, ok := AsCanceled(r)
+		canceled, ok := r.(*Canceled)
 		if !ok {
 			t.Fatalf("recovered %v, want *Canceled", r)
 		}

@@ -21,7 +21,7 @@ func TestCacheManagerConcurrentAccess(t *testing.T) {
 				if i%3 == 0 {
 					m.put(key, i, 500)
 				} else if i%7 == 0 {
-					m.Contains(key)
+					contains(m, key)
 				} else {
 					m.get(key)
 				}
@@ -60,7 +60,7 @@ func TestCacheManagerTinyBudgetChurn(t *testing.T) {
 						case 0, 1, 2:
 							m.put(key, i, int64(100+(i%5)*150))
 						case 3, 4:
-							m.Contains(key)
+							contains(m, key)
 						case 6:
 							m.Stats()
 						default:
@@ -90,10 +90,10 @@ func TestCacheManagerContainsDoesNotTouchStats(t *testing.T) {
 	m.put("b", 2, 400)
 	before := m.Stats()
 	for i := 0; i < 10; i++ {
-		if !m.Contains("a") {
+		if !contains(m, "a") {
 			t.Fatal("Contains lost entry a")
 		}
-		if m.Contains("zzz") {
+		if contains(m, "zzz") {
 			t.Fatal("Contains invented entry zzz")
 		}
 	}
@@ -102,10 +102,10 @@ func TestCacheManagerContainsDoesNotTouchStats(t *testing.T) {
 	}
 	// Recency must be untouched: "a" is still oldest and evicts first.
 	m.put("c", 3, 400)
-	if m.Contains("a") {
+	if contains(m, "a") {
 		t.Error("peeking at a should not have refreshed its recency; a should have been evicted")
 	}
-	if !m.Contains("b") {
+	if !contains(m, "b") {
 		t.Error("b should have survived the eviction")
 	}
 }

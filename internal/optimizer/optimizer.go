@@ -128,35 +128,21 @@ type Plan struct {
 // data. It mutates g in place (operator substitution, CSE dep rewrites)
 // and returns the plan; at LevelNone it returns an empty plan immediately.
 func Optimize(g *core.Graph, data, labels *engine.Collection, cfg Config) *Plan {
-	return optimize(g, data, labels, cfg, engine.NewContext(cfg.Parallelism))
-}
-
-// OptimizeContext is Optimize bound to a context: the sampling and
-// profiling runs poll ctx between partition dispatches and estimator
-// passes, so a canceled Fit does not sit through profiling first. On
-// cancellation the (partially rewritten) plan is discarded and the
-// context error is returned.
-func OptimizeContext(ctx context.Context, g *core.Graph, data, labels *engine.Collection, cfg Config) (plan *Plan, err error) {
-	ectx := engine.NewContext(cfg.Parallelism)
-	if ctx != nil && ctx != context.Background() {
-		ectx = ectx.WithCancellation(ctx)
+	plan, err := OptimizeContext(context.Background(), g, data, labels, cfg)
+	if err != nil {
+		panic(err)
 	}
-	defer func() {
-		if r := recover(); r != nil {
-			c, ok := engine.AsCanceled(r)
-			if !ok {
-				panic(r)
-			}
-			plan, err = nil, c
-		}
-	}()
-	return optimize(g, data, labels, cfg, ectx), nil
+	return plan
 }
 
-func optimize(g *core.Graph, data, labels *engine.Collection, cfg Config, ctx *engine.Context) *Plan {
+// OptimizeContext is Optimize bound to a context: the profiling run polls
+// ctx as a fit does (see core.Executor.RunContext), so a canceled Fit does
+// not sit through profiling first. On cancellation the (partially
+// rewritten) plan is discarded and the context error is returned.
+func OptimizeContext(ctx context.Context, g *core.Graph, data, labels *engine.Collection, cfg Config) (*Plan, error) {
 	plan := &Plan{Graph: g, Chosen: map[int]string{}, Level: cfg.Level}
 	if cfg.Level == LevelNone {
-		return plan
+		return plan, nil
 	}
 	start := time.Now()
 	plan.CSEMerged = CSE(g)
@@ -164,34 +150,18 @@ func optimize(g *core.Graph, data, labels *engine.Collection, cfg Config, ctx *e
 	// operators the fit will run.
 	plan.fit = fuseFit(g)
 	fg := plan.runGraph()
-
-	fullN := data.Count()
-	s1, s2 := cfg.samples(fullN)
-	run := newSampleRun(fg, ctx, nestedSample(data, s1, s2), nestedSample(labels, s1, s2), fullN, cfg)
-	run.run()
+	prof, chosen, err := profile(ctx, fg, data, labels, cfg)
+	if err != nil {
+		return nil, err
+	}
 	if fg != g {
 		// Operator substitution rewrote the fit graph's nodes; the
 		// logical plan takes the same physical operators.
-		for id := range run.chosen {
+		for id := range chosen {
 			g.Nodes[id].Transform, g.Nodes[id].Estimator = fg.Nodes[id].Transform, fg.Nodes[id].Estimator
 		}
 	}
-
-	n1 := run.data[0].Count()
-	n2 := n1 + run.data[1].Count()
-	prof := &Profile{Nodes: map[int]*NodeProfile{}, SampleSizes: [2]int{n1, n2}, FullN: fullN}
-	for _, n := range fg.Topological() {
-		t := run.times[n.ID]
-		prof.Nodes[n.ID] = &NodeProfile{
-			Name:      n.OpName(),
-			Kind:      n.Kind,
-			Weight:    n.Weight(),
-			TimeSec:   extrapolate(n1, t[0].Seconds(), n2, t[1].Seconds(), fullN),
-			SizeBytes: run.stats[n.ID].Bytes,
-		}
-	}
-	plan.Profile = prof
-	plan.Chosen = run.chosen
+	plan.Profile, plan.Chosen = prof, chosen
 	prof.place(cfg.Dist)
 	// The materialization set is chosen under the schedule the executor
 	// will actually run: the k-worker makespan model (sequential Σ t·c
@@ -202,7 +172,7 @@ func optimize(g *core.Graph, data, labels *engine.Collection, cfg Config, ctx *e
 	plan.CacheSet = GreedyCacheSet(fg, prof, cfg.MemBudgetBytes, workers)
 	plan.Schedule = ScheduleFor(fg, prof, plan.CacheSet, workers)
 	plan.OptimizeTime = time.Since(start)
-	return plan
+	return plan, nil
 }
 
 // runGraph is the graph Execute runs: the fit graph when chains fuse,

@@ -1,6 +1,8 @@
 package optimizer
 
 import (
+	"context"
+	"errors"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -9,6 +11,7 @@ import (
 
 	"keystoneml/internal/cluster"
 	"keystoneml/internal/core"
+	"keystoneml/internal/cost"
 	"keystoneml/internal/engine"
 )
 
@@ -334,6 +337,10 @@ func TestExtrapolate(t *testing.T) {
 	if got := extrapolate(100, 200, 100, 200, 1000); got != 2000 {
 		t.Errorf("single-point extrapolation = %g, want 2000", got)
 	}
+	// S2 is all the data: t2 is the full-scale time, whatever t1 is.
+	if got := extrapolate(50, 999, 100, 200, 100); got != 200 {
+		t.Errorf("full-sample extrapolation = %g, want 200", got)
+	}
 	// Negative estimates clamp to zero.
 	if got := extrapolate(100, 50, 200, 10, 10000); got != 0 {
 		t.Errorf("clamped extrapolation = %g, want 0", got)
@@ -387,31 +394,195 @@ func (e *countingEst) Fit(ctx *engine.Context, data core.Fetch, labels core.Fetc
 // TestProfileTouchesEachSampleRecordOnce: one Optimize applies every
 // record-wise node (transform, gather branch, apply-model) to each of the
 // s2 sample records exactly once, and fits each estimator exactly twice,
-// on the nested S1 and on S2.
+// on the nested S1 and on S2 — once, on S2, when S2 is all the data.
 func TestProfileTouchesEachSampleRecordOnce(t *testing.T) {
-	var applies atomic.Int64
-	count := func(name string) core.TransformOp {
-		return core.TypedTransform(name, func(x []float64) []float64 { applies.Add(1); return x })
-	}
-	g := core.NewGraph()
-	in := g.AddTransform(core.TypedTransform("vec", func(x float64) []float64 { applies.Add(1); return []float64{x} }), g.Source)
-	a := g.AddTransform(count("a"), in)
-	b := g.AddTransform(count("b"), in)
-	est := &countingEst{applies: &applies}
-	fitOn(g, est, g.AddGather([]*core.Node{a, b}))
+	for _, tc := range []struct {
+		n       int
+		samples [2]int
+		fits    []int
+	}{
+		{n: 1000, samples: [2]int{62, 125}, fits: []int{62, 125}},
+		{n: 40, samples: [2]int{20, 40}, fits: []int{40}},
+	} {
+		var applies atomic.Int64
+		count := func(name string) core.TransformOp {
+			return core.TypedTransform(name, func(x []float64) []float64 { applies.Add(1); return x })
+		}
+		g := core.NewGraph()
+		in := g.AddTransform(core.TypedTransform("vec", func(x float64) []float64 { applies.Add(1); return []float64{x} }), g.Source)
+		a := g.AddTransform(count("a"), in)
+		b := g.AddTransform(count("b"), in)
+		est := &countingEst{applies: &applies}
+		fitOn(g, est, g.AddGather([]*core.Node{a, b}))
 
-	items := make([]any, 1000)
+		items := make([]any, tc.n)
+		for i := range items {
+			items[i] = float64(i)
+		}
+		plan := Optimize(g, engine.FromSlice(items, 4), nil, Config{Level: LevelFull, Resources: cluster.Local(4)})
+		if plan.Profile.SampleSizes != tc.samples {
+			t.Fatalf("n=%d: sample sizes %v, want %v", tc.n, plan.Profile.SampleSizes, tc.samples)
+		}
+		if got, want := applies.Load(), int64(4*tc.samples[1]); got != want {
+			t.Errorf("n=%d: record-wise applies = %d, want 4 nodes x %d records", tc.n, got, tc.samples[1])
+		}
+		if !reflect.DeepEqual(est.fits, tc.fits) {
+			t.Errorf("n=%d: estimator fits saw %v records, want %v", tc.n, est.fits, tc.fits)
+		}
+	}
+}
+
+// zeroCost prices every option at nothing, for one-option fakes.
+type zeroCost struct{}
+
+func (zeroCost) Name() string                          { return "test.zero-cost" }
+func (zeroCost) Cost(cost.DataStats, int) cost.Profile { return cost.Profile{} }
+
+// optModel is a fitted model that is itself Optimizable; its one option
+// flags that it was substituted.
+type optModel struct{ swapped *atomic.Bool }
+
+func (optModel) Name() string     { return "test.opt-model" }
+func (optModel) Apply(in any) any { return in }
+func (m optModel) Options() []cost.Option {
+	return []cost.Option{{Model: zeroCost{}, Operator: core.NewTransform("test.opt-model.swapped", func(in any) any {
+		m.swapped.Store(true)
+		return in
+	})}}
+}
+
+// optEst is an Optimizable estimator whose one option is a renamed copy
+// of itself, and whose model is an optModel.
+type optEst struct {
+	name    string
+	swapped *atomic.Bool
+}
+
+func (e optEst) Name() string { return e.name }
+func (e optEst) Options() []cost.Option {
+	return []cost.Option{{Model: zeroCost{}, Operator: optEst{"test.opt-est.physical", e.swapped}}}
+}
+func (e optEst) Fit(ctx *engine.Context, data core.Fetch, labels core.Fetch) core.TransformOp {
+	data()
+	return optModel{e.swapped}
+}
+
+// TestSelectionLeavesFittedModels: selection chooses the operators of
+// transform and estimator nodes only. A fitted model that is itself
+// Optimizable runs unchanged at its apply-model node.
+func TestSelectionLeavesFittedModels(t *testing.T) {
+	var swapped atomic.Bool
+	g := core.NewGraph()
+	vec := g.AddTransform(core.TypedTransform("vec", func(x float64) []float64 { return []float64{x} }), g.Source)
+	est := g.AddEstimator(optEst{"test.opt-est", &swapped}, vec, false)
+	g.AddApplyModel(est, vec)
+	items := make([]any, 200)
 	for i := range items {
 		items[i] = float64(i)
 	}
 	plan := Optimize(g, engine.FromSlice(items, 4), nil, Config{Level: LevelFull, Resources: cluster.Local(4)})
-	if plan.Profile.SampleSizes != [2]int{62, 125} {
-		t.Fatalf("sample sizes %v, want [62 125]", plan.Profile.SampleSizes)
+	if want := map[int]string{est.ID: "test.opt-est.physical"}; !reflect.DeepEqual(plan.Chosen, want) {
+		t.Errorf("Chosen %v, want %v", plan.Chosen, want)
 	}
-	if got := applies.Load(); got != 4*125 {
-		t.Errorf("record-wise applies = %d, want 4 nodes x 125 records", got)
+	if swapped.Load() {
+		t.Error("the profile applied a substitute for the fitted model")
 	}
+	if name := g.Nodes[est.ID].Estimator.Name(); name != "test.opt-est.physical" {
+		t.Errorf("estimator node holds %q after Optimize, want the chosen test.opt-est.physical", name)
+	}
+}
+
+// cancelingEst cancels the optimizer's context from inside its fit.
+type cancelingEst struct{ cancel context.CancelFunc }
+
+func (cancelingEst) Name() string { return "test.canceling-est" }
+func (e cancelingEst) Fit(ctx *engine.Context, data core.Fetch, labels core.Fetch) core.TransformOp {
+	e.cancel()
+	data()
+	return core.IdentityOp()
+}
+
+// TestOptimizeContextCanceledInFit: a cancellation during the profile
+// comes back from OptimizeContext as an error, with no plan, and leaves
+// the graph's operators as they were.
+func TestOptimizeContextCanceledInFit(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	g := core.NewGraph()
+	apply := fitOn(g, cancelingEst{cancel}, g.AddTransform(core.TypedTransform("vec", func(x float64) []float64 { return []float64{x} }), g.Source))
+	items := make([]any, 200)
+	for i := range items {
+		items[i] = float64(i)
+	}
+	plan, err := OptimizeContext(ctx, g, engine.FromSlice(items, 4), nil, Config{Level: LevelFull, Resources: cluster.Local(4)})
+	if plan != nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("OptimizeContext = (%v, %v), want no plan and context.Canceled", plan, err)
+	}
+	if _, ok := apply.Deps[0].Estimator.(cancelingEst); !ok {
+		t.Errorf("estimator node holds %T after a canceled Optimize, want the graph's own", apply.Deps[0].Estimator)
+	}
+}
+
+// alignedEst checks that every fit sees its labels split exactly as its
+// data (label = 10 × the record's value) and records the fit sizes.
+type alignedEst struct {
+	t    *testing.T
+	fits []int
+}
+
+func (e *alignedEst) Name() string { return "test.aligned-est" }
+func (e *alignedEst) Fit(ctx *engine.Context, data core.Fetch, labels core.Fetch) core.TransformOp {
+	x, y := data().Collect(), labels().Collect()
+	if len(x) != len(y) {
+		e.t.Fatalf("fit on %d records with %d labels", len(x), len(y))
+	}
+	for i := range x {
+		if want := 10 * x[i].([]float64)[0]; y[i].(float64) != want {
+			e.t.Fatalf("record %d: label %v, want %v", i, y[i], want)
+		}
+	}
+	e.fits = append(e.fits, len(x))
+	return core.IdentityOp()
+}
+
+// TestProfileFitsSeeAlignedLabels: the S1 fit gets S1's labels and the S2
+// fit S2's, each split exactly as the data, and the labels node keeps its
+// profiled size.
+func TestProfileFitsSeeAlignedLabels(t *testing.T) {
+	g := core.NewGraph()
+	vec := g.AddTransform(core.TypedTransform("vec", func(x float64) []float64 { return []float64{x} }), g.Source)
+	est := &alignedEst{t: t}
+	g.AddApplyModel(g.AddEstimator(est, vec, true), vec)
+	items, labels := make([]any, 1000), make([]any, 1000)
+	for i := range items {
+		items[i], labels[i] = float64(i), float64(10*i)
+	}
+	plan := Optimize(g, engine.FromSlice(items, 4), engine.FromSlice(labels, 4), Config{Level: LevelPipeline, Resources: cluster.Local(4)})
 	if !reflect.DeepEqual(est.fits, []int{62, 125}) {
-		t.Errorf("estimator fits saw %v records, want [62 125]", est.fits)
+		t.Errorf("fits saw %v records, want [62 125]", est.fits)
+	}
+	if plan.Profile.Nodes[g.Labels.ID].SizeBytes <= 0 {
+		t.Errorf("labels profiled at %d bytes", plan.Profile.Nodes[g.Labels.ID].SizeBytes)
+	}
+}
+
+// TestGatherTimeCoversFold: the executor folds a k-branch gather as k−1
+// Zips, so a Zip whose left input is the fold so far (a handle the cache
+// has not sized) carries that time over; one whose left input is a node
+// output does not.
+func TestGatherTimeCoversFold(t *testing.T) {
+	p := &profiler{ctx: engine.NewContext(1)}
+	parts := func() sample {
+		return sample{engine.FromSlice([]any{[]float64{1}}, 1), engine.FromSlice([]any{[]float64{2}}, 1)}
+	}
+	branch := &handle{parts: parts(), stats: &cost.DataStats{}}
+	fold := &handle{parts: parts(), times: [2]time.Duration{time.Hour, 2 * time.Hour}}
+	out, _ := p.Zip(fold, branch)
+	if got := out.(*handle).times; got[0] < time.Hour || got[1] < 2*time.Hour {
+		t.Errorf("fold step times %v, want at least the fold's [1h 2h]", got)
+	}
+	out, _ = p.Zip(branch, branch)
+	if got := out.(*handle).times; got[1] >= time.Hour {
+		t.Errorf("first fold step times %v carry a node output's time", got)
 	}
 }

@@ -13,6 +13,7 @@ package optimizer
 import (
 	"keystoneml/internal/core"
 	"keystoneml/internal/cost"
+	"keystoneml/internal/engine"
 	"keystoneml/internal/image"
 	"keystoneml/internal/linalg"
 )
@@ -58,13 +59,13 @@ func (prof *Profile) place(d *core.DistModel) {
 	prof.Dist = &m
 }
 
-// statsOf derives a node output's DataStats from its sample records —
-// scalar count per record, nonzero fraction, and bytes — extrapolated to
-// fullN records.
-func statsOf(out sample, fullN, numClasses int) cost.DataStats {
+// statsOf derives a node output's DataStats from its sample records, held
+// in parts — scalar count per record, nonzero fraction, and bytes —
+// extrapolated to fullN records.
+func statsOf(fullN, numClasses int, parts ...*engine.Collection) cost.DataStats {
 	st := cost.DataStats{N: int64(fullN), K: int64(numClasses), Sparsity: 1}
 	var n, scalars, nnz, bytes int64
-	for _, c := range out {
+	for _, c := range parts {
 		for i := 0; i < c.NumPartitions(); i++ {
 			for _, r := range c.Partition(i) {
 				s, z := recordScalars(r)
@@ -129,11 +130,12 @@ func recordScalars(r any) (scalars, nnz int64) {
 
 // extrapolate fits time(n) = a + b·n through two sample measurements and
 // evaluates at fullN, clamping at non-negative. With a single point (the
-// nested sample S1 is all of S2) it scales t2 linearly. This mirrors the
-// paper's two-sample (512/1024) linear regression, whose runtime
+// nested sample S1 is all of S2) it scales t2 linearly, and when S2 is
+// all the data t2 is the full-scale time, whatever t1 is. This mirrors
+// the paper's two-sample (512/1024) linear regression, whose runtime
 // estimates were within 15% of actuals.
 func extrapolate(n1 int, t1 float64, n2 int, t2 float64, fullN int) float64 {
-	if n2 == n1 {
+	if n2 == n1 || n2 == fullN {
 		if n2 == 0 {
 			return 0
 		}

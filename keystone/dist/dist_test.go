@@ -116,7 +116,6 @@ func TestFitBitIdentical(t *testing.T) {
 
 	local, err := p.Fit(context.Background(), train.Records, train.Labels,
 		keystone.WithOptimizerLevel(keystone.LevelPipeline),
-		keystone.WithSampleSizes(16, 32),
 		keystone.WithPartitions(4),
 		keystone.WithWorkers(1))
 	if err != nil {
@@ -125,9 +124,8 @@ func TestFitBitIdentical(t *testing.T) {
 
 	cl, _ := startCluster(t, 2, WorkerOptions{})
 	distFit, rep, err := Fit(context.Background(), cl, p, train.Records, train.Labels, FitOptions{
-		Level:       keystone.LevelPipeline,
-		SampleSizes: [2]int{16, 32},
-		Partitions:  4,
+		Level:      keystone.LevelPipeline,
+		Partitions: 4,
 	})
 	if err != nil {
 		t.Fatalf("dist fit: %v", err)
@@ -174,8 +172,7 @@ func TestFitCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, _, err := Fit(ctx, cl, p, train.Records, train.Labels, FitOptions{
-		Level:       keystone.LevelPipeline,
-		SampleSizes: [2]int{16, 32},
+		Level: keystone.LevelPipeline,
 	})
 	if err == nil {
 		t.Fatal("canceled fit succeeded")
@@ -212,8 +209,7 @@ func TestServeRouteAndRouter(t *testing.T) {
 	train := keystone.SyntheticReviews(100, 1)
 	p := keystone.TextPipeline(keystone.TextConfig{NumFeatures: 200, Iterations: 3})
 	fitted, err := p.Fit(context.Background(), train.Records, train.Labels,
-		keystone.WithOptimizerLevel(keystone.LevelPipeline),
-		keystone.WithSampleSizes(16, 32))
+		keystone.WithOptimizerLevel(keystone.LevelPipeline))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,16 +446,14 @@ func TestFitGobRecords(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			local, err := p.Fit(context.Background(), recs, data.Labels,
 				keystone.WithOptimizerLevel(keystone.LevelPipeline),
-				keystone.WithSampleSizes(16, 32),
 				keystone.WithPartitions(4),
 				keystone.WithWorkers(1))
 			if err != nil {
 				t.Fatalf("local fit: %v", err)
 			}
 			placed, _, err := Fit(context.Background(), cl, p, recs, data.Labels, FitOptions{
-				Level:       keystone.LevelPipeline,
-				SampleSizes: [2]int{16, 32},
-				Partitions:  4,
+				Level:      keystone.LevelPipeline,
+				Partitions: 4,
 			})
 			if err != nil {
 				t.Fatalf("dist fit: %v", err)

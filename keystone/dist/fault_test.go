@@ -51,7 +51,6 @@ func chaosSetup(t *testing.T) {
 		chaosTest = keystone.SyntheticReviews(10, 2)
 		local, err := chaosPipeline().Fit(context.Background(), chaosTrain.Records, chaosTrain.Labels,
 			keystone.WithOptimizerLevel(keystone.LevelPipeline),
-			keystone.WithSampleSizes(16, 32),
 			keystone.WithPartitions(4),
 			keystone.WithWorkers(1))
 		if err != nil {
@@ -111,9 +110,8 @@ func chaosFitPipeline(t *testing.T, p *keystone.Pipeline[string, []float64], pla
 	}
 	t.Cleanup(func() { cl.Close() })
 	fitted, rep, err := Fit(context.Background(), cl, p, chaosTrain.Records, chaosTrain.Labels, FitOptions{
-		Level:       keystone.LevelPipeline,
-		SampleSizes: [2]int{16, 32},
-		Partitions:  4,
+		Level:      keystone.LevelPipeline,
+		Partitions: 4,
 	})
 	return fitted, rep, err
 }
@@ -291,9 +289,8 @@ func TestFaultDelayTripsDeadline(t *testing.T) {
 	}
 	t.Cleanup(func() { cl.Close() })
 	fitted, rep, err := Fit(context.Background(), cl, chaosPipeline(), chaosTrain.Records, chaosTrain.Labels, FitOptions{
-		Level:       keystone.LevelPipeline,
-		SampleSizes: [2]int{16, 32},
-		Partitions:  4,
+		Level:      keystone.LevelPipeline,
+		Partitions: 4,
 	})
 	if err != nil {
 		t.Fatalf("fit did not absorb the stalled call: %v", err)
@@ -355,9 +352,8 @@ func TestChaosAllWorkersDead(t *testing.T) {
 	}
 	t.Cleanup(func() { cl.Close() })
 	_, _, err = Fit(context.Background(), cl, chaosPipeline(), chaosTrain.Records, chaosTrain.Labels, FitOptions{
-		Level:       keystone.LevelPipeline,
-		SampleSizes: [2]int{16, 32},
-		Partitions:  4,
+		Level:      keystone.LevelPipeline,
+		Partitions: 4,
 	})
 	if ev := plan.Events(); len(ev) != 2 {
 		t.Fatalf("kills fired %d times, want 2: %+v", len(ev), ev)

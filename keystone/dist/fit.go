@@ -34,9 +34,6 @@ type FitOptions struct {
 	CacheBudgetBytes int64
 	// Level selects the optimizer configuration (zero value = LevelFull).
 	Level keystone.Level
-	// SampleSizes overrides the two profiling sample sizes (zero = the
-	// optimizer's data-proportional default, see keystone.WithSampleSizes).
-	SampleSizes [2]int
 	// Resources describes the cluster for the planner's placement terms
 	// (stage-launch latency, coordinator network weight); nil uses
 	// cluster.Loopback for the connected worker count.
@@ -113,8 +110,7 @@ func Fit[I, O any](ctx context.Context, cl *Cluster, p *keystone.Pipeline[I, O],
 		keystone.WithWorkers(opts.Parallelism),
 		keystone.WithPartitions(opts.Partitions),
 		keystone.WithNumClasses(opts.NumClasses),
-		keystone.WithCacheBudget(opts.CacheBudgetBytes),
-		keystone.WithSampleSizes(opts.SampleSizes[0], opts.SampleSizes[1]))
+		keystone.WithCacheBudget(opts.CacheBudgetBytes))
 	if err != nil {
 		return nil, nil, err
 	}

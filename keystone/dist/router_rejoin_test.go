@@ -27,8 +27,7 @@ func TestRouterRejoinRedeploy(t *testing.T) {
 	train := keystone.SyntheticReviews(80, 1)
 	fitted, err := keystone.TextPipeline(keystone.TextConfig{NumFeatures: 150, Iterations: 3}).
 		Fit(context.Background(), train.Records, train.Labels,
-			keystone.WithOptimizerLevel(keystone.LevelPipeline),
-			keystone.WithSampleSizes(16, 32))
+			keystone.WithOptimizerLevel(keystone.LevelPipeline))
 	if err != nil {
 		t.Fatal(err)
 	}

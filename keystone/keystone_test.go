@@ -62,7 +62,6 @@ func (s *servedPipeline[I]) hotOne(ctx context.Context, rec any) (any, error) {
 func quickOpts() []Option {
 	return []Option{
 		WithOptimizerLevel(LevelPipeline),
-		WithSampleSizes(16, 32),
 	}
 }
 

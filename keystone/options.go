@@ -46,7 +46,6 @@ type fitConfig struct {
 	workers     int
 	partitions  int
 	numClasses  int
-	sampleSizes [2]int
 	prefix      *PrefixCache
 }
 
@@ -111,16 +110,6 @@ func WithNumClasses(k int) Option {
 	return func(c *fitConfig) { c.numClasses = k }
 }
 
-// WithSampleSizes sets the two nested profiling sample sizes s1 < s2 the
-// optimizer uses for linear extrapolation; they are used verbatim. The
-// default is data-proportional: for n training records
-// s2 = min(512, max(64, n/8)) and s1 = s2/2, both at most n, so profiling
-// costs about an eighth of a pass over small data and the fixed 256/512
-// from n = 4096 up. FitInfo.SampleSizes reports the sizes a fit used.
-func WithSampleSizes(s1, s2 int) Option {
-	return func(c *fitConfig) { c.sampleSizes = [2]int{s1, s2} }
-}
-
 // optimizerConfig lowers the resolved options, and the cost model of a
 // placed fit's site, onto the internal optimizer.
 func (c fitConfig) optimizerConfig(classes int, site Site) optimizer.Config {
@@ -129,7 +118,6 @@ func (c fitConfig) optimizerConfig(classes int, site Site) optimizer.Config {
 		Resources:      cluster.Local(modeledNodes),
 		MemBudgetBytes: c.cacheBudget,
 		NumClasses:     classes,
-		SampleSizes:    c.sampleSizes,
 		Parallelism:    c.workers,
 	}
 	if site.Placement != nil {

@@ -197,7 +197,7 @@ func TestStoreLoadFitted(t *testing.T) {
 	test := keystone.SyntheticReviews(12, 2)
 	p := keystone.TextPipeline(keystone.TextConfig{NumFeatures: 300, Iterations: 4})
 	f, err := p.Fit(context.Background(), train.Records, train.Labels,
-		keystone.WithOptimizerLevel(keystone.LevelPipeline), keystone.WithSampleSizes(16, 32))
+		keystone.WithOptimizerLevel(keystone.LevelPipeline))
 	if err != nil {
 		t.Fatalf("fit: %v", err)
 	}

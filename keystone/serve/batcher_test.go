@@ -19,7 +19,7 @@ func fitTinyText(t *testing.T) (*keystone.Fitted[string, []float64], []string) {
 	test := keystone.SyntheticReviews(20, 2)
 	p := keystone.TextPipeline(keystone.TextConfig{NumFeatures: 400, Iterations: 5})
 	f, err := p.Fit(context.Background(), train.Records, train.Labels,
-		keystone.WithOptimizerLevel(keystone.LevelPipeline), keystone.WithSampleSizes(16, 32))
+		keystone.WithOptimizerLevel(keystone.LevelPipeline))
 	if err != nil {
 		t.Fatalf("fit: %v", err)
 	}
