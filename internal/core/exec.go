@@ -271,9 +271,9 @@ func CacheKeys(ids []int) []string {
 // cache or, for a node with a shared key, in the prefix cache. It counts
 // no access: it is the pass planner's boundary test.
 func (e *Executor) cachedNow(n *Node) bool {
-	_, hit := e.cache.Peek(cacheKey(n.ID))
+	_, _, hit := e.cache.Peek(cacheKey(n.ID))
 	if k, ok := e.sharedKeys[n.ID]; ok && !hit {
-		_, hit = e.shared.Peek(k)
+		_, _, hit = e.shared.Peek(k)
 	}
 	return hit
 }

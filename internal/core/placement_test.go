@@ -192,7 +192,7 @@ func TestPlacementSeam(t *testing.T) {
 				t.Fatalf("pinGather=%t opaque=%t: placement not closed", pinGather, opaque)
 			}
 			for _, n := range pins {
-				if _, ok := cache.Peek(cacheKey(n.ID)); !ok {
+				if _, _, ok := cache.Peek(cacheKey(n.ID)); !ok {
 					t.Fatalf("pinGather=%t: node #%d not cached", pinGather, n.ID)
 				}
 			}

@@ -108,18 +108,17 @@ func NewCacheManager(budget int64, policy CachePolicy) *CacheManager {
 	return m
 }
 
-// Peek returns id's cached value, if any. It counts no access and leaves
-// recency alone: it is the planning peek the parallel scheduler prunes
-// passes at cache boundaries with, and how the optimizer reads its
-// profile run's node outputs back.
-func (m *CacheManager) Peek(id string) (any, bool) {
+// Peek returns id's cached value and the bytes it was admitted at, if it
+// is cached. It counts no access and leaves recency alone: the parallel
+// scheduler peeks to prune passes at cache boundaries, and the optimizer
+// to read its profile run's outputs back.
+func (m *CacheManager) Peek(id string) (any, int64, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	e, ok := m.entries[id]
-	if !ok {
-		return nil, false
+	if e, ok := m.entries[id]; ok {
+		return e.value, e.size, true
 	}
-	return e.value, true
+	return nil, 0, false
 }
 
 // Served says how GetOrCompute obtained its value.

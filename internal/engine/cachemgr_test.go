@@ -299,8 +299,25 @@ func TestGetOrComputeSizesOnlyAdmitted(t *testing.T) {
 	}
 }
 
+// TestPeekIsStatsNeutral: Peek returns a cached value with the bytes it
+// was admitted at, and counts no access.
+func TestPeekIsStatsNeutral(t *testing.T) {
+	m := NewCacheManager(0, NewLRUPolicy())
+	m.GetOrCompute("k", func() any { return "v" }, func(any) int64 { return 7 })
+	before := m.Stats()
+	if v, size, ok := m.Peek("k"); v != "v" || size != 7 || !ok {
+		t.Errorf("Peek(k) = (%v, %d, %t), want (v, 7, true)", v, size, ok)
+	}
+	if v, size, ok := m.Peek("absent"); v != nil || size != 0 || ok {
+		t.Errorf("Peek(absent) = (%v, %d, %t), want (nil, 0, false)", v, size, ok)
+	}
+	if after := m.Stats(); after != before {
+		t.Errorf("Peek moved the counters: %+v -> %+v", before, after)
+	}
+}
+
 // contains reports whether id is cached, counting no access.
 func contains(m *CacheManager, id string) bool {
-	_, ok := m.Peek(id)
+	_, _, ok := m.Peek(id)
 	return ok
 }

@@ -7,12 +7,12 @@ import (
 
 // Canceled is the panic sentinel raised when the context.Context bound to
 // an engine Context is done. The execution entry points recover it at
-// their boundary and convert it back into an ordinary error: core.Executor's
-// RunContext, which the optimizer's profile run goes through too, and the
-// fitted pipeline's batch and block paths. So cancellation unwinds the
-// deep recursive evaluation — including estimator fits blocked mid-pass
-// inside a Fetch — without threading an error return through every
-// operator signature.
+// their boundary and turn it back into an ordinary error: core.Executor's
+// RunContext (the optimizer's profile is a run of it too) and the fitted
+// pipeline's batch and block paths. So cancellation unwinds the deep
+// recursive evaluation — including estimator fits blocked mid-pass inside
+// a Fetch — without threading an error return through every operator
+// signature.
 type Canceled struct {
 	Err error // the underlying context error (context.Canceled or DeadlineExceeded)
 }

@@ -127,6 +127,7 @@ type Plan struct {
 // Optimize builds a physical plan for graph g over the given training
 // data. It mutates g in place (operator substitution, CSE dep rewrites)
 // and returns the plan; at LevelNone it returns an empty plan immediately.
+// It panics where OptimizeContext returns an error.
 func Optimize(g *core.Graph, data, labels *engine.Collection, cfg Config) *Plan {
 	plan, err := OptimizeContext(context.Background(), g, data, labels, cfg)
 	if err != nil {

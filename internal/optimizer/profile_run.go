@@ -39,7 +39,7 @@ func (p sample) all() *engine.Collection {
 	if p[0] == nil {
 		return nil
 	}
-	var parts [][]any
+	parts := make([][]any, 0, p[0].NumPartitions()+p[1].NumPartitions())
 	for _, c := range p {
 		for i := 0; i < c.NumPartitions(); i++ {
 			parts = append(parts, c.Partition(i))
@@ -97,8 +97,8 @@ type profiledFit struct {
 func profile(ctx context.Context, g *core.Graph, data, labels *engine.Collection, cfg Config) (*Profile, map[int]string, error) {
 	fullN := data.Count()
 	s1, s2 := cfg.samples(fullN)
-	p := &profiler{ctx: engine.NewContext(cfg.Parallelism), cfg: cfg, fullN: fullN, chosen: map[int]string{},
-		source: &handle{parts: nestedSample(data, s1, s2)}, labels: nestedSample(labels, s1, s2)}
+	p := &profiler{ctx: engine.NewContext(cfg.Parallelism).WithCancellation(ctx), cfg: cfg, fullN: fullN,
+		source: &handle{parts: nestedSample(data, s1, s2)}, labels: nestedSample(labels, s1, s2), chosen: map[int]string{}}
 	run := g.Clone()
 	for _, n := range run.Nodes {
 		if n.Estimator != nil {
@@ -119,8 +119,8 @@ func profile(ctx context.Context, g *core.Graph, data, labels *engine.Collection
 		var t [2]time.Duration
 		if f, ok := run.Nodes[n.ID].Estimator.(*profiledFit); ok {
 			t = f.times
-		} else if v, ok := cache.Peek(core.CacheKeys([]int{n.ID})[0]); ok {
-			np.SizeBytes = p.Size(v)
+		} else if v, size, ok := cache.Peek(core.CacheKeys([]int{n.ID})[0]); ok {
+			np.SizeBytes = size
 			if h, ok := v.(*handle); ok && !charged[h] {
 				t, charged[h] = h.times, true
 			}
@@ -187,8 +187,9 @@ func (p *profiler) Fetch(d core.Dataset) (*engine.Collection, error) {
 	return p.last.parts.all(), nil
 }
 
-// Size computes d's S2 statistics and returns their bytes; the labels
-// are the bound collection, not a handle.
+// Size computes d's S2 statistics and returns their bytes, which the
+// profile reads back from the cache; the labels are the bound collection,
+// not a handle.
 func (p *profiler) Size(d core.Dataset) int64 {
 	h, ok := d.(*handle)
 	if !ok {
