@@ -381,6 +381,23 @@ func FlattenDescriptors(c *engine.Collection) *engine.Collection {
 	return engine.FromSlice(items, c.NumPartitions())
 }
 
+// FlattenedFetch wraps a fetch of descriptor sets into a fetch of their
+// FlattenDescriptors. It flattens again only when the wrapped fetch
+// returns a different collection from its previous call: an input the
+// executor holds (the same collection on every pass) is flattened once
+// per fit, and one recomputed for every pass is flattened on every pass.
+// Each call is still exactly one call of fetch, so an estimator's passes
+// over its input, and the planner's model of them, do not change.
+func FlattenedFetch(fetch core.Fetch) core.Fetch {
+	var last, flat *engine.Collection
+	return func() *engine.Collection {
+		if c := fetch(); c != last {
+			last, flat = c, FlattenDescriptors(c)
+		}
+		return flat
+	}
+}
+
 // DescriptorPCAEst fits PCA over all descriptors pooled across records and
 // produces a DescriptorPCA transform. It wraps any descriptor-level
 // estimator fitting on []float64 records.
@@ -394,7 +411,7 @@ func (d *DescriptorPCAEst) Name() string { return "image.descpca.est[" + d.Fitte
 // Fit implements core.EstimatorOp by flattening descriptor sets into
 // descriptor records before fitting the inner estimator.
 func (d *DescriptorPCAEst) Fit(ctx *engine.Context, data core.Fetch, labels core.Fetch) core.TransformOp {
-	inner := d.Fitter.Fit(ctx, func() *engine.Collection { return FlattenDescriptors(data()) }, labels)
+	inner := d.Fitter.Fit(ctx, FlattenedFetch(data), labels)
 	return &DescriptorPCA{Inner: inner}
 }
 

@@ -2,10 +2,12 @@ package image
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"keystoneml/internal/core"
 	"keystoneml/internal/engine"
+	"keystoneml/internal/gmm"
 	"keystoneml/internal/linalg"
 )
 
@@ -249,6 +251,52 @@ func TestDescriptorPCAEst(t *testing.T) {
 	}
 	if opts := est.Options(); opts != nil {
 		t.Errorf("non-optimizable inner should give nil options")
+	}
+}
+
+// TestFlattenedFetchFlattensOncePerInput fits a GMM through
+// FlattenedFetch twice: once on a fetch that returns the same collection
+// on every pass, once on one that returns a fresh copy each time. Both
+// make 1 + Iters fetches; the held input is flattened once and the fresh
+// one on every pass, and the fitted models are equal.
+func TestFlattenedFetchFlattensOncePerInput(t *testing.T) {
+	rng := linalg.NewRNG(8)
+	parts := make([][]any, 3)
+	for p := range parts {
+		for i := 0; i < 6+p; i++ {
+			descs := make([][]float64, 4)
+			for j := range descs {
+				descs[j] = rng.GaussianVector(5)
+			}
+			parts[p] = append(parts[p], descs)
+		}
+	}
+	held := engine.FromPartitions(parts)
+	const iters = 4
+	fit := func(fetch core.Fetch) (model *gmm.Model, fetches, flattened int) {
+		seen := map[*engine.Collection]bool{}
+		counted := func() *engine.Collection { fetches++; return fetch() }
+		flat := FlattenedFetch(counted)
+		observed := func() *engine.Collection { c := flat(); seen[c] = true; return c }
+		post := (&gmm.GMM{K: 3, Iters: iters, Seed: 2}).Fit(engine.NewContext(2), observed, nil)
+		return post.(*gmm.PosteriorTransform).Model, fetches, len(seen)
+	}
+	heldModel, fetches, flattened := fit(func() *engine.Collection { return held })
+	if fetches != 1+iters || flattened != 1 {
+		t.Errorf("held input: %d fetches, %d flattenings; want %d and 1", fetches, flattened, 1+iters)
+	}
+	freshModel, fetches, flattened := fit(func() *engine.Collection {
+		fresh := make([][]any, len(parts))
+		for p := range parts {
+			fresh[p] = append([]any(nil), parts[p]...)
+		}
+		return engine.FromPartitions(fresh)
+	})
+	if fetches != 1+iters || flattened != 1+iters {
+		t.Errorf("fresh input: %d fetches, %d flattenings; want %d of each", fetches, flattened, 1+iters)
+	}
+	if !reflect.DeepEqual(heldModel, freshModel) {
+		t.Error("the model fitted on a held input differs from the one fitted on fresh copies")
 	}
 }
 

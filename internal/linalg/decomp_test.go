@@ -208,3 +208,95 @@ func TestSVDEnergyConservation(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// bitsEqual reports the first element at which a and b differ in their
+// Float64bits (so -0 against +0 and NaN payloads count), or -1.
+func bitsEqual(a, b []float64) int {
+	if len(a) != len(b) {
+		return 0
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestQRInPlaceBits pins QRInPlace to QR bit for bit: Q in q, R in the
+// upper triangle of the factored input, and Q again when q is the input
+// itself. The buffers it reuses hold NaN garbage and a Householder
+// scratch left by an earlier, larger factorization.
+func TestQRInPlaceBits(t *testing.T) {
+	rng := NewRNG(40)
+	tall := rng.GaussianMatrix(50, 8)
+	square := rng.GaussianMatrix(10, 10)
+	deficient := rng.GaussianMatrix(30, 6)
+	for i := 0; i < deficient.Rows; i++ {
+		deficient.Set(i, 3, 2*deficient.At(i, 1)-deficient.At(i, 0))
+		deficient.Set(i, 5, deficient.At(i, 3))
+	}
+	zeroCol := rng.GaussianMatrix(20, 5)
+	for i := 0; i < zeroCol.Rows; i++ {
+		zeroCol.Set(i, 2, 0)
+	}
+	cases := []struct {
+		name string
+		a    *Matrix
+	}{
+		{"tall", tall}, {"square", square}, {"rank-deficient", deficient},
+		{"zero column", zeroCol}, {"no columns", NewMatrix(7, 0)},
+	}
+	for _, mode := range []BackendMode{ModeReference, ModeBlocked} {
+		withMode(t, mode, func() {
+			// The scratch of a larger factorization, and a Q buffer cut
+			// from a larger NaN-filled one.
+			vs := QRInPlace(rng.GaussianMatrix(80, 12), NewMatrix(80, 12), nil)
+			garbage := make([]float64, 80*12)
+			for _, tc := range cases {
+				want := QR(tc.a)
+				m, n := tc.a.Rows, tc.a.Cols
+				for i := range garbage {
+					garbage[i] = math.NaN()
+				}
+				for i := range vs {
+					vs[i] = math.Inf(-1)
+				}
+				a := tc.a.Clone()
+				q := &Matrix{Rows: m, Cols: n, Data: garbage[:m*n]}
+				vs = QRInPlace(a, q, vs)
+				if i := bitsEqual(q.Data, want.Q.Data); i >= 0 {
+					t.Errorf("mode %d %s: Q differs from QR's at element %d", mode, tc.name, i)
+				}
+				for i := 0; i < n; i++ {
+					if j := bitsEqual(a.Row(i)[i:], want.R.Row(i)[i:]); j >= 0 {
+						t.Errorf("mode %d %s: R(%d, %d) differs from QR's", mode, tc.name, i, i+j)
+					}
+				}
+				// q aliasing a: a ends up holding Q.
+				a = tc.a.Clone()
+				vs = QRInPlace(a, a, vs)
+				if i := bitsEqual(a.Data, want.Q.Data); i >= 0 {
+					t.Errorf("mode %d %s: Q factored into a differs from QR's at element %d", mode, tc.name, i)
+				}
+			}
+		})
+	}
+}
+
+func TestQRInPlaceRejectsShapes(t *testing.T) {
+	for name, fn := range map[string]func(){
+		"wide a":   func() { QRInPlace(NewMatrix(3, 4), NewMatrix(3, 4), nil) },
+		"short q":  func() { QRInPlace(NewMatrix(5, 2), NewMatrix(4, 2), nil) },
+		"narrow q": func() { QRInPlace(NewMatrix(5, 2), NewMatrix(5, 1), nil) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: QRInPlace did not panic", name)
+				}
+			}()
+			fn()
+		}()
+	}
+}

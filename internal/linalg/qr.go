@@ -16,32 +16,68 @@ type QRFactors struct {
 }
 
 // QR computes a thin Householder QR factorization of a (m >= n required).
-// The input matrix is not modified.
+// The input matrix is not modified: QR is QRInPlace on a clone of a, with
+// a fresh Q and the zero-filled upper triangle of the factored clone as R.
+func QR(a *Matrix) *QRFactors {
+	r := a.Clone()
+	q := NewMatrix(a.Rows, a.Cols)
+	QRInPlace(r, q, nil)
+	// Extract the upper-triangular n x n block of R, zeroing round-off below
+	// the diagonal.
+	n := a.Cols
+	rr := NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		copy(rr.Row(i)[i:], r.Row(i)[i:])
+	}
+	return &QRFactors{Q: q, R: rr}
+}
+
+// QRInPlace is the Householder loop behind QR, for callers that factor
+// many matrices and do not need the input afterwards (the randomized
+// range finders of TruncatedSVD and the distributed PCA). a is m x n with
+// m >= n; q is m x n.
+//
+// It overwrites every argument. On return the upper triangle of a's
+// leading n x n block holds R and the entries below it hold round-off,
+// not zeros; q holds the thin Q, whatever it held before. q may be a
+// itself when R is not needed: Q is accumulated from the Householder
+// vectors alone, after the last read of a, so a then holds Q. vs is the
+// Householder-vector scratch: its contents are ignored, it is grown when
+// shorter than the factorization needs, and it is returned, so a caller
+// reusing it passes back what the previous call returned. Q and R are
+// bit-identical to QR's for any contents of q and vs.
 //
 // The trailing-panel reflector applications — the PCA/whitening hot
 // loop — run as GemvT (projection w = R_panelᵀ v) plus Ger (rank-1
 // update R_panel -= v (2w)ᵀ) through the kernel backend registry. Both
 // forms accumulate in the same per-element order as the classic
 // per-column dot loops, so the factorization is bit-identical across
-// backends. All n Householder vectors live in one flat scratch buffer
-// (they previously cost one allocation per column).
-func QR(a *Matrix) *QRFactors {
+// backends.
+func QRInPlace(a, q *Matrix, vs []float64) []float64 {
 	m, n := a.Rows, a.Cols
 	if m < n {
 		panic(fmt.Sprintf("linalg: QR requires rows >= cols, got %dx%d", m, n))
 	}
-	r := a.Clone()
-	// Householder vector k has length m-k; lay them out back to back.
-	vsData := make([]float64, n*m-n*(n-1)/2)
-	vsOff := make([]int, n+1)
-	for k := 0; k < n; k++ {
-		vsOff[k+1] = vsOff[k] + m - k
+	if q.Rows != m || q.Cols != n {
+		panic(fmt.Sprintf("linalg: QRInPlace wants a %dx%d Q, got %dx%d", m, n, q.Rows, q.Cols))
 	}
-	w := make([]float64, n)
+	// Householder vector k has length m-k; lay them out back to back,
+	// then the n-vector w of the panel products.
+	vsLen := n*m - n*(n-1)/2
+	if cap(vs) < vsLen+n {
+		vs = make([]float64, vsLen+n)
+	}
+	vs = vs[:vsLen+n]
+	w := vs[vsLen:]
+	vec := func(k int) []float64 {
+		off := k*m - k*(k-1)/2
+		return vs[off : off+m-k]
+	}
+	r := a.Data
 	for k := 0; k < n; k++ {
 		// Build the Householder reflector for column k below the diagonal.
-		v := vsData[vsOff[k]:vsOff[k+1]]
-		kernels.GatherCol(v, r.Data[k*n:], n, m-k, k)
+		v := vec(k)
+		kernels.GatherCol(v, r[k*n:], n, m-k, k)
 		b := Choose(OpGemvT, m-k, n-k, 1)
 		norm := math.Sqrt(b.Dot(v, v))
 		if norm == 0 {
@@ -58,11 +94,9 @@ func QR(a *Matrix) *QRFactors {
 		}
 		// Apply the reflector to the trailing submatrix: R <- (I - 2vvᵀ)R,
 		// i.e. w = R_panelᵀ v followed by R_panel -= v (2w)ᵀ.
-		panel := r.Data[k*n+k:]
+		panel := r[k*n+k:]
 		ww := w[:n-k]
-		for j := range ww {
-			ww[j] = 0
-		}
+		clear(ww)
 		b.GemvT(panel, n, m-k, n-k, v, ww)
 		for j := range ww {
 			ww[j] *= 2
@@ -70,33 +104,22 @@ func QR(a *Matrix) *QRFactors {
 		b.Ger(panel, n, m-k, n-k, -1, v, ww)
 	}
 	// Accumulate the thin Q by applying reflectors (in reverse) to I_{m x n}.
-	q := NewMatrix(m, n)
+	clear(q.Data)
 	for j := 0; j < n; j++ {
 		q.Set(j, j, 1)
 	}
 	for k := n - 1; k >= 0; k-- {
-		v := vsData[vsOff[k]:vsOff[k+1]]
+		v := vec(k)
 		panel := q.Data[k*n:]
-		ww := w[:n]
-		for j := range ww {
-			ww[j] = 0
-		}
+		clear(w)
 		b := Choose(OpGemvT, m-k, n, 1)
-		b.GemvT(panel, n, m-k, n, v, ww)
-		for j := range ww {
-			ww[j] *= 2
+		b.GemvT(panel, n, m-k, n, v, w)
+		for j := range w {
+			w[j] *= 2
 		}
-		b.Ger(panel, n, m-k, n, -1, v, ww)
+		b.Ger(panel, n, m-k, n, -1, v, w)
 	}
-	// Extract the upper-triangular n x n block of R, zeroing round-off below
-	// the diagonal.
-	rr := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		for j := i; j < n; j++ {
-			rr.Set(i, j, r.At(i, j))
-		}
-	}
-	return &QRFactors{Q: q, R: rr}
+	return vs
 }
 
 // SolveUpperTriangular solves R x = b for upper-triangular R by back

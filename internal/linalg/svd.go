@@ -144,15 +144,18 @@ func TruncatedSVD(a *Matrix, k, nIter int, rng *RNG) *SVDFactors {
 	}
 	// Random test matrix Omega (n x p), sample the range: Y = A Omega.
 	omega := rng.GaussianMatrix(n, p)
-	y := a.Mul(omega)
 	// Power iterations sharpen the spectrum: Y = (A Aᵀ)^q A Omega, with QR
 	// re-orthonormalization after each application for numerical stability.
-	q := QR(y).Q
+	// One m x p buffer holds each Y and then, factored in place, its Q; one
+	// Householder scratch serves every factorization.
+	q := a.Mul(omega)
+	vs := QRInPlace(q, q, nil)
 	for it := 0; it < nIter; it++ {
 		z := a.TMul(q) // n x p
-		qz := QR(z).Q
-		y = a.Mul(qz)
-		q = QR(y).Q
+		vs = QRInPlace(z, z, vs)
+		clear(q.Data)
+		Choose(OpGemm, m, n, p).Mul(q.Data, a.Data, z.Data, m, n, p)
+		vs = QRInPlace(q, q, vs)
 	}
 	// Project and take the small SVD: B = Qᵀ A (p x n).
 	b := q.TMul(a)

@@ -186,18 +186,7 @@ func (s *DistSVD) Fit(ctx *engine.Context, data core.Fetch, labels core.Fetch) c
 		return partial{gram: g, sum: sum, n: len(part)}
 	}
 	partials := make([]partial, c.NumPartitions())
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, ctx.Parallelism)
-	for i := 0; i < c.NumPartitions(); i++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			partials[i] = agg(c.Partition(i))
-		}(i)
-	}
-	wg.Wait()
+	eachPartition(ctx, c, func(i int, part []any) { partials[i] = agg(part) })
 	gram := linalg.NewMatrix(d, d)
 	sum := make([]float64, d)
 	for _, p := range partials {
@@ -253,32 +242,37 @@ func (s *DistTSVD) Fit(ctx *engine.Context, data core.Fetch, labels core.Fetch) 
 	rng := linalg.NewRNG(s.Seed + 12345)
 	omega := rng.GaussianMatrix(d, p)
 	// y = (A - 1μᵀ) Ω computed distributively; QR on the driver (y is n x p,
-	// with p small).
-	y := mulCentered(ctx, c, omega, mean)
-	q := linalg.QR(y).Q
+	// with p small). y is the fit's one n x p buffer: each product is
+	// written into it and factored in place, leaving its Q there, and one
+	// Householder scratch serves every factorization.
+	offsets := rowOffsets(c)
+	y := linalg.NewMatrix(n, p)
+	mulCentered(ctx, c, offsets, omega, mean, y)
+	vs := linalg.QRInPlace(y, y, nil)
 	for it := 0; it < s.iters(); it++ {
-		z := tMulCentered(ctx, c, q, mean) // d x p
-		qz := linalg.QR(z).Q
-		y = mulCentered(ctx, c, qz, mean)
-		q = linalg.QR(y).Q
+		z := tMulCentered(ctx, c, offsets, y, mean) // d x p
+		vs = linalg.QRInPlace(z, z, vs)
+		mulCentered(ctx, c, offsets, z, mean, y)
+		vs = linalg.QRInPlace(y, y, vs)
 	}
-	b := tMulCentered(ctx, c, q, mean).T() // p x d
+	b := tMulCentered(ctx, c, offsets, y, mean).T() // p x d
 	fb := linalg.SVD(b)
 	return &Projection{P: fb.V.SliceCols(0, k), Mean: mean, Impl: s.Name()}
 }
 
+// colMeans returns the column means of c. Its folds return the
+// accumulator they were given, not a re-boxed slice, so they allocate
+// nothing per record.
 func colMeans(ctx *engine.Context, c *engine.Collection, d, n int) []float64 {
 	sum := ctx.Aggregate(c,
 		func() any { return make([]float64, d) },
 		func(acc, item any) any {
-			a := acc.([]float64)
-			linalg.AxpyInPlace(1, item.([]float64), a)
-			return a
+			linalg.AxpyInPlace(1, item.([]float64), acc.([]float64))
+			return acc
 		},
 		func(a, b any) any {
-			x := a.([]float64)
-			linalg.AxpyInPlace(1, b.([]float64), x)
-			return x
+			linalg.AxpyInPlace(1, b.([]float64), a.([]float64))
+			return a
 		},
 	).([]float64)
 	for i := range sum {
@@ -287,68 +281,79 @@ func colMeans(ctx *engine.Context, c *engine.Collection, d, n int) []float64 {
 	return sum
 }
 
-// mulCentered computes (A - 1μᵀ)·M as a distributed row-wise map,
-// returning the stacked n x p result.
-func mulCentered(ctx *engine.Context, c *engine.Collection, m *linalg.Matrix, mean []float64) *linalg.Matrix {
-	be := linalg.Choose(linalg.OpAxpy, m.Cols, 1, 1) // once, not per row of m
-	rowsC := ctx.Map(c, func(item any) any {
-		x := item.([]float64)
-		out := make([]float64, m.Cols)
-		for i, xi := range x {
-			v := xi - mean[i]
-			if v == 0 {
-				continue
-			}
-			be.Axpy(v, m.Row(i), out)
-		}
-		return out
-	})
-	items := rowsC.Collect()
-	rows := make([][]float64, len(items))
-	for i, it := range items {
-		rows[i] = it.([]float64)
+// eachPartition runs f(i, partition i) for every partition of c on the
+// engine's partition loop (a MapPartitions over the partition indices),
+// so a panic in f reaches the caller as the engine's worker panic and a
+// canceled context stops the dispatch, as for every other collection
+// operation. f writes its result to slot i of a slice of the caller's.
+func eachPartition(ctx *engine.Context, c *engine.Collection, f func(i int, part []any)) {
+	idx := make([][]any, c.NumPartitions())
+	for i := range idx {
+		idx[i] = []any{i}
 	}
-	return linalg.NewMatrixFrom(rows)
+	ctx.MapPartitions(engine.FromPartitions(idx), func(task []any) []any {
+		i := task[0].(int)
+		f(i, c.Partition(i))
+		return nil
+	})
 }
 
-// tMulCentered computes (A - 1μᵀ)ᵀ·Q via aggregation, returning d x p.
-func tMulCentered(ctx *engine.Context, c *engine.Collection, q *linalg.Matrix, mean []float64) *linalg.Matrix {
-	d := len(mean)
-	p := q.Cols
-	be := linalg.Choose(linalg.OpAxpy, p, 1, 1) // once, not per row of acc
-	// Each record contributes (x-μ) ⊗ q_row; rows of Q align with record
-	// order, so track a global row offset per partition.
+// rowOffsets returns the global index of each partition's first record.
+func rowOffsets(c *engine.Collection) []int {
 	offsets := make([]int, c.NumPartitions())
 	off := 0
-	for i := 0; i < c.NumPartitions(); i++ {
+	for i := range offsets {
 		offsets[i] = off
 		off += len(c.Partition(i))
 	}
-	partials := make([]*linalg.Matrix, c.NumPartitions())
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, ctx.Parallelism)
-	for i := 0; i < c.NumPartitions(); i++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			acc := linalg.NewMatrix(d, p)
-			for r, it := range c.Partition(i) {
-				x := it.([]float64)
-				qRow := q.Row(offsets[i] + r)
-				for ii, xi := range x {
-					v := xi - mean[ii]
-					if v == 0 {
-						continue
-					}
-					be.Axpy(v, qRow, acc.Row(ii))
+	return offsets
+}
+
+// mulCentered computes (A - 1μᵀ)·M distributively into the n x p matrix
+// y: each record's row is written straight into y at its partition's row
+// offset.
+func mulCentered(ctx *engine.Context, c *engine.Collection, offsets []int, m *linalg.Matrix, mean []float64, y *linalg.Matrix) {
+	be := linalg.Choose(linalg.OpAxpy, m.Cols, 1, 1) // once, not per row of m
+	eachPartition(ctx, c, func(i int, part []any) {
+		for r, it := range part {
+			x := it.([]float64)
+			out := y.Row(offsets[i] + r)
+			clear(out)
+			for ii, xi := range x {
+				v := xi - mean[ii]
+				if v == 0 {
+					continue
 				}
+				be.Axpy(v, m.Row(ii), out)
 			}
-			partials[i] = acc
-		}(i)
-	}
-	wg.Wait()
+		}
+	})
+}
+
+// tMulCentered computes (A - 1μᵀ)ᵀ·Q via per-partition partials summed
+// in partition order, returning d x p. Rows of Q align with record order,
+// so each partition reads Q from its global row offset.
+func tMulCentered(ctx *engine.Context, c *engine.Collection, offsets []int, q *linalg.Matrix, mean []float64) *linalg.Matrix {
+	d := len(mean)
+	p := q.Cols
+	be := linalg.Choose(linalg.OpAxpy, p, 1, 1) // once, not per row of acc
+	// Each record contributes (x-μ) ⊗ q_row.
+	partials := make([]*linalg.Matrix, c.NumPartitions())
+	eachPartition(ctx, c, func(i int, part []any) {
+		acc := linalg.NewMatrix(d, p)
+		for r, it := range part {
+			x := it.([]float64)
+			qRow := q.Row(offsets[i] + r)
+			for ii, xi := range x {
+				v := xi - mean[ii]
+				if v == 0 {
+					continue
+				}
+				be.Axpy(v, qRow, acc.Row(ii))
+			}
+		}
+		partials[i] = acc
+	})
 	out := linalg.NewMatrix(d, p)
 	for _, m := range partials {
 		out.Add(m)

@@ -139,8 +139,7 @@ func (f *fisherEst) Weight() int { return 10 }
 
 // Fit implements core.EstimatorOp.
 func (f *fisherEst) Fit(ctx *engine.Context, data core.Fetch, labels core.Fetch) core.TransformOp {
-	flatten := func() *engine.Collection { return image.FlattenDescriptors(data()) }
-	post := (&gmm.GMM{K: f.k, Iters: 10, Seed: f.seed}).Fit(ctx, flatten, nil).(*gmm.PosteriorTransform)
+	post := (&gmm.GMM{K: f.k, Iters: 10, Seed: f.seed}).Fit(ctx, image.FlattenedFetch(data), nil).(*gmm.PosteriorTransform)
 	return fisher.NewEncoder(post.Model)
 }
 
