@@ -17,9 +17,11 @@ import (
 //
 // Fusion is decided in one place, ChainFeeding, for the two forms of a
 // pipeline that run records: the run form of a fitted plan (compileRun)
-// and the fit graph the optimizer executes (see ChainEstimator). The
-// persisted plan keeps every step, so a loaded artifact fuses again when
-// NewFitted compiles it.
+// and the fit graph the optimizer executes, where a transform step whose
+// operator is a ChainOp applies Fuse(op, chain) to the chain's input
+// (estimators fuse through ChainEstimator). The persisted plan keeps
+// every step, so a loaded artifact fuses again when NewFitted compiles
+// it.
 //
 // The fused function must give, for every record, exactly what applying
 // the absorbed operators in turn and then the operator's own Apply gives,
@@ -105,7 +107,7 @@ func (f *Fitted) compileRun() {
 		}
 		fused := newFused(run[i].op, ops[len(ops)-n:], newApply)
 		run[i].deps = []int{run[chain[0]].deps[0]}
-		run[i].apply, run[i].op = fused.Apply, nil
+		run[i].apply, run[i].op, run[i].name = fused.Apply, nil, fused.Name()
 	}
 
 	at := make([]int, len(run))
@@ -123,6 +125,17 @@ func (f *Fitted) compileRun() {
 		f.steps = append(f.steps, st)
 	}
 	f.outIdx = at[f.planOut]
+}
+
+// RunNames lists the operator names of the run form's steps in
+// evaluation order, a fused step under its fused name ("a+b"): the steps
+// TransformOne runs.
+func (f *Fitted) RunNames() []string {
+	names := make([]string, len(f.steps))
+	for i, st := range f.steps {
+		names[i] = st.name
+	}
+	return names
 }
 
 // Fuse returns the operator standing for chain followed by op: op's

@@ -22,6 +22,8 @@ type goldenNode struct {
 // TestDefaultSamplesPlanLikeFixedSizes compares: per node its name, kind,
 // weight and extrapolated output size, plus the sample sizes the
 // profile was measured on. Times are not pinned; they are measurements.
+// The profile is of the fit graph, so a fused step carries its fused
+// name and the steps it absorbed are not profiled.
 var goldenProfiles = []struct {
 	pipeline string
 	config   [2]int // optimizer.Config.SampleSizes
@@ -64,8 +66,7 @@ var goldenProfiles = []struct {
 	{"VOC", [2]int{0, 0}, [2]int{32, 64}, 0, []goldenNode{
 		{0, "source", core.KindSource, 1, 1478400},
 		{1, "labels", core.KindLabels, 1, 4480},
-		{2, "image.grayscale", core.KindTransform, 1, 1478400},
-		{3, "image.sift", core.KindTransform, 1, 2097920},
+		{3, "image.grayscale+image.sift", core.KindTransform, 1, 2097920},
 		{4, "image.columnsample", core.KindTransform, 1, 2097920},
 		{5, "image.descpca.est[pca[logical]]", core.KindEstimator, 1, 0},
 		{6, "apply", core.KindApplyModel, 1, 241920},
@@ -78,8 +79,7 @@ var goldenProfiles = []struct {
 	{"VOC", [2]int{256, 512}, [2]int{80, 80}, 0, []goldenNode{
 		{0, "source", core.KindSource, 1, 1478400},
 		{1, "labels", core.KindLabels, 1, 4480},
-		{2, "image.grayscale", core.KindTransform, 1, 1478400},
-		{3, "image.sift", core.KindTransform, 1, 2097920},
+		{3, "image.grayscale+image.sift", core.KindTransform, 1, 2097920},
 		{4, "image.columnsample", core.KindTransform, 1, 2097920},
 		{5, "image.descpca.est[pca[logical]]", core.KindEstimator, 1, 0},
 		{6, "apply", core.KindApplyModel, 1, 241920},
@@ -114,8 +114,7 @@ var goldenProfiles = []struct {
 	{"VOC-LCS", [2]int{0, 0}, [2]int{32, 64}, 0, []goldenNode{
 		{0, "source", core.KindSource, 1, 5313024},
 		{1, "labels", core.KindLabels, 1, 5376},
-		{2, "image.grayscale", core.KindTransform, 1, 1774080},
-		{3, "image.sift", core.KindTransform, 1, 2517504},
+		{3, "image.grayscale+image.sift", core.KindTransform, 1, 2517504},
 		{4, "image.columnsample", core.KindTransform, 1, 1511424},
 		{5, "image.descpca.est[pca[logical]]", core.KindEstimator, 1, 0},
 		{6, "apply", core.KindApplyModel, 1, 129024},
@@ -136,8 +135,7 @@ var goldenProfiles = []struct {
 	{"VOC-LCS", [2]int{256, 512}, [2]int{96, 96}, 0, []goldenNode{
 		{0, "source", core.KindSource, 1, 5313024},
 		{1, "labels", core.KindLabels, 1, 5376},
-		{2, "image.grayscale", core.KindTransform, 1, 1774080},
-		{3, "image.sift", core.KindTransform, 1, 2517504},
+		{3, "image.grayscale+image.sift", core.KindTransform, 1, 2517504},
 		{4, "image.columnsample", core.KindTransform, 1, 1511424},
 		{5, "image.descpca.est[pca[logical]]", core.KindEstimator, 1, 0},
 		{6, "apply", core.KindApplyModel, 1, 129024},

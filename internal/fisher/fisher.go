@@ -40,7 +40,9 @@ func (e *Encoder) Apply(in any) any {
 	return e.Encode(descs)
 }
 
-// Encode computes the Fisher vector of a descriptor set.
+// Encode computes the Fisher vector of a descriptor set. Every
+// descriptor's posteriors go into one K-vector, so a call allocates its
+// output and that vector.
 func (e *Encoder) Encode(descs [][]float64) []float64 {
 	k := e.Model.K()
 	d := e.Model.Dim()
@@ -50,8 +52,9 @@ func (e *Encoder) Encode(descs [][]float64) []float64 {
 	}
 	gMu := fv[:k*d]
 	gSig := fv[k*d:]
+	gam := make([]float64, k)
 	for _, x := range descs {
-		gam := e.Model.Posteriors(x)
+		e.Model.PosteriorsInto(gam, x)
 		for c := 0; c < k; c++ {
 			g := gam[c]
 			if g < 1e-12 {

@@ -130,3 +130,23 @@ func TestDecodedEncoderConcurrentApply(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestEncodeAllocs: Encode allocates its Fisher vector and one posterior
+// vector, however many descriptors it encodes.
+func TestEncodeAllocs(t *testing.T) {
+	rng := linalg.NewRNG(5)
+	m := &gmm.Model{Weights: []float64{0.1, 0.2, 0.3, 0.15, 0.15, 0.1}, Means: rng.GaussianMatrix(6, 12), Vars: linalg.NewMatrix(6, 12)}
+	for i := range m.Vars.Data {
+		m.Vars.Data[i] = 0.5 + rng.Float64()
+	}
+	e := NewEncoder(m)
+	for _, n := range []int{1, 25, 400} {
+		descs := make([][]float64, n)
+		for i := range descs {
+			descs[i] = rng.GaussianVector(12)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { e.Encode(descs) }); allocs > 2 {
+			t.Errorf("%d descriptors: %.0f allocations per call, want at most 2", n, allocs)
+		}
+	}
+}

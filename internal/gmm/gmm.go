@@ -51,11 +51,13 @@ func (m *Model) Dim() int { return m.Means.Cols }
 
 // Posteriors computes the responsibilities gamma_k(x) for one descriptor.
 func (m *Model) Posteriors(x []float64) []float64 {
-	return m.posteriorsInto(make([]float64, m.K()), x)
+	return m.PosteriorsInto(make([]float64, m.K()), x)
 }
 
-// posteriorsInto is Posteriors writing into logp, which has length K.
-func (m *Model) posteriorsInto(logp, x []float64) []float64 {
+// PosteriorsInto is Posteriors writing into logp, which has length K, and
+// returning it: a caller posterior-weighting many descriptors reuses one
+// vector.
+func (m *Model) PosteriorsInto(logp, x []float64) []float64 {
 	m.logsOnce.Do(m.tabulateLogs)
 	k := m.K()
 	dim := m.Dim()
@@ -141,7 +143,7 @@ func (g *GMM) Fit(ctx *engine.Context, data core.Fetch, labels core.Fetch) core.
 			func(acc, item any) any {
 				s := acc.(*suff)
 				x := item.([]float64)
-				gam := model.posteriorsInto(s.gam, x)
+				gam := model.PosteriorsInto(s.gam, x)
 				for ci, gc := range gam {
 					if gc < 1e-12 {
 						continue

@@ -183,3 +183,27 @@ func TestPosteriorsBitEqualToNaive(t *testing.T) {
 		}
 	}
 }
+
+// TestPosteriorsIntoOverwrites: PosteriorsInto gives Posteriors' bits in
+// the vector it is handed, whatever that vector held before.
+func TestPosteriorsIntoOverwrites(t *testing.T) {
+	rng := linalg.NewRNG(12)
+	m := &Model{Weights: []float64{0.2, 0, 0.5, 0.3}, Means: rng.GaussianMatrix(4, 5), Vars: linalg.NewMatrix(4, 5)}
+	for i := range m.Vars.Data {
+		m.Vars.Data[i] = 0.05 + rng.Float64()
+	}
+	buf := []float64{math.NaN(), math.Inf(1), -7, 3}
+	for i := 0; i < 10; i++ {
+		x := rng.GaussianVector(5)
+		want := m.Posteriors(x)
+		got := m.PosteriorsInto(buf, x)
+		if &got[0] != &buf[0] {
+			t.Fatal("PosteriorsInto did not write into the vector it was handed")
+		}
+		for c := range want {
+			if math.Float64bits(got[c]) != math.Float64bits(want[c]) {
+				t.Fatalf("descriptor %d component %d: %v, Posteriors gives %v", i, c, got[c], want[c])
+			}
+		}
+	}
+}

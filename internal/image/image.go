@@ -20,10 +20,15 @@ type Image struct {
 
 // New allocates a zeroed image.
 func New(w, h, c int) *Image {
+	checkDims(w, h, c)
+	return &Image{Width: w, Height: h, Channels: c, Pix: make([]float64, w*h*c)}
+}
+
+// checkDims panics, as New does, unless every dimension is positive.
+func checkDims(w, h, c int) {
 	if w <= 0 || h <= 0 || c <= 0 {
 		panic(fmt.Sprintf("image: invalid dimensions %dx%dx%d", w, h, c))
 	}
-	return &Image{Width: w, Height: h, Channels: c, Pix: make([]float64, w*h*c)}
 }
 
 // At returns channel c at (x, y).
@@ -65,22 +70,30 @@ func Grayscale(im *Image) *Image {
 		return im
 	}
 	out := New(im.Width, im.Height, 1)
+	luminance(out.Pix, im)
+	return out
+}
+
+// luminance is Grayscale's arithmetic on a multi-channel image, written
+// into dst (Width*Height long, whatever it holds). Grayscale and SIFT's
+// own conversion both run it, so their planes agree bit for bit.
+func luminance(dst []float64, im *Image) {
 	n := im.Width * im.Height
 	if im.Channels == 3 {
 		r, g, b := im.Plane(0), im.Plane(1), im.Plane(2)
 		for i := 0; i < n; i++ {
-			out.Pix[i] = 0.299*r[i] + 0.587*g[i] + 0.114*b[i]
+			dst[i] = 0.299*r[i] + 0.587*g[i] + 0.114*b[i]
 		}
-		return out
+		return
 	}
+	clear(dst[:n])
 	inv := 1.0 / float64(im.Channels)
 	for c := 0; c < im.Channels; c++ {
 		p := im.Plane(c)
 		for i := 0; i < n; i++ {
-			out.Pix[i] += inv * p[i]
+			dst[i] += inv * p[i]
 		}
 	}
-	return out
 }
 
 // Normalize01 linearly rescales pixel values into [0, 1] in place and

@@ -60,10 +60,12 @@ type SIFT struct {
 // Name implements core.TransformOp.
 func (s *SIFT) Name() string { return "image.sift" }
 
-// siftScratch is one Apply call's working memory: per-pixel magnitudes
-// and orientation bins (-1 for a pixel that adds nothing), per-cell
-// histograms, and the cell-origin number of each x and y coordinate.
+// siftScratch is one Apply call's working memory: the luminance plane
+// of a multi-channel image, per-pixel magnitudes and orientation bins
+// (-1 for a pixel that adds nothing), per-cell histograms, and the
+// cell-origin number of each x and y coordinate.
 type siftScratch struct {
+	gray   []float64
 	mag    []float64
 	bin    []int32
 	hist   []float64
@@ -75,7 +77,9 @@ type siftScratch struct {
 var siftPool = sync.Pool{New: func() any { return new(siftScratch) }}
 
 // Apply maps *Image -> [][]float64 (one descriptor per grid position),
-// the descriptors capped rows of one backing array.
+// the descriptors capped rows of one backing array. A multi-channel
+// image is converted to luminance, with Grayscale's arithmetic, in
+// scratch.
 //
 // A histogram entry receives only its own cell's pixels, in the
 // row-major order a loop over each descriptor's patch would add them,
@@ -86,24 +90,53 @@ func (s *SIFT) Apply(in any) any {
 	if !ok {
 		panic(fmt.Sprintf("image: SIFT expects *Image, got %T", in))
 	}
+	sc := siftPool.Get().(*siftScratch)
+	defer siftPool.Put(sc)
+	return s.apply(im, sc)
+}
+
+// FuseChain implements core.ChainOp. SIFT fed by image.grayscale absorbs
+// it: SIFT converts a multi-channel image itself, into scratch the fused
+// function owns, so the grayscale copy of each image is never made. A
+// record that is not an *Image goes through the absorbed operator, whose
+// panic it is.
+func (s *SIFT) FuseChain(chain []core.TransformOp) (int, func() func(any) any) {
+	if len(chain) == 0 || chain[len(chain)-1].Name() != "image.grayscale" {
+		return 0, nil
+	}
+	gray := chain[len(chain)-1]
+	return 1, func() func(any) any {
+		sc := new(siftScratch)
+		return func(in any) any {
+			im, ok := in.(*Image)
+			if !ok {
+				return s.Apply(gray.Apply(in))
+			}
+			return s.apply(im, sc)
+		}
+	}
+}
+
+// apply is Apply on sc's memory; its result shares none of it.
+func (s *SIFT) apply(im *Image, sc *siftScratch) [][]float64 {
+	w, h := im.Width, im.Height
+	pix := im.Pix
 	if im.Channels != 1 {
-		im = Grayscale(im)
+		checkDims(w, h, 1) // Grayscale's panic
+		pix = grow(&sc.gray, w*h)
+		luminance(pix, im)
 	}
 	p := s.Params.withDefaults()
-	w, h := im.Width, im.Height
 	cs, bins := p.CellSize, p.Bins
 	patch := 4 * cs
 	if w < patch || h < patch {
-		return [][]float64(nil)
+		return nil
 	}
 	nx, ny := (w-patch)/p.Stride+1, (h-patch)/p.Stride+1
 	// The grid covers [0, cw) x [0, ch); scratch rows are cw wide.
 	cw, ch := (nx-1)*p.Stride+patch, (ny-1)*p.Stride+patch
 
-	sc := siftPool.Get().(*siftScratch)
-	defer siftPool.Put(sc)
 	mag, bin := grow(&sc.mag, cw*ch), grow(&sc.bin, cw*ch)
-	pix := im.Pix
 	for y := 0; y < ch; y++ {
 		row, up, down := y*w, max(y-1, 0)*w, min(y+1, h-1)*w
 		for x := 0; x < cw; x++ {
@@ -213,6 +246,12 @@ func (l *LCS) Apply(in any) any {
 	if !ok {
 		panic(fmt.Sprintf("image: LCS expects *Image, got %T", in))
 	}
+	return l.descriptors(im)
+}
+
+// descriptors is Apply's typed body: one descriptor per patch, in
+// row-major grid order, the descriptors capped rows of one backing array.
+func (l *LCS) descriptors(im *Image) [][]float64 {
 	ps := l.PatchSize
 	if ps <= 0 {
 		ps = 6
@@ -221,26 +260,31 @@ func (l *LCS) Apply(in any) any {
 	if st <= 0 {
 		st = 8
 	}
-	var descs [][]float64
-	for py := 0; py+ps <= im.Height; py += st {
-		for px := 0; px+ps <= im.Width; px += st {
-			desc := make([]float64, 2*im.Channels)
-			for c := 0; c < im.Channels; c++ {
-				var sum, sum2 float64
-				for dy := 0; dy < ps; dy++ {
-					for dx := 0; dx < ps; dx++ {
-						v := im.At(px+dx, py+dy, c)
-						sum += v
-						sum2 += v * v
-					}
+	if im.Width < ps || im.Height < ps {
+		return nil
+	}
+	nx, ny := (im.Width-ps)/st+1, (im.Height-ps)/st+1
+	dim := 2 * im.Channels
+	descs := make([][]float64, nx*ny)
+	backing := make([]float64, len(descs)*dim)
+	for i := range descs {
+		px, py := i%nx*st, i/nx*st
+		desc := backing[i*dim : (i+1)*dim : (i+1)*dim]
+		for c := 0; c < im.Channels; c++ {
+			var sum, sum2 float64
+			for dy := 0; dy < ps; dy++ {
+				for dx := 0; dx < ps; dx++ {
+					v := im.At(px+dx, py+dy, c)
+					sum += v
+					sum2 += v * v
 				}
-				n := float64(ps * ps)
-				mean := sum / n
-				desc[2*c] = mean
-				desc[2*c+1] = math.Sqrt(math.Max(0, sum2/n-mean*mean))
 			}
-			descs = append(descs, desc)
+			n := float64(ps * ps)
+			mean := sum / n
+			desc[2*c] = mean
+			desc[2*c+1] = math.Sqrt(math.Max(0, sum2/n-mean*mean))
 		}
+		descs[i] = desc
 	}
 	return descs
 }

@@ -8,6 +8,8 @@ import (
 	"keystoneml/internal/cluster"
 	"keystoneml/internal/core"
 	"keystoneml/internal/engine"
+	"keystoneml/internal/image"
+	"keystoneml/internal/linalg"
 )
 
 // sumEst is a ChainEstimator fixture over []float64 records: it fits the
@@ -148,6 +150,66 @@ func TestFuseFit(t *testing.T) {
 			wantModels, wantOut, _ := Optimize(want, data, nil, Config{Level: LevelNone}).Execute(data, nil, 1)
 			if !reflect.DeepEqual(models, wantModels) || !reflect.DeepEqual(out.Collect(), wantOut.Collect()) {
 				t.Errorf("fit gave models %v and output %v, want %v and %v", models, out.Collect(), wantModels, wantOut.Collect())
+			}
+		})
+	}
+}
+
+// TestFuseFitChainOp: a transform step whose operator is a ChainOp takes
+// over the chain feeding it in the fit graph, as in the run form: SIFT
+// applies Grayscale fused to the source images. A Grayscale step that
+// something else also reads stays a step of its own. Either way the
+// logical graph is left as it was and the fit's output equals the
+// unfused fit's.
+func TestFuseFitChainOp(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		shared   bool // a second branch also reads the grayscale images
+		fitGraph string
+	}{
+		{"grayscale into sift", false, `#0 source source
+#3 transform image.grayscale+image.sift <- [#0]
+#4 transform image.flatten <- [#3]
+`},
+		{"grayscale read elsewhere", true, ""},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			build := func() *core.Graph {
+				g := core.NewGraph()
+				gray := g.AddTransform(image.GrayscaleOp(), g.Source)
+				out := g.AddTransform(image.Flatten(), g.AddTransform(&image.SIFT{}, gray))
+				if c.shared {
+					g.AddGather([]*core.Node{out, g.AddTransform(image.ImageToVector(), gray)})
+				}
+				return g
+			}
+			rng := linalg.NewRNG(7)
+			recs := make([]any, 24)
+			for i := range recs {
+				im := image.New(20, 20, 3)
+				for j := range im.Pix {
+					im.Pix[j] = rng.Float64()
+				}
+				recs[i] = im
+			}
+			data := engine.FromSlice(recs, 3)
+			g := build()
+			logical := g.String()
+			plan := Optimize(g, data, nil, Config{Level: LevelPipeline, Resources: cluster.Local(2), SampleSizes: [2]int{8, 16}, Parallelism: 1})
+			if g.String() != logical {
+				t.Errorf("the logical graph changed:\n%s\nwant\n%s", g.String(), logical)
+			}
+			got := ""
+			if plan.fit != nil {
+				got = plan.fit.String()
+			}
+			if got != c.fitGraph {
+				t.Errorf("fit graph\n%s\nwant\n%s", got, c.fitGraph)
+			}
+			_, out, _ := plan.Execute(data, nil, 2)
+			_, wantOut, _ := Optimize(build(), data, nil, Config{Level: LevelNone}).Execute(data, nil, 1)
+			if !reflect.DeepEqual(out.Collect(), wantOut.Collect()) {
+				t.Error("the fused fit's output differs from the unfused fit's")
 			}
 		})
 	}

@@ -91,28 +91,18 @@ func statsOf(fullN, numClasses int, parts ...*engine.Collection) cost.DataStats 
 func recordScalars(r any) (scalars, nnz int64) {
 	switch x := r.(type) {
 	case []float64:
-		for _, v := range x {
-			if v != 0 {
-				nnz++
-			}
-		}
-		return int64(len(x)), nnz
+		return denseScalars(x)
 	case *linalg.SparseVector:
 		return int64(x.Dim), int64(x.NNZ())
 	case [][]float64:
 		for _, d := range x {
-			s, z := recordScalars(d)
+			s, z := denseScalars(d)
 			scalars += s
 			nnz += z
 		}
 		return scalars, nnz
 	case *image.Image:
-		for _, v := range x.Pix {
-			if v != 0 {
-				nnz++
-			}
-		}
-		return int64(len(x.Pix)), nnz
+		return denseScalars(x.Pix)
 	case map[string]float64:
 		return int64(len(x)), int64(len(x))
 	case string:
@@ -126,6 +116,16 @@ func recordScalars(r any) (scalars, nnz int64) {
 	default:
 		return 1, 1
 	}
+}
+
+// denseScalars counts a dense vector's scalar slots and nonzeros.
+func denseScalars(x []float64) (scalars, nnz int64) {
+	for _, v := range x {
+		if v != 0 {
+			nnz++
+		}
+	}
+	return int64(len(x)), nnz
 }
 
 // extrapolate fits time(n) = a + b·n through two sample measurements and

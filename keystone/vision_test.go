@@ -2,6 +2,7 @@ package keystone
 
 import (
 	"context"
+	"slices"
 	"testing"
 )
 
@@ -63,14 +64,18 @@ func fitE2EVision(tb testing.TB, n int, opts ...Option) (*Fitted[*Image, []float
 }
 
 // TestVisionTransformBatchParallel: with four workers TransformBatch
-// fans the images out across goroutines, each running SIFT and the
-// descriptor PCA on its own pooled scratch; every output must still be
-// the per-record Transform's, bit for bit.
+// fans the images out across goroutines, each running SIFT (fused with
+// the Grayscale feeding it) and the descriptor PCA on its own pooled
+// scratch; every output must still be the per-record Transform's, bit
+// for bit.
 func TestVisionTransformBatchParallel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
 	f, hold := fitE2EVision(t, 96, WithWorkers(4))
+	if run := f.inner.RunNames(); !slices.Contains(run, "image.grayscale+image.sift") || slices.Contains(run, "image.grayscale") {
+		t.Fatalf("the run form did not fuse Grayscale into SIFT: it runs %q", run)
+	}
 	for round := 0; round < 3; round++ {
 		got, err := f.TransformBatch(context.Background(), hold)
 		if err != nil {
@@ -84,6 +89,66 @@ func TestVisionTransformBatchParallel(t *testing.T) {
 			if !sameBits(want, got[i]) {
 				t.Fatalf("round %d image %d: batch %v, one %v", round, i, got[i], want)
 			}
+		}
+	}
+}
+
+// visionTransformAllocs is the measured allocation count of one
+// e2e-shaped vision record through Transform. Every step allocates its
+// output, once per record and not once per descriptor: a descriptor set
+// is a slice and one backing array, the Fisher encoder adds one
+// posterior vector, and each result crosses the operator interface in a
+// box.
+const visionTransformAllocs = 37
+
+// TestVisionTransformAllocs: the fit, its profile included, runs
+// Grayscale fused into SIFT, while the artifact records both steps; the
+// fitted pipeline and the one decoded from that artifact, which fuses
+// again when it is compiled, predict bit for bit alike within
+// visionTransformAllocs. The race detector drops pooled scratch at
+// random, so under it the budget is not checked.
+func TestVisionTransformAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	f, hold := fitE2EVision(t, 2)
+	var ran []string
+	for _, r := range f.TrainReport() {
+		ran = append(ran, r.Name)
+	}
+	if !slices.Contains(ran, "image.grayscale+image.sift") || slices.Contains(ran, "image.grayscale") {
+		t.Errorf("the fit did not fuse Grayscale into SIFT: it ran %q", ran)
+	}
+	steps, err := f.inner.StepRecords()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var persisted []string
+	for _, r := range steps {
+		persisted = append(persisted, r.Name)
+	}
+	if !slices.Contains(persisted, "image.grayscale") || !slices.Contains(persisted, "image.sift") {
+		t.Errorf("the artifact lost an unfused step: it records %q", persisted)
+	}
+	enc, err := Encode(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := Decode[*Image, []float64](enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for name, g := range map[string]*Fitted[*Image, []float64]{"fitted": f, "decoded": decoded} {
+		want, _ := f.Transform(ctx, hold[1])
+		if got, err := g.Transform(ctx, hold[1]); err != nil || !sameBits(got, want) {
+			t.Fatalf("%s: scores %v (%v), want %v", name, got, err, want)
+		}
+		if raceEnabled {
+			continue
+		}
+		if allocs := testing.AllocsPerRun(20, func() { _, _ = g.Transform(ctx, hold[0]) }); allocs > visionTransformAllocs {
+			t.Errorf("%s: %.0f allocations per record, budget %d", name, allocs, visionTransformAllocs)
 		}
 	}
 }
@@ -106,6 +171,30 @@ func BenchmarkTransformBatchVision(b *testing.B) {
 		visionSink = out
 	}
 	b.ReportMetric(float64(b.N*len(hold))/b.Elapsed().Seconds(), "rec/s")
+}
+
+// BenchmarkFitVision is vision-dag's fit at the benchmark's scale: 1 000
+// synthetic 48x48 colour images through the e2e vision pipeline with
+// default options. B/op and allocs/op are the fit's fit_alloc_mb and
+// mallocs:
+//
+//	GOMAXPROCS=1 go test -run '^$' -bench FitVision -benchmem ./keystone
+func BenchmarkFitVision(b *testing.B) {
+	train := SyntheticImages(1000, 48, 3, 4, 1)
+	p := VisionPipeline(VisionConfig{PCADims: 12, GMMComponents: 6, SampleDescs: 30, Seed: 9, Iterations: 20, WithLCS: true})
+	ctx := context.Background()
+	if _, err := p.Fit(ctx, train.Records, train.Labels); err != nil {
+		b.Fatal(err) // warm-up: the first fit also pays the kernel probes
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f, err := p.Fit(ctx, train.Records, train.Labels)
+		if err != nil {
+			b.Fatal(err)
+		}
+		visionSink = f
+	}
 }
 
 // TestSIFTDescriptorDAGFromPrimitives exercises the descriptor-set
