@@ -37,12 +37,13 @@ staticcheck:
 
 # The documentation gate: vet, enforced gofmt, and the doccheck tool,
 # which fails on any missing package overview or undocumented exported
-# identifier in the public packages. CI runs this on every push, so
-# `go doc keystone` / `go doc keystone/serve` stay complete.
+# identifier in the public packages, the kernels and the engine. CI runs
+# this on every push, so `go doc keystone` / `go doc keystone/serve`
+# stay complete.
 docs-check: vet
 	@out=$$(gofmt -l .); \
 	if [ -n "$$out" ]; then echo "gofmt -l flags:"; echo "$$out"; exit 1; fi
-	$(GO) run ./cmd/doccheck $(PUBLIC_PKGS) internal/linalg internal/linalg/kernels
+	$(GO) run ./cmd/doccheck $(PUBLIC_PKGS) internal/linalg internal/linalg/kernels internal/engine
 
 # The size ledger: the three numbers a simplification is judged by, so a
 # CHANGES.md row quotes a figure anyone can reproduce — non-test Go
@@ -95,10 +96,11 @@ e2e-compare:
 
 # Flake sweep: the timing- and socket-sensitive suites (the batcher and
 # the serving tier, dist chaos tests, tune deadlines) and the packages
-# whose operators share pooled scratch across goroutines (image, pca),
-# repeated under the race detector at both scheduler widths. Any
+# whose operators share pooled scratch across goroutines (image, pca)
+# or fold per-partition accumulators on the engine's partition loop
+# (gmm), repeated under the race detector at both scheduler widths. Any
 # order/timing dependence shows up here long before it flakes in CI.
-FLAKE_PKGS = ./internal/engine/ ./internal/core/ ./internal/image/ ./internal/pca/ ./keystone/ ./keystone/serve/ ./keystone/dist/ ./keystone/tune/
+FLAKE_PKGS = ./internal/engine/ ./internal/core/ ./internal/image/ ./internal/pca/ ./internal/gmm/ ./keystone/ ./keystone/serve/ ./keystone/dist/ ./keystone/tune/
 flake:
 	GOMAXPROCS=1 $(GO) test -race -count=5 $(FLAKE_PKGS)
 	GOMAXPROCS=4 $(GO) test -race -count=5 $(FLAKE_PKGS)

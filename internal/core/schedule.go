@@ -128,6 +128,20 @@ func NewSchedulePlan(g *Graph, times map[int]float64, cached map[int]bool, worke
 	return p
 }
 
+// WithCached returns a copy of the plan with cached (nil for none) as its
+// materialization set. Priorities and successor widths depend on the
+// graph and the times alone, so the copy shares them and equals the plan
+// NewSchedulePlan would build for cached: the planner prices many cache
+// sets of one graph without re-deriving them for each.
+func (p *SchedulePlan) WithCached(cached map[int]bool) *SchedulePlan {
+	q := *p
+	q.Cached = cached
+	if q.Cached == nil {
+		q.Cached = map[int]bool{}
+	}
+	return &q
+}
+
 // timeOf returns the modeled local compute time of n.
 func (p *SchedulePlan) timeOf(n *Node) float64 {
 	if p.structural {
@@ -336,18 +350,18 @@ func (p *SchedulePlan) parallelTime() float64 {
 				heap.Push(ready, n)
 			}
 		}
-		running := &simRunHeap{}
+		var running simRunHeap
 		clock, free := 0.0, p.Workers
-		for ready.Len() > 0 || running.Len() > 0 {
+		for ready.Len() > 0 || len(running) > 0 {
 			for free > 0 && ready.Len() > 0 {
 				n := heap.Pop(ready).(*Node)
-				heap.Push(running, simRun{finish: clock + dur(n), id: n.ID})
+				running.push(simRun{finish: clock + dur(n), id: n.ID})
 				free--
 			}
-			if running.Len() == 0 {
+			if len(running) == 0 {
 				break
 			}
-			r := heap.Pop(running).(simRun)
+			r := running.pop()
 			clock = r.finish
 			free++
 			for _, sid := range plan.succ[r.id] {
@@ -388,20 +402,54 @@ type simRun struct {
 	id     int
 }
 
+// simRunHeap is a min-heap of simRuns with typed push and pop: the
+// up and down sifts of container/heap, without boxing a simRun into an
+// interface for every push and pop.
 type simRunHeap []simRun
 
-func (h simRunHeap) Len() int { return len(h) }
-func (h simRunHeap) Less(i, j int) bool {
+func (h simRunHeap) less(i, j int) bool {
 	if h[i].finish != h[j].finish {
 		return h[i].finish < h[j].finish
 	}
 	return h[i].id < h[j].id
 }
-func (h simRunHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *simRunHeap) Push(x any)   { *h = append(*h, x.(simRun)) }
-func (h *simRunHeap) Pop() any {
-	old := *h
-	r := old[len(old)-1]
-	*h = old[:len(old)-1]
+
+// push adds r and sifts it up.
+func (h *simRunHeap) push(r simRun) {
+	*h = append(*h, r)
+	s := *h
+	for j := len(s) - 1; j > 0; {
+		i := (j - 1) / 2
+		if !s.less(j, i) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		j = i
+	}
+}
+
+// pop removes and returns the earliest finisher: the last run moves to
+// the root and sifts down.
+func (h *simRunHeap) pop() simRun {
+	s := *h
+	n := len(s) - 1
+	s[0], s[n] = s[n], s[0]
+	r := s[n]
+	s = s[:n]
+	*h = s
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j+1 < n && s.less(j+1, j) {
+			j++
+		}
+		if !s.less(j, i) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		i = j
+	}
 	return r
 }

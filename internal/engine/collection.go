@@ -16,22 +16,65 @@ import (
 )
 
 // Collection is an immutable partitioned collection of records. Partitions
-// are the unit of parallelism, exactly as in Spark RDDs.
+// are the unit of parallelism, exactly as in Spark RDDs. A collection
+// holds its records boxed ([]any partitions) or, when built by FromRows,
+// as dense rows: []float64 records partitioned over one header slice,
+// which a partition loop reads in place through Len and Row and which is
+// boxed only for a caller asking for []any records.
 type Collection struct {
 	parts [][]any
+	rows  [][][]float64 // non-nil exactly for a FromRows collection
 }
 
-// Partition returns partition i (shared, do not mutate).
-func (c *Collection) Partition(i int) []any { return c.parts[i] }
+// Partition returns partition i (shared, do not mutate). A rows
+// collection boxes the partition's rows into a fresh slice.
+func (c *Collection) Partition(i int) []any {
+	if c.rows != nil {
+		return boxRows(c.rows[i])
+	}
+	return c.parts[i]
+}
+
+func boxRows(rows [][]float64) []any {
+	out := make([]any, len(rows))
+	for j, r := range rows {
+		out[j] = r
+	}
+	return out
+}
 
 // NumPartitions returns the partition count.
-func (c *Collection) NumPartitions() int { return len(c.parts) }
+func (c *Collection) NumPartitions() int {
+	if c.rows != nil {
+		return len(c.rows)
+	}
+	return len(c.parts)
+}
+
+// Len returns the record count of partition i without boxing anything.
+func (c *Collection) Len(i int) int {
+	if c.rows != nil {
+		return len(c.rows[i])
+	}
+	return len(c.parts[i])
+}
+
+// Row returns record j of partition i as a dense row: in place for a rows
+// collection, type-asserted for a boxed one, so a record that is not a
+// []float64 panics where it is read — inside the partition loop that
+// reads it, which surfaces it as the engine's worker panic.
+func (c *Collection) Row(i, j int) []float64 {
+	if c.rows != nil {
+		return c.rows[i][j]
+	}
+	return c.parts[i][j].([]float64)
+}
 
 // Count returns the total number of records.
 func (c *Collection) Count() int {
 	n := 0
-	for _, p := range c.parts {
-		n += len(p)
+	for i := 0; i < c.NumPartitions(); i++ {
+		n += c.Len(i)
 	}
 	return n
 }
@@ -39,8 +82,8 @@ func (c *Collection) Count() int {
 // Collect concatenates all partitions into one slice (a copy).
 func (c *Collection) Collect() []any {
 	out := make([]any, 0, c.Count())
-	for _, p := range c.parts {
-		out = append(out, p...)
+	for i := 0; i < c.NumPartitions(); i++ {
+		out = append(out, c.Partition(i)...)
 	}
 	return out
 }
@@ -48,8 +91,8 @@ func (c *Collection) Collect() []any {
 // Take returns up to n records from the head of the collection.
 func (c *Collection) Take(n int) []any {
 	out := make([]any, 0, n)
-	for _, p := range c.parts {
-		for _, item := range p {
+	for i := 0; i < c.NumPartitions(); i++ {
+		for _, item := range c.Partition(i) {
 			if len(out) == n {
 				return out
 			}
@@ -63,15 +106,29 @@ func (c *Collection) Take(n int) []any {
 // nParts is clamped to [1, len(items)] (an empty input yields one empty
 // partition so downstream code never sees zero partitions).
 func FromSlice(items []any, nParts int) *Collection {
+	return &Collection{parts: split(items, nParts)}
+}
+
+// FromRows partitions dense rows exactly as FromSlice partitions records
+// — the same clamping and the same boundaries, which a per-partition
+// reduction's bits depend on — without boxing them: the partitions are
+// windows of rows, and the rows themselves are not copied.
+func FromRows(rows [][]float64, nParts int) *Collection {
+	return &Collection{rows: split(rows, nParts)}
+}
+
+// split cuts items into nParts contiguous chunks whose sizes differ by at
+// most one, the larger first; see FromSlice for the clamping.
+func split[T any](items []T, nParts int) [][]T {
 	if nParts < 1 || len(items) == 0 {
 		nParts = 1
 	}
 	if len(items) > 0 && nParts > len(items) {
 		nParts = len(items)
 	}
-	parts := make([][]any, nParts)
+	parts := make([][]T, nParts)
 	if len(items) == 0 {
-		return &Collection{parts: parts}
+		return parts
 	}
 	base := len(items) / nParts
 	rem := len(items) % nParts
@@ -84,7 +141,7 @@ func FromSlice(items []any, nParts int) *Collection {
 		parts[i] = items[off : off+sz]
 		off += sz
 	}
-	return &Collection{parts: parts}
+	return parts
 }
 
 // FromPartitions wraps pre-partitioned data without copying.
@@ -116,10 +173,14 @@ func NewContext(parallelism int) *Context {
 	return &Context{Parallelism: parallelism}
 }
 
-// forEachPartition runs f(i, partition) for every partition with bounded
-// parallelism, propagating the first panic as a wrapped error-panic so
-// failures in worker goroutines are not lost.
-func (ctx *Context) forEachPartition(c *Collection, f func(i int, part []any)) {
+// EachPartition runs f(i) for every partition i of c with bounded
+// parallelism: the one partition loop every collection operation runs on.
+// A canceled context stops the dispatch and raises *Canceled; the first
+// panic in f reaches the caller as a wrapped error-panic, so failures in
+// worker goroutines are not lost. f reads partition i (through Len and
+// Row, or Partition) and writes its result to slot i of a slice of the
+// caller's.
+func (ctx *Context) EachPartition(c *Collection, f func(i int)) {
 	ctx.CheckCanceled()
 	n := c.NumPartitions()
 	sem := make(chan struct{}, ctx.Parallelism)
@@ -146,7 +207,7 @@ func (ctx *Context) forEachPartition(c *Collection, f func(i int, part []any)) {
 					mu.Unlock()
 				}
 			}()
-			f(i, c.parts[i])
+			f(i)
 		}(i)
 	}
 	wg.Wait()
@@ -164,7 +225,8 @@ func (ctx *Context) forEachPartition(c *Collection, f func(i int, part []any)) {
 // Map applies f to every record, preserving partitioning.
 func (ctx *Context) Map(c *Collection, f func(any) any) *Collection {
 	out := make([][]any, c.NumPartitions())
-	ctx.forEachPartition(c, func(i int, part []any) {
+	ctx.EachPartition(c, func(i int) {
+		part := c.Partition(i)
 		res := make([]any, len(part))
 		for j, item := range part {
 			res[j] = f(item)
@@ -178,8 +240,8 @@ func (ctx *Context) Map(c *Collection, f func(any) any) *Collection {
 // state (e.g. converting a partition of rows into one matrix).
 func (ctx *Context) MapPartitions(c *Collection, f func([]any) []any) *Collection {
 	out := make([][]any, c.NumPartitions())
-	ctx.forEachPartition(c, func(i int, part []any) {
-		out[i] = f(part)
+	ctx.EachPartition(c, func(i int) {
+		out[i] = f(c.Partition(i))
 	})
 	return &Collection{parts: out}
 }
@@ -192,8 +254,8 @@ func (ctx *Context) Zip(a, b *Collection, f func(x, y any) any) *Collection {
 		panic(fmt.Sprintf("engine: Zip partition count mismatch %d vs %d", a.NumPartitions(), b.NumPartitions()))
 	}
 	out := make([][]any, a.NumPartitions())
-	ctx.forEachPartition(a, func(i int, part []any) {
-		other := b.parts[i]
+	ctx.EachPartition(a, func(i int) {
+		part, other := a.Partition(i), b.Partition(i)
 		if len(other) != len(part) {
 			panic(fmt.Sprintf("engine: Zip partition %d length mismatch %d vs %d", i, len(part), len(other)))
 		}
@@ -207,31 +269,36 @@ func (ctx *Context) Zip(a, b *Collection, f func(x, y any) any) *Collection {
 }
 
 // Aggregate folds every partition with seqOp starting from zero() and then
-// combines the per-partition results with combOp in a tree pattern (two-at-
-// a-time), matching Spark's treeAggregate used by the distributed solvers.
+// combines the per-partition results with TreeCombine, matching Spark's
+// treeAggregate used by the distributed solvers.
 func (ctx *Context) Aggregate(c *Collection, zero func() any, seqOp func(acc, item any) any, combOp func(a, b any) any) any {
 	partials := make([]any, c.NumPartitions())
-	ctx.forEachPartition(c, func(i int, part []any) {
+	ctx.EachPartition(c, func(i int) {
 		acc := zero()
-		for _, item := range part {
+		for _, item := range c.Partition(i) {
 			acc = seqOp(acc, item)
 		}
 		partials[i] = acc
 	})
-	// Tree reduction over the partials.
-	for len(partials) > 1 {
-		next := make([]any, 0, (len(partials)+1)/2)
-		for i := 0; i < len(partials); i += 2 {
-			if i+1 < len(partials) {
-				next = append(next, combOp(partials[i], partials[i+1]))
-			} else {
-				next = append(next, partials[i])
-			}
-		}
-		partials = next
-	}
 	if len(partials) == 0 {
 		return zero()
+	}
+	return TreeCombine(partials, combOp)
+}
+
+// TreeCombine combines per-partition results two at a time, level by
+// level — (0,1), (2,3), … with an odd last one carried up — and returns
+// the root: Aggregate's combine order, for a partition loop that keeps
+// typed partials. It overwrites partials, which must not be empty.
+func TreeCombine[T any](partials []T, combOp func(a, b T) T) T {
+	for n := len(partials); n > 1; n = (n + 1) / 2 {
+		for i := 0; i < n; i += 2 {
+			if i+1 < n {
+				partials[i/2] = combOp(partials[i], partials[i+1])
+			} else {
+				partials[i/2] = partials[i]
+			}
+		}
 	}
 	return partials[0]
 }
@@ -253,8 +320,8 @@ func (c *Collection) Sample(n int) *Collection {
 	}
 	var picked []any
 	seen := 0
-	for _, p := range c.parts {
-		for _, item := range p {
+	for i := 0; i < c.NumPartitions(); i++ {
+		for _, item := range c.Partition(i) {
 			if seen%stride == 0 && len(picked) < n {
 				picked = append(picked, item)
 			}

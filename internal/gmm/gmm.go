@@ -118,7 +118,7 @@ func (g *GMM) Fit(ctx *engine.Context, data core.Fetch, labels core.Fetch) core.
 	if n == 0 {
 		panic("gmm: empty input")
 	}
-	d := len(first.Take(1)[0].([]float64))
+	d := len(rowAt(first, 0))
 	k := g.K
 	if k <= 0 {
 		k = 16
@@ -128,21 +128,27 @@ func (g *GMM) Fit(ctx *engine.Context, data core.Fetch, labels core.Fetch) core.
 	}
 	model := initModel(first, k, d, g.Seed)
 
+	// suff is one partition's sufficient statistics; gam is the E-step's
+	// scratch, one descriptor's posteriors.
+	type suff struct {
+		w   []float64
+		mu  *linalg.Matrix
+		s2  *linalg.Matrix
+		gam []float64
+	}
+	combine := func(x, y *suff) *suff {
+		linalg.AxpyInPlace(1, y.w, x.w)
+		x.mu.Add(y.mu)
+		x.s2.Add(y.s2)
+		return x
+	}
 	for it := 0; it < g.iters(); it++ {
 		c := data() // one EM pass = one fetch
-		type suff struct {
-			w   []float64
-			mu  *linalg.Matrix
-			s2  *linalg.Matrix
-			gam []float64 // the E-step's scratch: one descriptor's posteriors
-		}
-		res := ctx.Aggregate(c,
-			func() any {
-				return &suff{w: make([]float64, k), mu: linalg.NewMatrix(k, d), s2: linalg.NewMatrix(k, d), gam: make([]float64, k)}
-			},
-			func(acc, item any) any {
-				s := acc.(*suff)
-				x := item.([]float64)
+		partials := make([]*suff, c.NumPartitions())
+		ctx.EachPartition(c, func(i int) {
+			s := &suff{w: make([]float64, k), mu: linalg.NewMatrix(k, d), s2: linalg.NewMatrix(k, d), gam: make([]float64, k)}
+			for r := 0; r < c.Len(i); r++ {
+				x := c.Row(i, r)
 				gam := model.PosteriorsInto(s.gam, x)
 				for ci, gc := range gam {
 					if gc < 1e-12 {
@@ -156,16 +162,10 @@ func (g *GMM) Fit(ctx *engine.Context, data core.Fetch, labels core.Fetch) core.
 						s2Row[j] += gc * xj * xj
 					}
 				}
-				return s
-			},
-			func(a, b any) any {
-				x, y := a.(*suff), b.(*suff)
-				linalg.AxpyInPlace(1, y.w, x.w)
-				x.mu.Add(y.mu)
-				x.s2.Add(y.s2)
-				return x
-			},
-		).(*suff)
+			}
+			partials[i] = s
+		})
+		res := engine.TreeCombine(partials, combine)
 		// M step.
 		next := &Model{Weights: make([]float64, k), Means: linalg.NewMatrix(k, d), Vars: linalg.NewMatrix(k, d)}
 		for ci := 0; ci < k; ci++ {
@@ -196,31 +196,34 @@ func (g *GMM) Fit(ctx *engine.Context, data core.Fetch, labels core.Fetch) core.
 // initModel seeds means with k-means++-style selection (each next center
 // drawn proportional to squared distance from the chosen set), which
 // spreads initial components across the data's modes, plus unit variances.
+// It reads the records in place.
 func initModel(c *engine.Collection, k, d int, seed uint64) *Model {
 	rng := linalg.NewRNG(seed + 4242)
-	items := c.Collect()
-	n := len(items)
+	n := c.Count()
 	m := &Model{Weights: make([]float64, k), Means: linalg.NewMatrix(k, d), Vars: linalg.NewMatrix(k, d)}
 	chosen := make([][]float64, 0, k)
-	chosen = append(chosen, items[rng.Intn(n)].([]float64))
+	chosen = append(chosen, rowAt(c, rng.Intn(n)))
 	dist := make([]float64, n)
 	for len(chosen) < k {
 		var total float64
 		last := chosen[len(chosen)-1]
-		for i, it := range items {
-			x := it.([]float64)
-			var d2 float64
-			for j, xj := range x {
-				diff := xj - last[j]
-				d2 += diff * diff
+		r := 0
+		for i := 0; i < c.NumPartitions(); i++ {
+			for j := 0; j < c.Len(i); j++ {
+				var d2 float64
+				for jj, xj := range c.Row(i, j) {
+					diff := xj - last[jj]
+					d2 += diff * diff
+				}
+				if len(chosen) == 1 || d2 < dist[r] {
+					dist[r] = d2
+				}
+				total += dist[r]
+				r++
 			}
-			if len(chosen) == 1 || d2 < dist[i] {
-				dist[i] = d2
-			}
-			total += dist[i]
 		}
 		if total <= 0 {
-			chosen = append(chosen, items[rng.Intn(n)].([]float64))
+			chosen = append(chosen, rowAt(c, rng.Intn(n)))
 			continue
 		}
 		target := rng.Float64() * total
@@ -233,7 +236,7 @@ func initModel(c *engine.Collection, k, d int, seed uint64) *Model {
 				break
 			}
 		}
-		chosen = append(chosen, items[pick].([]float64))
+		chosen = append(chosen, rowAt(c, pick))
 	}
 	for ci := 0; ci < k; ci++ {
 		m.Weights[ci] = 1 / float64(k)
@@ -243,6 +246,18 @@ func initModel(c *engine.Collection, k, d int, seed uint64) *Model {
 		}
 	}
 	return m
+}
+
+// rowAt returns the record at global index r in partition order; rowAt(c,
+// 0), the fit's dimension probe, skips empty leading partitions.
+func rowAt(c *engine.Collection, r int) []float64 {
+	for i := 0; i < c.NumPartitions(); i++ {
+		if r < c.Len(i) {
+			return c.Row(i, r)
+		}
+		r -= c.Len(i)
+	}
+	panic(fmt.Sprintf("gmm: record %d of %d", r, c.Count()))
 }
 
 // PosteriorTransform is the fitted GMM as a transformer: descriptor ->

@@ -404,9 +404,10 @@ func (d *DescriptorPCA) applyBlock(descs [][]float64) ([][]float64, bool) {
 }
 
 // FlattenDescriptors pools the descriptor sets ([][]float64 records) of
-// c into one collection of descriptors, in record order, split into as
-// many partitions as c has. It counts the descriptors first and
-// allocates once.
+// c into one rows collection of descriptors (engine.FromRows), in record
+// order, split into as many partitions as c has. It counts the
+// descriptors first and allocates one header slice, which aliases the
+// descriptors: nothing is boxed and no descriptor is copied.
 func FlattenDescriptors(c *engine.Collection) *engine.Collection {
 	n := 0
 	for i := 0; i < c.NumPartitions(); i++ {
@@ -414,15 +415,13 @@ func FlattenDescriptors(c *engine.Collection) *engine.Collection {
 			n += len(rec.([][]float64))
 		}
 	}
-	items := make([]any, 0, n)
+	rows := make([][]float64, 0, n)
 	for i := 0; i < c.NumPartitions(); i++ {
 		for _, rec := range c.Partition(i) {
-			for _, desc := range rec.([][]float64) {
-				items = append(items, desc)
-			}
+			rows = append(rows, rec.([][]float64)...)
 		}
 	}
-	return engine.FromSlice(items, c.NumPartitions())
+	return engine.FromRows(rows, c.NumPartitions())
 }
 
 // FlattenedFetch wraps a fetch of descriptor sets into a fetch of their

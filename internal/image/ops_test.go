@@ -310,3 +310,48 @@ func (fakePCA) Fit(ctx *engine.Context, data core.Fetch, labels core.Fetch) core
 		return []float64{x[0], x[1]}
 	})
 }
+
+// TestFlattenDescriptorsAllocatesOnce: FlattenDescriptors makes the same
+// three allocations (the header slice, the partition windows, the
+// collection) whatever the descriptor count, and its rows are the
+// descriptors themselves, in record order and over the input's
+// partition count.
+func TestFlattenDescriptorsAllocatesOnce(t *testing.T) {
+	sets := func(records, perRecord int) *engine.Collection {
+		rng := linalg.NewRNG(3)
+		items := make([]any, records)
+		for i := range items {
+			descs := make([][]float64, perRecord)
+			for j := range descs {
+				descs[j] = rng.GaussianVector(4)
+			}
+			items[i] = descs
+		}
+		return engine.FromSlice(items, 3)
+	}
+	for _, c := range []*engine.Collection{sets(6, 2), sets(60, 50)} {
+		if allocs := testing.AllocsPerRun(10, func() { FlattenDescriptors(c) }); allocs != 3 {
+			t.Errorf("flattening %d descriptors: %v allocations, want 3", c.Count(), allocs)
+		}
+		flat := FlattenDescriptors(c)
+		if flat.NumPartitions() != c.NumPartitions() {
+			t.Errorf("%d partitions, want %d", flat.NumPartitions(), c.NumPartitions())
+		}
+		var want [][]float64
+		for _, rec := range c.Collect() {
+			want = append(want, rec.([][]float64)...)
+		}
+		r := 0
+		for i := 0; i < flat.NumPartitions(); i++ {
+			for j := 0; j < flat.Len(i); j++ {
+				if &flat.Row(i, j)[0] != &want[r][0] {
+					t.Fatalf("row %d is not descriptor %d", r, r)
+				}
+				r++
+			}
+		}
+		if r != len(want) {
+			t.Errorf("%d rows, want %d", r, len(want))
+		}
+	}
+}

@@ -241,6 +241,35 @@ func TestColPairSumsAndRotations(t *testing.T) {
 	}
 }
 
+// TestRotColsInlineAndSplit: RotCols gives the row-by-row rotation's
+// bits both below the split threshold, where it runs inline and
+// allocates nothing, and at it, where the pool may split the rows.
+func TestRotColsInlineAndSplit(t *testing.T) {
+	const minChunk = 1 + gemvParallelFlops/8
+	rng := rand.New(rand.NewSource(9))
+	c, s := math.Cos(0.7), math.Sin(0.7)
+	for _, rows := range []int{1, 37, 2*minChunk - 1, 2 * minChunk} {
+		const cols = 3
+		a := randSlice(rng, rows*cols)
+		want := append([]float64(nil), a...)
+		for i := 0; i < rows; i++ {
+			up, uq := want[i*cols], want[i*cols+2]
+			want[i*cols] = c*up - s*uq
+			want[i*cols+2] = s*up + c*uq
+		}
+		RotCols(a, cols, rows, 0, 2, c, s)
+		for i := range want {
+			if math.Float64bits(a[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("rows %d: elem %d = %g, want %g", rows, i, a[i], want[i])
+			}
+		}
+	}
+	a := randSlice(rng, 37*6)
+	if allocs := testing.AllocsPerRun(100, func() { RotCols(a, 6, 37, 1, 4, c, s) }); allocs != 0 {
+		t.Errorf("RotCols on 37 rows: %v allocations, want 0", allocs)
+	}
+}
+
 func TestParallelChunksCoversAllIndices(t *testing.T) {
 	for _, n := range []int{0, 1, 5, 64, 1000} {
 		var mu sync.Mutex

@@ -158,19 +158,28 @@ func ColPairSums(a []float64, stride, rows, p, q int) (app, aqq, apq float64) {
 
 // RotCols applies the plane rotation (p', q') = (c*p - s*q, s*p + c*q)
 // to columns p and q of the rows x stride row-major matrix. Rows are
-// independent, so large matrices fan across the pool.
+// independent, so large matrices fan across the pool; one too small for
+// ParallelChunks to split runs inline, without building its closure.
 func RotCols(a []float64, stride, rows, p, q int, c, s float64) {
-	ParallelChunks(rows, 1+gemvParallelFlops/8, func(lo, hi int) {
-		ip, iq := lo*stride+p, lo*stride+q
-		for i := lo; i < hi; i++ {
-			up := a[ip]
-			uq := a[iq]
-			a[ip] = c*up - s*uq
-			a[iq] = s*up + c*uq
-			ip += stride
-			iq += stride
-		}
-	})
+	const minChunk = 1 + gemvParallelFlops/8
+	if rows < 2*minChunk {
+		rotCols(a, stride, p, q, 0, rows, c, s)
+		return
+	}
+	ParallelChunks(rows, minChunk, func(lo, hi int) { rotCols(a, stride, p, q, lo, hi, c, s) })
+}
+
+// rotCols is RotCols over rows [lo, hi).
+func rotCols(a []float64, stride, p, q, lo, hi int, c, s float64) {
+	ip, iq := lo*stride+p, lo*stride+q
+	for i := lo; i < hi; i++ {
+		up := a[ip]
+		uq := a[iq]
+		a[ip] = c*up - s*uq
+		a[iq] = s*up + c*uq
+		ip += stride
+		iq += stride
+	}
 }
 
 // RotRows applies the same plane rotation to two contiguous rows.

@@ -16,14 +16,6 @@ func profTimes(prof *Profile) map[int]float64 {
 	return out
 }
 
-// schedule builds the schedule plan of g under the profile: its node
-// times and placement model, cached as the materialization boundaries.
-func (prof *Profile) schedule(g *core.Graph, cached map[int]bool, workers int) *core.SchedulePlan {
-	p := core.NewSchedulePlan(g, profTimes(prof), cached, workers)
-	p.Dist = prof.Dist
-	return p
-}
-
 // EstCost estimates pipeline execution wall-clock (seconds) under a
 // cache set with k DAG workers: the sequential Σ t(v)·computes(v) model
 // for local execution with workers <= 1, the shared schedule plan's
@@ -33,7 +25,7 @@ func (prof *Profile) schedule(g *core.Graph, cached map[int]bool, workers int) *
 // the objective the materialization planner minimizes, so pins are
 // ranked by their effect on wall-clock rather than on total work.
 func EstCost(g *core.Graph, prof *Profile, cached map[int]bool, workers int) float64 {
-	return costOf(g, prof, cached, workers).wall
+	return newPricer(g, prof, workers).cost(cached).wall
 }
 
 // ScheduleFor builds the shared schedule plan both layers consume: the
@@ -50,7 +42,9 @@ func ScheduleFor(g *core.Graph, prof *Profile, cacheSet []int, workers int) *cor
 	if prof == nil {
 		return core.NewSchedulePlan(g, nil, cached, workers)
 	}
-	return prof.schedule(g, cached, workers)
+	p := core.NewSchedulePlan(g, profTimes(prof), cached, workers)
+	p.Dist = prof.Dist
+	return p
 }
 
 // cacheable reports whether a node's output may be materialized: sources
@@ -78,12 +72,33 @@ type setCost struct {
 	work float64 // one-worker local makespan: sequential total work
 }
 
-func costOf(g *core.Graph, prof *Profile, cached map[int]bool, workers int) setCost {
-	work := core.NewSchedulePlan(g, profTimes(prof), cached, 1).Makespan()
-	if workers <= 1 && prof.Dist == nil {
+// pricer prices cache sets of one graph under one profile and worker
+// count. Its schedule plans — the one-worker plan for the work term and,
+// when the wall-clock model differs from it, the k-worker or placed plan
+// — are built once; each set is priced on a copy of them with that set as
+// its cache boundaries (core.SchedulePlan.WithCached), the plan
+// NewSchedulePlan would build for it.
+type pricer struct {
+	work *core.SchedulePlan
+	wall *core.SchedulePlan // nil: the wall-clock is the work
+}
+
+func newPricer(g *core.Graph, prof *Profile, workers int) pricer {
+	times := profTimes(prof)
+	pr := pricer{work: core.NewSchedulePlan(g, times, nil, 1)}
+	if workers > 1 || prof.Dist != nil {
+		pr.wall = core.NewSchedulePlan(g, times, nil, workers)
+		pr.wall.Dist = prof.Dist
+	}
+	return pr
+}
+
+func (pr pricer) cost(cached map[int]bool) setCost {
+	work := pr.work.WithCached(cached).Makespan()
+	if pr.wall == nil {
 		return setCost{wall: work, work: work}
 	}
-	return setCost{wall: prof.schedule(g, cached, workers).Makespan(), work: work}
+	return setCost{wall: pr.wall.WithCached(cached).Makespan(), work: work}
 }
 
 // improves reports whether c is a strict lexicographic improvement on
@@ -108,7 +123,8 @@ func (c setCost) improves(best setCost) bool {
 func GreedyCacheSet(g *core.Graph, prof *Profile, memBudget int64, workers int) []int {
 	cached := make(map[int]bool)
 	memLeft := memBudget
-	current := costOf(g, prof, cached, workers)
+	pr := newPricer(g, prof, workers)
+	current := pr.cost(cached)
 	var result []int
 	candidates := cacheCandidates(g, prof)
 	for {
@@ -123,7 +139,7 @@ func GreedyCacheSet(g *core.Graph, prof *Profile, memBudget int64, workers int) 
 				continue
 			}
 			cached[id] = true
-			c := costOf(g, prof, cached, workers)
+			c := pr.cost(cached)
 			delete(cached, id)
 			if c.improves(bestCost) {
 				best = id
@@ -152,7 +168,8 @@ func ExactCacheSet(g *core.Graph, prof *Profile, memBudget int64, workers int) (
 	if len(candidates) > 20 {
 		panic("optimizer: ExactCacheSet limited to 20 candidates")
 	}
-	bestTime := EstCost(g, prof, map[int]bool{}, workers)
+	pr := newPricer(g, prof, workers)
+	bestTime := pr.cost(map[int]bool{}).wall
 	var bestSet []int
 	for mask := 0; mask < 1<<len(candidates); mask++ {
 		var size int64
@@ -166,7 +183,7 @@ func ExactCacheSet(g *core.Graph, prof *Profile, memBudget int64, workers int) (
 		if memBudget > 0 && size > memBudget {
 			continue
 		}
-		t := EstCost(g, prof, cached, workers)
+		t := pr.cost(cached).wall
 		if t < bestTime {
 			bestTime = t
 			bestSet = bestSet[:0]

@@ -89,18 +89,37 @@ func (p *Projection) ApplyBlock(dst, x *linalg.Matrix) error {
 	return nil
 }
 
-// collect gathers a dense collection into one matrix.
+// collect gathers a dense collection into one matrix, reading each
+// record in place.
 func collect(c *engine.Collection) *linalg.Matrix {
-	items := c.Collect()
-	rows := make([][]float64, len(items))
-	for i, it := range items {
-		r, ok := it.([]float64)
-		if !ok {
-			panic(fmt.Sprintf("pca: expected []float64 records, got %T", it))
-		}
-		rows[i] = r
+	n := c.Count()
+	if n == 0 {
+		return linalg.NewMatrix(0, 0)
 	}
-	return linalg.NewMatrixFrom(rows)
+	m := linalg.NewMatrix(n, len(firstRow(c)))
+	r := 0
+	for i := 0; i < c.NumPartitions(); i++ {
+		for j := 0; j < c.Len(i); j++ {
+			x := c.Row(i, j)
+			if len(x) != m.Cols {
+				panic(fmt.Sprintf("pca: record %d has %d dims, want %d", r, len(x), m.Cols))
+			}
+			copy(m.Row(r), x)
+			r++
+		}
+	}
+	return m
+}
+
+// firstRow returns the first record of a non-empty collection, skipping
+// empty leading partitions.
+func firstRow(c *engine.Collection) []float64 {
+	for i := 0; i < c.NumPartitions(); i++ {
+		if c.Len(i) > 0 {
+			return c.Row(i, 0)
+		}
+	}
+	panic("pca: empty input")
 }
 
 // LocalSVD computes an exact PCA by collecting the data to the driver and
@@ -164,29 +183,27 @@ func (s *DistSVD) Fit(ctx *engine.Context, data core.Fetch, labels core.Fetch) c
 	if n == 0 {
 		panic("pca: empty input")
 	}
-	d := len(c.Take(1)[0].([]float64))
+	d := len(firstRow(c))
 	type partial struct {
 		gram *linalg.Matrix
 		sum  []float64
-		n    int
-	}
-	agg := func(part []any) partial {
-		g := linalg.NewMatrix(d, d)
-		sum := make([]float64, d)
-		for _, it := range part {
-			x := it.([]float64)
-			linalg.AxpyInPlace(1, x, sum)
-			for i, xi := range x {
-				if xi == 0 {
-					continue
-				}
-				linalg.AxpyInPlace(xi, x, g.Row(i))
-			}
-		}
-		return partial{gram: g, sum: sum, n: len(part)}
 	}
 	partials := make([]partial, c.NumPartitions())
-	eachPartition(ctx, c, func(i int, part []any) { partials[i] = agg(part) })
+	ctx.EachPartition(c, func(i int) {
+		g := linalg.NewMatrix(d, d)
+		sum := make([]float64, d)
+		for j := 0; j < c.Len(i); j++ {
+			x := c.Row(i, j)
+			linalg.AxpyInPlace(1, x, sum)
+			for r, xr := range x {
+				if xr == 0 {
+					continue
+				}
+				linalg.AxpyInPlace(xr, x, g.Row(r))
+			}
+		}
+		partials[i] = partial{gram: g, sum: sum}
+	})
 	gram := linalg.NewMatrix(d, d)
 	sum := make([]float64, d)
 	for _, p := range partials {
@@ -234,7 +251,7 @@ func (s *DistTSVD) Fit(ctx *engine.Context, data core.Fetch, labels core.Fetch) 
 	if n == 0 {
 		panic("pca: empty input")
 	}
-	d := len(c.Take(1)[0].([]float64))
+	d := len(firstRow(c))
 	k := min(s.K, d)
 	p := min(k+8, d)
 	mean := colMeans(ctx, c, d, n)
@@ -260,42 +277,25 @@ func (s *DistTSVD) Fit(ctx *engine.Context, data core.Fetch, labels core.Fetch) 
 	return &Projection{P: fb.V.SliceCols(0, k), Mean: mean, Impl: s.Name()}
 }
 
-// colMeans returns the column means of c. Its folds return the
-// accumulator they were given, not a re-boxed slice, so they allocate
-// nothing per record.
+// colMeans returns the column means of c: per-partition sums combined
+// as Aggregate combines, reading each record in place.
 func colMeans(ctx *engine.Context, c *engine.Collection, d, n int) []float64 {
-	sum := ctx.Aggregate(c,
-		func() any { return make([]float64, d) },
-		func(acc, item any) any {
-			linalg.AxpyInPlace(1, item.([]float64), acc.([]float64))
-			return acc
-		},
-		func(a, b any) any {
-			linalg.AxpyInPlace(1, b.([]float64), a.([]float64))
-			return a
-		},
-	).([]float64)
+	partials := make([][]float64, c.NumPartitions())
+	ctx.EachPartition(c, func(i int) {
+		sum := make([]float64, d)
+		for j := 0; j < c.Len(i); j++ {
+			linalg.AxpyInPlace(1, c.Row(i, j), sum)
+		}
+		partials[i] = sum
+	})
+	sum := engine.TreeCombine(partials, func(a, b []float64) []float64 {
+		linalg.AxpyInPlace(1, b, a)
+		return a
+	})
 	for i := range sum {
 		sum[i] /= float64(n)
 	}
 	return sum
-}
-
-// eachPartition runs f(i, partition i) for every partition of c on the
-// engine's partition loop (a MapPartitions over the partition indices),
-// so a panic in f reaches the caller as the engine's worker panic and a
-// canceled context stops the dispatch, as for every other collection
-// operation. f writes its result to slot i of a slice of the caller's.
-func eachPartition(ctx *engine.Context, c *engine.Collection, f func(i int, part []any)) {
-	idx := make([][]any, c.NumPartitions())
-	for i := range idx {
-		idx[i] = []any{i}
-	}
-	ctx.MapPartitions(engine.FromPartitions(idx), func(task []any) []any {
-		i := task[0].(int)
-		f(i, c.Partition(i))
-		return nil
-	})
 }
 
 // rowOffsets returns the global index of each partition's first record.
@@ -304,7 +304,7 @@ func rowOffsets(c *engine.Collection) []int {
 	off := 0
 	for i := range offsets {
 		offsets[i] = off
-		off += len(c.Partition(i))
+		off += c.Len(i)
 	}
 	return offsets
 }
@@ -314,9 +314,9 @@ func rowOffsets(c *engine.Collection) []int {
 // offset.
 func mulCentered(ctx *engine.Context, c *engine.Collection, offsets []int, m *linalg.Matrix, mean []float64, y *linalg.Matrix) {
 	be := linalg.Choose(linalg.OpAxpy, m.Cols, 1, 1) // once, not per row of m
-	eachPartition(ctx, c, func(i int, part []any) {
-		for r, it := range part {
-			x := it.([]float64)
+	ctx.EachPartition(c, func(i int) {
+		for r := 0; r < c.Len(i); r++ {
+			x := c.Row(i, r)
 			out := y.Row(offsets[i] + r)
 			clear(out)
 			for ii, xi := range x {
@@ -339,10 +339,10 @@ func tMulCentered(ctx *engine.Context, c *engine.Collection, offsets []int, q *l
 	be := linalg.Choose(linalg.OpAxpy, p, 1, 1) // once, not per row of acc
 	// Each record contributes (x-μ) ⊗ q_row.
 	partials := make([]*linalg.Matrix, c.NumPartitions())
-	eachPartition(ctx, c, func(i int, part []any) {
+	ctx.EachPartition(c, func(i int) {
 		acc := linalg.NewMatrix(d, p)
-		for r, it := range part {
-			x := it.([]float64)
+		for r := 0; r < c.Len(i); r++ {
+			x := c.Row(i, r)
 			qRow := q.Row(offsets[i] + r)
 			for ii, xi := range x {
 				v := xi - mean[ii]
