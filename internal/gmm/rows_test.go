@@ -99,7 +99,8 @@ func TestGMMRowsEqualsBoxed(t *testing.T) {
 // TestEMPassAllocsPerPartition: one EM pass over a rows collection
 // allocates per partition (its accumulators and its worker) and per
 // pass (the M step's model), never per descriptor: a hundredfold larger
-// input costs the same allocations.
+// input costs the same allocations. A pass measures 14 + 9 per
+// partition (41 here); the budget leaves room for the runtime's own.
 func TestEMPassAllocsPerPartition(t *testing.T) {
 	const parts = 3
 	ctx := engine.NewContext(1)
@@ -116,7 +117,7 @@ func TestEMPassAllocsPerPartition(t *testing.T) {
 		return fit(3) - fit(2)
 	}
 	small, large := perPass(60), perPass(6000)
-	const budget = 10 + 12*parts
+	const budget = 16 + 10*parts
 	if small > budget || large > budget {
 		t.Errorf("one EM pass: %v allocations over 60 descriptors, %v over 6000; budget %d", small, large, budget)
 	}

@@ -181,9 +181,7 @@ func BenchmarkTransformBatchVision(b *testing.B) {
 //	GOMAXPROCS=1 go test -run '^$' -bench FitVision -benchmem ./keystone
 //
 // On a 2-CPU x86-64 host that reads about 76.9 MB and 58.9 k allocations
-// per fit. It read 82.3 MB and 274.7 k while FlattenDescriptors boxed
-// every descriptor and the cache planner rebuilt a schedule plan for
-// every candidate set.
+// per fit.
 func BenchmarkFitVision(b *testing.B) {
 	train := SyntheticImages(1000, 48, 3, 4, 1)
 	p := VisionPipeline(VisionConfig{PCADims: 12, GMMComponents: 6, SampleDescs: 30, Seed: 9, Iterations: 20, WithLCS: true})
